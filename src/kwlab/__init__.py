@@ -4,7 +4,8 @@ from .surface_graph import (Cochain, EmbeddedGraph, GraphError, SizeGuardError,
                             Weights, build_planar, build_torus,
                             character_cochain, dual, graph_from_json, turning)
 from .derived import build_C, build_D, build_M, isoradial_data, validate_kasteleyn
-from .operators import (det, dirac_C, dirac_D, kac_ward, kasteleyn, laplacian,
+from .linalg import lu_det as det
+from .operators import (dirac_C, dirac_D, kac_ward, kasteleyn, laplacian,
                         laplacian_M, laplacian_dual, null_space,
                         skew_adjacency, sqrt_det_tracked, verify_corr,
                         verify_dirac_identities)

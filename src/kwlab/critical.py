@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 
 import numpy as np
 
@@ -24,44 +23,22 @@ def spectral_curve(g, z, w, x=None):
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
     phi = character_cochain(g, z, w)
-    return lu_det(kac_ward(g, phi, x).data)
+    return lu_det(kac_ward(g, phi, x))
 
 
 def spectral_grid(g, n, x=None):
     """Sample the curve on the half-offset n x n grid over the unit torus.
 
     Returns (phi1, phi2, P) arrays; the offset avoids the (1, 1) zero at
-    criticality.  Grid rows are evaluated through a worker pool capped by the
-    KWLAB_THREADS environment variable; chunks are reduced in index order so
-    the result does not depend on scheduling.
+    criticality.
     """
     angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    units = [cmath.exp(1j * a) for a in angles]
     vals = np.empty((n, n), dtype=complex)
-
-    def row(i):
-        zi = cmath.exp(1j * angles[i])
-        return [spectral_curve(g, zi, cmath.exp(1j * a), x) for a in angles]
-
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(n)))
-    else:
-        rows = [row(i) for i in range(n)]
-    for i, r in enumerate(rows):
-        vals[i] = r
+    for i, z in enumerate(units):
+        for k, w in enumerate(units):
+            vals[i, k] = spectral_curve(g, z, w, x)
     return angles, angles.copy(), vals
-
-
-def worker_count():
-    cap = os.environ.get("KWLAB_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
 
 
 def critical_beta(g, j=None, tol=1e-12, trace=None):
@@ -210,8 +187,7 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
         re = vals.real
         if np.any(re <= 0):
             raise GraphError("log of a nonpositive curve value on the grid")
-        # pairwise (index-ordered) summation for scheduling independence
-        return float(_pairwise_sum(np.log(re).ravel())) / nn ** 2
+        return float(np.sum(np.log(re))) / nn ** 2
 
     i_n = log_integral(n)
     i_2n = log_integral(2 * n)
@@ -222,16 +198,6 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
         "grid": n,
         "convergence_estimate": abs(i_2n - i_n) / 2.0,
     }
-
-
-def _pairwise_sum(a):
-    a = np.asarray(a, dtype=float)
-    while a.size > 1:
-        if a.size % 2:
-            a = np.concatenate([a[:-1:2] + a[1::2], a[-1:]])
-        else:
-            a = a[::2] + a[1::2]
-    return a[0]
 
 
 def duality_check(g, draws=10, seed=0):
@@ -255,8 +221,8 @@ def duality_check(g, draws=10, seed=0):
     for t in range(draws):
         z = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         w = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        lhs = pref * lu_det(kac_ward(g, character_cochain(g, z, w)).data)
-        rhs = pref_d * lu_det(kac_ward(gd, character_cochain(gd, z, w)).data)
+        lhs = pref * lu_det(kac_ward(g, character_cochain(g, z, w)))
+        rhs = pref_d * lu_det(kac_ward(gd, character_cochain(gd, z, w)))
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, rel)
         checks.append({"z": z, "w": w, "rel_residual": rel})

@@ -70,8 +70,6 @@ class CGraph:
     epsilon: np.ndarray        # +-1 per dart
     d_half: np.ndarray         # exp(i a_e / 2) per dart
     faces: list = field(default=())   # C-faces as lists of (edge index, +-1 orientation)
-    at_w: dict = field(default_factory=dict)
-    at_b: dict = field(default_factory=dict)
 
     @property
     def n_black(self):
@@ -128,13 +126,7 @@ def build_C(g):
             raise GraphError("Kasteleyn gauge reduction failed to reach +-1")
         omega[i] = 1 if val.real > 0 else -1
 
-    at_w = {d: [] for d in range(nd)}
-    at_b = {d: [] for d in range(nd)}
-    for i, ce in enumerate(edges):
-        at_w[ce.w].append(i)
-        at_b[ce.b].append(i)
-
-    c = CGraph(g, edges, omega, eps, dh, at_w=at_w, at_b=at_b)
+    c = CGraph(g, edges, omega, eps, dh)
     c.faces = _c_faces(c)
     return c
 
@@ -278,12 +270,6 @@ class DGraph:
     mu_lambda: np.ndarray
     mu_diamond: np.ndarray
 
-    def lam_primal(self, v):
-        return v
-
-    def lam_dual(self, f):
-        return self.g.nv + f
-
 
 def build_D(g):
     nv, nf, ne = g.nv, len(g.faces), g.ne
@@ -407,7 +393,7 @@ class MGraph:
         return self.g.nd
 
 
-def build_M(g, dual_rule=1):
+def build_M(g):
     """Dual of the double; vertices are corners (labeled by darts).
 
     The corner of dart d sits between d and R(d) at the origin of d.  Each
@@ -418,7 +404,7 @@ def build_M(g, dual_rule=1):
     is positive (counterclockwise around the vertex), and so is the M-dart
     corner(d) -> corner(R^-1(rev d)) crossing the dual half on the left of d.
     The rule is validated against the Dirac-Laplace factorization by the
-    verification suite; ``dual_rule=-1`` flips the dual-crossing class.
+    verification suite.
     """
     edges = []
     for d in range(g.nd):
@@ -428,11 +414,8 @@ def build_M(g, dual_rule=1):
                            math.pi / 2 - g.theta[k], (0, 0)))
     for d in range(g.nd):
         k = d >> 1
-        tail, head = d, int(g.rot_inv[d ^ 1])
-        if dual_rule < 0:
-            tail, head = head, tail
-        sh = tuple(int(s) * (1 if dual_rule > 0 else -1) for s in g.shift[d])
-        edges.append(MEdge("dual_cross", d, tail, head, g.theta[k], sh))
+        edges.append(MEdge("dual_cross", d, d, int(g.rot_inv[d ^ 1]),
+                           g.theta[k], tuple(int(s) for s in g.shift[d])))
     mu = np.zeros(g.nd)
     for d in range(g.nd):
         mu[d] = 0.5 * (math.sin(2 * g.theta[d >> 1])
@@ -447,8 +430,6 @@ def build_M(g, dual_rule=1):
 class IsoradialData:
     g: EmbeddedGraph
     delta: float
-    # chart-local positions, anchored at the origin of each dart
-    corner_offset: np.ndarray   # complex offset of corner(d) from o(d)
 
 
 def isoradial_data(g, tol=1e-9):
@@ -481,10 +462,7 @@ def isoradial_data(g, tol=1e-9):
         centers = np.array(centers)
         if np.max(np.abs(centers - centers.mean(axis=0))) > tol * max(delta, 1.0):
             raise GraphError("face circumcenters disagree; not isoradial")
-    a = g.a_angles()
-    th = g.theta[np.arange(g.nd) >> 1]
-    corner_offset = 0.5 * delta * np.exp(1j * (a + math.pi / 2 - th))
-    return IsoradialData(g, delta, corner_offset)
+    return IsoradialData(g, delta)
 
 
 def c_edge_direction(c, ce):

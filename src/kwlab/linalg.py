@@ -1,70 +1,32 @@
-"""Dense complex linear algebra on matrices with named ground sets.
+"""Dense complex linear algebra.
 
-The determinant is an in-house LU with partial pivoting (sign = pivot
-permutation parity times the pivot product); solving reuses the same
-factorization.  Numerical kernels are delegated to numpy's SVD, which is
+Determinants and solves are LAPACK LU with partial pivoting through numpy;
+``det_cofactor`` is the independent cofactor oracle the tests check
+``lu_det`` against.  Numerical kernels are delegated to numpy's SVD, which is
 deterministic for fixed input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-def lu_factor(a):
-    """LU with partial pivoting: returns (lu, piv, sign).
-
-    ``lu`` packs L (unit diagonal, below) and U (on and above); ``piv`` is the
-    row-swap record; ``sign`` the permutation parity.
-    """
-    lu = np.array(a, dtype=complex)
-    n = lu.shape[0]
-    if lu.shape != (n, n):
-        raise ValueError("square matrix required")
-    piv = np.arange(n)
-    sign = 1
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-            sign = -sign
-        pivot = lu[k, k]
-        if pivot == 0:
-            continue
-        lu[k + 1:, k] /= pivot
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv, sign
+from .surface_graph import GraphError
 
 
 def lu_det(a):
     """Determinant via LU with partial pivoting; 0 for exactly singular input."""
-    a = np.asarray(a)
-    if a.shape == (0, 0):
-        return 1.0 + 0j
-    lu, _, sign = lu_factor(a)
-    return complex(sign * np.prod(np.diag(lu)))
+    return complex(np.linalg.det(np.asarray(a)))
 
 
 def lu_solve(a, b):
-    """Solve a x = b (b may be a matrix of right-hand sides)."""
-    lu, piv, _ = lu_factor(a)
-    n = lu.shape[0]
-    x = np.array(b, dtype=complex)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
-    x = x[piv]
-    for k in range(n):  # forward, unit lower triangle
-        x[k + 1:] -= np.outer(lu[k + 1:, k], x[k])
-    for k in range(n - 1, -1, -1):  # back substitution
-        if lu[k, k] == 0:
-            raise ZeroDivisionError("singular system")
-        x[k] /= lu[k, k]
-        x[:k] -= np.outer(lu[:k, k], x[k])
-    return x[:, 0] if vec else x
+    """Solve a x = b (b may be a matrix of right-hand sides).
+
+    Raises GraphError when the system is exactly singular.
+    """
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise GraphError("singular system") from exc
 
 
 def det_cofactor(a):
@@ -97,62 +59,6 @@ def null_space(a, tol=1e-8):
     # rows of vh beyond len(s) (wide input) are exact kernel directions
     return [vh[i].conj() for i in range(vh.shape[0])
             if i >= len(s) or keep[i]]
-
-
-@dataclass
-class LabeledMatrix:
-    """Dense complex matrix whose rows and columns are indexed by named ground sets.
-
-    ``row_kind``/``col_kind`` name the ground set ('dart', 'B', 'W', 'V', 'L',
-    'M', ...); ``row_ids``/``col_ids`` are the labels in storage order.  The
-    determinant is only defined for equal cardinalities and uses the stored
-    (ascending-id) order on both sides.
-    """
-
-    row_kind: str
-    row_ids: tuple
-    col_kind: str
-    col_ids: tuple
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape != (len(self.row_ids), len(self.col_ids)):
-            raise ValueError("data shape does not match the labels")
-
-    @classmethod
-    def zeros(cls, row_kind, row_ids, col_kind, col_ids):
-        return cls(row_kind, tuple(row_ids), col_kind, tuple(col_ids),
-                   np.zeros((len(row_ids), len(col_ids)), dtype=complex))
-
-    def det(self):
-        if len(self.row_ids) != len(self.col_ids):
-            raise ValueError("determinant needs equal row/column cardinalities")
-        return lu_det(self.data)
-
-    def __matmul__(self, other):
-        if isinstance(other, LabeledMatrix):
-            if self.col_kind != other.row_kind or self.col_ids != other.row_ids:
-                raise ValueError("label mismatch in matrix product")
-            return LabeledMatrix(self.row_kind, self.row_ids,
-                                 other.col_kind, other.col_ids,
-                                 self.data @ other.data)
-        return self.data @ np.asarray(other)
-
-    def __sub__(self, other):
-        return LabeledMatrix(self.row_kind, self.row_ids, self.col_kind,
-                             self.col_ids, self.data - other.data)
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
-
-    def to_json(self):
-        return {
-            "rows": {"kind": self.row_kind, "ids": [str(i) for i in self.row_ids]},
-            "cols": {"kind": self.col_kind, "ids": [str(i) for i in self.col_ids]},
-            "entries": [[[float(z.real), float(z.imag)] for z in row]
-                        for row in self.data],
-        }
 
 
 def max_norm(a):

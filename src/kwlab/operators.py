@@ -21,24 +21,18 @@ import math
 
 import numpy as np
 
-from .linalg import LabeledMatrix, lu_det, null_space, max_norm
-from .surface_graph import Cochain, GraphError, principal_angle
+from .linalg import lu_det, null_space, max_norm
+from .surface_graph import (Cochain, GraphError, character_cochain,
+                            principal_angle)
 from .derived import (build_C, build_D, build_M, c_edge_direction,
                       half_angle_phases, isoradial_data, phi_D_character,
                       q_phases, split_phi_D)
 
 __all__ = [
     "kac_ward", "kasteleyn", "laplacian", "laplacian_dual", "dirac_C",
-    "dirac_D", "skew_adjacency", "laplacian_M", "det", "null_space",
+    "dirac_D", "skew_adjacency", "laplacian_M", "null_space",
     "sqrt_det_tracked", "verify_corr", "verify_dirac_identities",
 ]
-
-
-def det(m):
-    """Determinant of a LabeledMatrix (or bare array) via LU with partial pivoting."""
-    if isinstance(m, LabeledMatrix):
-        return m.det()
-    return lu_det(m)
 
 
 def _phi_values(g, phi):
@@ -52,8 +46,8 @@ def _phi_values(g, phi):
 def kac_ward(g, phi=None, x=None):
     """Dart-indexed Kac-Ward operator; identity at x = 0.
 
-    Returns a LabeledMatrix on darts in ascending id order.  ``x`` overrides
-    the graph's edge weights.
+    Rows and columns are darts in ascending id order.  ``x`` overrides the
+    graph's edge weights.
     """
     pv = _phi_values(g, phi)
     if np.any(np.abs(pv) == 0):
@@ -69,8 +63,7 @@ def kac_ward(g, phi=None, x=None):
                 continue
             alpha = principal_angle(g.dirang[e2] - g.dirang[e])
             m[e, e2] -= pv[e] * xe * cmath.exp(0.5j * alpha)
-    ids = tuple(range(nd))
-    return LabeledMatrix("dart", ids, "dart", ids, m)
+    return m
 
 
 def transition_factors(g, phi=None, x=None):
@@ -89,34 +82,34 @@ def transition_factors(g, phi=None, x=None):
     ixj = np.eye(nd, dtype=complex)
     for d in range(nd):
         ixj[d, d ^ 1] -= 1j * pv[d] * xs[d >> 1]
-    ids = tuple(range(nd))
-    return (LabeledMatrix("dart", ids, "dart", ids, iqr),
-            LabeledMatrix("dart", ids, "dart", ids, ixj))
+    return iqr, ixj
 
 
-def kasteleyn(c, phi=None, orientation="omega"):
+def kasteleyn(c, phi=None, orientation="omega", x=None):
     """Kasteleyn operator of the rectangle graph, W x B in ascending dart order.
 
     ``orientation`` is either the +-1 orientation 'omega' or the unit cochain
     'omega_tilde'; the entry at (w, b) is phi_C(w,b) * orientation(w,b) * y.
+    ``x`` overrides the graph's edge weights; the dimer weights y are then
+    recomputed from theta = 2 arctan(x).
     """
+    if orientation not in ("omega", "omega_tilde"):
+        raise GraphError(f"unknown orientation {orientation!r}")
     g = c.g
     nd = g.nd
     pv = _phi_values(g, phi)
+    theta = g.theta if x is None else 2.0 * np.arctan(np.asarray(x, dtype=float))
     k = np.zeros((nd, nd), dtype=complex)
     for i, ce in enumerate(c.edges):
-        if orientation == "omega":
-            o = complex(c.omega[i])
-        elif orientation == "omega_tilde":
-            o = ce.omega_tilde
+        o = complex(c.omega[i]) if orientation == "omega" else ce.omega_tilde
+        if ce.kind == "perp":
+            val = o * math.cos(theta[ce.dart >> 1])
+        elif ce.kind == "par":
+            val = o * math.sin(theta[ce.dart >> 1]) * pv[ce.dart]
         else:
-            raise GraphError(f"unknown orientation {orientation!r}")
-        val = o * ce.y
-        if ce.kind == "par":
-            val *= pv[ce.dart]
+            val = o
         k[ce.w, ce.b] += val
-    ids = tuple(range(nd))
-    return LabeledMatrix("W", ids, "B", ids, k)
+    return k
 
 
 def laplacian(g, phi=None, dual_weights=False):
@@ -141,8 +134,7 @@ def laplacian(g, phi=None, dual_weights=False):
             w = g.terminus(d)
             m[v, v] += t / mu
             m[v, w] -= t * pv[d] / mu
-    ids = tuple(range(n))
-    return LabeledMatrix("V", ids, "V", ids, m)
+    return m
 
 
 def laplacian_dual(g, phi_star=None):
@@ -174,8 +166,7 @@ def laplacian_dual(g, phi_star=None):
             f2 = int(g.face_of[d ^ 1])
             m[f, f] += t / mu[f]
             m[f, f2] -= t * pv[d ^ 1] / mu[f]
-    ids = tuple(range(nf))
-    return LabeledMatrix("F", ids, "F", ids, m)
+    return m
 
 
 # -- Dirac operators ------------------------------------------------------------
@@ -191,7 +182,7 @@ def dirac_C(c, phi=None, field="edge", phi_c=None):
     white/black vertex (indexed by darts).
     ``phi_c`` gives explicit per-C-edge cochain values (e.g. a discrete spin
     structure) and overrides the dart cochain ``phi``.
-    Returns (dbar: B -> W, d: W -> B) as LabeledMatrix pairs.
+    Returns the pair (dbar: B -> W, d: W -> B).
     """
     g = c.g
     isoradial_data(g)
@@ -224,9 +215,7 @@ def dirac_C(c, phi=None, field="edge", phi_c=None):
         th_bw = (ang_wb + math.pi) - ref_b[ce.b]
         dbar[ce.w, ce.b] += pc * cmath.exp(1j * th_wb) * y / mu[ce.w]
         dop[ce.b, ce.w] += (1.0 / pc) * cmath.exp(-1j * th_bw) * y / mu[ce.b]
-    ids = tuple(range(nd))
-    return (LabeledMatrix("W", ids, "B", ids, dbar),
-            LabeledMatrix("B", ids, "W", ids, dop))
+    return dbar, dop
 
 
 def dirac_D(dg, phi_d=None):
@@ -251,10 +240,7 @@ def dirac_D(dg, phi_d=None):
             / dg.mu_diamond[h.edge]
         dop[h.lam, h.edge] += phi_d[i] * ph_from_lam * h.weight \
             / dg.mu_lambda[h.lam]
-    lam_ids = tuple(range(nl))
-    mid_ids = tuple(range(ne))
-    return (LabeledMatrix("diamond", mid_ids, "Lambda", lam_ids, dbar),
-            LabeledMatrix("Lambda", lam_ids, "diamond", mid_ids, dop))
+    return dbar, dop
 
 
 def skew_adjacency(m, phi=None):
@@ -272,8 +258,7 @@ def skew_adjacency(m, phi=None):
             pv = complex(phi[0]) ** me.shift[0] * complex(phi[1]) ** me.shift[1]
         a[me.tail, me.head] += pv / m.mu[me.tail]
         a[me.head, me.tail] -= (1.0 / pv) / m.mu[me.head]
-    ids = tuple(range(n))
-    return LabeledMatrix("M", ids, "M", ids, a)
+    return a
 
 
 def laplacian_M(m, phi=None):
@@ -289,8 +274,7 @@ def laplacian_M(m, phi=None):
         a[me.tail, me.head] -= t * pv / m.mu[me.tail]
         a[me.head, me.head] += t / m.mu[me.head]
         a[me.head, me.tail] -= t * (1.0 / pv) / m.mu[me.head]
-    ids = tuple(range(n))
-    return LabeledMatrix("M", ids, "M", ids, a)
+    return a
 
 
 # -- tracked square root ---------------------------------------------------------
@@ -311,7 +295,7 @@ def sqrt_det_tracked(g, phi=None, x=None, max_steps=2 ** 14):
     xs = g.x if x is None else np.asarray(x, dtype=float)
 
     def det_at(t):
-        return lu_det(kac_ward(g, pv, xs * t).data)
+        return lu_det(kac_ward(g, pv, xs * t))
 
     # Lift the contour off the real axis (real zeros of the square root are
     # then passed at distance >= bump) and keep it lifted all the way to
@@ -387,21 +371,21 @@ def verify_corr(g, phi=None, x=None, c=None):
     xs = g.x if x is None else np.asarray(x, dtype=float)
     kw = kac_ward(g, phi, xs)
     iqr, ixj = transition_factors(g, phi, xs)
-    ktil = kasteleyn_with_weights(c, phi, xs, "omega_tilde")
-    lhs = kw.data @ iqr.data
-    rhs = ixj.data @ ktil.data
+    ktil = kasteleyn(c, phi, "omega_tilde", xs)
+    lhs = kw @ iqr
+    rhs = ixj @ ktil
     scale = max(1.0, max_norm(lhs))
     res_tilde = max_norm(lhs - rhs) / scale
 
-    kom = kasteleyn_with_weights(c, phi, xs, "omega")
+    kom = kasteleyn(c, phi, "omega", xs)
     dh = half_angle_phases(g)
     # the diagonal gauge exp(-i a/2) enters on both dart-indexed sides
-    lhs2 = kw.data @ iqr.data @ np.diag(dh ** -1)
-    rhs2 = ixj.data @ np.diag(dh ** -1) @ kom.data
+    lhs2 = kw @ iqr @ np.diag(dh ** -1)
+    rhs2 = ixj @ np.diag(dh ** -1) @ kom
     res_omega = max_norm(lhs2 - rhs2) / scale
 
-    det_iqr = lu_det(iqr.data)
-    det_ixj = lu_det(ixj.data)
+    det_iqr = lu_det(iqr)
+    det_ixj = lu_det(ixj)
     want_iqr = 2.0 ** g.nv
     want_ixj = complex(np.prod(1.0 + xs.astype(complex) ** 2))
     return {
@@ -410,34 +394,6 @@ def verify_corr(g, phi=None, x=None, c=None):
         "det_I_qR_relerr": abs(det_iqr - want_iqr) / abs(want_iqr),
         "det_I_ixJ_relerr": abs(det_ixj - want_ixj) / abs(want_ixj),
     }
-
-
-def kasteleyn_with_weights(c, phi, xs, orientation):
-    """Kasteleyn matrix with edge weights recomputed from an x override."""
-    g = c.g
-    if xs is g.x:
-        return kasteleyn(c, phi, orientation)
-    theta = 2.0 * np.arctan(np.asarray(xs, dtype=float))
-    pv = _phi_values(g, phi)
-    nd = g.nd
-    k = np.zeros((nd, nd), dtype=complex)
-    for i, ce in enumerate(c.edges):
-        if orientation == "omega":
-            o = complex(c.omega[i])
-        else:
-            o = ce.omega_tilde
-        if ce.kind == "perp":
-            y = math.cos(theta[ce.dart >> 1])
-        elif ce.kind == "par":
-            y = math.sin(theta[ce.dart >> 1])
-        else:
-            y = 1.0
-        val = o * y
-        if ce.kind == "par":
-            val *= pv[ce.dart]
-        k[ce.w, ce.b] += val
-    ids = tuple(range(nd))
-    return LabeledMatrix("W", ids, "B", ids, k)
 
 
 def phi_omega(c):
@@ -491,8 +447,8 @@ def verify_dirac_identities(g, phi_char=None):
     kom = kasteleyn(c, None, "omega")
     phiom = phi_omega(c)
     dbar_tw, _ = dirac_C(c, field="edge", phi_c=phiom)
-    lhs = kom.data @ np.diag(np.exp(-0.5j * th_d))
-    rhs = np.diag(np.exp(-0.5j * th_d) * mu_c) @ dbar_tw.data
+    lhs = kom @ np.diag(np.exp(-0.5j * th_d))
+    rhs = np.diag(np.exp(-0.5j * th_d) * mu_c) @ dbar_tw
     report["kasteleyn_dbar"] = max_norm(lhs - rhs) / max(1.0, max_norm(lhs))
 
     # phi_omega is a cocycle whose square inverts the (trivial) holonomy
@@ -507,18 +463,18 @@ def verify_dirac_identities(g, phi_char=None):
     # (b) -d dbar = Laplacian (+) dual Laplacian on the double
     if phi_char is None:
         phid = None
-        lap = laplacian(g).data
-        lap_star = laplacian_dual(g).data
+        lap = laplacian(g)
+        lap_star = laplacian_dual(g)
     else:
         z, w = phi_char
         phid = phi_D_character(dg, z, w)
         phi_g, phi_star = split_phi_D(dg, phid)
-        lap = laplacian(g, phi_g).data
+        lap = laplacian(g, phi_g)
         # the dual Laplacian reads the cochain on dual darts: phi*(d*) with
         # d* from right face to left face of d; split_phi_D returns exactly that
-        lap_star = laplacian_dual(g, phi_star).data
+        lap_star = laplacian_dual(g, phi_star)
     dbar_d, d_d = dirac_D(dg, phid)
-    prod = -(d_d.data @ dbar_d.data)
+    prod = -(d_d @ dbar_d)
     block = np.zeros_like(prod)
     block[: g.nv, : g.nv] = lap
     block[g.nv:, g.nv:] = lap_star
@@ -528,13 +484,13 @@ def verify_dirac_identities(g, phi_char=None):
     m = build_M(g)
     char = phi_char
     dbar_c, d_c = dirac_C(c, None if char is None else
-                          _char_cochain_values(g, *char), field="constant")
-    lm = laplacian_M(m, char).data
-    am = skew_adjacency(m, char).data
+                          character_cochain(g, *char).values, field="constant")
+    lm = laplacian_M(m, char)
+    am = skew_adjacency(m, char)
     corner_of_b = np.array([int(g.rot_inv[d]) for d in range(nd)])
     corner_of_w = np.arange(nd)
-    bb = -(d_c.data @ dbar_c.data)
-    ww = -(dbar_c.data @ d_c.data)
+    bb = -(d_c @ dbar_c)
+    ww = -(dbar_c @ d_c)
     pb = np.zeros_like(bb)
     pw = np.zeros_like(ww)
     for i in range(nd):
@@ -553,11 +509,6 @@ def verify_dirac_identities(g, phi_char=None):
 
     report["pass"] = all(v < 1e-10 for k, v in report.items() if k != "pass")
     return report
-
-
-def _char_cochain_values(g, z, w):
-    return np.array([complex(z) ** int(s1) * complex(w) ** int(s2)
-                     for s1, s2 in g.shift], dtype=complex)
 
 
 def _dirac_cd_residual(g, c, dg):
@@ -585,13 +536,13 @@ def _dirac_cd_residual(g, c, dg):
     mu_c = np.array([math.sin(2 * g.theta[d >> 1]) for d in range(nd)])
     dbar_c, d_c = dirac_C(c, None, field="constant")
     dir_c = np.zeros((n_c, n_c), dtype=complex)
-    dir_c[:nd, nd:] = np.diag(mu_c) @ dbar_c.data
-    dir_c[nd:, :nd] = -np.diag(mu_c) @ d_c.data
+    dir_c[:nd, nd:] = np.diag(mu_c) @ dbar_c
+    dir_c[nd:, :nd] = -np.diag(mu_c) @ d_c
 
     dbar_d, d_d = dirac_D(dg)
     dir_d = np.zeros((n_d, n_d), dtype=complex)
-    dir_d[nl:, :nl] = np.diag(dg.mu_diamond) @ dbar_d.data
-    dir_d[:nl, nl:] = -np.diag(dg.mu_lambda) @ d_d.data
+    dir_d[nl:, :nl] = np.diag(dg.mu_diamond) @ dbar_d
+    dir_d[:nl, nl:] = -np.diag(dg.mu_lambda) @ d_d
 
     lhs = h_cd @ dir_c @ h_dc
     return max_norm(lhs - dir_d) / max(1.0, max_norm(dir_d))

@@ -394,12 +394,12 @@ def dimer_partition(c, phis=None):
     z_match = _ryser_permanent(a)
 
     if g.genus == 0:
-        combo = lu_det(kasteleyn(c, None, "omega").data)
+        combo = lu_det(kasteleyn(c, None, "omega"))
     else:
         combo = 0.0 + 0j
         for (z, w), sgn in ARF_SIGNS_GENUS1.items():
             phi = character_cochain(g, z, w)
-            combo += sgn * lu_det(kasteleyn(c, phi.values, "omega").data)
+            combo += sgn * lu_det(kasteleyn(c, phi.values, "omega"))
         combo *= 0.5
     if abs(combo.imag) > 1e-9 * max(1.0, abs(combo)):
         raise GraphError("Kasteleyn combination is not real")
@@ -461,11 +461,9 @@ def inverse_coefficient(g, e1, e2, x=None, rng=None):
 
 def inverse_matrix(g, x=None, rng=None):
     """The full combinatorial matrix: equals sqrt(det KW) times KW^{-1}."""
-    from .linalg import LabeledMatrix
     nd = g.nd
     m = np.empty((nd, nd), dtype=complex)
     for e1 in range(nd):
         for e2 in range(nd):
             m[e1, e2] = inverse_coefficient(g, e1, e2, x=x, rng=rng)
-    ids = tuple(range(nd))
-    return LabeledMatrix("dart", ids, "dart", ids, m)
+    return m

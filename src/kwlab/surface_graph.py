@@ -52,18 +52,12 @@ class Weights:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise GraphError("weights must be a flat array")
+        if not np.all(np.isfinite(x)):
+            raise GraphError("edge weights must be finite")
         if np.any(x < -1e-15) or np.any(x > 1.0 + 1e-15):
             raise GraphError("edge weights must lie in [0, 1]")
         self.x = np.clip(x, 0.0, 1.0)
         self.theta = 2.0 * np.arctan(self.x)
-
-    @classmethod
-    def from_theta(cls, theta):
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta < -1e-15) or np.any(theta > math.pi / 2 + 1e-12):
-            raise GraphError("theta must lie in [0, pi/2]")
-        w = cls(np.tan(np.clip(theta, 0.0, math.pi / 2) / 2.0))
-        return w
 
     @classmethod
     def from_couplings(cls, j, beta):
@@ -128,9 +122,6 @@ class EmbeddedGraph:
 
     def rev(self, d):
         return d ^ 1
-
-    def edge_of(self, d):
-        return d >> 1
 
     def terminus(self, d):
         return int(self.origin[d ^ 1])
@@ -421,16 +412,6 @@ class Cochain:
             vals[d] *= c
             vals[d ^ 1] /= c
         return Cochain(self.g, vals)
-
-    def edge_product(self, edge_set):
-        """Product of per-edge values over an unoriented edge set.
-
-        Well defined whenever phi(e) = phi(rev e), i.e. for +-1-valued cochains.
-        """
-        p = 1.0 + 0.0j
-        for k in edge_set:
-            p *= self.values[2 * k]
-        return p
 
 
 def character_cochain(g, z, w):

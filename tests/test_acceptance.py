@@ -15,9 +15,8 @@ from kwlab import fixtures as fx
 from kwlab.surface_graph import Cochain, character_cochain
 from kwlab.derived import build_C
 from kwlab.linalg import lu_det, lu_solve, max_norm
-from kwlab.operators import (kac_ward, kasteleyn_with_weights,
-                             sqrt_det_tracked, verify_corr,
-                             verify_dirac_identities)
+from kwlab.operators import (kac_ward, kasteleyn, sqrt_det_tracked,
+                             verify_corr, verify_dirac_identities)
 from kwlab.oracle import dimer_partition, inverse_matrix, ising_partition
 from kwlab.critical import critical_beta, duality_check, hessian_tau, spectral_curve
 from kwlab.sholo import (integrate_square, kernel_observables, laplacian_of_H,
@@ -119,9 +118,9 @@ def test_05_det_ratio_and_dimers():
                 z = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
                 w = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
                 vals = character_cochain(g, z, w).values
-            dkw = lu_det(kac_ward(g, vals, xs).data)
+            dkw = lu_det(kac_ward(g, vals, xs))
             pref = 2.0 ** (-g.nv) * complex(np.prod(1 + xs.astype(complex) ** 2))
-            dk = lu_det(kasteleyn_with_weights(c, vals, xs, "omega").data)
+            dk = lu_det(kasteleyn(c, vals, "omega", xs))
             ratio = dkw / (pref * dk)
             signs.add(1 if ratio.real > 0 else -1)
             ok = ok and abs(abs(ratio) - 1.0) < 1e-10
@@ -175,12 +174,12 @@ def test_08_inverse_operator():
               fx.cycle4(0.8), fx.rect_torus(0.2, 0.2),
               fx.honeycomb_torus((0.3, 0.4, 0.5)), fx.square_torus(2, 0.35)):
         assert g.ne <= 10 or g.ne <= 12
-        kw = kac_ward(g).data
+        kw = kac_ward(g)
         expected = sqrt_det_tracked(g) * lu_solve(kw, np.eye(g.nd, dtype=complex))
-        got = inverse_matrix(g).data
+        got = inverse_matrix(g)
         worst = max(worst, float(np.max(np.abs(got - expected))))
     gid = fx.cycle4(0.0)
-    idres = max_norm(inverse_matrix(gid).data - np.eye(gid.nd))
+    idres = max_norm(inverse_matrix(gid) - np.eye(gid.nd))
     report("8 inverse operator", worst < 1e-9 and idres < 1e-12,
            f"entrywise={worst:.2e} identity_at_zero={idres:.2e}")
 

@@ -123,3 +123,25 @@ def test_seeded_output_is_identical(tmp_path, capsys):
     _, out1 = run(capsys, "verify", "det", "-g", str(path), "--seed", "9")
     _, out2 = run(capsys, "verify", "det", "-g", str(path), "--seed", "9")
     assert out1 == out2
+
+
+def test_verify_all_at_critical_weight(tmp_path, capsys):
+    # default x is critical, where det KW = 0 and the inv suite must not invert
+    code, out = run(capsys, "gen", "square-torus", "2")
+    path = tmp_path / "c.json"
+    path.write_text(out)
+    code, out = run(capsys, "verify", "all", "-g", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert "inv" in {r["suite"] for r in rep["reports"]}
+
+
+def test_nan_weight_is_invalid_input(tmp_path, capsys):
+    code, out = run(capsys, "gen", "triangle", "--x", "0.5")
+    obj = json.loads(out)
+    obj["edges"][0]["x"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, "verify", "corr", "-g", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid_input"

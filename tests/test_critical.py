@@ -141,13 +141,15 @@ def test_spectral_grid_real_and_positive_off_criticality():
     assert np.min(vals.real) > 0
 
 
-def test_spectral_grid_scheduling_independent(monkeypatch):
+def test_spectral_grid_and_free_energy_reproducible():
     g = fx.rect_torus(0.3, 0.4)
-    monkeypatch.setenv("KWLAB_THREADS", "1")
-    _, _, seq = spectral_grid(g, 12)
-    monkeypatch.setenv("KWLAB_THREADS", "4")
-    _, _, par = spectral_grid(g, 12)
-    assert np.array_equal(seq, par)
+    _, _, first = spectral_grid(g, 12)
+    _, _, second = spectral_grid(g, 12)
+    assert np.array_equal(first, second)
+    f1 = free_energy(g, n=8)
+    f2 = free_energy(g, n=8)
+    assert f1["free_energy"] == f2["free_energy"]
+    assert f1["free_energy_coarse"] == f2["free_energy_coarse"]
 
 
 def test_spectral_curve_nonnegative_at_criticality():

@@ -118,7 +118,7 @@ def test_m_graph_structure():
     # antisymmetry of the orientation is structural: each edge is stored once
     # with a tail and head; exercised through the skew adjacency matrix
     from kwlab.operators import skew_adjacency
-    a = skew_adjacency(m).data
+    a = skew_adjacency(m)
     mu = np.diag(m.mu)
     assert np.max(np.abs((mu @ a) + (mu @ a).T)) < 1e-12
     assert np.max(np.abs(np.diag(a))) == 0.0

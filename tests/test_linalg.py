@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kwlab.linalg import (LabeledMatrix, det_cofactor, lu_det, lu_solve,
-                          max_norm, null_space)
+from kwlab.linalg import det_cofactor, lu_det, lu_solve, max_norm, null_space
+from kwlab.surface_graph import GraphError
 
 
 def test_det_identity_and_diag():
@@ -39,12 +39,6 @@ def test_null_space_cases():
     assert min(max_norm(v - want), max_norm(v + want)) < 1e-12
 
 
-def test_labeled_matrix_guards():
-    m = LabeledMatrix("W", (0, 1), "B", (0, 1, 2), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        m.det()
-    n = LabeledMatrix("B", (0, 1, 2), "W", (0, 1), np.zeros((3, 2)))
-    prod = m @ n
-    assert prod.row_kind == "W" and prod.col_kind == "W"
-    with pytest.raises(ValueError):
-        _ = n @ n
+def test_solve_singular_raises_graph_error():
+    with pytest.raises(GraphError):
+        lu_solve(np.ones((3, 3), dtype=complex), np.ones(3))

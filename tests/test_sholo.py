@@ -8,7 +8,7 @@ import pytest
 from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
-from kwlab.linalg import max_norm
+from kwlab.linalg import lu_solve, max_norm
 from kwlab.operators import kac_ward, phi_omega, dirac_C
 from kwlab.sholo import (integrate_square, kernel_observables, laplacian_of_H,
                          map_S, map_S_inverse, observable, sholo_residual,
@@ -57,7 +57,7 @@ def test_map_S_rejects_zero_theta():
 def test_kernel_criterion_matches_residual():
     # e^{i pi/4} F s-holomorphic at v iff the reversed Kac-Ward rows at v kill S(F)
     g = fx.square_torus(2, 0.37)
-    kw = kac_ward(g).data
+    kw = kac_ward(g)
     rng = np.random.default_rng(1)
     for _ in range(20):
         F = rng.standard_normal(g.ne) + 1j * rng.standard_normal(g.ne)
@@ -74,7 +74,7 @@ def test_spinor_maps_zero_and_kernel():
     assert max(abs(v).max() for v in spinor_maps(g, np.zeros(g.ne)).values()) == 0
     c = build_C(g)
     from kwlab.operators import kasteleyn
-    kom = kasteleyn(c, None, "omega").data.real
+    kom = kasteleyn(c, None, "omega").real
     for F in kernel_observables(g):
         F0 = np.asarray(F) / ROT
         sp = spinor_maps(g, F0, c)
@@ -85,7 +85,7 @@ def test_spinor_maps_zero_and_kernel():
         assert max_norm(sp["T"] - sp["T_tilde"]) < 1e-8 * scale
         # the isoradial dbar criterion with the spin-structure cochain
         dbar, _ = dirac_C(c, field="edge", phi_c=phi_omega(c))
-        assert max_norm(dbar.data @ sp["T_tilde_prime"]) < 1e-8 * scale
+        assert max_norm(dbar @ sp["T_tilde_prime"]) < 1e-8 * scale
         # pointwise corner-sign propagation
         assert star_identity_residual(g, F0, c) < 1e-8 * scale
 
@@ -126,6 +126,21 @@ def test_observable_inverse_rejections():
         observable(g, 0, "inverse")  # singular at criticality
     F = observable(g, 0, "auto")  # falls back to the combinatorial backend
     assert np.all(np.isfinite(F))
+
+
+def test_observable_auto_falls_back_on_singular_solve(monkeypatch):
+    import kwlab.sholo as sholo
+
+    g = fx.triangle(0.3)
+    want = observable(g, 0, "combinatorial")
+
+    def singular_solve(a, b):
+        return lu_solve(np.ones_like(a), b)
+
+    monkeypatch.setattr(sholo, "lu_solve", singular_solve)
+    with pytest.raises(GraphError):
+        observable(g, 0, "inverse")
+    assert max_norm(observable(g, 0, "auto") - want) == 0.0
 
 
 def test_kernel_observables_critical_window():

@@ -69,6 +69,9 @@ def test_weight_rejections():
         Weights(np.array([1.2]))
     with pytest.raises(GraphError):
         fx.triangle(-0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GraphError):
+            Weights(np.array([0.3, bad]))
 
 
 def test_planar_rejects_parallel_edges():
