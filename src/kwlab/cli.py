@@ -96,9 +96,7 @@ def _verify(args):
 
 def _z_ising(args):
     g, j = _load_graph(args.graph, with_couplings=True)
-    if j is None and args.beta:
-        j = np.arctanh(g.x) / args.beta
-    rep = ising_partition(g, j=j, beta=args.beta or 1.0)
+    rep = ising_partition(g, j=j, beta=1.0 if args.beta is None else args.beta)
     vals = list(rep.values())
     rel = (max(vals) - min(vals)) / max(abs(v) for v in vals)
     rep["relative_spread"] = rel

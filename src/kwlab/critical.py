@@ -32,6 +32,8 @@ def spectral_grid(g, n, x=None):
     Returns (phi1, phi2, P) arrays; the offset avoids the (1, 1) zero at
     criticality.
     """
+    if n < 1:
+        raise GraphError(f"grid size must be at least 1, got {n}")
     angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
     units = [cmath.exp(1j * a) for a in angles]
     vals = np.empty((n, n), dtype=complex)

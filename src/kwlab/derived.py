@@ -7,8 +7,21 @@ the union of the graph and its dual, with a degree-4 midpoint vertex on each
 edge.  M is the dual of D; its vertices are the corners of the original
 embedding and its edges cross the half-edges of D.
 
-All constructions are combinatorial; isoradial positions (needed by the Dirac
-operators) are attached separately by :func:`isoradial_data`.
+Each derived graph stores its edges as parallel arrays in fixed dart-indexed
+blocks of length nd (the number of darts), entry d of a block belonging to
+dart d:
+
+* C: ``w``, ``b``, ``y``, ``omega_tilde``, ``shift``, ``omega`` over the perp
+  block [0, nd) (w[d] - b[d]), the par block [nd, 2 nd) (w[d] - b[rev d]) and
+  the corner block [2 nd, 3 nd) (w[d] - b[R d]);
+* D: ``lam``, ``edge``, ``weight``, ``direction``, ``shift`` over the primal
+  halves [0, nd) (from o(d)) and the dual halves [nd, 2 nd) (from the face
+  right of d);
+* M: ``tail``, ``head``, ``theta_m``, ``shift`` over the edges crossing the
+  primal halves [0, nd) and the dual halves [nd, 2 nd).
+
+All constructions are combinatorial; the isoradial geometry needed by the
+Dirac operators is validated separately by :func:`isoradial_data`.
 """
 
 from __future__ import annotations
@@ -18,8 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface_graph import GraphError, EmbeddedGraph, TWO_PI, face_centroid, \
-    _face_trace_positions
+from .surface_graph import GraphError, EmbeddedGraph, TWO_PI, \
+    cycle_with_winding, edge_vectors, face_centroid, face_offsets, \
+    lattice_shifts, reduce_to_domain, shift_character
 
 SNAP_TOL = 1e-9
 
@@ -35,40 +49,39 @@ def q_phases(g):
     return np.exp(0.5j * g.beta())
 
 
+def _snap_sign(vals, message):
+    """Round values within SNAP_TOL of +-1 to signs; GraphError otherwise."""
+    if (np.any(np.abs(np.abs(vals.real) - 1.0) > SNAP_TOL)
+            or np.any(np.abs(vals.imag) > SNAP_TOL)):
+        raise GraphError(message)
+    return np.where(vals.real > 0, 1, -1)
+
+
 def epsilon_signs(g):
     """Per-dart sign q_e D_e^{1/2} D_{R(e)}^{-1/2}, snapped to +-1."""
     dh = half_angle_phases(g)
-    q = q_phases(g)
-    raw = q * dh / dh[g.rot]
-    eps = np.empty(g.nd, dtype=int)
-    for d in range(g.nd):
-        s = raw[d].real
-        if abs(abs(s) - 1.0) > SNAP_TOL or abs(raw[d].imag) > SNAP_TOL:
-            raise GraphError("square-root branch mismatch at a corner")
-        eps[d] = 1 if s > 0 else -1
-    return eps
+    return _snap_sign(q_phases(g) * dh / dh[g.rot],
+                      "square-root branch mismatch at a corner")
 
 
-@dataclass
-class CEdge:
-    kind: str          # 'perp' | 'par' | 'corner'
-    dart: int          # defining dart of the underlying graph
-    w: int             # white endpoint, labeled by its dart
-    b: int             # black endpoint, labeled by its dart
-    y: float           # dimer weight
-    omega_tilde: complex
-    shift: tuple       # homology winding carried by the edge
+def dimer_weights(theta):
+    """C-edge weights: cos(theta) on perp, sin(theta) on par, 1 on corners."""
+    th = np.repeat(theta, 2)
+    return np.concatenate([np.cos(th), np.sin(th), np.ones(len(th))])
 
 
 @dataclass
 class CGraph:
-    """Bipartite rectangle graph with Kasteleyn data."""
+    """Bipartite rectangle graph with Kasteleyn data (per-C-edge arrays)."""
 
     g: EmbeddedGraph
-    edges: list
+    w: np.ndarray              # white endpoint, labeled by its dart
+    b: np.ndarray              # black endpoint, labeled by its dart
+    y: np.ndarray              # dimer weight
+    omega_tilde: np.ndarray    # unit-complex orientation cochain
+    shift: np.ndarray          # (3 nd, 2) homology winding carried by the edge
     omega: np.ndarray          # +-1 per C-edge (gauge-reduced orientation)
     epsilon: np.ndarray        # +-1 per dart
-    d_half: np.ndarray         # exp(i a_e / 2) per dart
     faces: list = field(default=())   # C-faces as lists of (edge index, +-1 orientation)
 
     @property
@@ -80,17 +93,14 @@ class CGraph:
         return self.g.nd
 
     def edge_index(self, kind, dart):
-        # layout: perp edges [0, nd), par [nd, 2 nd), corner [2 nd, 3 nd)
         base = {"perp": 0, "par": 1, "corner": 2}[kind]
         return base * self.g.nd + dart
 
     def phi_values(self, phi):
         """Lift a dart cochain to the C-edges (parallel edges carry phi(e))."""
-        vals = np.ones(len(self.edges), dtype=complex)
-        if phi is not None:
-            for i, ce in enumerate(self.edges):
-                if ce.kind == "par":
-                    vals[i] = phi[ce.dart]
+        nd = self.g.nd
+        vals = np.ones(3 * nd, dtype=complex)
+        vals[nd:2 * nd] = phi
         return vals
 
 
@@ -104,29 +114,17 @@ def build_C(g):
     mismatches q_e D_e^{1/2} D_{R(e)}^{-1/2}.
     """
     nd = g.nd
+    d = np.arange(nd)
     dh = half_angle_phases(g)
-    q = q_phases(g)
-    eps = epsilon_signs(g)
-    theta_d = g.theta[np.arange(nd) >> 1]
-
-    edges = []
-    for d in range(nd):  # perp block
-        edges.append(CEdge("perp", d, d, d, math.cos(theta_d[d]), 1.0 + 0j,
-                           (0, 0)))
-    for d in range(nd):  # par block
-        edges.append(CEdge("par", d, d, d ^ 1, math.sin(theta_d[d]), 1j,
-                           tuple(int(s) for s in g.shift[d])))
-    for d in range(nd):  # corner block
-        edges.append(CEdge("corner", d, d, int(g.rot[d]), 1.0, -q[d], (0, 0)))
-
-    omega = np.empty(len(edges), dtype=int)
-    for i, ce in enumerate(edges):
-        val = dh[ce.w] * ce.omega_tilde / dh[ce.b]
-        if abs(abs(val.real) - 1.0) > SNAP_TOL or abs(val.imag) > SNAP_TOL:
-            raise GraphError("Kasteleyn gauge reduction failed to reach +-1")
-        omega[i] = 1 if val.real > 0 else -1
-
-    c = CGraph(g, edges, omega, eps, dh)
+    w = np.tile(d, 3)
+    b = np.concatenate([d, d ^ 1, g.rot])
+    omega_tilde = np.concatenate([np.ones(nd), np.full(nd, 1j), -q_phases(g)])
+    no_shift = np.zeros_like(g.shift)
+    shift = np.concatenate([no_shift, g.shift, no_shift])
+    omega = _snap_sign(dh[w] * omega_tilde / dh[b],
+                       "Kasteleyn gauge reduction failed to reach +-1")
+    c = CGraph(g, w, b, dimer_weights(g.theta), omega_tilde, shift, omega,
+               epsilon_signs(g))
     c.faces = _c_faces(c)
     return c
 
@@ -190,12 +188,18 @@ def validate_kasteleyn(c, orientation=None):
                              "pass": good})
     report = {"faces": face_results, "pass": ok}
     if c.g.genus == 1 and orientation is None:
+        # C as a graph on whites [0, nd) and blacks [nd, 2 nd)
+        nd = c.g.nd
+        adj = [[] for _ in range(2 * nd)]
+        for i, (w, b, s) in enumerate(zip(c.w.tolist(), c.b.tolist(),
+                                          c.shift.tolist())):
+            adj[w].append((nd + b, (i, +1), (s[0], s[1])))
+            adj[nd + b].append((w, (i, -1), (-s[0], -s[1])))
         gens = []
         for target in ((1, 0), (0, 1)):
-            cyc = _c_cycle_with_winding(c, target)
             val = 1.0 + 0j
-            for idx, sgn in cyc:
-                ot = c.edges[idx].omega_tilde
+            for idx, sgn in cycle_with_winding(adj, target):
+                ot = c.omega_tilde[idx]
                 val *= ot if sgn > 0 else 1.0 / ot
             gens.append({"winding": list(target),
                          "omega_tilde_sq_err": abs(val * val - 1.0)})
@@ -205,188 +209,103 @@ def validate_kasteleyn(c, orientation=None):
     return report
 
 
-def _c_cycle_with_winding(c, target):
-    """A closed walk in C whose total homology shift is ``target``.
-
-    Breadth-first search in the lift of C by the winding degrees, from
-    (vertex 0, (0,0)) to (vertex 0, target).
-    """
-    nd = c.g.nd
-    adj = [[] for _ in range(2 * nd)]
-    for i, ce in enumerate(c.edges):
-        wi, bi = ce.w, nd + ce.b
-        adj[wi].append((bi, i, +1))
-        adj[bi].append((wi, i, -1))
-    start = (0, 0, 0)
-    goal = (0, target[0], target[1])
-    prev = {start: None}
-    frontier = [start]
-    bound = abs(target[0]) + abs(target[1]) + 2
-    while frontier and goal not in prev:
-        nxt = []
-        for state in frontier:
-            u, s1, s2 = state
-            for (v, i, sgn) in adj[u]:
-                sh = c.edges[i].shift
-                t = (v, s1 + sgn * sh[0], s2 + sgn * sh[1])
-                if abs(t[1]) > bound or abs(t[2]) > bound:
-                    continue
-                if t not in prev:
-                    prev[t] = (state, i, sgn)
-                    nxt.append(t)
-        frontier = nxt
-    if goal not in prev:
-        raise GraphError(f"no cycle with winding {target} found")
-    walk = []
-    state = goal
-    while prev[state] is not None:
-        state, i, sgn = prev[state]
-        walk.append((i, sgn))
-    walk.reverse()
-    return walk
-
-
 # -- the double ---------------------------------------------------------------
 
 
 @dataclass
-class DHalf:
-    lam: int           # index into the Lambda vertex list
-    edge: int          # midpoint (diamond) index = edge id
-    kind: str          # 'primal' | 'dual'
-    dart: int          # defining dart
-    weight: float      # sin(theta) on primal halves, cos(theta) on dual halves
-    direction: float   # angle of the half-edge leaving the Lambda vertex
-    shift: tuple
-
-
-@dataclass
 class DGraph:
-    """The double: Lambda = V(G) + faces, Diamond = edge midpoints, degree-4 stars."""
+    """The double: Lambda = V(G) + faces, Diamond = edge midpoints.
+
+    Per half-edge arrays (primal halves, then dual halves): ``lam`` the Lambda
+    endpoint, ``edge`` the midpoint (edge id), ``weight`` sin(theta) on primal
+    and cos(theta) on dual halves, ``direction`` the angle leaving the Lambda
+    vertex, ``shift`` the homology winding.
+    """
 
     g: EmbeddedGraph
     n_lambda: int
-    halves: list
+    lam: np.ndarray
+    edge: np.ndarray
+    weight: np.ndarray
+    direction: np.ndarray
+    shift: np.ndarray
     mu_lambda: np.ndarray
     mu_diamond: np.ndarray
 
 
 def build_D(g):
-    nv, nf, ne = g.nv, len(g.faces), g.ne
-    halves = []
-    for d in range(g.nd):
-        k = d >> 1
-        th = g.theta[k]
-        halves.append(DHalf(int(g.origin[d]), k, "primal", d,
-                            math.sin(th), float(g.dirang[d]),
-                            _primal_half_shift(g, d)))
-    for d in range(g.nd):
-        k = d >> 1
-        th = g.theta[k]
-        f = int(g.face_of[d ^ 1])  # face to the right of d
-        halves.append(DHalf(nv + f, k, "dual", d,
-                            math.cos(th), float((g.dirang[d] + math.pi / 2) % TWO_PI),
-                            _dual_half_shift(g, d)))
+    nv, nd = g.nv, g.nd
+    d = np.arange(nd)
+    th = np.repeat(g.theta, 2)
+    n_lambda = nv + len(g.faces)
+    lam = np.concatenate([g.origin, nv + g.face_of[d ^ 1]])
+    edge = np.tile(d >> 1, 2)
+    weight = np.concatenate([np.sin(th), np.cos(th)])
+    direction = np.concatenate([g.dirang, (g.dirang + math.pi / 2) % TWO_PI])
+    shift = _half_shifts(g)
     # primal stars carry 1/2 sum sin(2 theta), dual stars 1/2 sum sin(2 theta*);
     # sin(2 theta*) = sin(2 theta), so one accumulation covers both classes
-    mu_lambda = np.zeros(nv + nf)
-    for h in halves:
-        mu_lambda[h.lam] += 0.5 * math.sin(2.0 * g.theta[h.edge])
-    mu_diamond = np.array([math.sin(t) * math.cos(t) for t in g.theta])
-    return DGraph(g, nv + nf, halves, mu_lambda, mu_diamond)
+    mu_lambda = np.bincount(lam, 0.5 * np.sin(2.0 * g.theta[edge]),
+                            minlength=n_lambda)
+    mu_diamond = np.sin(g.theta) * np.cos(g.theta)
+    return DGraph(g, n_lambda, lam, edge, weight, direction, shift,
+                  mu_lambda, mu_diamond)
 
 
-def _reduced_midpoint(g, k):
-    p = g.vcoords[g.origin[2 * k]] + 0.5 * g.edge_vec(2 * k)
-    if g.surface == "torus":
-        li = np.linalg.inv(g.lattice)
-        r = p @ li
-        r -= np.floor(r)
-        return r @ g.lattice
-    return p
-
-
-def _primal_half_shift(g, d):
+def _half_shifts(g):
+    """Homology windings of the primal, then the dual half-edges of the double,
+    against the midpoints and face centres reduced to the fundamental domain."""
+    nd = g.nd
     if g.surface != "torus":
-        return (0, 0)
-    k = d >> 1
-    disp = 0.5 * g.edge_vec(d)
-    stored = _reduced_midpoint(g, k) - g.vcoords[g.origin[d]]
-    s = (disp - stored) @ np.linalg.inv(g.lattice)
-    si = np.round(s).astype(int)
-    if np.max(np.abs(s - si)) > 1e-6:
-        raise GraphError("midpoint shift did not land on the lattice")
-    return (int(si[0]), int(si[1]))
-
-
-def _dual_half_shift(g, d):
-    if g.surface != "torus":
-        return (0, 0)
-    k = d >> 1
-    f = int(g.face_of[d ^ 1])
-    anchor = g.vcoords[g.origin[d]]
-    center_chart = _face_trace_positions(g, d ^ 1, anchor + g.edge_vec(d)).mean(axis=0)
-    mid_chart = anchor + 0.5 * g.edge_vec(d)
-    disp = mid_chart - center_chart
-    li = np.linalg.inv(g.lattice)
-    cf = face_centroid(g, f) @ li
-    cf -= np.floor(cf)
-    stored = _reduced_midpoint(g, k) - cf @ g.lattice
-    s = (disp - stored) @ li
-    si = np.round(s).astype(int)
-    if np.max(np.abs(s - si)) > 1e-6:
-        raise GraphError("dual half shift did not land on the lattice")
-    return (int(si[0]), int(si[1]))
+        return np.zeros((2 * nd, 2), dtype=int)
+    rev = np.arange(nd) ^ 1
+    half = 0.5 * edge_vectors(g)
+    mid = np.repeat(reduce_to_domain(g, g.vcoords[g.origin[::2]] + half[::2]),
+                    2, axis=0)
+    centre = reduce_to_domain(g, np.array(
+        [face_centroid(g, f) for f in range(len(g.faces))]))[g.face_of[rev]]
+    primal = lattice_shifts(g, half - (mid - g.vcoords[g.origin]),
+                            "midpoint shift")
+    dual = lattice_shifts(g, -half - face_offsets(g)[rev] - (mid - centre),
+                          "dual half shift")
+    return np.concatenate([primal, dual])
 
 
 def phi_D_character(dg, z, w):
     """Cocycle on the double representing the class (z, w)."""
     if dg.g.genus != 1:
         raise GraphError("characters require a genus-1 graph")
-    vals = []
-    for h in dg.halves:
-        vals.append(complex(z) ** h.shift[0] * complex(w) ** h.shift[1])
-    return np.asarray(vals, dtype=complex)
+    return shift_character(dg.shift, z, w)
 
 
 def split_phi_D(dg, phi_d):
     """Induced dart cochains on the graph and its dual.
 
     The value on a dart is the product of the two half-edge values along it
-    (Lambda -> midpoint -> Lambda).
+    (Lambda -> midpoint -> Lambda).  The dual dart d* runs right face -> left
+    face, i.e. from the dual half of d to the one of rev d.
     """
-    g = dg.g
-    primal = {h.dart: phi_d[i] for i, h in enumerate(dg.halves)
-              if h.kind == "primal"}
-    dualv = {h.dart: phi_d[i] for i, h in enumerate(dg.halves)
-             if h.kind == "dual"}
-    phi = np.array([primal[d] / primal[d ^ 1] for d in range(g.nd)],
-                   dtype=complex)
-    phi_star = np.array([dualv[d] / dualv[d ^ 1] for d in range(g.nd)],
-                        dtype=complex)
-    # dual dart d* runs right face -> left face, i.e. from the star of
-    # dualv[d] (anchored at the right face) to the one of dualv[rev d].
-    return phi, phi_star
+    phi_d = np.asarray(phi_d, dtype=complex)
+    nd = dg.g.nd
+    rev = np.arange(nd) ^ 1
+    primal, dualv = phi_d[:nd], phi_d[nd:]
+    return primal / primal[rev], dualv / dualv[rev]
 
 
 # -- M = dual of the double ----------------------------------------------------
 
 
 @dataclass
-class MEdge:
-    kind: str      # 'primal_cross' | 'dual_cross'
-    dart: int      # crossed half-edge's defining dart
-    tail: int      # corner vertex (labeled by its dart) where eps = +1 leaves
-    head: int
-    theta_m: float
-    shift: tuple
-
-
-@dataclass
 class MGraph:
+    """Corner graph; per M-edge arrays ``tail``, ``head`` (corners labeled by
+    darts, oriented by eps), ``theta_m`` and ``shift``; ``mu`` per corner."""
+
     g: EmbeddedGraph
-    edges: list
-    mu: np.ndarray  # per corner vertex
+    tail: np.ndarray
+    head: np.ndarray
+    theta_m: np.ndarray
+    shift: np.ndarray
+    mu: np.ndarray
 
     @property
     def n(self):
@@ -406,34 +325,21 @@ def build_M(g):
     The rule is validated against the Dirac-Laplace factorization by the
     verification suite.
     """
-    edges = []
-    for d in range(g.nd):
-        k = d >> 1
-        edges.append(MEdge("primal_cross", d,
-                           int(g.rot_inv[d]), d,
-                           math.pi / 2 - g.theta[k], (0, 0)))
-    for d in range(g.nd):
-        k = d >> 1
-        edges.append(MEdge("dual_cross", d, d, int(g.rot_inv[d ^ 1]),
-                           g.theta[k], tuple(int(s) for s in g.shift[d])))
-    mu = np.zeros(g.nd)
-    for d in range(g.nd):
-        mu[d] = 0.5 * (math.sin(2 * g.theta[d >> 1])
-                       + math.sin(2 * g.theta[int(g.rot[d]) >> 1]))
-    return MGraph(g, edges, mu)
+    d = np.arange(g.nd)
+    th = np.repeat(g.theta, 2)
+    tail = np.concatenate([g.rot_inv, d])
+    head = np.concatenate([d, g.rot_inv[d ^ 1]])
+    theta_m = np.concatenate([math.pi / 2 - th, th])
+    shift = np.concatenate([np.zeros_like(g.shift), g.shift])
+    mu = 0.5 * (np.sin(2 * th) + np.sin(2 * th[g.rot]))
+    return MGraph(g, tail, head, theta_m, shift, mu)
 
 
 # -- isoradial geometry --------------------------------------------------------
 
 
-@dataclass
-class IsoradialData:
-    g: EmbeddedGraph
-    delta: float
-
-
 def isoradial_data(g, tol=1e-9):
-    """Validate that the weights define an isoradial embedding; return geometry.
+    """Validate that the weights define an isoradial embedding; return delta.
 
     Requires every theta in (0, pi/2), a common circumradius delta with
     |e| = 2 delta sin(theta_e), and for every face a consistent circumcenter at
@@ -441,37 +347,26 @@ def isoradial_data(g, tol=1e-9):
     """
     if np.any(g.theta <= 1e-12) or np.any(g.theta >= math.pi / 2 - 1e-12):
         raise GraphError("isoradial data needs theta strictly inside (0, pi/2)")
-    deltas = []
-    for k in range(g.ne):
-        v = g.edge_vec(2 * k)
-        deltas.append(np.hypot(v[0], v[1]) / (2.0 * math.sin(g.theta[k])))
+    v = edge_vectors(g)[::2]
+    deltas = np.hypot(v[:, 0], v[:, 1]) / (2.0 * np.sin(g.theta))
     delta = float(np.mean(deltas))
-    if max(abs(d - delta) for d in deltas) > tol * max(delta, 1.0):
+    if np.max(np.abs(deltas - delta)) > tol * max(delta, 1.0):
         raise GraphError("edge lengths are inconsistent with a common radius")
-    # face circumcenter consistency, checked in the walk chart of each face
-    for f in range(len(g.faces)):
-        d0 = g.faces[f][0]
-        pts = _face_trace_positions(g, d0, g.vcoords[g.origin[d0]])
-        centers = []
-        for j, d in enumerate(g.faces[f]):
-            a = g.dirang[d]
-            th = g.theta[d >> 1]
-            off = delta * np.array([math.cos(a + math.pi / 2 - th),
-                                    math.sin(a + math.pi / 2 - th)])
-            centers.append(pts[j] + off)
-        centers = np.array(centers)
-        if np.max(np.abs(centers - centers.mean(axis=0))) > tol * max(delta, 1.0):
+    # face circumcenter seen from each corner, relative to the face centroid
+    ang = g.dirang + math.pi / 2 - np.repeat(g.theta, 2)
+    centers = (delta * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+               - face_offsets(g))
+    for f in g.faces:
+        c = centers[list(f)]
+        if np.max(np.abs(c - c.mean(axis=0))) > tol * max(delta, 1.0):
             raise GraphError("face circumcenters disagree; not isoradial")
-    return IsoradialData(g, delta)
+    return delta
 
 
-def c_edge_direction(c, ce):
-    """Absolute direction of a C-edge traversed white to black (isoradial)."""
+def c_edge_directions(c):
+    """Absolute direction of each C-edge traversed white to black (isoradial)."""
     g = c.g
-    a = g.dirang[ce.dart]
-    th = g.theta[ce.dart >> 1]
-    if ce.kind == "perp":
-        return (a - math.pi / 2) % TWO_PI
-    if ce.kind == "par":
-        return a % TWO_PI
-    return (a + th + math.pi / 2) % TWO_PI
+    a = g.dirang
+    th = np.repeat(g.theta, 2)
+    return np.concatenate([(a - math.pi / 2) % TWO_PI, a % TWO_PI,
+                           (a + th + math.pi / 2) % TWO_PI])

@@ -4,7 +4,8 @@ Conventions (mirrored throughout the package):
 
 * ``KW[e, e'] = 1_{e=e'} - phi(e) x_e exp(i alpha(e,e')/2)`` for darts e' that
   continue e (same terminus-origin vertex, no backtracking), alpha the
-  velocity turning in (-pi, pi).
+  velocity turning in (-pi, pi); the phase pattern is the per-graph
+  ``EmbeddedGraph.transition``.
 * The Kasteleyn matrix on the rectangle graph is W x B with rows and columns
   in ascending dart order; with the unit cochain orientation its determinant
   times 2^{-V} prod(1 + x^2) equals det KW exactly (no sign ambiguity).
@@ -23,10 +24,10 @@ import numpy as np
 
 from .linalg import lu_det, null_space, max_norm
 from .surface_graph import (Cochain, GraphError, character_cochain,
-                            principal_angle)
-from .derived import (build_C, build_D, build_M, c_edge_direction,
-                      half_angle_phases, isoradial_data, phi_D_character,
-                      q_phases, split_phi_D)
+                            shift_character)
+from .derived import (build_C, build_D, build_M, c_edge_directions,
+                      dimer_weights, half_angle_phases, isoradial_data,
+                      phi_D_character, q_phases, split_phi_D)
 
 __all__ = [
     "kac_ward", "kasteleyn", "laplacian", "laplacian_dual", "dirac_C",
@@ -53,17 +54,7 @@ def kac_ward(g, phi=None, x=None):
     if np.any(np.abs(pv) == 0):
         raise GraphError("cochain values must be nonzero")
     xs = g.x if x is None else np.asarray(x)
-    nd = g.nd
-    m = np.eye(nd, dtype=complex)
-    for e in range(nd):
-        v = g.terminus(e)
-        xe = xs[e >> 1]
-        for e2 in g.darts_at[v]:
-            if e2 == (e ^ 1):
-                continue
-            alpha = principal_angle(g.dirang[e2] - g.dirang[e])
-            m[e, e2] -= pv[e] * xe * cmath.exp(0.5j * alpha)
-    return m
+    return np.eye(g.nd) - (pv * np.repeat(xs, 2))[:, None] * g.transition
 
 
 def transition_factors(g, phi=None, x=None):
@@ -73,15 +64,13 @@ def transition_factors(g, phi=None, x=None):
     determinants are 2^V and prod_e (1 + x_e^2).
     """
     nd = g.nd
+    d = np.arange(nd)
     pv = _phi_values(g, phi)
     xs = g.x if x is None else np.asarray(x)
-    q = q_phases(g)
     iqr = np.eye(nd, dtype=complex)
-    for d in range(nd):
-        iqr[d, g.rot[d]] -= q[d]
+    iqr[d, g.rot] -= q_phases(g)
     ixj = np.eye(nd, dtype=complex)
-    for d in range(nd):
-        ixj[d, d ^ 1] -= 1j * pv[d] * xs[d >> 1]
+    ixj[d, d ^ 1] -= 1j * pv * np.repeat(xs, 2)
     return iqr, ixj
 
 
@@ -95,46 +84,46 @@ def kasteleyn(c, phi=None, orientation="omega", x=None):
     """
     if orientation not in ("omega", "omega_tilde"):
         raise GraphError(f"unknown orientation {orientation!r}")
-    g = c.g
-    nd = g.nd
-    pv = _phi_values(g, phi)
-    theta = g.theta if x is None else 2.0 * np.arctan(np.asarray(x, dtype=float))
+    nd = c.g.nd
+    o = c.omega if orientation == "omega" else c.omega_tilde
+    y = c.y if x is None else dimer_weights(
+        2.0 * np.arctan(np.asarray(x, dtype=float)))
     k = np.zeros((nd, nd), dtype=complex)
-    for i, ce in enumerate(c.edges):
-        o = complex(c.omega[i]) if orientation == "omega" else ce.omega_tilde
-        if ce.kind == "perp":
-            val = o * math.cos(theta[ce.dart >> 1])
-        elif ce.kind == "par":
-            val = o * math.sin(theta[ce.dart >> 1]) * pv[ce.dart]
-        else:
-            val = o
-        k[ce.w, ce.b] += val
+    np.add.at(k, (c.w, c.b), o * y * c.phi_values(_phi_values(c.g, phi)))
     return k
 
 
-def laplacian(g, phi=None, dual_weights=False):
+def _star_operator(n, src, dst, weight, phase, mu):
+    """n x n matrix of (A f)(u) = mu_u^-1 sum weight (f(u) - phase f(v)),
+    summed over the oriented pairs u = src[i] -> v = dst[i]."""
+    m = np.zeros((n, n), dtype=complex)
+    np.add.at(m, (src, src), weight / mu[src])
+    np.add.at(m, (src, dst), -weight * phase / mu[src])
+    return m
+
+
+def _star_laplacian(n, star, theta, pv, where):
+    """Laplacian over stars: dart d leaves star[d] toward star[rev d], with
+    weight tan(theta) and mu = 1/2 sum sin(2 theta) over each star."""
+    th = np.repeat(theta, 2)
+    mu = np.bincount(star, 0.5 * np.sin(2 * th), minlength=n)
+    bad = np.flatnonzero(mu < 1e-14)
+    if bad.size:
+        raise GraphError(f"vanishing {where} weight mu at {where} {bad[0]}")
+    return _star_operator(n, star, star[np.arange(len(star)) ^ 1], np.tan(th),
+                          pv, mu)
+
+
+def laplacian(g, phi=None):
     """Discrete Laplace operator on vertices.
 
     Rejects theta = pi/2 edges (infinite conductance) and vertices with
-    vanishing area weight mu.  With ``dual_weights`` the roles of theta and
-    theta* swap (used for the Laplacian on the dual through its own builder).
+    vanishing area weight mu.
     """
-    pv = _phi_values(g, phi)
-    theta = g.theta_dual() if dual_weights else g.theta
-    if np.any(theta >= math.pi / 2 - 1e-12):
+    if np.any(g.theta >= math.pi / 2 - 1e-12):
         raise GraphError("theta = pi/2 edge: Laplacian weight tan(theta) diverges")
-    n = g.nv
-    m = np.zeros((n, n), dtype=complex)
-    for v in range(n):
-        mu = 0.5 * sum(math.sin(2 * theta[d >> 1]) for d in g.darts_at[v])
-        if mu < 1e-14:
-            raise GraphError(f"vanishing vertex weight mu at vertex {v}")
-        for d in g.darts_at[v]:
-            t = math.tan(theta[d >> 1])
-            w = g.terminus(d)
-            m[v, v] += t / mu
-            m[v, w] -= t * pv[d] / mu
-    return m
+    return _star_laplacian(g.nv, g.origin, g.theta, _phi_values(g, phi),
+                           "vertex")
 
 
 def laplacian_dual(g, phi_star=None):
@@ -143,30 +132,14 @@ def laplacian_dual(g, phi_star=None):
     Assembled directly from the face structure so it works on planar graphs
     too (where the full dual carries no valid angle data).  ``phi_star`` is a
     dart cochain read on the dual dart of each primal dart (right face ->
-    left face).
+    left face); the dual dart leaving face f across its boundary dart d is
+    (rev d)*.
     """
     theta_star = g.theta_dual()
     if np.any(theta_star >= math.pi / 2 - 1e-12):
         raise GraphError("theta* = pi/2 edge: dual Laplacian diverges")
-    nf = len(g.faces)
-    pv = (np.ones(g.nd, dtype=complex) if phi_star is None
-          else _phi_values(g, phi_star))
-    m = np.zeros((nf, nf), dtype=complex)
-    mu = np.zeros(nf)
-    for f in range(nf):
-        for d in g.faces[f]:
-            mu[f] += 0.5 * math.sin(2 * theta_star[d >> 1])
-    if np.any(mu < 1e-14):
-        raise GraphError("vanishing face weight mu in the dual Laplacian")
-    for f in range(nf):
-        # dual darts leaving f cross each boundary dart d of f toward face_of(rev d);
-        # the crossing dual dart is (rev d)* which runs f -> face_of(rev d).
-        for d in g.faces[f]:
-            t = math.tan(theta_star[d >> 1])
-            f2 = int(g.face_of[d ^ 1])
-            m[f, f] += t / mu[f]
-            m[f, f2] -= t * pv[d ^ 1] / mu[f]
-    return m
+    pv = _phi_values(g, phi_star)[np.arange(g.nd) ^ 1]
+    return _star_laplacian(len(g.faces), g.face_of, theta_star, pv, "face")
 
 
 # -- Dirac operators ------------------------------------------------------------
@@ -190,7 +163,7 @@ def dirac_C(c, phi=None, field="edge", phi_c=None):
     if phi_c is not None:
         pcvals = np.asarray(phi_c, dtype=complex)
     else:
-        pcvals = c.phi_values(_phi_values(g, phi) if phi is not None else None)
+        pcvals = c.phi_values(_phi_values(g, phi))
     if field == "constant":
         ref_w = np.zeros(nd)
         ref_b = np.zeros(nd)
@@ -199,22 +172,20 @@ def dirac_C(c, phi=None, field="edge", phi_c=None):
         ref_b = g.dirang + math.pi / 2   # toward the perpendicular white
     else:
         try:
-            ref_w, ref_b = (np.asarray(a, dtype=float) for a in field)
+            ref_w, ref_b = np.asarray(field, dtype=float)
         except (TypeError, ValueError) as exc:
             raise GraphError(f"unknown field {field!r}") from exc
         if ref_w.shape != (nd,) or ref_b.shape != (nd,):
             raise GraphError("reference angles need one value per dart")
-    mu = np.array([math.sin(2 * g.theta[d >> 1]) for d in range(nd)])
+    mu = np.sin(2 * np.repeat(g.theta, 2))
+    ang_wb = c_edge_directions(c)
+    th_wb = ang_wb - ref_w[c.w]
+    th_bw = (ang_wb + math.pi) - ref_b[c.b]
     dbar = np.zeros((nd, nd), dtype=complex)
     dop = np.zeros((nd, nd), dtype=complex)
-    for i, ce in enumerate(c.edges):
-        y = ce.y
-        pc = pcvals[i]
-        ang_wb = c_edge_direction(c, ce)
-        th_wb = ang_wb - ref_w[ce.w]
-        th_bw = (ang_wb + math.pi) - ref_b[ce.b]
-        dbar[ce.w, ce.b] += pc * cmath.exp(1j * th_wb) * y / mu[ce.w]
-        dop[ce.b, ce.w] += (1.0 / pc) * cmath.exp(-1j * th_bw) * y / mu[ce.b]
+    np.add.at(dbar, (c.w, c.b), pcvals * np.exp(1j * th_wb) * c.y / mu[c.w])
+    np.add.at(dop, (c.b, c.w),
+              (1.0 / pcvals) * np.exp(-1j * th_bw) * c.y / mu[c.b])
     return dbar, dop
 
 
@@ -228,19 +199,24 @@ def dirac_D(dg, phi_d=None):
     g = dg.g
     isoradial_data(g)
     nl, ne = dg.n_lambda, g.ne
-    if phi_d is None:
-        phi_d = np.ones(len(dg.halves), dtype=complex)
+    phi_d = np.ones(len(dg.lam)) if phi_d is None else np.asarray(phi_d)
     dbar = np.zeros((ne, nl), dtype=complex)
     dop = np.zeros((nl, ne), dtype=complex)
-    for i, h in enumerate(dg.halves):
-        # direction stored Lambda -> midpoint; the reverse traversal adds pi
-        ph_from_mid = cmath.exp(1j * (h.direction + math.pi))
-        ph_from_lam = cmath.exp(-1j * h.direction)
-        dbar[h.edge, h.lam] += (1.0 / phi_d[i]) * ph_from_mid * h.weight \
-            / dg.mu_diamond[h.edge]
-        dop[h.lam, h.edge] += phi_d[i] * ph_from_lam * h.weight \
-            / dg.mu_lambda[h.lam]
+    # direction stored Lambda -> midpoint; the reverse traversal adds pi
+    np.add.at(dbar, (dg.edge, dg.lam),
+              (1.0 / phi_d) * np.exp(1j * (dg.direction + math.pi)) * dg.weight
+              / dg.mu_diamond[dg.edge])
+    np.add.at(dop, (dg.lam, dg.edge),
+              phi_d * np.exp(-1j * dg.direction) * dg.weight
+              / dg.mu_lambda[dg.lam])
     return dbar, dop
+
+
+def _m_character(m, phi):
+    """Per-M-edge character value of a (z, w) pair (1 without one)."""
+    if phi is None:
+        return np.ones(len(m.tail))
+    return shift_character(m.shift, *phi)
 
 
 def skew_adjacency(m, phi=None):
@@ -249,32 +225,21 @@ def skew_adjacency(m, phi=None):
     (A f)(v) = mu_v^{-1} sum eps(e) phi(e) f(v'); mu * A is antisymmetric for
     a trivial cochain.
     """
-    g = m.g
-    n = m.n
-    a = np.zeros((n, n), dtype=complex)
-    for me in m.edges:
-        pv = 1.0 + 0j
-        if phi is not None:
-            pv = complex(phi[0]) ** me.shift[0] * complex(phi[1]) ** me.shift[1]
-        a[me.tail, me.head] += pv / m.mu[me.tail]
-        a[me.head, me.tail] -= (1.0 / pv) / m.mu[me.head]
+    pv = _m_character(m, phi)
+    a = np.zeros((m.n, m.n), dtype=complex)
+    np.add.at(a, (m.tail, m.head), pv / m.mu[m.tail])
+    np.add.at(a, (m.head, m.tail), -(1.0 / pv) / m.mu[m.head])
     return a
 
 
 def laplacian_M(m, phi=None):
     """Laplace operator on the corner graph M with weights tan(theta_M)."""
-    n = m.n
-    a = np.zeros((n, n), dtype=complex)
-    for me in m.edges:
-        t = math.tan(me.theta_m)
-        pv = 1.0 + 0j
-        if phi is not None:
-            pv = complex(phi[0]) ** me.shift[0] * complex(phi[1]) ** me.shift[1]
-        a[me.tail, me.tail] += t / m.mu[me.tail]
-        a[me.tail, me.head] -= t * pv / m.mu[me.tail]
-        a[me.head, me.head] += t / m.mu[me.head]
-        a[me.head, me.tail] -= t * (1.0 / pv) / m.mu[me.head]
-    return a
+    pv = _m_character(m, phi)
+    t = np.tan(m.theta_m)
+    return _star_operator(m.n, np.concatenate([m.tail, m.head]),
+                          np.concatenate([m.head, m.tail]),
+                          np.concatenate([t, t]),
+                          np.concatenate([pv, 1.0 / pv]), m.mu)
 
 
 # -- tracked square root ---------------------------------------------------------
@@ -403,18 +368,9 @@ def phi_omega(c):
     perp edge: omega; parallel: -i omega; corner: -exp(-i(theta_e+theta_e')/2) omega.
     """
     g = c.g
-    vals = np.ones(len(c.edges), dtype=complex)
-    for i, ce in enumerate(c.edges):
-        om = complex(c.omega[i])
-        if ce.kind == "perp":
-            vals[i] = om
-        elif ce.kind == "par":
-            vals[i] = -1j * om
-        else:
-            th = g.theta[ce.dart >> 1]
-            th2 = g.theta[int(g.rot[ce.dart]) >> 1]
-            vals[i] = -cmath.exp(-0.5j * (th + th2)) * om
-    return vals
+    th = np.repeat(g.theta, 2)
+    return c.omega * np.concatenate([np.ones(g.nd), np.full(g.nd, -1j),
+                                     -np.exp(-0.5j * (th + th[g.rot]))])
 
 
 def verify_dirac_identities(g, phi_char=None):
@@ -441,9 +397,8 @@ def verify_dirac_identities(g, phi_char=None):
     report = {}
 
     # (a) K^omega o exp(-i theta_B / 2) = exp(-i theta_W / 2) o mu_W o dbar^{phi_omega}
-    nd = g.nd
-    th_d = g.theta[np.arange(nd) >> 1]
-    mu_c = np.array([math.sin(2 * t) for t in th_d])
+    th_d = np.repeat(g.theta, 2)
+    mu_c = np.sin(2 * th_d)
     kom = kasteleyn(c, None, "omega")
     phiom = phi_omega(c)
     dbar_tw, _ = dirac_C(c, field="edge", phi_c=phiom)
@@ -487,16 +442,10 @@ def verify_dirac_identities(g, phi_char=None):
                           character_cochain(g, *char).values, field="constant")
     lm = laplacian_M(m, char)
     am = skew_adjacency(m, char)
-    corner_of_b = np.array([int(g.rot_inv[d]) for d in range(nd)])
-    corner_of_w = np.arange(nd)
-    bb = -(d_c @ dbar_c)
-    ww = -(dbar_c @ d_c)
-    pb = np.zeros_like(bb)
-    pw = np.zeros_like(ww)
-    for i in range(nd):
-        for j in range(nd):
-            pb[corner_of_b[i], corner_of_b[j]] += bb[i, j]
-            pw[corner_of_w[i], corner_of_w[j]] += ww[i, j]
+    # the black corner map b[d] -> corner(R^-1 d) is the permutation rot_inv,
+    # the white one w[d] -> corner(d) the identity
+    pb = -(d_c @ dbar_c)[np.ix_(g.rot, g.rot)]
+    pw = -(dbar_c @ d_c)
     tgt_b = 0.5 * (lm - 1j * am)
     tgt_w = 0.5 * (lm + 1j * am)
     scale = max(1.0, max_norm(lm))
@@ -523,17 +472,16 @@ def _dirac_cd_residual(g, c, dg):
     n_d = nl + ne           # Lambda then diamonds
     n_c = 2 * nd            # whites then blacks
 
+    # white ~ midpoint, black ~ origin, black ~ right face
+    d = np.arange(nd)
+    cv = np.concatenate([d, nd + d, nd + d])
+    dv = np.concatenate([nl + (d >> 1), g.origin, nv + g.face_of[d ^ 1]])
     h_dc = np.zeros((n_c, n_d))     # pull with weight 1/2 per adjacency
     h_cd = np.zeros((n_d, n_c))     # push with weight 1
-    for d in range(nd):
-        pairs = [(d, nl + (d >> 1)),                      # white ~ midpoint
-                 (nd + d, int(g.origin[d])),              # black ~ origin
-                 (nd + d, nv + int(g.face_of[d ^ 1]))]    # black ~ right face
-        for (cv, dv) in pairs:
-            h_dc[cv, dv] += 0.5
-            h_cd[dv, cv] += 1.0
+    np.add.at(h_dc, (cv, dv), 0.5)
+    np.add.at(h_cd, (dv, cv), 1.0)
 
-    mu_c = np.array([math.sin(2 * g.theta[d >> 1]) for d in range(nd)])
+    mu_c = np.sin(2 * np.repeat(g.theta, 2))
     dbar_c, d_c = dirac_C(c, None, field="constant")
     dir_c = np.zeros((n_c, n_c), dtype=complex)
     dir_c[:nd, nd:] = np.diag(mu_c) @ dbar_c

@@ -311,6 +311,9 @@ def ising_partition(g, j=None, beta=1.0):
     if j is None:
         if np.any(g.x >= 1.0) or np.any(g.x <= 0.0):
             raise GraphError("weights must be in (0,1) to infer couplings")
+        if beta == 0:
+            raise GraphError("couplings cannot be inferred from the weights "
+                             "at beta = 0")
         j = np.arctanh(g.x) / beta
     j = np.asarray(j, dtype=float)
     xs = np.tanh(beta * j)
@@ -389,8 +392,7 @@ def dimer_partition(c, phis=None):
     if 2 * g.nd > MATCH_GUARD:
         raise SizeGuardError(f"matching enumeration capped at {MATCH_GUARD} vertices")
     a = np.zeros((g.nd, g.nd))
-    for ce in c.edges:
-        a[ce.w, ce.b] += ce.y
+    np.add.at(a, (c.w, c.b), c.y)
     z_match = _ryser_permanent(a)
 
     if g.genus == 0:

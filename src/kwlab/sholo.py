@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .linalg import lu_det, lu_solve, max_norm, null_space
-from .surface_graph import GraphError
+from .surface_graph import GraphError, cycle_with_winding
 from .derived import build_C, half_angle_phases
 from .operators import dirac_C, kac_ward, kasteleyn, phi_omega, sqrt_det_tracked
 from .oracle import (_config_weight, enumerate_parity, inverse_coefficient,
@@ -152,6 +152,8 @@ def observable(g, e0, backend="auto", x=None):
     configurations with rotation phases (size-guarded, works at x = 0).  The
     result is s-holomorphic around every vertex not touching e0.
     """
+    if not 0 <= e0 < g.nd:
+        raise GraphError(f"dart {e0} is out of range 0..{g.nd - 1}")
     xs = g.x if x is None else np.asarray(x, dtype=float)
     if backend == "auto":
         if np.all(xs > 1e-12):
@@ -349,42 +351,14 @@ def integrate_square(g, F, base_point=None, warn_tol=1e-6, star_tol=1e-8):
     if g.genus == 1:
         periods = []
         hf = HFunction(g, F, {}, base_point, 0.0, None, defect)
+        adj = [[(g.terminus(d), d, tuple(g.shift[d].tolist()))
+                for d in g.darts_at[u]] for u in range(g.nv)]
         for target in ((1, 0), (0, 1)):
-            cyc = _primal_cycle_with_winding(g, target)
+            cyc = cycle_with_winding(adj, target)
             periods.append(float(sum(hf.edge_increment(d) for d in cyc)))
 
     values = {nid: float(h[index[nid]]) for nid in nodes}
     return HFunction(g, F, values, base_point, loop_residual, periods, defect)
-
-
-def _primal_cycle_with_winding(g, target):
-    """Dart cycle in the graph with the given homology winding (lift BFS)."""
-    start = (0, 0, 0)
-    goal = (0, target[0], target[1])
-    prev = {start: None}
-    frontier = [start]
-    bound = abs(target[0]) + abs(target[1]) + 2
-    while frontier and goal not in prev:
-        nxt = []
-        for state in frontier:
-            u, s1, s2 = state
-            for d in g.darts_at[u]:
-                t = (g.terminus(d), s1 + int(g.shift[d][0]), s2 + int(g.shift[d][1]))
-                if abs(t[1]) > bound or abs(t[2]) > bound:
-                    continue
-                if t not in prev:
-                    prev[t] = (state, d)
-                    nxt.append(t)
-        frontier = nxt
-    if goal not in prev:
-        raise GraphError(f"no primal cycle with winding {target}")
-    cyc = []
-    state = goal
-    while prev[state] is not None:
-        state, d = prev[state]
-        cyc.append(d)
-    cyc.reverse()
-    return cyc
 
 
 def laplacian_of_H(g, h):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,9 +121,6 @@ class EmbeddedGraph:
     def nd(self):
         return 2 * len(self.x)
 
-    def rev(self, d):
-        return d ^ 1
-
     def terminus(self, d):
         return int(self.origin[d ^ 1])
 
@@ -151,8 +149,25 @@ class EmbeddedGraph:
         b = self.beta()
         return math.pi * len(darts) - float(sum(b[d] for d in darts))
 
-    def x_dual(self):
-        return (1.0 - self.x) / (1.0 + self.x)
+    @cached_property
+    def transition(self):
+        """Dart transitions: exp(i alpha(e, e') / 2) on the non-backtracking
+        continuations e -> e' (o(e') = t(e), e' != rev e), 0 elsewhere.
+
+        It depends only on the embedding; graphs are not mutated after
+        construction, so it is built once per graph.
+        """
+        nd = self.nd
+        e, e2 = np.nonzero(self.origin[np.arange(nd) ^ 1][:, None]
+                           == self.origin[None, :])
+        keep = e2 != (e ^ 1)
+        e, e2 = e[keep], e2[keep]
+        # principal_angle, elementwise
+        alpha = (self.dirang[e2] - self.dirang[e] + math.pi) % TWO_PI - math.pi
+        alpha[alpha <= -math.pi] += TWO_PI
+        t = np.zeros((nd, nd), dtype=complex)
+        t[e, e2] = np.exp(0.5j * alpha)
+        return t
 
     def theta_dual(self):
         return math.pi / 2 - self.theta
@@ -165,12 +180,11 @@ class EmbeddedGraph:
             raise GraphError("rotation permutation has wrong size")
         if sorted(self.rot.tolist()) != list(range(nd)):
             raise GraphError("rotation is not a permutation of the darts")
-        for d in range(nd):
-            if self.origin[self.rot[d]] != self.origin[d]:
-                raise GraphError("rotation moves a dart to a different vertex")
-            delta = principal_angle(self.dirang[d ^ 1] - self.dirang[d] - math.pi)
-            if abs(delta) > ANGLE_TIE_TOL:
-                raise GraphError("reversed dart is not rotated by pi")
+        if np.any(self.origin[self.rot] != self.origin):
+            raise GraphError("rotation moves a dart to a different vertex")
+        turn = (self.dirang[np.arange(nd) ^ 1] - self.dirang) % TWO_PI
+        if np.any(np.abs(turn - math.pi) > ANGLE_TIE_TOL):
+            raise GraphError("reversed dart is not rotated by pi")
         if np.any(self.x < -1e-15) or np.any(self.x > 1 + 1e-15):
             raise GraphError("edge weights outside [0, 1]")
         if np.max(np.abs(self.theta - 2.0 * np.arctan(self.x))) > 1e-14:
@@ -286,13 +300,9 @@ def _close_graph(surface, lattice, vcoords, origin, dirang, shift, weights,
 
 def _paired_angles(raw):
     """Map raw per-canonical-dart angles into [0, 2pi) with exact pi reversal."""
-    nd = 2 * len(raw)
-    dirang = np.empty(nd)
-    for k, a in enumerate(raw):
-        a = a % TWO_PI
-        dirang[2 * k] = a
-        dirang[2 * k + 1] = a + math.pi if a < math.pi else a - math.pi
-    return dirang
+    a = np.asarray(raw, dtype=float) % TWO_PI
+    return np.stack([a, np.where(a < math.pi, a + math.pi, a - math.pi)],
+                    axis=1).ravel()
 
 
 def build_planar(vertex_coords, edge_list, weights, dart_angles=None):
@@ -418,14 +428,49 @@ def character_cochain(g, z, w):
     """Cocycle z^s1 w^s2 read off the homology winding of each dart (torus only)."""
     if g.genus != 1:
         raise GraphError("characters require a genus-1 graph")
-    z = complex(z)
-    w = complex(w)
-    if z == 0 or w == 0:
+    if complex(z) == 0 or complex(w) == 0:
         raise GraphError("character components must be nonzero")
-    vals = np.array(
-        [z ** int(s1) * w ** int(s2) for s1, s2 in g.shift], dtype=complex
-    )
-    return Cochain(g, vals)
+    return Cochain(g, shift_character(g.shift, z, w))
+
+
+def shift_character(shift, z, w):
+    """z^s1 w^s2 for each row (s1, s2) of an integer winding array."""
+    return complex(z) ** shift[:, 0] * complex(w) ** shift[:, 1]
+
+
+def cycle_with_winding(adj, target):
+    """A closed walk from node 0 whose windings sum to ``target``.
+
+    ``adj[u]`` lists the (neighbour, label, shift) triples leaving node u.
+    Breadth-first search in the Z^2 lift, from (0, (0, 0)) to (0, target);
+    returns the labels along the walk.
+    """
+    start = (0, 0, 0)
+    goal = (0, target[0], target[1])
+    prev = {start: None}
+    frontier = [start]
+    bound = abs(target[0]) + abs(target[1]) + 2
+    while frontier and goal not in prev:
+        nxt = []
+        for state in frontier:
+            u, s1, s2 = state
+            for v, label, (t1, t2) in adj[u]:
+                t = (v, s1 + t1, s2 + t2)
+                if abs(t[1]) > bound or abs(t[2]) > bound:
+                    continue
+                if t not in prev:
+                    prev[t] = (state, label)
+                    nxt.append(t)
+        frontier = nxt
+    if goal not in prev:
+        raise GraphError(f"no cycle with winding {target} found")
+    walk = []
+    state = goal
+    while prev[state] is not None:
+        state, label = prev[state]
+        walk.append(label)
+    walk.reverse()
+    return walk
 
 
 def turning(g, d1, d2):
@@ -464,6 +509,38 @@ def face_centroid(g, f):
     return pts.mean(axis=0)
 
 
+def edge_vectors(g):
+    """Displacement vectors of all darts (rows), lattice shifts included."""
+    v = g.vcoords[g.origin[np.arange(g.nd) ^ 1]] - g.vcoords[g.origin]
+    return v if g.lattice is None else v + g.shift @ g.lattice
+
+
+def face_offsets(g):
+    """Per dart d, the vector from o(d) to the centroid of the face left of d,
+    both read along one walk of the face boundary."""
+    off = np.empty((g.nd, 2))
+    for f in g.faces:
+        pts = _face_trace_positions(g, f[0], np.zeros(2))
+        off[list(f)] = pts.mean(axis=0) - pts
+    return off
+
+
+def reduce_to_domain(g, pts):
+    """Representatives of torus points (rows) in the fundamental domain."""
+    r = pts @ np.linalg.inv(g.lattice)
+    return (r - np.floor(r)) @ g.lattice
+
+
+def lattice_shifts(g, disp, what):
+    """Integer lattice coordinates of displacements (rows) that must be
+    lattice vectors; GraphError names ``what`` otherwise."""
+    s = disp @ np.linalg.inv(g.lattice)
+    si = np.round(s).astype(int)
+    if np.max(np.abs(s - si), initial=0.0) > 1e-6:
+        raise GraphError(f"{what} did not land on the lattice")
+    return si
+
+
 def dual(g):
     """Dual embedded graph: vertices are faces, dart d* is d turned by +pi/2.
 
@@ -477,38 +554,22 @@ def dual(g):
     """
     nf = len(g.faces)
     nd = g.nd
-    origin = np.empty(nd, dtype=int)
-    for d in range(nd):
-        origin[d] = g.face_of[d ^ 1]
+    rev = np.arange(nd) ^ 1
+    origin = g.face_of[rev]
     dirang = (g.dirang + math.pi / 2) % TWO_PI
-    rot = np.empty(nd, dtype=int)
-    for d in range(nd):
-        rot[d] = int(g.rot_inv[d]) ^ 1
+    rot = g.rot_inv ^ 1
 
     vstar = np.array([face_centroid(g, f) for f in range(nf)])
     shift = np.zeros((nd, 2), dtype=int)
     if g.surface == "torus":
-        lat_inv = np.linalg.inv(g.lattice)
-        red = vstar @ lat_inv
-        red -= np.floor(red)
-        vstar = red @ g.lattice
-        for k in range(g.ne):
-            d = 2 * k
-            anchor = g.vcoords[g.origin[d]]
-            c_left = _face_trace_positions(g, d, anchor).mean(axis=0)
-            c_right = _face_trace_positions(
-                g, d ^ 1, anchor + g.edge_vec(d)
-            ).mean(axis=0)
-            vec = c_left - c_right
-            stored = vstar[g.face_of[d]] - vstar[g.face_of[d ^ 1]]
-            s = (vec - stored) @ lat_inv
-            s_int = np.round(s).astype(int)
-            if np.max(np.abs(s - s_int)) > 1e-6:
-                raise GraphError("dual shift did not land on the lattice")
-            shift[d] = s_int
-            shift[d ^ 1] = -s_int
+        vstar = reduce_to_domain(g, vstar)
+        # left-face centroid minus right-face centroid, in the chart of d
+        off = face_offsets(g)
+        chart = off - edge_vectors(g) - off[rev]
+        shift = lattice_shifts(g, chart - (vstar[g.face_of] - vstar[origin]),
+                               "dual shift")
 
-    weights = Weights(g.x_dual())
+    weights = Weights(g.x).dual()
     gd = _close_graph(
         g.surface,
         g.lattice,
@@ -533,49 +594,62 @@ def graph_from_json(obj):
 
     Exactly one of ``x``, ``theta``, ``J`` per edge; ``J`` requires a top-level
     ``beta`` and sets x = tanh(beta J).  Optional ``dart_angles`` overrides the
-    computed direction angles (validated, not recomputed).
+    computed direction angles (validated, not recomputed).  Malformed data
+    (missing fields, wrong types, non-numeric or non-finite numbers, edge
+    endpoints outside 0..V-1) raises GraphError.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise GraphError("graph JSON must be an object")
     try:
         surface = obj["surface"]
         verts = sorted(obj["vertices"], key=lambda r: r["id"])
         if [r["id"] for r in verts] != list(range(len(verts))):
             raise GraphError("vertex ids must be 0..V-1")
-        coords = [(r["x"], r["y"]) for r in verts]
+        coords = np.array([(float(r["x"]), float(r["y"])) for r in verts])
+        if not np.all(np.isfinite(coords)):
+            raise GraphError("vertex coordinates must be finite")
         edges = sorted(obj["edges"], key=lambda r: r["id"])
         if [r["id"] for r in edges] != list(range(len(edges))):
             raise GraphError("edge ids must be 0..E-1")
+        if any(type(r[k]) is not int or not 0 <= r[k] < len(verts)
+               for r in edges for k in ("u", "v")):
+            raise GraphError("edge endpoints must be vertex ids 0..V-1")
+
+        xs = np.empty(len(edges))
+        for r in edges:
+            given = [k for k in ("x", "theta", "J") if k in r]
+            if len(given) != 1:
+                raise GraphError("each edge needs exactly one of x, theta, J")
+            if "x" in r:
+                xs[r["id"]] = float(r["x"])
+            elif "theta" in r:
+                xs[r["id"]] = math.tan(float(r["theta"]) / 2.0)
+            else:
+                if "beta" not in obj:
+                    raise GraphError("J weights require a top-level beta")
+                xs[r["id"]] = math.tanh(float(obj["beta"]) * float(r["J"]))
+        weights = Weights(xs)
+        angles = obj.get("dart_angles")
+        if angles is not None:
+            angles = {int(k): float(v) for k, v in angles.items()}
+
+        if surface == "planar":
+            pairs = [(r["u"], r["v"]) for r in edges]
+            return build_planar(coords, pairs, weights, dart_angles=angles)
+        if surface == "torus":
+            if "lattice" not in obj:
+                raise GraphError("torus graphs need a lattice")
+            triples = [(r["u"], r["v"], tuple(int(s) for s in
+                                              r.get("shift", (0, 0))))
+                       for r in edges]
+            return build_torus(obj["lattice"], coords, triples, weights,
+                               dart_angles=angles)
+    except GraphError:
+        raise
     except KeyError as exc:
         raise GraphError(f"missing graph field: {exc}") from exc
-
-    xs = np.empty(len(edges))
-    for r in edges:
-        given = [k for k in ("x", "theta", "J") if k in r]
-        if len(given) != 1:
-            raise GraphError("each edge needs exactly one of x, theta, J")
-        if "x" in r:
-            xs[r["id"]] = r["x"]
-        elif "theta" in r:
-            xs[r["id"]] = math.tan(float(r["theta"]) / 2.0)
-        else:
-            if "beta" not in obj:
-                raise GraphError("J weights require a top-level beta")
-            xs[r["id"]] = math.tanh(float(obj["beta"]) * float(r["J"]))
-    weights = Weights(xs)
-    angles = obj.get("dart_angles")
-    if angles is not None:
-        angles = {int(k): float(v) for k, v in angles.items()}
-
-    if surface == "planar":
-        pairs = [(r["u"], r["v"]) for r in edges]
-        return build_planar(coords, pairs, weights, dart_angles=angles)
-    if surface == "torus":
-        if "lattice" not in obj:
-            raise GraphError("torus graphs need a lattice")
-        triples = [
-            (r["u"], r["v"], tuple(r.get("shift", (0, 0)))) for r in edges
-        ]
-        return build_torus(obj["lattice"], coords, triples, weights,
-                           dart_angles=angles)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise GraphError(f"malformed graph data: {exc}") from exc
     raise GraphError(f"unknown surface {surface!r}")

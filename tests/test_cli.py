@@ -145,3 +145,75 @@ def test_nan_weight_is_invalid_input(tmp_path, capsys):
     code, out = run(capsys, "verify", "corr", "-g", str(path))
     assert code == 2
     assert json.loads(out)["error"] == "invalid_input"
+
+
+def _triangle_json(capsys):
+    _, out = run(capsys, "gen", "triangle", "--x", "0.5")
+    return json.loads(out)
+
+
+def _non_object(obj):
+    return [1, 2]
+
+
+def _non_numeric_weight(obj):
+    obj["edges"][0]["x"] = "abc"
+    return obj
+
+
+def _endpoint_out_of_range(obj):
+    obj["edges"][0]["v"] = 99
+    return obj
+
+
+def _nan_coordinate(obj):
+    obj["vertices"][0]["x"] = float("nan")
+    return obj
+
+
+@pytest.mark.parametrize("mutate", [_non_object, _non_numeric_weight,
+                                    _endpoint_out_of_range, _nan_coordinate])
+def test_malformed_fixture_is_invalid_input(tmp_path, capsys, mutate):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(_triangle_json(capsys))))
+    code, out = run(capsys, "verify", "corr", "-g", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("dart", ["99", "-1"])
+def test_observable_dart_out_of_range(tmp_path, capsys, dart):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(_triangle_json(capsys)))
+    code, out = run(capsys, "observable", "-g", str(path), "--dart", dart)
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("command", ["spectral", "free-energy"])
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_grid_must_be_positive(tmp_path, capsys, command, grid):
+    code, out = run(capsys, "gen", "rect-torus", "--x", "0.3", "0.4")
+    path = tmp_path / "r.json"
+    path.write_text(out)
+    code, out = run(capsys, command, "-g", str(path), "--grid", grid)
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid_input"
+
+
+def test_z_ising_at_beta_zero(tmp_path, capsys):
+    # coupling form: beta = 0 is the infinite-temperature point, Z = 2^V
+    code, out = run(capsys, "gen", "rect-torus", "--J", "1.0", "--beta", "0.5")
+    path = tmp_path / "j.json"
+    path.write_text(out)
+    code, out = run(capsys, "z-ising", "-g", str(path), "--beta", "0")
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"]
+    assert rep["spins"] == 2.0
+    assert rep["kac_ward"] == pytest.approx(2.0, rel=1e-12)
+    # x form: the couplings J = arctanh(x) / beta are undefined at beta = 0
+    code, out = run(capsys, "gen", "rect-torus", "--x", "0.3", "0.4")
+    path.write_text(out)
+    code, out = run(capsys, "z-ising", "-g", str(path), "--beta", "0")
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid_input"

@@ -13,10 +13,15 @@ from kwlab.derived import (build_C, build_D, build_M, epsilon_signs,
 def test_c_counts_triangle():
     c = build_C(fx.triangle(0.5))
     assert c.n_black == 6 and c.n_white == 6
-    kinds = {}
-    for ce in c.edges:
-        kinds[ce.kind] = kinds.get(ce.kind, 0) + 1
-    assert kinds == {"perp": 6, "par": 6, "corner": 6}
+    # perp, par and corner blocks of one edge per dart each
+    for arr in (c.w, c.b, c.y, c.omega_tilde, c.omega):
+        assert arr.shape == (18,)
+    assert c.shift.shape == (18, 2)
+    d = np.arange(6)
+    for kind, partner in (("perp", d), ("par", d ^ 1), ("corner", c.g.rot)):
+        idx = c.edge_index(kind, d)
+        assert np.array_equal(c.w[idx], d)
+        assert np.array_equal(c.b[idx], partner)
 
 
 def test_rectangle_face_products_minus_one():
@@ -42,10 +47,7 @@ def test_kasteleyn_validation_and_flip():
         assert len(bad) == 2
         # an equivalence move (flip all edges at one vertex) still passes
         moved = c.omega.copy()
-        w0 = c.edges[0].w
-        for i, ce in enumerate(c.edges):
-            if ce.w == w0:
-                moved[i] *= -1
+        moved[c.w == c.w[0]] *= -1
         assert validate_kasteleyn(c, moved)["pass"]
 
 
@@ -76,25 +78,26 @@ def test_c_of_dual_equals_c():
     # whites of C(dual) are blacks of C and conversely:
     # w*[d] = b[d], b*[d] = w[rev d]; weights match edge by edge
     edges = {}
-    for ce in c.edges:
-        key = ("w", ce.w, "b", ce.b)
-        edges[key] = edges.get(key, 0.0) + ce.y
-    for ce in cd.edges:
-        key = ("w", ce.b, "b", ce.w ^ 1)
+    for w, b, y in zip(c.w, c.b, c.y):
+        key = ("w", w, "b", b)
+        edges[key] = edges.get(key, 0.0) + y
+    for w, b, y in zip(cd.w, cd.b, cd.y):
+        key = ("w", b, "b", w ^ 1)
         assert key in edges
-        assert edges[key] == pytest.approx(ce.y, abs=1e-14)
+        assert edges[key] == pytest.approx(y, abs=1e-14)
 
 
 def test_double_counts_and_weights():
     g = fx.rect_torus(0.3, 0.4)
     dg = build_D(g)
     assert dg.n_lambda == 2
-    assert len({h.edge for h in dg.halves}) == 2
-    assert len(dg.halves) == 8
+    assert len(set(dg.edge.tolist())) == 2
+    for arr in (dg.lam, dg.edge, dg.weight, dg.direction):
+        assert arr.shape == (8,)
+    assert dg.shift.shape == (8, 2)
     g2 = fx.square_torus(2)  # theta = pi/4
     dg2 = build_D(g2)
-    for h in dg2.halves:
-        assert h.weight == pytest.approx(math.sqrt(2) / 2)
+    assert np.allclose(dg2.weight, math.sqrt(2) / 2)
 
 
 def test_phi_D_split():
@@ -114,7 +117,9 @@ def test_m_graph_structure():
     g = fx.square_torus(2)
     m = build_M(g)
     assert m.n == 16  # one corner per dart
-    assert len(m.edges) == 2 * g.nd
+    for arr in (m.tail, m.head, m.theta_m):
+        assert arr.shape == (2 * g.nd,)
+    assert m.shift.shape == (2 * g.nd, 2)
     # antisymmetry of the orientation is structural: each edge is stored once
     # with a tail and head; exercised through the skew adjacency matrix
     from kwlab.operators import skew_adjacency
@@ -132,3 +137,6 @@ def test_isoradial_validation():
         isoradial_data(fx.rect_torus(math.tan(math.pi / 6), math.tan(math.pi / 12)))
     with pytest.raises(GraphError):
         isoradial_data(fx.triangle(0.0))  # zero-weight edges
+    with pytest.raises(GraphError, match="circumcenters"):
+        # unit squares are inscribed, the outer face of the patch is not
+        isoradial_data(fx.square_patch(2, 2, math.tan(math.pi / 8)))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kwlab import fixtures as fx
-from kwlab.surface_graph import Cochain, GraphError, character_cochain
+from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
+                                 principal_angle)
 from kwlab.derived import build_C, build_D, build_M
 from kwlab.linalg import lu_det, max_norm
 from kwlab.operators import (dirac_C, dirac_D, kac_ward, kasteleyn, laplacian,
@@ -13,6 +14,96 @@ from kwlab.operators import (dirac_C, dirac_D, kac_ward, kasteleyn, laplacian,
                              skew_adjacency, sqrt_det_tracked, verify_corr,
                              verify_dirac_identities)
 from kwlab.oracle import signed_cycle_sum
+
+
+# -- slow references: the entry-by-entry loop forms the array builders replace
+
+
+def kac_ward_reference(g, phi, x):
+    """Kac-Ward operator assembled one continuation e -> e' at a time."""
+    m = np.eye(g.nd, dtype=complex)
+    for e in range(g.nd):
+        for e2 in g.darts_at[g.terminus(e)]:
+            if e2 == (e ^ 1):
+                continue
+            alpha = principal_angle(g.dirang[e2] - g.dirang[e])
+            m[e, e2] -= phi[e] * x[e >> 1] * cmath.exp(0.5j * alpha)
+    return m
+
+
+def kasteleyn_reference(g, phi, x, orientation):
+    """Kasteleyn operator assembled one C-edge at a time from the graph alone.
+
+    Per dart d: the perp edge w[d]-b[d] (cos theta, orientation 1), the par
+    edge w[d]-b[rev d] (sin theta phi(d), orientation i) and the corner edge
+    w[d]-b[R d] (1, orientation -exp(i beta/2)); 'omega' gauge-reduces each
+    orientation by the half-angle phases and rounds it to a sign.
+    """
+    theta = 2.0 * np.arctan(x)
+    dh = np.exp(0.5j * g.a_angles())
+    q = np.exp(0.5j * g.beta())
+    k = np.zeros((g.nd, g.nd), dtype=complex)
+    for d in range(g.nd):
+        th = theta[d >> 1]
+        for b, o, y in ((d, 1.0, math.cos(th)),
+                        (d ^ 1, 1j, math.sin(th) * phi[d]),
+                        (int(g.rot[d]), -q[d], 1.0)):
+            if orientation == "omega":
+                o = 1.0 if (dh[d] * o / dh[b]).real > 0 else -1.0
+            k[d, b] += o * y
+    return k
+
+
+def _random_unitary_cochain(g, rng):
+    vals = np.ones(g.nd, dtype=complex)
+    if g.genus == 1:
+        vals = character_cochain(g, cmath.exp(1j * rng.uniform(0, 6.3)),
+                                 cmath.exp(1j * rng.uniform(0, 6.3))).values
+    phi = Cochain(g, vals)
+    for v in range(g.nv):
+        phi = phi.gauge(v, cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+    return phi.values
+
+
+REFERENCE_FIXTURES = [
+    fx.triangle(0.5), fx.square_patch(2, 2, 0.5),
+    fx.rect_torus(0.3, 0.4),  # loops: a dart continues into itself
+    fx.honeycomb_torus((0.3, 0.4, 0.5)), fx.square_torus(2, 0.4),
+]
+
+
+@pytest.mark.parametrize("g", REFERENCE_FIXTURES)
+def test_kac_ward_matches_loop_reference(g):
+    rng = np.random.default_rng(11)
+    # +-1 cochains (those of the tracked square root): bitwise equal
+    signs = [np.ones(g.nd, dtype=complex)]
+    if g.genus == 1:
+        signs += [character_cochain(g, z, w).values
+                  for z in (1, -1) for w in (1, -1)]
+    for _ in range(4):
+        xs = rng.uniform(0.02, 0.98, g.ne)
+        for phi in signs:
+            assert np.array_equal(kac_ward(g, phi, xs),
+                                  kac_ward_reference(g, phi, xs))
+        # unitary cochains: numpy's vectorized complex product may round the
+        # last bit differently from Python's scalar one
+        phi = _random_unitary_cochain(g, rng)
+        assert max_norm(kac_ward(g, phi, xs)
+                        - kac_ward_reference(g, phi, xs)) <= 1e-15
+    assert np.array_equal(kac_ward(g), kac_ward_reference(g, signs[0], g.x))
+
+
+@pytest.mark.parametrize("g", REFERENCE_FIXTURES)
+def test_kasteleyn_matches_loop_reference(g):
+    rng = np.random.default_rng(12)
+    c = build_C(g)
+    for _ in range(4):
+        xs = rng.uniform(0.02, 0.98, g.ne)
+        phi = _random_unitary_cochain(g, rng)
+        for orientation in ("omega", "omega_tilde"):
+            got = kasteleyn(c, phi, orientation, xs)
+            want = kasteleyn_reference(g, phi, xs, orientation)
+            assert max_norm(got - want) <= 1e-14
 
 
 def test_kw_identity_at_zero_weights():
