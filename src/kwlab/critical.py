@@ -9,8 +9,8 @@ import math
 import numpy as np
 
 from .linalg import lu_det
-from .surface_graph import GraphError, character_cochain, dual
-from .operators import kac_ward, sqrt_det_tracked
+from .surface_graph import GraphError, character_cochain, dual, shift_character
+from .operators import kac_ward, kw_dets, sqrt_det_tracked
 from .oracle import ARF_SIGNS_GENUS1
 
 BISECT_LO = 1e-6
@@ -30,16 +30,17 @@ def spectral_grid(g, n, x=None):
     """Sample the curve on the half-offset n x n grid over the unit torus.
 
     Returns (phi1, phi2, P) arrays; the offset avoids the (1, 1) zero at
-    criticality.
+    criticality.  All n^2 determinants are one ``kw_dets`` stack.
     """
     if n < 1:
         raise GraphError(f"grid size must be at least 1, got {n}")
+    if g.genus != 1:
+        raise GraphError("the spectral curve needs a genus-1 graph")
     angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-    units = [cmath.exp(1j * a) for a in angles]
-    vals = np.empty((n, n), dtype=complex)
-    for i, z in enumerate(units):
-        for k, w in enumerate(units):
-            vals[i, k] = spectral_curve(g, z, w, x)
+    units = np.array([cmath.exp(1j * a) for a in angles])
+    # every node is bitwise the spectral_curve value there
+    phi = shift_character(g.shift, units[:, None], units[None, :])
+    vals = kw_dets(g, phi, g.x if x is None else x)
     return angles, angles.copy(), vals
 
 
@@ -50,7 +51,8 @@ def critical_beta(g, j=None, tol=1e-12, trace=None):
     bisection starts from [1e-6, 50] with automatic bracket expansion and
     stops at the requested width.  ``j`` defaults to couplings with
     tanh(j) equal to the stored weights.  ``trace``, if a list, collects the
-    evaluated (beta, tracked square root) pairs.
+    evaluated (beta, tracked square root) pairs.  A tracking failure is
+    re-raised with the beta being evaluated.
     """
     if g.genus != 1:
         raise GraphError("criticality search needs a genus-1 graph")
@@ -63,7 +65,10 @@ def critical_beta(g, j=None, tol=1e-12, trace=None):
         raise GraphError("couplings must be positive")
 
     def s(beta):
-        val = sqrt_det_tracked(g, None, np.tanh(beta * j))
+        try:
+            val = sqrt_det_tracked(g, None, np.tanh(beta * j))
+        except GraphError as exc:
+            raise GraphError(f"{exc} at beta = {beta:.17g}") from exc
         if trace is not None:
             trace.append((beta, val))
         return val

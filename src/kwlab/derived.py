@@ -338,13 +338,23 @@ def build_M(g):
 # -- isoradial geometry --------------------------------------------------------
 
 
-def isoradial_data(g, tol=1e-9):
+ISORADIAL_TOL = 1e-9
+
+
+def isoradial_data(g, tol=ISORADIAL_TOL):
     """Validate that the weights define an isoradial embedding; return delta.
 
     Requires every theta in (0, pi/2), a common circumradius delta with
     |e| = 2 delta sin(theta_e), and for every face a consistent circumcenter at
     distance delta from all its corners.
+
+    The default-tolerance result is cached on the graph, as
+    ``EmbeddedGraph.transition`` is (graphs are not mutated after
+    construction); a failed check is not cached, so it raises on every call.
     """
+    default = tol == ISORADIAL_TOL
+    if default and "isoradial_delta" in vars(g):
+        return g.isoradial_delta
     if np.any(g.theta <= 1e-12) or np.any(g.theta >= math.pi / 2 - 1e-12):
         raise GraphError("isoradial data needs theta strictly inside (0, pi/2)")
     v = edge_vectors(g)[::2]
@@ -360,6 +370,8 @@ def isoradial_data(g, tol=1e-9):
         c = centers[list(f)]
         if np.max(np.abs(c - c.mean(axis=0))) > tol * max(delta, 1.0):
             raise GraphError("face circumcenters disagree; not isoradial")
+    if default:
+        g.isoradial_delta = delta
     return delta
 
 

@@ -17,7 +17,6 @@ Conventions (mirrored throughout the package):
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -31,7 +30,7 @@ from .derived import (build_C, build_D, build_M, c_edge_directions,
 
 __all__ = [
     "kac_ward", "kasteleyn", "laplacian", "laplacian_dual", "dirac_C",
-    "dirac_D", "skew_adjacency", "laplacian_M", "null_space",
+    "dirac_D", "skew_adjacency", "laplacian_M", "null_space", "kw_dets",
     "sqrt_det_tracked", "verify_corr", "verify_dirac_identities",
 ]
 
@@ -48,13 +47,40 @@ def kac_ward(g, phi=None, x=None):
     """Dart-indexed Kac-Ward operator; identity at x = 0.
 
     Rows and columns are darts in ascending id order.  ``x`` overrides the
-    graph's edge weights.
+    graph's edge weights.  Leading axes broadcast: ``phi`` of shape (..., nd)
+    and ``x`` of shape (..., ne) give a stack of shape (..., nd, nd).
     """
     pv = _phi_values(g, phi)
     if np.any(np.abs(pv) == 0):
         raise GraphError("cochain values must be nonzero")
     xs = g.x if x is None else np.asarray(x)
-    return np.eye(g.nd) - (pv * np.repeat(xs, 2))[:, None] * g.transition
+    kw = (pv * np.repeat(xs, 2, axis=-1))[..., :, None] * g.transition
+    return np.subtract(np.eye(g.nd), kw, out=kw)
+
+
+#: bytes of complex matrix entries that ``kw_dets`` builds and factors at once
+KW_CHUNK_BYTES = 256 * 1024
+
+
+def kw_dets(g, phi_rows, x_rows):
+    """det KW for each row of ``phi_rows`` (..., nd) and ``x_rows`` (..., ne).
+
+    The leading axes broadcast as in ``kac_ward``.  The stack is built and
+    factored in chunks of at most ``KW_CHUNK_BYTES`` of matrix entries (one
+    matrix at a time once a single one exceeds it); each determinant is
+    bitwise the one ``lu_det(kac_ward(g, phi, x))`` returns.
+    """
+    pv = _phi_values(g, phi_rows)
+    xs = np.asarray(x_rows)
+    lead = np.broadcast_shapes(pv.shape[:-1], xs.shape[:-1])
+    pv = np.broadcast_to(pv, lead + pv.shape[-1:]).reshape(-1, g.nd)
+    xs = np.broadcast_to(xs, lead + xs.shape[-1:]).reshape(-1, g.ne)
+    step = max(1, KW_CHUNK_BYTES // (16 * g.nd * g.nd))
+    out = np.empty(len(pv), dtype=complex)
+    for i in range(0, len(pv), step):
+        out[i:i + step] = np.linalg.det(
+            kac_ward(g, pv[i:i + step], xs[i:i + step]))
+    return out.reshape(lead)
 
 
 def transition_factors(g, phi=None, x=None):
@@ -252,72 +278,86 @@ def sqrt_det_tracked(g, phi=None, x=None, max_steps=2 ** 14):
     off the real axis; the square root is continued by principal-branch
     ratios with adaptive refinement until consecutive determinant phase steps
     stay below pi/2.  Requires a +-1-valued cochain (real determinant), and
-    reports sign ambiguity if refinement hits the step cap.
+    reports sign ambiguity, with the contour point t or the descent height
+    sigma where tracking failed, if refinement hits the step cap.
+
+    Determinants are evaluated as ``kw_dets`` stacks: the whole contour at
+    once, each doubling at its new odd points only (the old points are
+    bitwise the same, since n is a power of two) and the vertical descent in
+    batches of 8 heights.
     """
     pv = _phi_values(g, phi)
     if np.max(np.abs(np.abs(pv.real) - 1.0)) > 1e-12 or np.max(np.abs(pv.imag)) > 1e-12:
         raise GraphError("tracked square root needs a +-1-valued cochain")
     xs = g.x if x is None else np.asarray(x, dtype=float)
 
-    def det_at(t):
-        return lu_det(kac_ward(g, pv, xs * t))
+    def dets(ts):
+        return kw_dets(g, pv, xs * ts[:, None])
 
     # Lift the contour off the real axis (real zeros of the square root are
     # then passed at distance >= bump) and keep it lifted all the way to
     # Re t = 1; a geometric vertical descent closes the path at t = 1.
     bump = 0.05
-    n = 64
-    while True:
+
+    def contour(n):
         ts = np.linspace(0.0, 1.0, n + 1)
-        lift = bump * np.minimum(1.0, np.sin(math.pi * np.minimum(ts, 0.5)) )
-        lift = np.where(ts >= 0.5, bump, lift)
-        ts = ts + 1j * lift
-        vals = [det_at(t) for t in ts]
-        ok = True
-        for k in range(n):
-            if vals[k] == 0 or vals[k + 1] == 0:
-                ok = False
-                break
-            ratio = vals[k + 1] / vals[k]
-            if abs(cmath.phase(ratio)) >= math.pi / 2:
-                ok = False
-                break
-            if not 0.2 < abs(ratio) < 5.0:
-                ok = False
-                break
-        if ok:
+        lift = bump * np.minimum(1.0, np.sin(math.pi * np.minimum(ts, 0.5)))
+        return ts + 1j * np.where(ts >= 0.5, bump, lift)
+
+    n = 64
+    ts = contour(n)
+    vals = dets(np.append(ts, 1.0))   # the contour, then the endpoint t = 1
+    vals, d1 = vals[:-1], complex(vals[-1])
+    while True:
+        ratio, ok = _phase_steps(vals, math.pi / 2)
+        ok &= (0.2 < np.abs(ratio)) & (np.abs(ratio) < 5.0)
+        if ok.all():
             break
         n *= 2
         if n > max_steps:
             raise GraphError("tracked square root is sign-ambiguous "
-                             "(determinant vanishes along the homotopy)")
-    r = 1.0 + 0j
-    for k in range(n):
-        r *= cmath.sqrt(vals[k + 1] / vals[k])
+                             "(determinant vanishes along the homotopy near "
+                             f"t = {complex(ts[np.argmin(ok)]):.6g})")
+        ts = contour(n)
+        vals = np.insert(vals, np.arange(1, len(vals)), dets(ts[1::2]))
+    r = complex(np.prod(np.sqrt(ratio)))
     # vertical descent from 1 + i bump to 1.  Halving the height concentrates
     # the steps where the phase of the determinant turns fastest (near a zero
     # just off the endpoint), keeping every ratio principal.
-    d1 = det_at(1.0 + 0j)
     if d1 == 0:
         return 0.0
-    seq = [vals[-1]]
-    sigma = bump
+    sigma = bump * 0.5 ** np.arange(128)
+    sigma = sigma[sigma >= 1e-30]   # the descent heights, from sigma[0] = bump
+    seq = vals[-1:]
     while abs(seq[-1] - d1) > 0.25 * abs(d1):
-        sigma *= 0.5
-        if sigma < 1e-30:
+        if len(seq) == len(sigma):
             raise GraphError("tracked square root is sign-ambiguous at the "
-                             "endpoint of the homotopy")
-        seq.append(det_at(1.0 + 1j * sigma))
-    seq.append(d1)
-    for v, b in zip(seq, seq[1:]):
-        if v == 0 or b == 0 or abs(cmath.phase(b / v)) >= 0.9 * math.pi:
-            raise GraphError("tracked square root is sign-ambiguous at the "
-                             "endpoint of the homotopy")
-        r *= cmath.sqrt(b / v)
+                             "endpoint of the homotopy (descent height "
+                             f"sigma = {sigma[-1]:.6g})")
+        got = dets(1.0 + 1j * sigma[len(seq):len(seq) + 8])
+        near = np.abs(got - d1) <= 0.25 * abs(d1)
+        seq = np.append(seq, got[:np.argmax(near) + 1] if near.any() else got)
+    ratio, ok = _phase_steps(np.append(seq, d1), 0.9 * math.pi)
+    if not ok.all():
+        where = np.append(sigma[:len(seq)], 0.0)[np.argmin(ok) + 1]
+        raise GraphError("tracked square root is sign-ambiguous at the "
+                         "endpoint of the homotopy (descent height sigma = "
+                         f"{where:.6g})")
+    r *= complex(np.prod(np.sqrt(ratio)))
     mag = math.sqrt(abs(d1))
     if abs(r) > 0 and abs(r.imag) > 1e-6 * abs(r) + 1e-12:
-        raise GraphError("tracked square root did not return to the real axis")
+        raise GraphError("tracked square root did not return to the real "
+                         "axis at t = 1")
     return mag if r.real >= 0 else -mag
+
+
+def _phase_steps(vals, max_phase):
+    """Consecutive ratios of a determinant sequence, and the mask of the steps
+    with nonzero ends whose phase turns by less than ``max_phase``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = vals[1:] / vals[:-1]
+    return ratio, ((vals[:-1] != 0) & (vals[1:] != 0)
+                   & (np.abs(np.angle(ratio)) < max_phase))
 
 
 # -- verification suites -----------------------------------------------------------
@@ -344,9 +384,10 @@ def verify_corr(g, phi=None, x=None, c=None):
 
     kom = kasteleyn(c, phi, "omega", xs)
     dh = half_angle_phases(g)
-    # the diagonal gauge exp(-i a/2) enters on both dart-indexed sides
-    lhs2 = kw @ iqr @ np.diag(dh ** -1)
-    rhs2 = ixj @ np.diag(dh ** -1) @ kom
+    # the diagonal gauge exp(-i a/2) enters on both dart-indexed sides, as
+    # a column scaling
+    lhs2 = lhs * dh ** -1
+    rhs2 = (ixj * dh ** -1) @ kom
     res_omega = max_norm(lhs2 - rhs2) / scale
 
     det_iqr = lu_det(iqr)
@@ -402,8 +443,8 @@ def verify_dirac_identities(g, phi_char=None):
     kom = kasteleyn(c, None, "omega")
     phiom = phi_omega(c)
     dbar_tw, _ = dirac_C(c, field="edge", phi_c=phiom)
-    lhs = kom @ np.diag(np.exp(-0.5j * th_d))
-    rhs = np.diag(np.exp(-0.5j * th_d) * mu_c) @ dbar_tw
+    lhs = kom * np.exp(-0.5j * th_d)
+    rhs = (np.exp(-0.5j * th_d) * mu_c)[:, None] * dbar_tw
     report["kasteleyn_dbar"] = max_norm(lhs - rhs) / max(1.0, max_norm(lhs))
 
     # phi_omega is a cocycle whose square inverts the (trivial) holonomy
@@ -472,25 +513,30 @@ def _dirac_cd_residual(g, c, dg):
     n_d = nl + ne           # Lambda then diamonds
     n_c = 2 * nd            # whites then blacks
 
-    # white ~ midpoint, black ~ origin, black ~ right face
+    # white ~ midpoint, black ~ origin, black ~ right face; h_CD pushes with
+    # weight 1 and h_DC pulls with weight 1/2 per adjacency
     d = np.arange(nd)
     cv = np.concatenate([d, nd + d, nd + d])
     dv = np.concatenate([nl + (d >> 1), g.origin, nv + g.face_of[d ^ 1]])
-    h_dc = np.zeros((n_c, n_d))     # pull with weight 1/2 per adjacency
-    h_cd = np.zeros((n_d, n_c))     # push with weight 1
-    np.add.at(h_dc, (cv, dv), 0.5)
-    np.add.at(h_cd, (dv, cv), 1.0)
 
     mu_c = np.sin(2 * np.repeat(g.theta, 2))
     dbar_c, d_c = dirac_C(c, None, field="constant")
     dir_c = np.zeros((n_c, n_c), dtype=complex)
-    dir_c[:nd, nd:] = np.diag(mu_c) @ dbar_c
-    dir_c[nd:, :nd] = -np.diag(mu_c) @ d_c
+    dir_c[:nd, nd:] = mu_c[:, None] * dbar_c
+    dir_c[nd:, :nd] = -mu_c[:, None] * d_c
 
     dbar_d, d_d = dirac_D(dg)
     dir_d = np.zeros((n_d, n_d), dtype=complex)
-    dir_d[nl:, :nl] = np.diag(dg.mu_diamond) @ dbar_d
-    dir_d[:nl, nl:] = -np.diag(dg.mu_lambda) @ d_d
+    dir_d[nl:, :nl] = dg.mu_diamond[:, None] * dbar_d
+    dir_d[:nl, nl:] = -dg.mu_lambda[:, None] * d_d
 
-    lhs = h_cd @ dir_c @ h_dc
+    # h_CD dir_C h_DC: scatter-add the rows of dir_C along the adjacency,
+    # then the halved columns, one block of nd adjacencies at a time
+    blocks = [slice(k * nd, (k + 1) * nd) for k in range(3)]
+    rows = np.zeros((n_d, n_c), dtype=complex)
+    for b in blocks:
+        np.add.at(rows, dv[b], dir_c[cv[b]])
+    lhs = np.zeros((n_d, n_d), dtype=complex)
+    for b in blocks:
+        np.add.at(lhs.T, dv[b], 0.5 * rows[:, cv[b]].T)
     return max_norm(lhs - dir_d) / max(1.0, max_norm(dir_d))

@@ -146,7 +146,13 @@ SUITES = {
 }
 
 
+def _check_draws(draws):
+    if draws is not None and draws < 1:
+        raise GraphError(f"draws must be at least 1, got {draws}")
+
+
 def run_suite(name, g, fixture="custom", draws=None, seed=0):
+    _check_draws(draws)
     if name == "all":
         return verify_all(g, fixture, draws, seed)
     if name not in SUITES:
@@ -159,6 +165,7 @@ def run_suite(name, g, fixture="custom", draws=None, seed=0):
 
 def verify_all(g, fixture="custom", draws=None, seed=0):
     """Run every suite that applies to the graph; inapplicable ones are skipped."""
+    _check_draws(draws)
     reports = []
     skipped = []
     for name in SUITE_NAMES:

@@ -434,8 +434,11 @@ def character_cochain(g, z, w):
 
 
 def shift_character(shift, z, w):
-    """z^s1 w^s2 for each row (s1, s2) of an integer winding array."""
-    return complex(z) ** shift[:, 0] * complex(w) ** shift[:, 1]
+    """z^s1 w^s2 for each row (s1, s2) of an integer winding array; array
+    ``z`` and ``w`` broadcast as leading axes of the result."""
+    z = np.asarray(z, dtype=complex)[..., None]
+    w = np.asarray(w, dtype=complex)[..., None]
+    return z ** shift[:, 0] * w ** shift[:, 1]
 
 
 def cycle_with_winding(adj, target):

@@ -217,3 +217,13 @@ def test_z_ising_at_beta_zero(tmp_path, capsys):
     code, out = run(capsys, "z-ising", "-g", str(path), "--beta", "0")
     assert code == 2
     assert json.loads(out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("suite", ["det", "all"])
+@pytest.mark.parametrize("draws", ["0", "-2"])
+def test_draws_must_be_positive(tmp_path, capsys, suite, draws):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(_triangle_json(capsys)))
+    code, out = run(capsys, "verify", suite, "-g", str(path), "--draws", draws)
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid_input"

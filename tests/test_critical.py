@@ -152,6 +152,27 @@ def test_spectral_grid_and_free_energy_reproducible():
     assert f1["free_energy_coarse"] == f2["free_energy_coarse"]
 
 
+def test_spectral_grid_matches_single_points():
+    # 64 darts: the 8 x 8 grid spans 16 chunks of the determinant stack
+    g = fx.square_torus(4, 0.37)
+    angles, _, vals = spectral_grid(g, 8)
+    want = np.array([[spectral_curve(g, cmath.exp(1j * a), cmath.exp(1j * b))
+                      for b in angles] for a in angles])
+    assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-15
+
+
+def test_critical_beta_error_names_beta(monkeypatch):
+    import functools
+    import kwlab.critical as critical
+    from kwlab.operators import sqrt_det_tracked
+    # the 7x7 torus needs a refined contour near x = 1 (beta = 50), which
+    # the capped tracker refuses
+    monkeypatch.setattr(critical, "sqrt_det_tracked",
+                        functools.partial(sqrt_det_tracked, max_steps=64))
+    with pytest.raises(GraphError, match=r"near t = .* at beta = 50$"):
+        critical_beta(fx.square_torus(7, 0.5))
+
+
 def test_spectral_curve_nonnegative_at_criticality():
     x = fx.X_CRITICAL_SQUARE
     g = fx.rect_torus(x, x)

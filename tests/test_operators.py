@@ -7,10 +7,10 @@ import pytest
 from kwlab import fixtures as fx
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
                                  principal_angle)
-from kwlab.derived import build_C, build_D, build_M
+from kwlab.derived import build_C, build_D, build_M, isoradial_data
 from kwlab.linalg import lu_det, max_norm
-from kwlab.operators import (dirac_C, dirac_D, kac_ward, kasteleyn, laplacian,
-                             laplacian_M, laplacian_dual, null_space,
+from kwlab.operators import (dirac_C, dirac_D, kac_ward, kasteleyn, kw_dets,
+                             laplacian, laplacian_M, laplacian_dual, null_space,
                              skew_adjacency, sqrt_det_tracked, verify_corr,
                              verify_dirac_identities)
 from kwlab.oracle import signed_cycle_sum
@@ -52,6 +52,68 @@ def kasteleyn_reference(g, phi, x, orientation):
                 o = 1.0 if (dh[d] * o / dh[b]).real > 0 else -1.0
             k[d, b] += o * y
     return k
+
+
+def sqrt_det_tracked_reference(g, phi=None, x=None, max_steps=2 ** 14):
+    """The tracked square root evaluated one determinant at a time."""
+    pv = np.ones(g.nd, dtype=complex) if phi is None else np.asarray(phi)
+    if np.max(np.abs(np.abs(pv.real) - 1.0)) > 1e-12 or np.max(np.abs(pv.imag)) > 1e-12:
+        raise GraphError("tracked square root needs a +-1-valued cochain")
+    xs = g.x if x is None else np.asarray(x, dtype=float)
+
+    def det_at(t):
+        return lu_det(kac_ward(g, pv, xs * t))
+
+    bump = 0.05
+    n = 64
+    while True:
+        ts = np.linspace(0.0, 1.0, n + 1)
+        lift = bump * np.minimum(1.0, np.sin(math.pi * np.minimum(ts, 0.5)))
+        lift = np.where(ts >= 0.5, bump, lift)
+        ts = ts + 1j * lift
+        vals = [det_at(t) for t in ts]
+        ok = True
+        for k in range(n):
+            if vals[k] == 0 or vals[k + 1] == 0:
+                ok = False
+                break
+            ratio = vals[k + 1] / vals[k]
+            if abs(cmath.phase(ratio)) >= math.pi / 2:
+                ok = False
+                break
+            if not 0.2 < abs(ratio) < 5.0:
+                ok = False
+                break
+        if ok:
+            break
+        n *= 2
+        if n > max_steps:
+            raise GraphError("tracked square root is sign-ambiguous "
+                             "(determinant vanishes along the homotopy)")
+    r = 1.0 + 0j
+    for k in range(n):
+        r *= cmath.sqrt(vals[k + 1] / vals[k])
+    d1 = det_at(1.0 + 0j)
+    if d1 == 0:
+        return 0.0
+    seq = [vals[-1]]
+    sigma = bump
+    while abs(seq[-1] - d1) > 0.25 * abs(d1):
+        sigma *= 0.5
+        if sigma < 1e-30:
+            raise GraphError("tracked square root is sign-ambiguous at the "
+                             "endpoint of the homotopy")
+        seq.append(det_at(1.0 + 1j * sigma))
+    seq.append(d1)
+    for v, b in zip(seq, seq[1:]):
+        if v == 0 or b == 0 or abs(cmath.phase(b / v)) >= 0.9 * math.pi:
+            raise GraphError("tracked square root is sign-ambiguous at the "
+                             "endpoint of the homotopy")
+        r *= cmath.sqrt(b / v)
+    mag = math.sqrt(abs(d1))
+    if abs(r) > 0 and abs(r.imag) > 1e-6 * abs(r) + 1e-12:
+        raise GraphError("tracked square root did not return to the real axis")
+    return mag if r.real >= 0 else -mag
 
 
 def _random_unitary_cochain(g, rng):
@@ -227,9 +289,27 @@ def test_dirac_conjugate_coefficients():
 
 
 def test_dirac_rejects_non_isoradial():
-    c = build_C(fx.rect_torus(0.3, 0.4))
-    with pytest.raises(GraphError):
-        dirac_C(c)
+    g = fx.rect_torus(0.3, 0.4)
+    c, dg = build_C(g), build_D(g)
+    for _ in range(2):  # a failed check is not cached
+        with pytest.raises(GraphError):
+            dirac_C(c)
+        with pytest.raises(GraphError):
+            dirac_D(dg)
+        with pytest.raises(GraphError):
+            verify_dirac_identities(g)
+
+
+def test_isoradial_data_is_validated_once():
+    g = fx.square_torus(2)
+    delta = isoradial_data(g)
+    # graphs are not mutated after construction; this one is, to show that
+    # the default-tolerance result is read from the cache
+    g.theta = 0.5 * g.theta
+    assert isoradial_data(g) == delta
+    verify_dirac_identities(g)  # reads the cache too: no GraphError
+    with pytest.raises(GraphError):  # another tolerance checks again
+        isoradial_data(g, tol=1e-6)
 
 
 def test_dirac_user_supplied_reference_angles():
@@ -293,6 +373,64 @@ def test_sqrt_det_tracked_vs_oracle_random():
             xs = rng.uniform(0.02, 0.99, g.ne)
             assert sqrt_det_tracked(g, None, xs) == pytest.approx(
                 signed_cycle_sum(g, None, xs), abs=1e-10)
+
+
+def _tracked_outcome(tracker, g, phi, xs):
+    try:
+        return tracker(g, phi, xs)
+    except GraphError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("g", REFERENCE_FIXTURES)
+def test_sqrt_det_tracked_matches_scalar_reference(g):
+    # the stacked tracker against the one-determinant-at-a-time oracle: the
+    # same value and sign at random and at critical weights, on every +-1
+    # character of the torus
+    rng = np.random.default_rng(13)
+    signs = [None]
+    if g.genus == 1:
+        signs += [character_cochain(g, z, w).values
+                  for z in (1, -1) for w in (1, -1)]
+    weights = [rng.uniform(0.02, 0.99, g.ne) for _ in range(3)]
+    weights.append(np.full(g.ne, fx.X_CRITICAL_SQUARE))
+    if g.nv == 2:  # the honeycomb: 3 x^2 = 1
+        weights.append(np.full(g.ne, 1.0 / math.sqrt(3.0)))
+    for xs in weights:
+        for phi in signs:
+            want = _tracked_outcome(sqrt_det_tracked_reference, g, phi, xs)
+            got = _tracked_outcome(sqrt_det_tracked, g, phi, xs)
+            assert got == want  # exactly: the same value and sign
+
+
+def test_sqrt_det_tracked_refined_contour_matches_reference():
+    # the 7x7 torus at x = 0.9 needs a doubled contour: the reused even
+    # points and the new odd ones give the oracle's value
+    g = fx.square_torus(7, 0.9)
+    assert sqrt_det_tracked(g) == sqrt_det_tracked_reference(g)
+
+
+def test_sqrt_det_tracked_error_names_contour_point():
+    g = fx.square_torus(7, 0.9)
+    with pytest.raises(GraphError, match=r"near t = 0\.\d+\+0\.0\d+j"):
+        sqrt_det_tracked(g, max_steps=64)
+
+
+def test_kac_ward_stack_matches_single_calls():
+    g = fx.square_torus(2, 0.4)
+    rng = np.random.default_rng(14)
+    phis = np.stack([_random_unitary_cochain(g, rng) for _ in range(5)])
+    xs = rng.uniform(0.02, 0.98, (5, g.ne))
+    stack = kac_ward(g, phis, xs)
+    assert stack.shape == (5, g.nd, g.nd)
+    for k in range(5):
+        assert np.array_equal(stack[k], kac_ward(g, phis[k], xs[k]))
+    # one cochain against a stack of weights, and the stacked determinants
+    stack = kac_ward(g, phis[0], xs)
+    for k in range(5):
+        assert np.array_equal(stack[k], kac_ward(g, phis[0], xs[k]))
+    dets = kw_dets(g, phis[0], xs)
+    assert np.array_equal(dets, [lu_det(kac_ward(g, phis[0], x)) for x in xs])
 
 
 def test_sqrt_det_tracked_rejects_complex_cochain():
