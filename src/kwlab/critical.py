@@ -135,17 +135,23 @@ def hessian_tau(g, x=None, h=1e-4):
     Central differences in the real (z, w) coordinates with one Richardson
     extrapolation step; tau is the root of A_w t^2 + 2 B t + A_z in the upper
     half plane.  Requires (approximately) critical weights so that the
-    discriminant A_z A_w - B^2 is positive.
+    discriminant A_z A_w - B^2 is positive.  The 17 distinct stencil points
+    are one ``kw_dets`` stack, bitwise the ``spectral_curve`` values there.
     """
-    def p(z, w):
-        val = spectral_curve(g, z, w, x)
-        return val.real
+    if g.genus != 1:
+        raise GraphError("the spectral curve needs a genus-1 graph")
+    points = list(dict.fromkeys(
+        (1 + a * step, 1 + b * step) for step in (h, h / 2)
+        for a in (-1, 0, 1) for b in (-1, 0, 1)))
+    z, w = np.array(points).T
+    vals = kw_dets(g, shift_character(g.shift, z, w), g.x if x is None else x)
+    p = dict(zip(points, vals.real))
 
     def stencil(step):
-        azz = (p(1 + step, 1) - 2 * p(1, 1) + p(1 - step, 1)) / step ** 2
-        aww = (p(1, 1 + step) - 2 * p(1, 1) + p(1, 1 - step)) / step ** 2
-        b = (p(1 + step, 1 + step) - p(1 + step, 1 - step)
-             - p(1 - step, 1 + step) + p(1 - step, 1 - step)) / (4 * step ** 2)
+        azz = (p[1 + step, 1] - 2 * p[1, 1] + p[1 - step, 1]) / step ** 2
+        aww = (p[1, 1 + step] - 2 * p[1, 1] + p[1, 1 - step]) / step ** 2
+        b = (p[1 + step, 1 + step] - p[1 + step, 1 - step]
+             - p[1 - step, 1 + step] + p[1 - step, 1 - step]) / (4 * step ** 2)
         return np.array([azz, aww, b])
 
     coarse = stencil(h)

@@ -506,37 +506,29 @@ def _dirac_cd_residual(g, c, dg):
 
     The adjacency couples each white w[e] to the midpoint z_e with weight 1/2,
     and each black b[e] to the origin o(e) and the right-face center, weight
-    1/2 each.
+    1/2 each.  Both sides only map whites <-> blacks and Lambda <-> diamonds,
+    so only those two off-diagonal blocks are built.
     """
-    nd, nv, ne = g.nd, g.nv, g.ne
-    nl = dg.n_lambda
-    n_d = nl + ne           # Lambda then diamonds
-    n_c = 2 * nd            # whites then blacks
-
-    # white ~ midpoint, black ~ origin, black ~ right face; h_CD pushes with
-    # weight 1 and h_DC pulls with weight 1/2 per adjacency
-    d = np.arange(nd)
-    cv = np.concatenate([d, nd + d, nd + d])
-    dv = np.concatenate([nl + (d >> 1), g.origin, nv + g.face_of[d ^ 1]])
-
+    nd, nl = g.nd, dg.n_lambda
+    black_ends = (g.origin, g.nv + g.face_of[np.arange(nd) ^ 1])
     mu_c = np.sin(2 * np.repeat(g.theta, 2))
     dbar_c, d_c = dirac_C(c, None, field="constant")
-    dir_c = np.zeros((n_c, n_c), dtype=complex)
-    dir_c[:nd, nd:] = mu_c[:, None] * dbar_c
-    dir_c[nd:, :nd] = -mu_c[:, None] * d_c
-
     dbar_d, d_d = dirac_D(dg)
-    dir_d = np.zeros((n_d, n_d), dtype=complex)
-    dir_d[nl:, :nl] = dg.mu_diamond[:, None] * dbar_d
-    dir_d[:nl, nl:] = -dg.mu_lambda[:, None] * d_d
 
-    # h_CD dir_C h_DC: scatter-add the rows of dir_C along the adjacency,
-    # then the halved columns, one block of nd adjacencies at a time
-    blocks = [slice(k * nd, (k + 1) * nd) for k in range(3)]
-    rows = np.zeros((n_d, n_c), dtype=complex)
-    for b in blocks:
-        np.add.at(rows, dv[b], dir_c[cv[b]])
-    lhs = np.zeros((n_d, n_d), dtype=complex)
-    for b in blocks:
-        np.add.at(lhs.T, dv[b], 0.5 * rows[:, cv[b]].T)
-    return max_norm(lhs - dir_d) / max(1.0, max_norm(dir_d))
+    # h_CD pushes rows with weight 1 and h_DC pulls columns with weight 1/2;
+    # the whites of darts 2k and 2k + 1 share the diamond k
+    wb = mu_c[:, None] * dbar_c             # white rows, black columns
+    dia_b = 0.5 * (wb[0::2] + wb[1::2])
+    dia_lam = np.zeros((g.ne, nl), dtype=complex)
+    for ends in black_ends:
+        np.add.at(dia_lam.T, ends, dia_b.T)
+    bw = -mu_c[:, None] * d_c               # black rows, white columns
+    lam_w = np.zeros((nl, nd), dtype=complex)
+    for ends in black_ends:
+        np.add.at(lam_w, ends, bw)
+    lam_dia = 0.5 * lam_w[:, 0::2] + 0.5 * lam_w[:, 1::2]
+
+    want_dl = dg.mu_diamond[:, None] * dbar_d
+    want_ld = -dg.mu_lambda[:, None] * d_d
+    err = max(max_norm(dia_lam - want_dl), max_norm(lam_dia - want_ld))
+    return err / max(1.0, max_norm(want_dl), max_norm(want_ld))

@@ -3,9 +3,9 @@
 Everything here is independent of the dense operator pipeline so the two can
 check each other: even subgraphs are enumerated from a GF(2) cycle-space
 basis, loop signs come from non-crossing resolutions and velocity rotation
-numbers, the dimer partition function is a Ryser permanent over the bipartite
-rectangle graph, and the inverse-operator coefficients are assembled from
-marked two-leg configurations.
+numbers, the dimer partition function is a subset-DP permanent over the
+bipartite rectangle graph, and the inverse-operator coefficients are assembled
+from marked two-leg configurations.
 """
 
 from __future__ import annotations
@@ -277,21 +277,12 @@ def signed_cycle_sum(g, phi=None, x=None, rng=None):
     if g.ne > SUM_GUARD:
         raise SizeGuardError(f"signed cycle sum capped at {SUM_GUARD} edges")
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    total = 0.0
-    for mask in enumerate_even(g):
-        res = resolve(g, mask, rng=rng)
-        sgn = q_sign(g, res)
-        weight = 1.0
-        for k in range(g.ne):
-            if mask >> k & 1:
-                weight *= xs[k]
-                if phi is not None:
-                    pv = complex(phi[2 * k])
-                    if abs(pv.imag) > 1e-12 or abs(abs(pv.real) - 1) > 1e-12:
-                        raise GraphError("signed cycle sum needs a +-1 cochain")
-                    weight *= pv.real
-        total += sgn * weight
-    return total
+    if phi is not None:
+        pv = np.array([complex(phi[2 * k]) for k in range(g.ne)])
+        if np.any(abs(pv.imag) > 1e-12) or np.any(abs(abs(pv.real) - 1) > 1e-12):
+            raise GraphError("signed cycle sum needs a +-1 cochain")
+        xs = xs * pv.real
+    return float(_sum_terms(g, *_signed_evens(g, rng), xs).real)
 
 
 # -- partition functions -------------------------------------------------------
@@ -352,28 +343,24 @@ def ising_partition(g, j=None, beta=1.0):
 ARF_SIGNS_GENUS1 = {(1, 1): -1.0, (-1, 1): 1.0, (1, -1): 1.0, (-1, -1): 1.0}
 
 
-def _ryser_permanent(a):
-    """Permanent by Ryser's formula with Gray-code subset updates."""
+def _permanent(a):
+    """Permanent as a sum over perfect matchings, by a subset DP over rows.
+
+    ``partial`` maps each set of columns (a bitmask) used by the rows done so
+    far to the total weight of the partial matchings using exactly those
+    columns; each row extends it through its nonzero entries only.
+    """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    total = 0.0
-    row = np.zeros(n)
-    gray = 0
-    sign = 1 if n % 2 == 0 else -1
-    for k in range(1, 1 << n):
-        new_gray = k ^ (k >> 1)
-        bit = new_gray ^ gray
-        col = bit.bit_length() - 1
-        if new_gray & bit:
-            row += a[:, col]
-        else:
-            row -= a[:, col]
-        gray = new_gray
-        parity = -1 if (bin(new_gray).count("1") % 2) else 1
-        total += sign * parity * np.prod(row)
-    return total
+    partial = {0: 1.0}
+    for row in a:
+        cols = [(1 << int(j), float(row[j])) for j in np.flatnonzero(row)]
+        grown = {}
+        for used, val in partial.items():
+            for bit, y in cols:
+                if not used & bit:
+                    grown[used | bit] = grown.get(used | bit, 0.0) + val * y
+        partial = grown
+    return partial.get((1 << a.shape[1]) - 1, 0.0)
 
 
 def dimer_partition(c, phis=None):
@@ -393,7 +380,7 @@ def dimer_partition(c, phis=None):
         raise SizeGuardError(f"matching enumeration capped at {MATCH_GUARD} vertices")
     a = np.zeros((g.nd, g.nd))
     np.add.at(a, (c.w, c.b), c.y)
-    z_match = _ryser_permanent(a)
+    z_match = _permanent(a)
 
     if g.genus == 0:
         combo = lu_det(kasteleyn(c, None, "omega"))
@@ -413,12 +400,48 @@ def dimer_partition(c, phis=None):
 # -- inverse-operator coefficients ----------------------------------------------
 
 
-def _config_weight(g, mask, xs):
-    w = 1.0
-    for k in range(g.ne):
-        if mask >> k & 1:
-            w *= xs[k]
-    return w
+def _signed_evens(g, rng=None):
+    """Every even subgraph (as a mask array) and its loop sign, resolved once."""
+    masks = enumerate_even(g)
+    signs = [q_sign(g, resolve(g, m, rng=rng)) for m in masks]
+    return np.array(masks, dtype=np.int64), np.array(signs, dtype=float)
+
+
+def _entry_terms(g, e1, e2, evens=None, rng=None):
+    """Monomials of the coefficient (e1, e2) of ``inverse_coefficient``: it is
+    the sum of factor * prod_{k in mask} x_k.  Diagonal terms are the signed
+    even subgraphs ``evens`` (``_signed_evens`` by default) avoiding the edge
+    of e1; off-diagonal masks hold the edge of e1, whose weight x_{e1} they
+    carry.
+    """
+    k1, k2 = e1 >> 1, e2 >> 1
+    if e1 == e2:
+        masks, signs = _signed_evens(g, rng) if evens is None else evens
+        keep = (masks >> k1 & 1) == 0
+        return masks[keep], signs[keep]
+
+    if e2 == (e1 ^ 1):
+        # the open walk would have to leave and re-enter the marked midpoint
+        # through the same half-edge; no subgraph realizes that
+        return [], []
+
+    t1, o2 = g.terminus(e1), int(g.origin[e2])
+    odd = [] if t1 == o2 else [t1, o2]
+    excl = [k1] if k1 == k2 else [k1, k2]
+    masks, factors = [], []
+    for mask in enumerate_parity(g, odd, excluded=excl):
+        res = resolve(g, mask, marks=(e1, e2), rng=rng)
+        ro = rot_of_path(g, res.path, res.path_start, res.path_end)
+        masks.append(mask | 1 << k1)
+        factors.append(q_sign(g, res) * cmath.exp(0.5j * ro))
+    return masks, factors
+
+
+def _sum_terms(g, masks, factors, xs):
+    """sum factor * prod_{k in mask} x_k for each weight row of ``xs`` (..., ne)."""
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(g.ne)) & 1
+    mono = np.where(bits == 1, xs[..., None, :], 1.0).prod(axis=-1)
+    return (mono * np.array(factors, dtype=complex)).sum(axis=-1)
 
 
 def inverse_coefficient(g, e1, e2, x=None, rng=None):
@@ -428,44 +451,27 @@ def inverse_coefficient(g, e1, e2, x=None, rng=None):
     Off-diagonal: a sum over two-leg configurations leaving the midpoint of e1
     toward its terminus and entering the midpoint of e2 from its origin, with
     weight x_{e1} x(xi), loop signs, and exp(i rot / 2) along the open walk.
+    ``x`` of shape (..., ne) gives one coefficient per weight row.
     """
     if g.ne > INV_GUARD:
         raise SizeGuardError(f"inverse-coefficient oracle capped at {INV_GUARD} edges")
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    k1, k2 = e1 >> 1, e2 >> 1
-    if e1 == e2:
-        total = 0.0 + 0j
-        for mask in enumerate_even(g):
-            if mask >> k1 & 1:
-                continue
-            total += q_sign(g, resolve(g, mask, rng=rng)) * _config_weight(g, mask, xs)
-        return total
-
-    if e2 == (e1 ^ 1):
-        # the open walk would have to leave and re-enter the marked midpoint
-        # through the same half-edge; no subgraph realizes that
-        return 0.0 + 0j
-
-    odd = []
-    t1, o2 = g.terminus(e1), int(g.origin[e2])
-    if t1 != o2:
-        odd = [t1, o2]
-    excl = [k1] if k1 == k2 else [k1, k2]
-    masks = enumerate_parity(g, odd, excluded=excl)
-    total = 0.0 + 0j
-    for mask in masks:
-        res = resolve(g, mask, marks=(e1, e2), rng=rng)
-        sgn = q_sign(g, res)
-        ro = rot_of_path(g, res.path, res.path_start, res.path_end)
-        total += sgn * cmath.exp(0.5j * ro) * xs[k1] * _config_weight(g, mask, xs)
-    return total
+    return _sum_terms(g, *_entry_terms(g, e1, e2, rng=rng), xs)
 
 
 def inverse_matrix(g, x=None, rng=None):
-    """The full combinatorial matrix: equals sqrt(det KW) times KW^{-1}."""
-    nd = g.nd
-    m = np.empty((nd, nd), dtype=complex)
-    for e1 in range(nd):
-        for e2 in range(nd):
-            m[e1, e2] = inverse_coefficient(g, e1, e2, x=x, rng=rng)
+    """The full combinatorial matrix: equals sqrt(det KW) times KW^{-1}.
+
+    ``x`` of shape (..., ne) gives a stack (..., nd, nd).  Each configuration
+    is resolved once for the stack, each even subgraph once for the diagonal.
+    """
+    if g.ne > INV_GUARD:
+        raise SizeGuardError(f"inverse-coefficient oracle capped at {INV_GUARD} edges")
+    xs = g.x if x is None else np.asarray(x, dtype=float)
+    evens = _signed_evens(g, rng)
+    m = np.empty(xs.shape[:-1] + (g.nd, g.nd), dtype=complex)
+    for e1 in range(g.nd):
+        for e2 in range(g.nd):
+            m[..., e1, e2] = _sum_terms(
+                g, *_entry_terms(g, e1, e2, evens, rng), xs)
     return m

@@ -21,8 +21,7 @@ from .linalg import lu_det, lu_solve, max_norm, null_space
 from .surface_graph import GraphError, cycle_with_winding
 from .derived import build_C, half_angle_phases
 from .operators import dirac_C, kac_ward, kasteleyn, phi_omega, sqrt_det_tracked
-from .oracle import (_config_weight, enumerate_parity, inverse_coefficient,
-                     q_sign, resolve, rot_of_path)
+from .oracle import _entry_terms, _sum_terms, inverse_coefficient
 
 
 def _proj(z, angle):
@@ -206,15 +205,13 @@ def observable(g, e0, backend="auto", x=None):
                 continue
             out[k] = pref * inverse_coefficient(g, e0 ^ 1, e0 ^ 1, x=xs) / sn
             continue
+        # the configurations of the inverse coefficients (e0, e_in), without
+        # the weight x_{e0} and with the walk phase conjugated
         total = 0.0 + 0j
         for e_in in (2 * k, 2 * k + 1):
-            t1, o2 = g.terminus(e0), int(g.origin[e_in])
-            odd = [] if t1 == o2 else [t1, o2]
-            for mask in enumerate_parity(g, odd, excluded=[k0, k]):
-                res = resolve(g, mask, marks=(e0, e_in))
-                sgn = q_sign(g, res)
-                ro = rot_of_path(g, res.path, res.path_start, res.path_end)
-                total += sgn * cmath.exp(-0.5j * ro) * _config_weight(g, mask, xs)
+            masks, factors = _entry_terms(g, e0, e_in)
+            total += _sum_terms(g, [m ^ 1 << k0 for m in masks],
+                                np.conj(factors), xs)
         out[k] = pref * total / math.cos(0.5 * theta[k])
     return out
 

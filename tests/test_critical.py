@@ -84,6 +84,40 @@ def test_tau_rectangular():
         assert abs(h[0, 1] - h[1, 0]) < 1e-12
 
 
+def hessian_tau_reference(g, x=None, h=1e-4):
+    """The scalar stencil: one spectral_curve call per stencil term."""
+    def p(z, w):
+        return spectral_curve(g, z, w, x).real
+
+    def stencil(step):
+        azz = (p(1 + step, 1) - 2 * p(1, 1) + p(1 - step, 1)) / step ** 2
+        aww = (p(1, 1 + step) - 2 * p(1, 1) + p(1, 1 - step)) / step ** 2
+        b = (p(1 + step, 1 + step) - p(1 + step, 1 - step)
+             - p(1 - step, 1 + step) + p(1 - step, 1 - step)) / (4 * step ** 2)
+        return np.array([azz, aww, b])
+
+    azz, aww, b = (4.0 * stencil(h / 2) - stencil(h)) / 3.0
+    root = (-b + 1j * math.sqrt(azz * aww - b * b)) / aww
+    return np.array([[azz, b], [b, aww]]), (root if root.imag > 0
+                                            else root.conjugate())
+
+
+def test_hessian_tau_stack_is_the_scalar_stencil():
+    th = 1.1
+    x, y = math.tan(th / 2), math.tan((math.pi / 2 - th) / 2)
+    xh = 1.0 / math.sqrt(3.0)
+    for g, xs in ((fx.rect_torus(x, y), None),
+                  (fx.honeycomb_torus((xh, xh, xh)), None),
+                  (fx.square_torus(2), None),
+                  (fx.square_torus(2), np.full(8, fx.X_CRITICAL_SQUARE))):
+        rep = hessian_tau(g, x=xs)
+        hessian, tau = hessian_tau_reference(g, x=xs)
+        assert np.array_equal(rep["hessian"], hessian)
+        assert rep["tau"] == tau
+    with pytest.raises(GraphError):
+        hessian_tau(fx.triangle(0.3))
+
+
 def test_tau_isotropic_is_i():
     x = fx.X_CRITICAL_SQUARE
     rep = hessian_tau(fx.rect_torus(x, x))

@@ -9,7 +9,8 @@ from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
                                  principal_angle)
 from kwlab.derived import build_C, build_D, build_M, isoradial_data
 from kwlab.linalg import lu_det, max_norm
-from kwlab.operators import (dirac_C, dirac_D, kac_ward, kasteleyn, kw_dets,
+from kwlab.operators import (_dirac_cd_residual, dirac_C, dirac_D, kac_ward,
+                             kasteleyn, kw_dets,
                              laplacian, laplacian_M, laplacian_dual, null_space,
                              skew_adjacency, sqrt_det_tracked, verify_corr,
                              verify_dirac_identities)
@@ -345,6 +346,40 @@ def test_dirac_identities_on_anisotropic_honeycomb():
         rep = verify_dirac_identities(g)
         for key in ("kasteleyn_dbar", "double_factorization", "dirac_cd"):
             assert rep[key] < 1e-12, (thetas, key, rep[key])
+
+
+def dirac_cd_residual_reference(g, c, dg):
+    """The intertwiner residual through the dense 2 nd x 2 nd Dirac_C."""
+    nd, nv, ne = g.nd, g.nv, g.ne
+    nl = dg.n_lambda
+    n_d = nl + ne
+    d = np.arange(nd)
+    cv = np.concatenate([d, nd + d, nd + d])
+    dv = np.concatenate([nl + (d >> 1), g.origin, nv + g.face_of[d ^ 1]])
+    mu_c = np.sin(2 * np.repeat(g.theta, 2))
+    dbar_c, d_c = dirac_C(c, None, field="constant")
+    dir_c = np.zeros((2 * nd, 2 * nd), dtype=complex)
+    dir_c[:nd, nd:] = mu_c[:, None] * dbar_c
+    dir_c[nd:, :nd] = -mu_c[:, None] * d_c
+    dbar_d, d_d = dirac_D(dg)
+    dir_d = np.zeros((n_d, n_d), dtype=complex)
+    dir_d[nl:, :nl] = dg.mu_diamond[:, None] * dbar_d
+    dir_d[:nl, nl:] = -dg.mu_lambda[:, None] * d_d
+    h_cd = np.zeros((n_d, 2 * nd))
+    h_cd[dv, cv] = 1.0
+    lhs = h_cd @ dir_c @ (0.5 * h_cd.T)
+    return max_norm(lhs - dir_d) / max(1.0, max_norm(dir_d))
+
+
+def test_dirac_cd_residual_vs_dense_reference():
+    for g in (fx.square_torus(2), fx.square_torus(3),
+              fx.rect_torus_iso(math.pi / 3), fx.rect_torus_iso(1.1),
+              fx.honeycomb_torus_iso((math.pi / 6,) * 3),
+              fx.honeycomb_torus_iso((0.3, 0.5, math.pi / 2 - 0.8))):
+        c, dg = build_C(g), build_D(g)
+        got = _dirac_cd_residual(g, c, dg)
+        assert abs(got - dirac_cd_residual_reference(g, c, dg)) <= 1e-16
+        assert got < 1e-12
 
 
 def test_skew_adjacency_antisymmetric_and_zero_diag():

@@ -1,16 +1,18 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from kwlab import fixtures as fx
-from kwlab.surface_graph import SizeGuardError, character_cochain
+from kwlab.surface_graph import GraphError, SizeGuardError, character_cochain
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
 from kwlab.operators import kac_ward, sqrt_det_tracked
-from kwlab.oracle import (dimer_partition, enumerate_even, enumerate_parity,
-                          inverse_matrix, ising_partition, q_sign, resolve,
-                          rot_of_loop, signed_cycle_sum)
+from kwlab.oracle import (_permanent, dimer_partition, enumerate_even,
+                          enumerate_parity, inverse_coefficient, inverse_matrix,
+                          ising_partition, q_sign, resolve, rot_of_loop,
+                          rot_of_path, signed_cycle_sum)
 
 
 def bits(mask, n):
@@ -84,6 +86,9 @@ def test_signed_cycle_sum_examples():
     for zw, want in vals.items():
         phi = character_cochain(g, *zw)
         assert signed_cycle_sum(g, phi.values) == pytest.approx(want)
+        assert signed_cycle_sum(g, phi) == pytest.approx(want)
+    with pytest.raises(GraphError):
+        signed_cycle_sum(g, np.full(g.nd, 1j))
 
 
 def test_signed_cycle_sum_squares_to_det():
@@ -168,3 +173,107 @@ def test_inverse_matrix_vs_dense():
         kw = kac_ward(g)
         expected = sqrt_det_tracked(g) * lu_solve(kw, np.eye(g.nd, dtype=complex))
         assert max_norm(inverse_matrix(g) - expected) < 1e-9
+
+
+def ryser_permanent_reference(a):
+    """Permanent by Ryser's formula with Gray-code subset updates."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if n == 0:
+        return 1.0
+    total = 0.0
+    row = np.zeros(n)
+    gray = 0
+    sign = 1 if n % 2 == 0 else -1
+    for k in range(1, 1 << n):
+        new_gray = k ^ (k >> 1)
+        bit = new_gray ^ gray
+        col = bit.bit_length() - 1
+        if new_gray & bit:
+            row += a[:, col]
+        else:
+            row -= a[:, col]
+        gray = new_gray
+        parity = -1 if (bin(new_gray).count("1") % 2) else 1
+        total += sign * parity * np.prod(row)
+    return total
+
+
+def _weight_matrix(g):
+    c = build_C(g)
+    a = np.zeros((g.nd, g.nd))
+    np.add.at(a, (c.w, c.b), c.y)
+    return a
+
+
+def test_permanent_vs_ryser():
+    mats = [_weight_matrix(g) for g in (
+        fx.triangle(0.3), fx.rect_torus(0.3, 0.45),
+        fx.honeycomb_torus((0.3, 0.4, 0.5)), fx.square_torus(1))]
+    rng = np.random.default_rng(21)
+    for n in range(1, 11):
+        mats.append(rng.uniform(-1.0, 1.0, (n, n)))
+        mats.append(rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.3))
+    for a in mats:
+        want = ryser_permanent_reference(a)
+        assert _permanent(a) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # at n = 16 Ryser's 2^16 alternating terms leave it 4.6e-12 (relative)
+    # off the exact 17 that the subset DP returns
+    a = _weight_matrix(fx.square_torus(2))
+    assert _permanent(a) == pytest.approx(ryser_permanent_reference(a),
+                                          rel=1e-11)
+    assert _permanent(np.zeros((0, 0))) == 1.0
+    assert _permanent(np.zeros((3, 3))) == 0.0
+
+
+def test_dimer_matchings_exact_on_square_torus():
+    # every matching term is positive, so no cancellation error remains
+    assert dimer_partition(build_C(fx.square_torus(2)))["matchings"] == 17.0
+
+
+def inverse_coefficient_reference(g, e1, e2, xs):
+    """The per-entry oracle: one enumeration and resolution per coefficient."""
+    def weight(mask):
+        w = 1.0
+        for k in range(g.ne):
+            if mask >> k & 1:
+                w *= xs[k]
+        return w
+
+    k1, k2 = e1 >> 1, e2 >> 1
+    total = 0.0 + 0j
+    if e1 == e2:
+        for mask in enumerate_even(g):
+            if not mask >> k1 & 1:
+                total += q_sign(g, resolve(g, mask)) * weight(mask)
+        return total
+    if e2 == (e1 ^ 1):
+        return total
+    t1, o2 = g.terminus(e1), int(g.origin[e2])
+    odd = [] if t1 == o2 else [t1, o2]
+    excl = [k1] if k1 == k2 else [k1, k2]
+    for mask in enumerate_parity(g, odd, excluded=excl):
+        res = resolve(g, mask, marks=(e1, e2))
+        ro = rot_of_path(g, res.path, res.path_start, res.path_end)
+        total += (q_sign(g, res) * cmath.exp(0.5j * ro) * xs[k1]
+                  * weight(mask))
+    return total
+
+
+@pytest.mark.parametrize("g", [fx.triangle(0.3), fx.square_patch(2, 2),
+                               fx.rect_torus(0.3, 0.4), fx.square_torus(2)],
+                         ids=["triangle", "patch", "rect", "square2"])
+def test_inverse_matrix_vs_per_entry_reference(g):
+    rng = np.random.default_rng(22)
+    xs = np.stack([g.x, rng.uniform(0.05, 0.95, g.ne), np.zeros(g.ne)])
+    got = inverse_matrix(g, xs)
+    assert got.shape == (3, g.nd, g.nd)
+    for x, m in zip(xs, got):
+        ref = np.array([[inverse_coefficient_reference(g, e1, e2, x)
+                         for e2 in range(g.nd)] for e1 in range(g.nd)])
+        assert max_norm(m - ref) <= 1e-15
+        assert np.array_equal(inverse_matrix(g, x), m)
+    e = g.nd - 1
+    assert inverse_coefficient(g, e, e, xs) == pytest.approx(got[:, e, e],
+                                                             abs=1e-15)
+    assert inverse_coefficient(g, 0, e, xs[1]) == got[1, 0, e]
