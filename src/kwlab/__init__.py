@@ -7,7 +7,7 @@ from .derived import build_C, build_D, build_M, isoradial_data, validate_kastele
 from .linalg import lu_det as det
 from .operators import (dirac_C, dirac_D, kac_ward, kasteleyn, laplacian,
                         laplacian_M, laplacian_dual, null_space,
-                        skew_adjacency, sqrt_det_tracked, verify_corr,
+                        skew_adjacency, sqrt_det_pfaffian, verify_corr,
                         verify_dirac_identities)
 
 __all__ = [
@@ -17,7 +17,7 @@ __all__ = [
     "build_C", "build_D", "build_M", "isoradial_data", "validate_kasteleyn",
     "det", "dirac_C", "dirac_D", "kac_ward", "kasteleyn", "laplacian",
     "laplacian_M", "laplacian_dual", "null_space", "skew_adjacency",
-    "sqrt_det_tracked", "verify_corr", "verify_dirac_identities",
+    "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
 ]
 
 __version__ = "0.1.0"

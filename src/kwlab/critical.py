@@ -10,12 +10,13 @@ import numpy as np
 
 from .linalg import lu_det
 from .surface_graph import GraphError, character_cochain, dual, shift_character
-from .operators import kac_ward, kw_dets, sqrt_det_tracked
+from .operators import kac_ward, kw_dets, sqrt_det_pfaffian
 from .oracle import ARF_SIGNS_GENUS1
 
-BISECT_LO = 1e-6
-BISECT_HI = 50.0
-BISECT_MAX_ITER = 200
+#: the initial root bracket of ``critical_beta``, widened if it has no sign change
+ROOT_BRACKET_LO = 1e-6
+ROOT_BRACKET_HI = 50.0
+BRENT_MAX_ITER = 200
 
 
 def spectral_curve(g, z, w, x=None):
@@ -45,14 +46,14 @@ def spectral_grid(g, n, x=None):
 
 
 def critical_beta(g, j=None, tol=1e-12, trace=None):
-    """Inverse temperature at which the tracked square root at (1, 1) vanishes.
+    """Inverse temperature at which the signed square root at (1, 1) vanishes.
 
-    The square root is positive below and negative above the critical point;
-    bisection starts from [1e-6, 50] with automatic bracket expansion and
-    stops at the requested width.  ``j`` defaults to couplings with
-    tanh(j) equal to the stored weights.  ``trace``, if a list, collects the
-    evaluated (beta, tracked square root) pairs.  A tracking failure is
-    re-raised with the beta being evaluated.
+    The Pfaffian signed root (``sqrt_det_pfaffian``) is positive below and
+    negative above the critical point; Brent's method finds its sign change
+    in [1e-6, 50], with automatic bracket expansion, to within ``tol`` (plus
+    a few ulps of beta).  ``j`` defaults to couplings with tanh(j) equal to
+    the stored weights.  ``trace``, if a list, collects the evaluated (beta,
+    signed root) pairs.  A failed evaluation is re-raised with its beta.
     """
     if g.genus != 1:
         raise GraphError("criticality search needs a genus-1 graph")
@@ -66,14 +67,14 @@ def critical_beta(g, j=None, tol=1e-12, trace=None):
 
     def s(beta):
         try:
-            val = sqrt_det_tracked(g, None, np.tanh(beta * j))
+            val = sqrt_det_pfaffian(g, None, np.tanh(beta * j))
         except GraphError as exc:
             raise GraphError(f"{exc} at beta = {beta:.17g}") from exc
         if trace is not None:
             trace.append((beta, val))
         return val
 
-    lo, hi = BISECT_LO, BISECT_HI
+    lo, hi = ROOT_BRACKET_LO, ROOT_BRACKET_HI
     s_lo, s_hi = s(lo), s(hi)
     grow = 0
     while s_lo * s_hi > 0 and grow < 8:
@@ -82,24 +83,60 @@ def critical_beta(g, j=None, tol=1e-12, trace=None):
         s_lo, s_hi = s(lo), s(hi)
         grow += 1
     if s_lo * s_hi > 0:
-        raise GraphError("no sign change of the tracked square root in the "
-                         "bisection bracket; weights look pathological")
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        s_mid = s(mid)
-        if s_lo * s_mid <= 0:
-            hi, s_hi = mid, s_mid
-        else:
-            lo, s_lo = mid, s_mid
-        if hi - lo < tol:
-            break
-    beta_c = 0.5 * (lo + hi)
+        raise GraphError("no sign change of the signed square root in the "
+                         "root bracket; weights look pathological")
+    beta_c = _brent(s, lo, hi, s_lo, s_hi, tol)
     p11 = spectral_curve(g, 1.0, 1.0, np.tanh(beta_c * j))
     return {"beta_c": beta_c, "P11": abs(p11)}
 
 
+def _brent(f, a, b, fa, fb, tol):
+    """Zero of f in [a, b], where fa = f(a) and fb = f(b) differ in sign.
+
+    Brent's zeroin: inverse quadratic or secant steps while they stay inside
+    the bracket and shrink it fast enough, bisection otherwise.  b is the best
+    iterate and c the other end of the bracket; the loop stops once the
+    bracket is at most tol + 4 eps |b| wide.
+    """
+    eps = np.finfo(float).eps
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(BRENT_MAX_ITER):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+    return b
+
+
 def criticality_report(g, j=None, n=32):
-    """Full criticality summary: beta_c with its bisection trace, the Hessian
+    """Full criticality summary: beta_c with its root-finder trace, the Hessian
     and modular parameter at the critical weights, and the free energy there.
 
     Invariants: Im(tau) > 0 and a symmetric Hessian (both guaranteed by the
@@ -219,8 +256,8 @@ def duality_check(g, draws=10, seed=0):
     Checks 2^V prod(1+x)^-1 det KW^phi(G, x) = 2^V* prod(1+x*)^-1
     det KW^phi(G*, x*) over random unitary characters, and the square-root
     version with Arf signs at the four +-1 characters (minus exactly at the
-    trivial one).  Torus graphs only: the planar dual has no valid angle data
-    for the constant reference field.
+    trivial one), from the Pfaffian signed roots.  Torus graphs only: the
+    planar dual has no valid angle data for the constant reference field.
     """
     if g.genus != 1:
         raise GraphError("duality check supports genus-1 graphs (the planar "
@@ -244,8 +281,8 @@ def duality_check(g, draws=10, seed=0):
     pref_h = 2.0 ** (g.nv / 2.0) / math.sqrt(float(np.prod(1.0 + g.x)))
     pref_hd = 2.0 ** (gd.nv / 2.0) / math.sqrt(float(np.prod(1.0 + gd.x)))
     for zw in ARF_SIGNS_GENUS1:
-        s = pref_h * sqrt_det_tracked(g, character_cochain(g, *zw).values)
-        sd = pref_hd * sqrt_det_tracked(gd, character_cochain(gd, *zw).values)
+        s = pref_h * sqrt_det_pfaffian(g, character_cochain(g, *zw).values)
+        sd = pref_hd * sqrt_det_pfaffian(gd, character_cochain(gd, *zw).values)
         if abs(sd) < 1e-12:
             sign_pattern[zw] = 0.0
         else:

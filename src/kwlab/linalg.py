@@ -3,7 +3,8 @@
 Determinants and solves are LAPACK LU with partial pivoting through numpy;
 ``det_cofactor`` is the independent cofactor oracle the tests check
 ``lu_det`` against.  Numerical kernels are delegated to numpy's SVD, which is
-deterministic for fixed input.
+deterministic for fixed input.  ``pfaffian`` is the one routine numpy lacks,
+a pivoted Parlett-Reid loop over numpy rank-2 updates.
 """
 
 from __future__ import annotations
@@ -43,6 +44,36 @@ def det_cofactor(a):
         cols = [c for c in range(n) if c != j]
         total += (-1) ** j * a[0, j] * det_cofactor(a[np.ix_(rest, cols)])
     return total
+
+
+def pfaffian(a):
+    """Pfaffian of a real skew-symmetric matrix; 0 for odd size.
+
+    Pivoted Parlett-Reid elimination (Wimmer, arXiv:1102.3440): step k swaps
+    the largest entry of column k below the diagonal into row k + 1 (a
+    congruence that flips the sign), takes the pivot a[k, k+1] into the
+    product, and clears row and column k with a skew rank-2 update of the
+    trailing block.  Returns 0 at an exactly zero pivot column.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n % 2:
+        return 0.0
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if p != k + 1:
+            a[[k + 1, p], k:] = a[[p, k + 1], k:]
+            a[k:, [k + 1, p]] = a[k:, [p, k + 1]]
+            pf = -pf
+        pivot = a[k, k + 1]
+        if pivot == 0.0:
+            return 0.0
+        pf *= pivot
+        if k + 2 < n:
+            upd = np.outer(a[k, k + 2:] / pivot, a[k + 2:, k + 1])
+            a[k + 2:, k + 2:] += upd - upd.T
+    return float(pf)
 
 
 def null_space(a, tol=1e-8):

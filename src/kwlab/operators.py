@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .linalg import lu_det, null_space, max_norm
+from .linalg import lu_det, max_norm, null_space, pfaffian
 from .surface_graph import (Cochain, GraphError, character_cochain,
                             shift_character)
 from .derived import (build_C, build_D, build_M, c_edge_directions,
@@ -31,7 +31,7 @@ from .derived import (build_C, build_D, build_M, c_edge_directions,
 __all__ = [
     "kac_ward", "kasteleyn", "laplacian", "laplacian_dual", "dirac_C",
     "dirac_D", "skew_adjacency", "laplacian_M", "null_space", "kw_dets",
-    "sqrt_det_tracked", "verify_corr", "verify_dirac_identities",
+    "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
 ]
 
 
@@ -268,96 +268,38 @@ def laplacian_M(m, phi=None):
                           np.concatenate([pv, 1.0 / pv]), m.mu)
 
 
-# -- tracked square root ---------------------------------------------------------
+# -- signed square root --------------------------------------------------------
 
 
-def sqrt_det_tracked(g, phi=None, x=None, max_steps=2 ** 14):
-    """Square root of det KW with constant coefficient +1, tracked from x = 0.
+def sqrt_det_pfaffian(g, phi=None, x=None):
+    """Square root of det KW with constant coefficient +1, as a Pfaffian.
 
-    The weights are scaled by t along a contour from 0 to 1 lifted slightly
-    off the real axis; the square root is continued by principal-branch
-    ratios with adaptive refinement until consecutive determinant phase steps
-    stay below pi/2.  Requires a +-1-valued cochain (real determinant), and
-    reports sign ambiguity, with the contour point t or the descent height
-    sigma where tracking failed, if refinement hits the step cap.
-
-    Determinants are evaluated as ``kw_dets`` stacks: the whole contour at
-    once, each doubling at its new odd points only (the old points are
-    bitwise the same, since n is a power of two) and the vertical descent in
-    batches of 8 heights.
+    In the half-angle gauge the transition is the real +-1 matrix T'
+    (``g.transition_real``), and splitting the weights symmetrically gives
+    det KW = det(I - B) with B = |X|^1/2 Phi T' |X|^1/2, where the +-1
+    cochain Phi absorbs the signs of the weights.  With the dart reversal J
+    and the signs s of ``g.skew_signs`` times Phi, S = diag(s) J (I - B) is
+    real skew, and Pf(S) / Pf(diag(s) J) is the root: its square is det KW
+    and it is 1 at x = 0 (Cimasoni, "A generalized Kac-Ward formula").
+    Requires a +-1-valued cochain (real determinant).
     """
     pv = _phi_values(g, phi)
     if np.max(np.abs(np.abs(pv.real) - 1.0)) > 1e-12 or np.max(np.abs(pv.imag)) > 1e-12:
-        raise GraphError("tracked square root needs a +-1-valued cochain")
-    xs = g.x if x is None else np.asarray(x, dtype=float)
-
-    def dets(ts):
-        return kw_dets(g, pv, xs * ts[:, None])
-
-    # Lift the contour off the real axis (real zeros of the square root are
-    # then passed at distance >= bump) and keep it lifted all the way to
-    # Re t = 1; a geometric vertical descent closes the path at t = 1.
-    bump = 0.05
-
-    def contour(n):
-        ts = np.linspace(0.0, 1.0, n + 1)
-        lift = bump * np.minimum(1.0, np.sin(math.pi * np.minimum(ts, 0.5)))
-        return ts + 1j * np.where(ts >= 0.5, bump, lift)
-
-    n = 64
-    ts = contour(n)
-    vals = dets(np.append(ts, 1.0))   # the contour, then the endpoint t = 1
-    vals, d1 = vals[:-1], complex(vals[-1])
-    while True:
-        ratio, ok = _phase_steps(vals, math.pi / 2)
-        ok &= (0.2 < np.abs(ratio)) & (np.abs(ratio) < 5.0)
-        if ok.all():
-            break
-        n *= 2
-        if n > max_steps:
-            raise GraphError("tracked square root is sign-ambiguous "
-                             "(determinant vanishes along the homotopy near "
-                             f"t = {complex(ts[np.argmin(ok)]):.6g})")
-        ts = contour(n)
-        vals = np.insert(vals, np.arange(1, len(vals)), dets(ts[1::2]))
-    r = complex(np.prod(np.sqrt(ratio)))
-    # vertical descent from 1 + i bump to 1.  Halving the height concentrates
-    # the steps where the phase of the determinant turns fastest (near a zero
-    # just off the endpoint), keeping every ratio principal.
-    if d1 == 0:
-        return 0.0
-    sigma = bump * 0.5 ** np.arange(128)
-    sigma = sigma[sigma >= 1e-30]   # the descent heights, from sigma[0] = bump
-    seq = vals[-1:]
-    while abs(seq[-1] - d1) > 0.25 * abs(d1):
-        if len(seq) == len(sigma):
-            raise GraphError("tracked square root is sign-ambiguous at the "
-                             "endpoint of the homotopy (descent height "
-                             f"sigma = {sigma[-1]:.6g})")
-        got = dets(1.0 + 1j * sigma[len(seq):len(seq) + 8])
-        near = np.abs(got - d1) <= 0.25 * abs(d1)
-        seq = np.append(seq, got[:np.argmax(near) + 1] if near.any() else got)
-    ratio, ok = _phase_steps(np.append(seq, d1), 0.9 * math.pi)
-    if not ok.all():
-        where = np.append(sigma[:len(seq)], 0.0)[np.argmin(ok) + 1]
-        raise GraphError("tracked square root is sign-ambiguous at the "
-                         "endpoint of the homotopy (descent height sigma = "
-                         f"{where:.6g})")
-    r *= complex(np.prod(np.sqrt(ratio)))
-    mag = math.sqrt(abs(d1))
-    if abs(r) > 0 and abs(r.imag) > 1e-6 * abs(r) + 1e-12:
-        raise GraphError("tracked square root did not return to the real "
-                         "axis at t = 1")
-    return mag if r.real >= 0 else -mag
-
-
-def _phase_steps(vals, max_phase):
-    """Consecutive ratios of a determinant sequence, and the mask of the steps
-    with nonzero ends whose phase turns by less than ``max_phase``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = vals[1:] / vals[:-1]
-    return ratio, ((vals[:-1] != 0) & (vals[1:] != 0)
-                   & (np.abs(np.angle(ratio)) < max_phase))
+        raise GraphError("the Pfaffian square root needs a +-1-valued cochain")
+    rev = np.arange(g.nd) ^ 1
+    sign = np.sign(pv.real)
+    if np.any(sign[rev] != sign):
+        raise GraphError("the Pfaffian square root needs a cochain with "
+                         "phi(rev e) = phi(e)")
+    xd = np.repeat(g.x if x is None else np.asarray(x, dtype=float), 2)
+    sign = np.where(xd < 0, -sign, sign)
+    s = g.skew_signs * sign
+    r = np.sqrt(np.abs(xd))
+    # S[e, f] = s(e) (delta(f, rev e) - B[rev e, f]), where B[rev e, f]
+    # carries Phi(rev e) = Phi(e), so s(e) Phi(e) is g.skew_signs(e)
+    skew = (-(g.skew_signs * r)[:, None] * g.transition_real[rev]) * r
+    skew[np.arange(g.nd), rev] += s
+    return pfaffian(skew) / float(np.prod(s[0::2]))
 
 
 # -- verification suites -----------------------------------------------------------

@@ -104,10 +104,19 @@ def _tree_path_mask(g, parent, u, v):
     return mask_u ^ mask_v
 
 
-def enumerate_parity(g, odd_vertices, excluded=()):
-    """Edge subsets of E minus ``excluded`` with odd degree exactly at ``odd_vertices``."""
+def enumerate_parity(g, odd_vertices, excluded=(), bases=None):
+    """Edge subsets of E minus ``excluded`` with odd degree exactly at ``odd_vertices``.
+
+    ``bases``, a dict the caller keeps, caches the cycle-space basis of each
+    excluded-edge set across calls.
+    """
     odd = [v for v in odd_vertices]
-    basis, parent, _ = _cycle_space_basis(g, excluded)
+    key = frozenset(excluded)
+    if bases is None:
+        bases = {}
+    if key not in bases:
+        bases[key] = _cycle_space_basis(g, key)
+    basis, parent, _ = bases[key]
     base = 0
     if odd:
         if len(odd) % 2:
@@ -174,27 +183,29 @@ def resolve(g, edge_mask, marks=None, rng=None):
     left entering the midpoint of ``entry_dart`` from its origin.  Pairings at
     each vertex follow the cyclic order of the incident dart angles.
     """
-    # incidences at each vertex: darts pointing out of it that carry strands
+    # incidences at each vertex that carries strands: darts pointing out of it
     EXIT, ENTRY = -1, -2
-    inc = {v: [] for v in range(g.nv)}
+    inc = {}
     for k in range(g.ne):
         if edge_mask >> k & 1:
-            inc[int(g.origin[2 * k])].append(2 * k)
-            inc[int(g.origin[2 * k + 1])].append(2 * k + 1)
+            inc.setdefault(int(g.origin[2 * k]), []).append(2 * k)
+            inc.setdefault(int(g.origin[2 * k + 1]), []).append(2 * k + 1)
     if marks is not None:
         e_out, e_in = marks
         # exit stub: strand arriving at t(e_out) from the midpoint, i.e. the
         # incidence of rev(e_out) at that vertex; entry stub at o(e_in).
-        inc[g.terminus(e_out)].append((EXIT, e_out ^ 1))
-        inc[int(g.origin[e_in])].append((ENTRY, e_in))
+        inc.setdefault(g.terminus(e_out), []).append((EXIT, e_out ^ 1))
+        inc.setdefault(int(g.origin[e_in]), []).append((ENTRY, e_in))
 
     def angle(item):
         d = item[1] if isinstance(item, tuple) else item
         return g.dirang[d]
 
     succ = {}  # incidence -> incidence across a vertex
-    for v, items in inc.items():
-        items = sorted(items, key=angle)
+    # in vertex order, so that the draws from rng do not depend on how the
+    # incidences were collected (a vertex without strands draws nothing)
+    for v in sorted(inc):
+        items = sorted(inc[v], key=angle)
         for a, b in _noncrossing_pairing(items, rng):
             succ[_ikey(a)] = b
             succ[_ikey(b)] = a
@@ -291,10 +302,13 @@ def signed_cycle_sum(g, phi=None, x=None, rng=None):
 def ising_partition(g, j=None, beta=1.0):
     """Spin, high-temperature and Kac-Ward evaluations of the Ising partition sum.
 
-    ``j`` defaults to couplings with tanh(beta j) equal to the graph weights.
-    Returns a dict with the three values; they agree to ~1e-9 relative.
+    The Kac-Ward value is the Pfaffian signed root of det KW on the plane and
+    the Arf-signed half sum of the roots at the four +-1 characters on the
+    torus.  ``j`` defaults to couplings with tanh(beta j) equal to the graph
+    weights.  Returns a dict with the three values; they agree to ~1e-9
+    relative.
     """
-    from .operators import sqrt_det_tracked
+    from .operators import sqrt_det_pfaffian
     from .surface_graph import character_cochain
 
     if g.nv > SPIN_GUARD or g.ne > SUM_GUARD:
@@ -329,12 +343,12 @@ def ising_partition(g, j=None, beta=1.0):
     z_high = prefac * high
 
     if g.genus == 0:
-        z_kw = prefac * sqrt_det_tracked(g, None, xs)
+        z_kw = prefac * sqrt_det_pfaffian(g, None, xs)
     else:
         combo = 0.0
         for (z, w), sgn in ARF_SIGNS_GENUS1.items():
             phi = character_cochain(g, z, w)
-            combo += sgn * sqrt_det_tracked(g, phi.values, xs)
+            combo += sgn * sqrt_det_pfaffian(g, phi.values, xs)
         z_kw = prefac * 0.5 * combo
     return {"spins": z_spin, "high_temperature": z_high, "kac_ward": z_kw}
 
@@ -407,12 +421,12 @@ def _signed_evens(g, rng=None):
     return np.array(masks, dtype=np.int64), np.array(signs, dtype=float)
 
 
-def _entry_terms(g, e1, e2, evens=None, rng=None):
+def _entry_terms(g, e1, e2, evens=None, rng=None, bases=None):
     """Monomials of the coefficient (e1, e2) of ``inverse_coefficient``: it is
     the sum of factor * prod_{k in mask} x_k.  Diagonal terms are the signed
     even subgraphs ``evens`` (``_signed_evens`` by default) avoiding the edge
     of e1; off-diagonal masks hold the edge of e1, whose weight x_{e1} they
-    carry.
+    carry.  ``bases`` is the basis cache of ``enumerate_parity``.
     """
     k1, k2 = e1 >> 1, e2 >> 1
     if e1 == e2:
@@ -429,7 +443,7 @@ def _entry_terms(g, e1, e2, evens=None, rng=None):
     odd = [] if t1 == o2 else [t1, o2]
     excl = [k1] if k1 == k2 else [k1, k2]
     masks, factors = [], []
-    for mask in enumerate_parity(g, odd, excluded=excl):
+    for mask in enumerate_parity(g, odd, excl, bases):
         res = resolve(g, mask, marks=(e1, e2), rng=rng)
         ro = rot_of_path(g, res.path, res.path_start, res.path_end)
         masks.append(mask | 1 << k1)
@@ -469,9 +483,10 @@ def inverse_matrix(g, x=None, rng=None):
         raise SizeGuardError(f"inverse-coefficient oracle capped at {INV_GUARD} edges")
     xs = g.x if x is None else np.asarray(x, dtype=float)
     evens = _signed_evens(g, rng)
+    bases = {}
     m = np.empty(xs.shape[:-1] + (g.nd, g.nd), dtype=complex)
     for e1 in range(g.nd):
         for e2 in range(g.nd):
             m[..., e1, e2] = _sum_terms(
-                g, *_entry_terms(g, e1, e2, evens, rng), xs)
+                g, *_entry_terms(g, e1, e2, evens, rng, bases), xs)
     return m

@@ -20,7 +20,8 @@ import numpy as np
 from .linalg import lu_det, lu_solve, max_norm, null_space
 from .surface_graph import GraphError, cycle_with_winding
 from .derived import build_C, half_angle_phases
-from .operators import dirac_C, kac_ward, kasteleyn, phi_omega, sqrt_det_tracked
+from .operators import (dirac_C, kac_ward, kasteleyn, phi_omega,
+                        sqrt_det_pfaffian)
 from .oracle import _entry_terms, _sum_terms, inverse_coefficient
 
 
@@ -172,7 +173,7 @@ def observable(g, e0, backend="auto", x=None):
         if abs(d) < 1e-12:
             raise GraphError("Kac-Ward operator is singular; use the "
                              "combinatorial backend")
-        s = sqrt_det_tracked(g, None, xs)
+        s = sqrt_det_pfaffian(g, None, xs)
         col = np.zeros(g.nd, dtype=complex)
         col[e0 ^ 1] = 1.0
         f = s * lu_solve(kw, col)
@@ -195,6 +196,7 @@ def observable(g, e0, backend="auto", x=None):
     theta = 2.0 * np.arctan(np.asarray(xs, dtype=float))
     k0 = e0 >> 1
     out = np.zeros(g.ne, dtype=complex)
+    bases = {}
     for k in range(g.ne):
         if k == k0:
             # midpoint of the pinned edge: diagonal (even-subgraph) term
@@ -209,7 +211,7 @@ def observable(g, e0, backend="auto", x=None):
         # the weight x_{e0} and with the walk phase conjugated
         total = 0.0 + 0j
         for e_in in (2 * k, 2 * k + 1):
-            masks, factors = _entry_terms(g, e0, e_in)
+            masks, factors = _entry_terms(g, e0, e_in, bases=bases)
             total += _sum_terms(g, [m ^ 1 << k0 for m in masks],
                                 np.conj(factors), xs)
         out[k] = pref * total / math.cos(0.5 * theta[k])

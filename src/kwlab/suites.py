@@ -17,7 +17,7 @@ import numpy as np
 from .linalg import lu_det
 from .surface_graph import Cochain, GraphError, SizeGuardError, character_cochain
 from .derived import build_C, validate_kasteleyn
-from .operators import (kac_ward, kasteleyn, sqrt_det_tracked, verify_corr,
+from .operators import (kac_ward, kasteleyn, sqrt_det_pfaffian, verify_corr,
                         verify_dirac_identities)
 from .oracle import INV_GUARD, dimer_partition, inverse_matrix
 from .critical import duality_check
@@ -102,7 +102,7 @@ def suite_inv(g, fixture, draws=1, seed=0):
     # needs no inverse, so it stays well posed where KW is singular
     # (at criticality)
     kw = kac_ward(g)
-    s = sqrt_det_tracked(g)
+    s = sqrt_det_pfaffian(g)
     got, got0 = inverse_matrix(g, x=np.stack([g.x, np.zeros(g.ne)]))
     checks = [check("kw_times_inverse",
                     np.max(np.abs(kw @ got - s * np.eye(g.nd))), 1e-9)]

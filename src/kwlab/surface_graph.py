@@ -169,6 +169,50 @@ class EmbeddedGraph:
         t[e, e2] = np.exp(0.5j * alpha)
         return t
 
+    @cached_property
+    def transition_real(self):
+        """The transition in the half-angle gauge, diag(exp(i a/2)) T
+        diag(exp(-i a/2)) with a = dirang: exactly +-1 on the continuations,
+        since a(e) - a(e') + alpha(e, e') is a multiple of 2 pi."""
+        h = np.exp(0.5j * self.dirang)
+        return np.rint((h[:, None] * self.transition * h.conj()).real)
+
+    @cached_property
+    def skew_signs(self):
+        """Signs s making diag(s) J (I - T'[phi]) skew-symmetric, for the
+        trivial cochain; J is the dart reversal and T' ``transition_real``.
+
+        Skewness asks s(rev e) = -s(e) and s(e) T'[rev e, f] = -s(f)
+        T'[rev f, e]; the system is solved by a search over the darts and
+        checked.  A +-1 cochain phi multiplies both sides of the second
+        condition by phi(e) phi(f), so s * phi solves it for phi.
+        """
+        nd = self.nd
+        rev = np.arange(nd) ^ 1
+        jt = self.transition_real[rev]      # (J T')[e, f] = T'[rev e, f]
+        links = [[(e ^ 1, -1.0)] for e in range(nd)]
+        for e, f in zip(*np.nonzero(jt)):
+            links[e].append((f, -jt[e, f] * jt[f, e]))
+        s = np.zeros(nd)
+        for root in range(nd):
+            if s[root]:
+                continue
+            s[root] = 1.0
+            stack = [root]
+            while stack:
+                e = stack.pop()
+                for f, p in links[e]:
+                    if not s[f] and p:
+                        s[f] = p * s[e]
+                        stack.append(f)
+        m = s[:, None] * np.stack([np.eye(nd)[rev], jt])
+        bad = np.argwhere(m != -m.transpose(0, 2, 1))
+        if bad.size:
+            _, e, f = bad[0]
+            raise GraphError("no signs make the Kac-Ward Pfaffian matrix "
+                             f"skew: darts {e} and {f} conflict")
+        return s
+
     def theta_dual(self):
         return math.pi / 2 - self.theta
 

@@ -15,7 +15,7 @@ from kwlab import fixtures as fx
 from kwlab.surface_graph import Cochain, character_cochain
 from kwlab.derived import build_C
 from kwlab.linalg import lu_det, lu_solve, max_norm
-from kwlab.operators import (kac_ward, kasteleyn, sqrt_det_tracked,
+from kwlab.operators import (kac_ward, kasteleyn, sqrt_det_pfaffian,
                              verify_corr, verify_dirac_identities)
 from kwlab.oracle import dimer_partition, inverse_matrix, ising_partition
 from kwlab.critical import critical_beta, duality_check, hessian_tau, spectral_curve
@@ -175,7 +175,7 @@ def test_08_inverse_operator():
               fx.honeycomb_torus((0.3, 0.4, 0.5)), fx.square_torus(2, 0.35)):
         assert g.ne <= 10 or g.ne <= 12
         kw = kac_ward(g)
-        expected = sqrt_det_tracked(g) * lu_solve(kw, np.eye(g.nd, dtype=complex))
+        expected = sqrt_det_pfaffian(g) * lu_solve(kw, np.eye(g.nd, dtype=complex))
         got = inverse_matrix(g)
         worst = max(worst, float(np.max(np.abs(got - expected))))
     gid = fx.cycle4(0.0)

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import kwlab
 
 from kwlab.cli import main
 
@@ -42,6 +47,30 @@ def test_critical_beta_command(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["beta_c"] - 0.4406868) < 1e-6
+
+
+def test_critical_beta_square_torus_8(tmp_path, capsys):
+    # the homotopy-tracked root had the wrong sign on this torus above
+    # beta = 1, so the command found no sign change and exited 2
+    code, out = run(capsys, "gen", "square-torus", "8")
+    path = tmp_path / "s8.json"
+    path.write_text(out)
+    code, out = run(capsys, "critical-beta", "-g", str(path))
+    assert code == 0
+    assert abs(json.loads(out)["beta_c"] - 1.0) <= 1e-10
+
+
+def test_cli_import_leaves_scipy_out():
+    # the package depends on numpy only, and a scipy import would add about
+    # half a second to every CLI start
+    src = os.path.dirname(os.path.dirname(kwlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kwlab.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_z_commands(tmp_path, capsys):

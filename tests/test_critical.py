@@ -8,7 +8,10 @@ from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError, Weights, build_torus
 from kwlab.critical import (critical_beta, duality_check, free_energy,
                             hessian_tau, spectral_curve, spectral_grid)
+from kwlab.operators import sqrt_det_pfaffian
 from kwlab.oracle import signed_cycle_sum
+
+from tracked_root import sqrt_det_tracked
 
 
 def test_spectral_curve_rect_formula():
@@ -62,14 +65,47 @@ def test_critical_beta_honeycomb():
     assert rep["P11"] < 1e-10
 
 
+def critical_beta_reference(g, j, tol=1e-12):
+    """Bisection on the tracked square root over [1e-6, 50]."""
+    def s(beta):
+        return sqrt_det_tracked(g, None, np.tanh(beta * j))
+
+    lo, hi = 1e-6, 50.0
+    s_lo = s(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        s_mid = s(mid)
+        if s_lo * s_mid <= 0:
+            hi = mid
+        else:
+            lo, s_lo = mid, s_mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("g, j", [
+    (fx.rect_torus(0.4, 0.4), np.array([0.83, 1.21])),
+    (fx.honeycomb_torus((0.4, 0.5, 0.6)), np.array([0.7, 1.1, 1.3])),
+    (fx.square_torus(2), np.array([0.9, 1.2] * 4)),
+])
+def test_critical_beta_brent_matches_bisection(g, j):
+    trace = []
+    got = critical_beta(g, j=j, trace=trace)["beta_c"]
+    assert abs(got - critical_beta_reference(g, j)) <= 1e-11
+    # Brent needs about a third of the bisection's 46 steps
+    assert len(trace) <= 20
+    assert trace[0][0] == 1e-6 and trace[1][0] == 50.0
+
+
 def test_sqrt_sign_change_across_criticality():
-    from kwlab.operators import sqrt_det_tracked
     g = fx.rect_torus(0.4, 0.4)
     bc = math.atanh(math.sqrt(2) - 1)
     xm = math.tanh(bc - 1e-3)
     xp = math.tanh(bc + 1e-3)
-    assert sqrt_det_tracked(g, None, np.array([xm, xm])) > 0
-    assert sqrt_det_tracked(g, None, np.array([xp, xp])) < 0
+    for root in (sqrt_det_pfaffian, sqrt_det_tracked):
+        assert root(g, None, np.array([xm, xm])) > 0
+        assert root(g, None, np.array([xp, xp])) < 0
 
 
 def test_tau_rectangular():
@@ -198,10 +234,9 @@ def test_spectral_grid_matches_single_points():
 def test_critical_beta_error_names_beta(monkeypatch):
     import functools
     import kwlab.critical as critical
-    from kwlab.operators import sqrt_det_tracked
-    # the 7x7 torus needs a refined contour near x = 1 (beta = 50), which
-    # the capped tracker refuses
-    monkeypatch.setattr(critical, "sqrt_det_tracked",
+    # a root evaluation that fails at one beta: the 7x7 torus needs a refined
+    # contour near x = 1 (beta = 50), which the capped tracker refuses
+    monkeypatch.setattr(critical, "sqrt_det_pfaffian",
                         functools.partial(sqrt_det_tracked, max_steps=64))
     with pytest.raises(GraphError, match=r"near t = .* at beta = 50$"):
         critical_beta(fx.square_torus(7, 0.5))

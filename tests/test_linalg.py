@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kwlab.linalg import det_cofactor, lu_det, lu_solve, max_norm, null_space
+from kwlab.linalg import (det_cofactor, lu_det, lu_solve, max_norm, null_space,
+                          pfaffian)
 from kwlab.surface_graph import GraphError
 
 
@@ -42,3 +43,54 @@ def test_null_space_cases():
 def test_solve_singular_raises_graph_error():
     with pytest.raises(GraphError):
         lu_solve(np.ones((3, 3), dtype=complex), np.ones(3))
+
+
+def pfaffian_expansion(a):
+    """Pfaffian by expansion along the first row (O(n!!)); test oracle."""
+    n = len(a)
+    if n == 0:
+        return 1.0
+    if n % 2:
+        return 0.0
+    total = 0.0
+    for j in range(1, n):
+        rest = [k for k in range(1, n) if k != j]
+        total += (-1) ** (j - 1) * a[0, j] * pfaffian_expansion(
+            a[np.ix_(rest, rest)])
+    return total
+
+
+def _random_skew(rng, n):
+    a = rng.standard_normal((n, n))
+    return a - a.T
+
+
+def test_pfaffian_vs_expansion():
+    rng = np.random.default_rng(2)
+    for n in range(9):
+        for _ in range(4):
+            a = _random_skew(rng, n)
+            want = pfaffian_expansion(a)
+            assert abs(pfaffian(a) - want) <= 1e-12 * max(1.0, abs(want))
+    # sparse +-1 patterns need row swaps (zero entries below the pivot)
+    for _ in range(20):
+        a = np.triu(rng.integers(-1, 2, (8, 8)), 1).astype(float)
+        a = a - a.T
+        assert pfaffian(a) == pytest.approx(pfaffian_expansion(a), abs=1e-12)
+
+
+def test_pfaffian_squares_to_det_and_special_cases():
+    rng = np.random.default_rng(3)
+    a = _random_skew(rng, 40)
+    assert pfaffian(a) ** 2 == pytest.approx(lu_det(a).real, rel=1e-10)
+    assert pfaffian(np.zeros((0, 0))) == 1.0
+    assert pfaffian(_random_skew(rng, 5)) == 0.0
+    assert pfaffian(np.zeros((4, 4))) == 0.0
+    # Pf of the standard symplectic form is 1; reversing the pair order flips it
+    j = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+    assert pfaffian(j) == 1.0
+    assert pfaffian(-j) == -1.0
+    # the input is not modified
+    b = a.copy()
+    pfaffian(a)
+    assert np.array_equal(a, b)

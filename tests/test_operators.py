@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kwlab import fixtures as fx
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
@@ -12,9 +13,11 @@ from kwlab.linalg import lu_det, max_norm
 from kwlab.operators import (_dirac_cd_residual, dirac_C, dirac_D, kac_ward,
                              kasteleyn, kw_dets,
                              laplacian, laplacian_M, laplacian_dual, null_space,
-                             skew_adjacency, sqrt_det_tracked, verify_corr,
+                             skew_adjacency, sqrt_det_pfaffian, verify_corr,
                              verify_dirac_identities)
 from kwlab.oracle import signed_cycle_sum
+
+from tracked_root import sqrt_det_tracked
 
 
 # -- slow references: the entry-by-entry loop forms the array builders replace
@@ -449,6 +452,113 @@ def test_sqrt_det_tracked_error_names_contour_point():
     g = fx.square_torus(7, 0.9)
     with pytest.raises(GraphError, match=r"near t = 0\.\d+\+0\.0\d+j"):
         sqrt_det_tracked(g, max_steps=64)
+
+
+#: small enough for ``signed_cycle_sum``
+PFAFFIAN_FIXTURES = REFERENCE_FIXTURES + [fx.square_torus(1, 0.4)]
+
+
+def _pm_characters(g):
+    if g.genus == 0:
+        return [None]
+    return [character_cochain(g, z, w).values for z in (1, -1) for w in (1, -1)]
+
+
+def _pfaffian_weights(g):
+    """Critical, x = 0.3 and one negative weight."""
+    neg = np.full(g.ne, 0.3)
+    neg[0] = -0.4
+    return [np.full(g.ne, fx.X_CRITICAL_SQUARE), np.full(g.ne, 0.3), neg]
+
+
+@pytest.mark.parametrize("g", PFAFFIAN_FIXTURES + [fx.square_torus(4, 0.4)])
+def test_sqrt_det_pfaffian_matches_tracked_root(g):
+    for xs in _pfaffian_weights(g):
+        for phi in _pm_characters(g):
+            want = sqrt_det_tracked(g, phi, xs)
+            got = sqrt_det_pfaffian(g, phi, xs)
+            # the scale floor covers the roots that vanish at criticality
+            assert abs(got - want) <= 3e-15 * max(1.0, abs(want))
+            det = lu_det(kac_ward(g, phi, xs))
+            assert abs(det.imag) <= 1e-13 * max(1.0, abs(det))
+            assert abs(got * got - det.real) <= 1e-13 * max(1.0, abs(det))
+
+
+@pytest.mark.parametrize("g", PFAFFIAN_FIXTURES)
+def test_sqrt_det_pfaffian_is_the_signed_cycle_sum(g):
+    rng = np.random.default_rng(21)
+    for xs in _pfaffian_weights(g) + [rng.uniform(-0.99, 0.99, g.ne)]:
+        for phi in _pm_characters(g):
+            assert sqrt_det_pfaffian(g, phi, xs) == pytest.approx(
+                signed_cycle_sum(g, phi, xs), abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sqrt_det_pfaffian_property(data):
+    # random weights in [-1, 1] and +-1 characters: the square is det KW and
+    # the value (sign included) is the signed even-subgraph sum
+    g = data.draw(st.sampled_from(PFAFFIAN_FIXTURES))
+    phi = data.draw(st.sampled_from(_pm_characters(g)))
+    xs = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=g.ne,
+                                     max_size=g.ne)))
+    got = sqrt_det_pfaffian(g, phi, xs)
+    det = lu_det(kac_ward(g, phi, xs)).real
+    assert abs(got * got - det) <= 1e-12 * max(1.0, abs(det))
+    assert abs(got - signed_cycle_sum(g, phi, xs)) <= 1e-12 * max(1.0, abs(got))
+
+
+def test_sqrt_det_pfaffian_values():
+    assert sqrt_det_pfaffian(fx.triangle(0.0)) == 1.0
+    assert sqrt_det_pfaffian(fx.triangle(0.3)) == pytest.approx(1.027)
+    assert abs(sqrt_det_pfaffian(fx.rect_torus(1.0, 1.0))) == pytest.approx(2.0)
+    g = fx.square_torus(2, 0.4)
+    assert sqrt_det_pfaffian(g, Cochain.trivial(g)) == sqrt_det_pfaffian(g)
+
+
+def test_transition_real_is_the_gauged_transition():
+    for g in PFAFFIAN_FIXTURES:
+        h = np.exp(0.5j * g.dirang)
+        gauged = h[:, None] * g.transition / h[None, :]
+        assert np.array_equal(np.abs(g.transition_real), np.abs(g.transition) > 0)
+        assert max_norm(gauged - g.transition_real) < 1e-15
+        s = g.skew_signs
+        rev = np.arange(g.nd) ^ 1
+        assert np.array_equal(s[rev], -s)
+        sj = s[:, None] * g.transition_real[rev]
+        assert np.array_equal(sj, -sj.T)
+
+
+def test_sqrt_det_pfaffian_large_torus_sign():
+    # the tracked root returns +4.50e17 here: the sign is wrong on the 8x8
+    # torus at low temperature, where the Pfaffian gives the negative root
+    g = fx.square_torus(8)
+    xs = np.tanh(4.0 * np.arctanh(g.x))
+    got = sqrt_det_pfaffian(g, None, xs)
+    assert got < 0
+    assert got * got == pytest.approx(lu_det(kac_ward(g, None, xs)).real,
+                                      rel=1e-12)
+
+
+def test_sqrt_det_pfaffian_rejects_bad_cochains():
+    g = fx.rect_torus(0.3, 0.4)
+    with pytest.raises(GraphError, match="-1-valued"):
+        sqrt_det_pfaffian(g, character_cochain(g, 1j, 1.0).values)
+    flipped = np.ones(g.nd)
+    flipped[0] = -1.0   # phi(rev e) != phi(e)
+    with pytest.raises(GraphError, match="rev"):
+        sqrt_det_pfaffian(g, flipped)
+
+
+def test_skew_signs_conflict_names_the_darts():
+    # break the transition's reversal symmetry: no signs can make it skew
+    g = fx.square_torus(1, 0.4)
+    t = g.transition_real.copy()
+    e, f = np.argwhere(t)[0]
+    t[e, f] = -t[e, f]
+    g.__dict__["transition_real"] = t
+    with pytest.raises(GraphError, match=r"darts \d+ and \d+ conflict"):
+        sqrt_det_pfaffian(g)
 
 
 def test_kac_ward_stack_matches_single_calls():

@@ -8,11 +8,15 @@ from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError, SizeGuardError, character_cochain
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
-from kwlab.operators import kac_ward, sqrt_det_tracked
-from kwlab.oracle import (_permanent, dimer_partition, enumerate_even,
+from kwlab.operators import kac_ward
+from kwlab import oracle
+from kwlab.oracle import (LoopResolution, _ikey, _noncrossing_pairing,
+                          _permanent, dimer_partition, enumerate_even,
                           enumerate_parity, inverse_coefficient, inverse_matrix,
                           ising_partition, q_sign, resolve, rot_of_loop,
                           rot_of_path, signed_cycle_sum)
+
+from tracked_root import sqrt_det_tracked
 
 
 def bits(mask, n):
@@ -108,6 +112,100 @@ def test_enumerate_parity():
     # odd at vertices 0 and 1 avoiding edge 0: the two-edge path through 2
     assert len(masks) == 1 and bits(masks[0], 3) == [1, 2]
     assert enumerate_parity(g, [0], excluded=[]) == []
+
+
+def resolve_reference(g, edge_mask, marks=None, rng=None):
+    """``resolve`` pairing the incidences at every vertex, empty ones too."""
+    EXIT, ENTRY = -1, -2
+    inc = {v: [] for v in range(g.nv)}
+    for k in range(g.ne):
+        if edge_mask >> k & 1:
+            inc[int(g.origin[2 * k])].append(2 * k)
+            inc[int(g.origin[2 * k + 1])].append(2 * k + 1)
+    if marks is not None:
+        inc[g.terminus(marks[0])].append((EXIT, marks[0] ^ 1))
+        inc[int(g.origin[marks[1]])].append((ENTRY, marks[1]))
+    succ = {}
+    for v, items in inc.items():
+        items = sorted(items, key=lambda it: g.dirang[
+            it[1] if isinstance(it, tuple) else it])
+        for a, b in _noncrossing_pairing(items, rng):
+            succ[_ikey(a)] = b
+            succ[_ikey(b)] = a
+    used, loops, path = set(), [], None
+    if marks is not None:
+        path, cur = [], succ[("EXIT",)]
+        while not isinstance(cur, tuple):
+            path.append(cur)
+            used.add(cur >> 1)
+            cur = succ[(cur ^ 1,)]
+    for k in range(g.ne):
+        if edge_mask >> k & 1 and k not in used:
+            cyc, cur = [], 2 * k
+            while True:
+                cyc.append(cur)
+                used.add(cur >> 1)
+                cur = succ[(cur ^ 1,)]
+                if cur == 2 * k:
+                    break
+            loops.append(cyc)
+    if marks is None:
+        return LoopResolution(loops)
+    return LoopResolution(loops, path, float(g.dirang[marks[0]]),
+                          float(g.dirang[marks[1]]))
+
+
+def _resolutions(g):
+    """Every even subgraph and every marked configuration of the inverse."""
+    cases = [(mask, None) for mask in enumerate_even(g)]
+    for e1 in range(g.nd):
+        for e2 in range(g.nd):
+            if e2 in (e1, e1 ^ 1):
+                continue
+            t1, o2 = g.terminus(e1), int(g.origin[e2])
+            odd = [] if t1 == o2 else [t1, o2]
+            for mask in enumerate_parity(g, odd, {e1 >> 1, e2 >> 1}):
+                cases.append((mask, (e1, e2)))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("g", [fx.square_patch(2, 2), fx.square_torus(2)],
+                         ids=["patch", "square2"])
+def test_resolve_matches_reference(g, seed):
+    # pairing only the vertices that carry strands changes no resolution and,
+    # with rng, no draw: both generators end in the same state
+    cases = _resolutions(g)
+    assert len(cases) > 1000
+    rng = rng_ref = None
+    if seed is not None:
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for mask, marks in cases:
+        got = resolve(g, mask, marks, rng)
+        want = resolve_reference(g, mask, marks, rng_ref)
+        assert vars(got) == vars(want)
+    if seed is not None:
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_inverse_matrix_builds_each_basis_once(monkeypatch):
+    g = fx.square_patch(2, 2)
+    built = []
+    original = oracle._cycle_space_basis
+
+    def counting(g, excluded=()):
+        built.append(frozenset(excluded))
+        return original(g, excluded)
+
+    monkeypatch.setattr(oracle, "_cycle_space_basis", counting)
+    got = inverse_matrix(g)
+    excluded = {frozenset((e1 >> 1, e2 >> 1)) for e1 in range(g.nd)
+                for e2 in range(g.nd) if e2 not in (e1, e1 ^ 1)}
+    # one build for the even subgraphs, one per distinct exclusion set
+    assert len(built) == len(excluded) + 1
+    assert len(set(built)) == len(built)
+    monkeypatch.undo()
+    assert np.array_equal(got, inverse_matrix(g))
 
 
 def test_ising_three_way():
