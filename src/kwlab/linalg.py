@@ -2,9 +2,9 @@
 
 Determinants and solves are LAPACK LU with partial pivoting through numpy;
 ``det_cofactor`` is the independent cofactor oracle the tests check
-``lu_det`` against.  Numerical kernels are delegated to numpy's SVD, which is
-deterministic for fixed input.  ``pfaffian`` is the one routine numpy lacks,
-a pivoted Parlett-Reid loop over numpy rank-2 updates.
+``lu_det`` against.  Numerical kernels are delegated to numpy's real or
+complex SVD, deterministic for fixed input.  ``pfaffian`` is the one routine
+numpy lacks, a pivoted Parlett-Reid loop over numpy rank-2 updates.
 """
 
 from __future__ import annotations
@@ -80,9 +80,11 @@ def null_space(a, tol=1e-8):
     """Orthonormal basis of the numerical right kernel.
 
     Returns the right-singular vectors whose singular value is below
-    ``tol * sigma_max`` (all of them for an exactly zero matrix).
+    ``tol * sigma_max`` (all of them for an exactly zero matrix).  Real input
+    stays real: it is factored by the real SVD and gives real vectors.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a if np.iscomplexobj(a) else a.astype(float, copy=False)
     _, s, vh = np.linalg.svd(a)
     if s.size == 0 or s[0] == 0.0:
         return [vh[i].conj() for i in range(vh.shape[0])]

@@ -58,8 +58,10 @@ def kac_ward(g, phi=None, x=None):
     return np.subtract(np.eye(g.nd), kw, out=kw)
 
 
-#: bytes of complex matrix entries that ``kw_dets`` builds and factors at once
-KW_CHUNK_BYTES = 256 * 1024
+#: bytes of complex matrix entries that ``kw_dets`` builds and factors at once;
+#: freeing the first chunk lifts glibc's mmap and trim thresholds above the
+#: grid's temporaries, so later calls reuse heap pages instead of new ones
+KW_CHUNK_BYTES = 512 * 1024
 
 
 def kw_dets(g, phi_rows, x_rows):

@@ -27,8 +27,8 @@ from .oracle import _entry_terms, _sum_terms, inverse_coefficient
 
 def _proj(z, angle):
     """Orthogonal projection of z onto the real line through exp(i angle)."""
-    u = cmath.exp(1j * angle)
-    return u * (z * u.conjugate()).real
+    u = np.exp(1j * angle)
+    return u * (z * u.conj()).real
 
 
 def _line_plus(g, d):
@@ -41,51 +41,53 @@ def _line_minus(g, d):
     return -0.5 * (math.pi / 2 + g.dirang[d] - g.theta[d >> 1])
 
 
+def _dart_residuals(g, F, branch=0.0, d=None):
+    """Projection-matching defect of each dart in ``d`` (default: all)."""
+    F = np.asarray(F, dtype=complex)
+    d = np.arange(g.nd) if d is None else np.asarray(d, dtype=int)
+    d2 = g.rot[d]
+    lhs = _proj(F[d >> 1], _line_plus(g, d) + branch)
+    rhs = _proj(F[d2 >> 1], _line_minus(g, d2) + branch)
+    rhs *= np.exp(0.5j * (g.beta()[d] - g.theta[d >> 1] - g.theta[d2 >> 1]))
+    return np.abs(lhs - rhs)
+
+
+def vertex_residuals(g, F, branch=0.0):
+    """``sholo_residual`` at every vertex, from one pass over the darts."""
+    res = np.zeros(g.nv)
+    np.maximum.at(res, g.origin, _dart_residuals(g, F, branch))
+    return res
+
+
 def sholo_residual(g, F, v, branch=0.0):
     """Defect of the projection-matching condition at a vertex.
 
     Zero exactly when F is s-holomorphic around v.  ``branch`` adds pi to the
     square-root angles; the result is branch independent (lines are).
     """
-    F = np.asarray(F, dtype=complex)
-    beta = g.beta()
-    worst = 0.0
-    for d in g.darts_at[v]:
-        d2 = int(g.rot[d])
-        th1 = g.theta[d >> 1]
-        th2 = g.theta[d2 >> 1]
-        lhs = _proj(F[d >> 1], _line_plus(g, d) + branch)
-        rhs = _proj(F[d2 >> 1], _line_minus(g, d2) + branch)
-        rhs *= cmath.exp(0.5j * (beta[d] - th1 - th2))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return float(np.max(_dart_residuals(g, F, branch, g.darts_at[v]),
+                        initial=0.0))
 
 
 def sholo_residual_all(g, F, branch=0.0):
-    return max(sholo_residual(g, F, v, branch) for v in range(g.nv))
+    return float(np.max(_dart_residuals(g, F, branch), initial=0.0))
 
 
 def map_S(g, F):
     """Real-linear map into dart functions: sin(theta/2) times the projection
     of F(z_e) onto the line exp(-i a_e / 2) R."""
-    F = np.asarray(F, dtype=complex)
-    a = g.a_angles()
-    out = np.empty(g.nd, dtype=complex)
-    for d in range(g.nd):
-        out[d] = math.sin(0.5 * g.theta[d >> 1]) * _proj(F[d >> 1], -0.5 * a[d])
-    return out
+    k = np.arange(g.nd) >> 1
+    return np.sin(0.5 * g.theta[k]) * _proj(np.asarray(F, dtype=complex)[k],
+                                            -0.5 * g.a_angles())
 
 
 def map_S_inverse(g, f):
     """Inverse of map_S on its image: F(z_e) = (f(e) + f(rev e)) / sin(theta/2)."""
     f = np.asarray(f, dtype=complex)
-    out = np.empty(g.ne, dtype=complex)
-    for k in range(g.ne):
-        s = math.sin(0.5 * g.theta[k])
-        if s < 1e-14:
-            raise GraphError("map_S is not invertible on zero-weight edges")
-        out[k] = (f[2 * k] + f[2 * k + 1]) / s
-    return out
+    s = np.sin(0.5 * g.theta)
+    if np.any(s < 1e-14):
+        raise GraphError("map_S is not invertible on zero-weight edges")
+    return (f[0::2] + f[1::2]) / s
 
 
 def spinor_maps(g, F, c=None):
@@ -221,30 +223,21 @@ def observable(g, e0, backend="auto", x=None):
 def kernel_observables(g, tol=1e-7):
     """Globally s-holomorphic functions pulled back from the Kac-Ward kernel.
 
-    Numerical kernel vectors need not respect the real dart-line structure, so
-    each is projected onto it (both for the vector and i times it) and kept
-    only if the projection stays in the kernel.  Returns a list of midpoint
-    functions F with the projection matching condition holding at every
-    vertex; empty when the operator is invertible.
+    KW = H^-1 (I - X T') H with H = diag(exp(i dirang / 2)) and T' =
+    ``g.transition_real`` real, so the real null space of I - X T' (singular
+    values below 1e-8 sigma_max) spans ker KW on the dart lines.  Each basis
+    vector r, signed so that its largest entry is positive and checked against
+    the complex KW, gives exp(i pi/4) S^-1(H^-1 r): a deterministic real basis
+    of the s-holomorphic functions, empty when KW is invertible.
     """
     kw = kac_ward(g)
-    kern = null_space(kw, tol=1e-8)
-    a = g.a_angles()
+    m = np.eye(g.nd) - np.repeat(g.x, 2)[:, None] * g.transition_real
+    h_inv = np.exp(-0.5j * g.dirang)
     found = []
-    for u in kern:
-        for cand_src in (u, 1j * u):
-            cand = np.array([_proj(cand_src[d], -0.5 * a[d])
-                             for d in range(g.nd)], dtype=complex)
-            norm = max_norm(cand)
-            if norm < 1e-8 * max_norm(cand_src):
-                continue
-            if max_norm(kw @ cand) > tol * norm:
-                continue
-            F = cmath.exp(0.25j * math.pi) * map_S_inverse(g, cand)
-            if any(max_norm(F - f2) < 1e-6 * max_norm(F)
-                   or max_norm(F + f2) < 1e-6 * max_norm(F) for f2 in found):
-                continue
-            found.append(F)
+    for r in null_space(m, tol=1e-8):
+        cand = h_inv * r * np.sign(r[np.argmax(np.abs(r))])
+        if max_norm(kw @ cand) <= tol * max_norm(cand):
+            found.append(cmath.exp(0.25j * math.pi) * map_S_inverse(g, cand))
     return found
 
 
@@ -298,8 +291,8 @@ def integrate_square(g, F, base_point=None, warn_tol=1e-6, star_tol=1e-8):
     """
     F = np.asarray(F, dtype=complex)
     fscale = max(1.0, float(np.max(np.abs(F))))
-    vertex_res = [sholo_residual(g, F, v) for v in range(g.nv)]
-    defect = max(vertex_res)
+    vertex_res = vertex_residuals(g, F)
+    defect = float(np.max(vertex_res, initial=0.0))
     reliable_v = [r < star_tol * fscale for r in vertex_res]
     if defect > warn_tol * fscale and not all(reliable_v):
         bad = sum(1 for r in reliable_v if not r)
@@ -310,6 +303,9 @@ def integrate_square(g, F, base_point=None, warn_tol=1e-6, star_tol=1e-8):
 
     nodes = [("v", i) for i in range(g.nv)] + [("f", j) for j in range(len(g.faces))]
     index = {nid: i for i, nid in enumerate(nodes)}
+    darts = np.arange(g.nd)
+    inc_l = 2.0 * np.abs(_proj(F[darts >> 1], _line_plus(g, darts))) ** 2
+    inc_r = 2.0 * np.abs(_proj(F[darts >> 1], _line_minus(g, darts))) ** 2
     rels = []  # (primal node, face node, H(v) - H(f), reliable)
     for d in range(g.nd):
         vid = int(g.origin[d])
@@ -317,8 +313,8 @@ def integrate_square(g, F, base_point=None, warn_tol=1e-6, star_tol=1e-8):
         fl = index[("f", int(g.face_of[d]))]
         fr = index[("f", int(g.face_of[d ^ 1]))]
         ok = reliable_v[vid]
-        rels.append((v, fl, 2.0 * abs(_proj(F[d >> 1], _line_plus(g, d))) ** 2, ok))
-        rels.append((v, fr, 2.0 * abs(_proj(F[d >> 1], _line_minus(g, d))) ** 2, ok))
+        rels.append((v, fl, inc_l[d], ok))
+        rels.append((v, fr, inc_r[d], ok))
 
     h = np.full(len(nodes), np.nan)
     if base_point is None:

@@ -143,10 +143,10 @@ class EmbeddedGraph:
         b[b < 1e-13] = TWO_PI
         return b
 
-    def face_rotation(self, f):
+    def face_rotation(self, f, beta=None):
         """Total turning of the velocity along a face boundary (odd multiple of 2pi)."""
         darts = self.faces[f]
-        b = self.beta()
+        b = self.beta() if beta is None else beta
         return math.pi * len(darts) - float(sum(b[d] for d in darts))
 
     @cached_property
@@ -247,7 +247,7 @@ class EmbeddedGraph:
                         f"angle gaps at vertex {v} sum to {s}, expected 2pi"
                     )
             for f in range(len(self.faces)):
-                r = self.face_rotation(f) / TWO_PI
+                r = self.face_rotation(f, b) / TWO_PI
                 if abs(r - round(r)) > ANGLE_SUM_TOL or round(r) % 2 == 0:
                     raise GraphError(
                         f"face {f} boundary rotation {r} (x 2pi) is not an odd integer"

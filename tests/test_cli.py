@@ -128,6 +128,26 @@ def test_h_function_command(tmp_path, capsys):
     assert code == 0
 
 
+def test_h_function_kernel_is_deterministic(tmp_path, capsys):
+    from kwlab.fixtures import square_torus
+    from kwlab.sholo import integrate_square, kernel_observables
+
+    code, out = run(capsys, "gen", "square-torus", "4")
+    path = tmp_path / "k.json"
+    path.write_text(out)
+    argv = ("h-function", "-g", str(path), "--from", "kernel")
+    code, first = run(capsys, *argv)
+    assert code == 0
+    code, second = run(capsys, *argv)
+    assert code == 0 and first == second
+    # the integrated F is the first kernel function
+    g = square_torus(4)
+    h = integrate_square(g, kernel_observables(g)[0])
+    rep = json.loads(first)
+    assert rep["values"] == {f"{t}{i}": v for (t, i), v in h.values.items()}
+    assert rep["periods"] == h.periods
+
+
 def test_exit_code_on_invalid_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -223,7 +223,7 @@ def test_spectral_grid_and_free_energy_reproducible():
 
 
 def test_spectral_grid_matches_single_points():
-    # 64 darts: the 8 x 8 grid spans 16 chunks of the determinant stack
+    # 64 darts: the 8 x 8 grid spans 8 chunks of the determinant stack
     g = fx.square_torus(4, 0.37)
     angles, _, vals = spectral_grid(g, 8)
     want = np.array([[spectral_curve(g, cmath.exp(1j * a), cmath.exp(1j * b))

@@ -94,3 +94,16 @@ def test_pfaffian_squares_to_det_and_special_cases():
     b = a.copy()
     pfaffian(a)
     assert np.array_equal(a, b)
+
+
+def test_null_space_real_input_stays_real():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((7, 4)) @ rng.standard_normal((4, 7))
+    real = null_space(a)
+    cplx = null_space(a.astype(complex))
+    assert len(real) == len(cplx) == 3
+    assert all(v.dtype == np.float64 for v in real)
+    for v in real:
+        assert max_norm(a @ v) < 1e-12
+    # integer input is factored as real too
+    assert null_space(np.array([[1, 1], [1, 1]]))[0].dtype == np.float64

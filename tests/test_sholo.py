@@ -8,12 +8,16 @@ import pytest
 from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
-from kwlab.linalg import lu_solve, max_norm
+from kwlab.linalg import lu_solve, max_norm, null_space
 from kwlab.operators import kac_ward, phi_omega, dirac_C
 from kwlab.sholo import (integrate_square, kernel_observables, laplacian_of_H,
                          map_S, map_S_inverse, observable, sholo_residual,
                          sholo_residual_all, spinor_maps,
-                         star_identity_residual, verify_sholo)
+                         star_identity_residual, verify_sholo,
+                         vertex_residuals)
+from sholo_reference import (kernel_observables_reference,
+                             map_S_inverse_reference, map_S_reference,
+                             sholo_residual_reference)
 
 ROT = cmath.exp(0.25j * math.pi)
 
@@ -224,3 +228,88 @@ def test_observable_on_torus_nonadjacent():
     for v in range(g.nv):
         if v not in adj:
             assert sholo_residual(g, F, v) < 1e-9
+
+
+RESIDUAL_FIXTURES = (
+    lambda: fx.triangle(0.3), lambda: fx.square_patch(3, 3),
+    lambda: fx.rect_torus(0.3, 0.4), lambda: fx.square_torus(2, 0.37),
+    lambda: fx.honeycomb_torus((0.3, 0.4, 0.5)),
+    lambda: fx.rect_torus_iso(math.pi / 3))
+
+
+@pytest.mark.parametrize("mk", RESIDUAL_FIXTURES)
+@pytest.mark.parametrize("branch", (0.0, math.pi))
+def test_residuals_match_vertex_loop(mk, branch):
+    g = mk()
+    rng = np.random.default_rng(7)
+    F = rng.standard_normal(g.ne) + 1j * rng.standard_normal(g.ne)
+    want = np.array([sholo_residual_reference(g, F, v, branch)
+                     for v in range(g.nv)])
+    assert max_norm(vertex_residuals(g, F, branch) - want) <= 1e-15
+    for v in range(g.nv):
+        assert abs(sholo_residual(g, F, v, branch) - want[v]) <= 1e-15
+    assert abs(sholo_residual_all(g, F, branch) - want.max()) <= 1e-15
+    f = map_S(g, F)
+    assert max_norm(f - map_S_reference(g, F)) <= 1e-15
+    assert max_norm(map_S_inverse(g, f) - map_S_inverse_reference(g, f)) <= 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert abs(integrate_square(g, F).sholo_defect
+                   - max(sholo_residual_reference(g, F, v)
+                         for v in range(g.nv))) <= 1e-15
+
+
+def _real_rows(funcs):
+    """Midpoint functions as rows of a real matrix (Re and Im side by side)."""
+    return np.array([np.concatenate([F.real, F.imag]) for F in funcs])
+
+
+@pytest.mark.parametrize("mk", (
+    lambda: fx.rect_torus(fx.X_CRITICAL_SQUARE, fx.X_CRITICAL_SQUARE),
+    lambda: fx.square_torus(2), lambda: fx.square_torus(4)))
+def test_kernel_observables_real_basis(mk):
+    g = mk()
+    funcs = kernel_observables(g)
+    new = _real_rows(funcs)
+    # R-linearly independent, as many as the complex kernel dimension of KW
+    assert np.linalg.matrix_rank(new, tol=1e-8) == len(funcs)
+    assert len(funcs) == len(null_space(kac_ward(g)))
+    # the reference's (possibly dependent) functions lie in their real span
+    ref = _real_rows(kernel_observables_reference(g))
+    assert len(ref) >= len(funcs)
+    coef, *_ = np.linalg.lstsq(new.T, ref.T, rcond=None)
+    assert max_norm(new.T @ coef - ref.T) <= 1e-10
+    for F in funcs:
+        assert sholo_residual_all(g, F) < 1e-7
+    # sign-normalized: the real gauge vector r = H S(F / rot) has its
+    # largest-magnitude entry positive; and deterministic
+    for F in funcs:
+        r = np.exp(0.5j * g.dirang) * map_S(g, F / ROT)
+        assert max_norm(r.imag) < 1e-12
+        assert r.real[np.argmax(np.abs(r.real))] > 0
+    again = kernel_observables(g)
+    assert all(np.array_equal(F, F2) for F, F2 in zip(funcs, again))
+
+
+def test_kernel_observables_factor_a_real_matrix(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert kernel_observables(fx.square_torus(2))
+    assert seen == [np.dtype(float)]
+
+
+def test_kernel_observables_certified_by_complex_kw(monkeypatch):
+    import kwlab.sholo as sholo
+
+    g = fx.square_torus(2)
+    assert kernel_observables(g)
+    # a complex operator that does not vanish on the real-gauge kernel
+    # rejects every candidate
+    monkeypatch.setattr(sholo, "kac_ward", lambda g: kac_ward(g, x=0.9 * g.x))
+    assert kernel_observables(g) == []

@@ -226,3 +226,19 @@ def test_gauge_preserves_cocycle():
     g = fx.rect_torus(0.3, 0.4)
     phi = character_cochain(g, 0.8 + 0.1j, 1.2)
     assert phi.gauge(0, 2.0 + 1.0j).is_cocycle()
+
+
+def test_even_face_rotation_message():
+    import dataclasses
+
+    g = fx.triangle(0.5)
+    # one face running both boundaries turns by 2pi - 2pi = 0, an even multiple
+    bad = dataclasses.replace(g, faces=(g.faces[0] + g.faces[1], ()))
+    b = g.beta()
+    darts = bad.faces[0]
+    r = (math.pi * len(darts) - float(sum(b[d] for d in darts))) / TWO_PI
+    with pytest.raises(GraphError) as err:
+        bad.validate()
+    assert str(err.value) == (
+        f"face 0 boundary rotation {r} (x 2pi) is not an odd integer")
+    assert bad.face_rotation(0) == bad.face_rotation(0, b) == r * TWO_PI
