@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .surface_graph import GraphError, EmbeddedGraph, TWO_PI, \
-    cycle_with_winding, edge_vectors, face_centroid, face_offsets, \
+    cycle_with_winding, edge_vectors, face_offsets, \
     lattice_shifts, reduce_to_domain, shift_character
 
 SNAP_TOL = 1e-9
@@ -262,11 +262,14 @@ def _half_shifts(g):
     half = 0.5 * edge_vectors(g)
     mid = np.repeat(reduce_to_domain(g, g.vcoords[g.origin[::2]] + half[::2]),
                     2, axis=0)
-    centre = reduce_to_domain(g, np.array(
-        [face_centroid(g, f) for f in range(len(g.faces))]))[g.face_of[rev]]
+    off = face_offsets(g)
+    # each face's centroid, seen from the origin of its first dart
+    first = np.array([f[0] for f in g.faces])
+    centre = reduce_to_domain(g, g.vcoords[g.origin[first]]
+                              + off[first])[g.face_of[rev]]
     primal = lattice_shifts(g, half - (mid - g.vcoords[g.origin]),
                             "midpoint shift")
-    dual = lattice_shifts(g, -half - face_offsets(g)[rev] - (mid - centre),
+    dual = lattice_shifts(g, -half - off[rev] - (mid - centre),
                           "dual half shift")
     return np.concatenate([primal, dual])
 

@@ -1,10 +1,16 @@
-"""Dense complex linear algebra.
+"""Dense complex linear algebra, and entry lists for the identity checks.
 
 Determinants and solves are LAPACK LU with partial pivoting through numpy;
 ``det_cofactor`` is the independent cofactor oracle the tests check
 ``lu_det`` against.  Numerical kernels are delegated to numpy's real or
 complex SVD, deterministic for fixed input.  ``pfaffian`` is the one routine
 numpy lacks, a pivoted Parlett-Reid loop over numpy rank-2 updates.
+
+An entry list is a plain ``(rows, cols, vals)`` tuple of parallel arrays;
+repeated (row, col) pairs add up, as in ``to_dense``'s ``np.add.at``
+scatter.  ``sparse_product`` multiplies two lists, ``sparse_max_norm``
+measures a linear combination of lists over the union of their supports,
+and ``cycle_det`` is det(I - A) for a weighted permutation matrix A.
 """
 
 from __future__ import annotations
@@ -97,3 +103,65 @@ def null_space(a, tol=1e-8):
 def max_norm(a):
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def to_dense(shape, entries):
+    """Dense complex matrix of an entry list; repeated entries add up."""
+    m = np.zeros(shape, dtype=complex)
+    rows, cols, vals = entries
+    np.add.at(m, (rows, cols), vals)
+    return m
+
+
+def sparse_product(a, b):
+    """Entry list of A B: each entry (i, k) of A meets every entry (k, j) of B.
+
+    The inner index is joined by sorting B's rows; repeated (row, col) pairs
+    are kept, to be summed by whatever reads the product.
+    """
+    ar, ac, av = a
+    br, bc, bv = b
+    order = np.argsort(br, kind="stable")
+    lo = np.searchsorted(br[order], ac, "left")
+    count = np.searchsorted(br[order], ac, "right") - lo
+    ia = np.repeat(np.arange(len(ac)), count)
+    # the k-th match of entry i of A sits at sorted position lo[i] + k
+    first = np.cumsum(count) - count
+    ib = order[np.arange(len(ia)) + np.repeat(lo - first, count)]
+    return ar[ia], bc[ib], av[ia] * bv[ib]
+
+
+def sparse_max_norm(*terms):
+    """Max-norm of sum_k c_k A_k over (c_k, A_k) pairs of coefficients and
+    entry lists.
+
+    Repeated (row, col) pairs are summed first, so an entry that only one
+    term has still counts, and max_norm(to_dense(A) - to_dense(B)) is
+    ``sparse_max_norm((1, A), (-1, B))``.
+    """
+    rows = np.concatenate([a[0] for _, a in terms])
+    if not rows.size:
+        return 0.0
+    cols = np.concatenate([a[1] for _, a in terms])
+    vals = np.concatenate([coef * np.asarray(a[2], dtype=complex)
+                           for coef, a in terms])
+    _, slot = np.unique(rows * (int(cols.max()) + 1) + cols,
+                        return_inverse=True)
+    total = (np.bincount(slot, vals.real)
+             + 1j * np.bincount(slot, vals.imag))
+    return float(np.max(np.abs(total)))
+
+
+def cycle_det(perm, w):
+    """det(I - A) for A[i, perm[i]] = w[i]: the product over the cycles of
+    the permutation of 1 - (product of w along the cycle)."""
+    perm = np.asarray(perm, dtype=int)
+    n = len(perm)
+    # label each cycle by its smallest index: after k doublings lab[i] is
+    # the minimum over the 2^k successors of i
+    lab, step = np.arange(n), perm
+    for _ in range((n - 1).bit_length()):
+        lab, step = np.minimum(lab, lab[step]), step[step]
+    prod = np.ones(n, dtype=complex)
+    np.multiply.at(prod, lab, w)
+    return complex(np.prod(1.0 - prod[lab == np.arange(n)]))

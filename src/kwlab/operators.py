@@ -13,6 +13,13 @@ Conventions (mirrored throughout the package):
   mu_v = 1/2 sum sin(2 theta_e) over darts at v.
 * Dirac: (dbar f)(w) = mu_w^{-1} sum phi(e) exp(i theta_X(e)) sin(theta_e) f(b)
   and its conjugate-phase partner, on the isoradial C and D graphs.
+
+Every builder but ``kac_ward`` assembles its operator's entry list once, a
+``(rows, cols, vals)`` tuple with at most four entries per row; with
+``sparse=True`` it returns that list, otherwise its dense ``np.add.at``
+scatter.  The identity suites ``verify_corr`` and
+``verify_dirac_identities`` multiply and compare entry lists (see
+``linalg``), so no check forms a dense product or an LU determinant.
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ import math
 
 import numpy as np
 
-from .linalg import lu_det, max_norm, null_space, pfaffian
+# lu_det stays bound here: the benchmark's tracer wraps it in every module
+# that binds it, and its tests expect this one
+from .linalg import (cycle_det, lu_det, null_space, pfaffian,  # noqa: F401
+                     sparse_max_norm, sparse_product, to_dense)
 from .surface_graph import (Cochain, GraphError, character_cochain,
                             shift_character)
 from .derived import (build_C, build_D, build_M, c_edge_directions,
@@ -85,24 +95,20 @@ def kw_dets(g, phi_rows, x_rows):
     return out.reshape(lead)
 
 
-def transition_factors(g, phi=None, x=None):
-    """The two structural factors of the Kac-Ward/Kasteleyn correspondence.
-
-    Returns (I - qR, I - i phi x J) as dart-indexed matrices; their
-    determinants are 2^V and prod_e (1 + x_e^2).
-    """
-    nd = g.nd
-    d = np.arange(nd)
-    pv = _phi_values(g, phi)
-    xs = g.x if x is None else np.asarray(x)
-    iqr = np.eye(nd, dtype=complex)
-    iqr[d, g.rot] -= q_phases(g)
-    ixj = np.eye(nd, dtype=complex)
-    ixj[d, d ^ 1] -= 1j * pv * np.repeat(xs, 2)
-    return iqr, ixj
+def _out(shape, entries, sparse):
+    """The entry list itself when ``sparse``, else its dense matrix."""
+    return entries if sparse else to_dense(shape, entries)
 
 
-def kasteleyn(c, phi=None, orientation="omega", x=None):
+def _eye_minus(n, a):
+    """Entry list of I - A for the n x n identity and an entry list A."""
+    d = np.arange(n)
+    rows, cols, vals = a
+    return (np.concatenate([d, rows]), np.concatenate([d, cols]),
+            np.concatenate([np.ones(n), -vals]))
+
+
+def kasteleyn(c, phi=None, orientation="omega", x=None, sparse=False):
     """Kasteleyn operator of the rectangle graph, W x B in ascending dart order.
 
     ``orientation`` is either the +-1 orientation 'omega' or the unit cochain
@@ -116,21 +122,18 @@ def kasteleyn(c, phi=None, orientation="omega", x=None):
     o = c.omega if orientation == "omega" else c.omega_tilde
     y = c.y if x is None else dimer_weights(
         2.0 * np.arctan(np.asarray(x, dtype=float)))
-    k = np.zeros((nd, nd), dtype=complex)
-    np.add.at(k, (c.w, c.b), o * y * c.phi_values(_phi_values(c.g, phi)))
-    return k
+    vals = o * y * c.phi_values(_phi_values(c.g, phi))
+    return _out((nd, nd), (c.w, c.b, vals), sparse)
 
 
-def _star_operator(n, src, dst, weight, phase, mu):
-    """n x n matrix of (A f)(u) = mu_u^-1 sum weight (f(u) - phase f(v)),
+def _star_operator(src, dst, weight, phase, mu):
+    """Entry list of (A f)(u) = mu_u^-1 sum weight (f(u) - phase f(v)),
     summed over the oriented pairs u = src[i] -> v = dst[i]."""
-    m = np.zeros((n, n), dtype=complex)
-    np.add.at(m, (src, src), weight / mu[src])
-    np.add.at(m, (src, dst), -weight * phase / mu[src])
-    return m
+    return (np.concatenate([src, src]), np.concatenate([src, dst]),
+            np.concatenate([weight / mu[src], -weight * phase / mu[src]]))
 
 
-def _star_laplacian(n, star, theta, pv, where):
+def _star_laplacian(n, star, theta, pv, where, sparse):
     """Laplacian over stars: dart d leaves star[d] toward star[rev d], with
     weight tan(theta) and mu = 1/2 sum sin(2 theta) over each star."""
     th = np.repeat(theta, 2)
@@ -138,11 +141,11 @@ def _star_laplacian(n, star, theta, pv, where):
     bad = np.flatnonzero(mu < 1e-14)
     if bad.size:
         raise GraphError(f"vanishing {where} weight mu at {where} {bad[0]}")
-    return _star_operator(n, star, star[np.arange(len(star)) ^ 1], np.tan(th),
-                          pv, mu)
+    return _out((n, n), _star_operator(star, star[np.arange(len(star)) ^ 1],
+                                       np.tan(th), pv, mu), sparse)
 
 
-def laplacian(g, phi=None):
+def laplacian(g, phi=None, sparse=False):
     """Discrete Laplace operator on vertices.
 
     Rejects theta = pi/2 edges (infinite conductance) and vertices with
@@ -151,10 +154,10 @@ def laplacian(g, phi=None):
     if np.any(g.theta >= math.pi / 2 - 1e-12):
         raise GraphError("theta = pi/2 edge: Laplacian weight tan(theta) diverges")
     return _star_laplacian(g.nv, g.origin, g.theta, _phi_values(g, phi),
-                           "vertex")
+                           "vertex", sparse)
 
 
-def laplacian_dual(g, phi_star=None):
+def laplacian_dual(g, phi_star=None, sparse=False):
     """Laplace operator on the faces of g (the dual graph), weights tan(theta*).
 
     Assembled directly from the face structure so it works on planar graphs
@@ -167,13 +170,14 @@ def laplacian_dual(g, phi_star=None):
     if np.any(theta_star >= math.pi / 2 - 1e-12):
         raise GraphError("theta* = pi/2 edge: dual Laplacian diverges")
     pv = _phi_values(g, phi_star)[np.arange(g.nd) ^ 1]
-    return _star_laplacian(len(g.faces), g.face_of, theta_star, pv, "face")
+    return _star_laplacian(len(g.faces), g.face_of, theta_star, pv, "face",
+                           sparse)
 
 
 # -- Dirac operators ------------------------------------------------------------
 
 
-def dirac_C(c, phi=None, field="edge", phi_c=None):
+def dirac_C(c, phi=None, field="edge", phi_c=None, sparse=False):
     """Discrete dbar and d operators on the rectangle graph (isoradial only).
 
     ``field='edge'``: the reference vector at each white vertex points toward
@@ -209,15 +213,12 @@ def dirac_C(c, phi=None, field="edge", phi_c=None):
     ang_wb = c_edge_directions(c)
     th_wb = ang_wb - ref_w[c.w]
     th_bw = (ang_wb + math.pi) - ref_b[c.b]
-    dbar = np.zeros((nd, nd), dtype=complex)
-    dop = np.zeros((nd, nd), dtype=complex)
-    np.add.at(dbar, (c.w, c.b), pcvals * np.exp(1j * th_wb) * c.y / mu[c.w])
-    np.add.at(dop, (c.b, c.w),
-              (1.0 / pcvals) * np.exp(-1j * th_bw) * c.y / mu[c.b])
-    return dbar, dop
+    dbar = (c.w, c.b, pcvals * np.exp(1j * th_wb) * c.y / mu[c.w])
+    dop = (c.b, c.w, (1.0 / pcvals) * np.exp(-1j * th_bw) * c.y / mu[c.b])
+    return _out((nd, nd), dbar, sparse), _out((nd, nd), dop, sparse)
 
 
-def dirac_D(dg, phi_d=None):
+def dirac_D(dg, phi_d=None, sparse=False):
     """Discrete dbar: Lambda -> Diamond and d: Diamond -> Lambda on the double.
 
     Constant reference field.  The midpoint weights are sin(theta) cos(theta)
@@ -228,16 +229,14 @@ def dirac_D(dg, phi_d=None):
     isoradial_data(g)
     nl, ne = dg.n_lambda, g.ne
     phi_d = np.ones(len(dg.lam)) if phi_d is None else np.asarray(phi_d)
-    dbar = np.zeros((ne, nl), dtype=complex)
-    dop = np.zeros((nl, ne), dtype=complex)
     # direction stored Lambda -> midpoint; the reverse traversal adds pi
-    np.add.at(dbar, (dg.edge, dg.lam),
-              (1.0 / phi_d) * np.exp(1j * (dg.direction + math.pi)) * dg.weight
-              / dg.mu_diamond[dg.edge])
-    np.add.at(dop, (dg.lam, dg.edge),
-              phi_d * np.exp(-1j * dg.direction) * dg.weight
-              / dg.mu_lambda[dg.lam])
-    return dbar, dop
+    dbar = (dg.edge, dg.lam,
+            (1.0 / phi_d) * np.exp(1j * (dg.direction + math.pi)) * dg.weight
+            / dg.mu_diamond[dg.edge])
+    dop = (dg.lam, dg.edge,
+           phi_d * np.exp(-1j * dg.direction) * dg.weight
+           / dg.mu_lambda[dg.lam])
+    return _out((ne, nl), dbar, sparse), _out((nl, ne), dop, sparse)
 
 
 def _m_character(m, phi):
@@ -247,27 +246,29 @@ def _m_character(m, phi):
     return shift_character(m.shift, *phi)
 
 
-def skew_adjacency(m, phi=None):
+def skew_adjacency(m, phi=None, sparse=False):
     """Normalized twisted skew-adjacency operator on the corner graph M.
 
     (A f)(v) = mu_v^{-1} sum eps(e) phi(e) f(v'); mu * A is antisymmetric for
     a trivial cochain.
     """
     pv = _m_character(m, phi)
-    a = np.zeros((m.n, m.n), dtype=complex)
-    np.add.at(a, (m.tail, m.head), pv / m.mu[m.tail])
-    np.add.at(a, (m.head, m.tail), -(1.0 / pv) / m.mu[m.head])
-    return a
+    return _out((m.n, m.n), (np.concatenate([m.tail, m.head]),
+                             np.concatenate([m.head, m.tail]),
+                             np.concatenate([pv / m.mu[m.tail],
+                                             -(1.0 / pv) / m.mu[m.head]])),
+                sparse)
 
 
-def laplacian_M(m, phi=None):
+def laplacian_M(m, phi=None, sparse=False):
     """Laplace operator on the corner graph M with weights tan(theta_M)."""
     pv = _m_character(m, phi)
     t = np.tan(m.theta_m)
-    return _star_operator(m.n, np.concatenate([m.tail, m.head]),
-                          np.concatenate([m.head, m.tail]),
-                          np.concatenate([t, t]),
-                          np.concatenate([pv, 1.0 / pv]), m.mu)
+    return _out((m.n, m.n), _star_operator(np.concatenate([m.tail, m.head]),
+                                           np.concatenate([m.head, m.tail]),
+                                           np.concatenate([t, t]),
+                                           np.concatenate([pv, 1.0 / pv]),
+                                           m.mu), sparse)
 
 
 # -- signed square root --------------------------------------------------------
@@ -313,29 +314,36 @@ def verify_corr(g, phi=None, x=None, c=None):
     Checks  KW (I - qR) = (I - i phi x J) M  with M the dart-pulled Kasteleyn
     matrix in the unit-cochain orientation, the gauge-reduced version with the
     diagonal square roots and the +-1 orientation, and the two factor
-    determinants 2^V and prod(1 + x^2).
+    determinants 2^V and prod(1 + x^2).  Every operator is an entry list;
+    both factors are I minus a weighted permutation (qR and i phi x J), so
+    their determinants are cycle products.
     """
     if c is None:
         c = build_C(g)
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    kw = kac_ward(g, phi, xs)
-    iqr, ixj = transition_factors(g, phi, xs)
-    ktil = kasteleyn(c, phi, "omega_tilde", xs)
-    lhs = kw @ iqr
-    rhs = ixj @ ktil
-    scale = max(1.0, max_norm(lhs))
-    res_tilde = max_norm(lhs - rhs) / scale
+    d = np.arange(g.nd)
+    pxd = _phi_values(g, phi) * np.repeat(xs, 2)
+    e, e2, phase = g.transition_entries
+    q = q_phases(g)
+    kw = _eye_minus(g.nd, (e, e2, pxd[e] * phase))
+    iqr = _eye_minus(g.nd, (d, g.rot, q))
+    ixj = _eye_minus(g.nd, (d, d ^ 1, 1j * pxd))
+    lhs = sparse_product(kw, iqr)
+    rhs = sparse_product(ixj,
+                         kasteleyn(c, phi, "omega_tilde", xs, sparse=True))
+    scale = max(1.0, sparse_max_norm((1, lhs)))
+    res_tilde = sparse_max_norm((1, lhs), (-1, rhs)) / scale
 
-    kom = kasteleyn(c, phi, "omega", xs)
-    dh = half_angle_phases(g)
     # the diagonal gauge exp(-i a/2) enters on both dart-indexed sides, as
     # a column scaling
-    lhs2 = lhs * dh ** -1
-    rhs2 = (ixj * dh ** -1) @ kom
-    res_omega = max_norm(lhs2 - rhs2) / scale
+    gauge = half_angle_phases(g) ** -1
+    lhs2 = (lhs[0], lhs[1], lhs[2] * gauge[lhs[1]])
+    rhs2 = sparse_product((ixj[0], ixj[1], ixj[2] * gauge[ixj[1]]),
+                          kasteleyn(c, phi, "omega", xs, sparse=True))
+    res_omega = sparse_max_norm((1, lhs2), (-1, rhs2)) / scale
 
-    det_iqr = lu_det(iqr)
-    det_ixj = lu_det(ixj)
+    det_iqr = cycle_det(g.rot, q)
+    det_ixj = cycle_det(d ^ 1, 1j * pxd)
     want_iqr = 2.0 ** g.nv
     want_ixj = complex(np.prod(1.0 + xs.astype(complex) ** 2))
     return {
@@ -384,12 +392,14 @@ def verify_dirac_identities(g, phi_char=None):
     # (a) K^omega o exp(-i theta_B / 2) = exp(-i theta_W / 2) o mu_W o dbar^{phi_omega}
     th_d = np.repeat(g.theta, 2)
     mu_c = np.sin(2 * th_d)
-    kom = kasteleyn(c, None, "omega")
+    half = np.exp(-0.5j * th_d)
+    kr, kc, kv = kasteleyn(c, None, "omega", sparse=True)
     phiom = phi_omega(c)
-    dbar_tw, _ = dirac_C(c, field="edge", phi_c=phiom)
-    lhs = kom * np.exp(-0.5j * th_d)
-    rhs = (np.exp(-0.5j * th_d) * mu_c)[:, None] * dbar_tw
-    report["kasteleyn_dbar"] = max_norm(lhs - rhs) / max(1.0, max_norm(lhs))
+    (dr, dc, dv), _ = dirac_C(c, field="edge", phi_c=phiom, sparse=True)
+    lhs = (kr, kc, kv * half[kc])
+    rhs = (dr, dc, dv * (half * mu_c)[dr])
+    report["kasteleyn_dbar"] = (sparse_max_norm((1, lhs), (-1, rhs))
+                                / max(1.0, sparse_max_norm((1, lhs))))
 
     # phi_omega is a cocycle whose square inverts the (trivial) holonomy
     coc_err = 0.0
@@ -403,40 +413,44 @@ def verify_dirac_identities(g, phi_char=None):
     # (b) -d dbar = Laplacian (+) dual Laplacian on the double
     if phi_char is None:
         phid = None
-        lap = laplacian(g)
-        lap_star = laplacian_dual(g)
+        lap = laplacian(g, sparse=True)
+        lap_star = laplacian_dual(g, sparse=True)
     else:
         z, w = phi_char
         phid = phi_D_character(dg, z, w)
         phi_g, phi_star = split_phi_D(dg, phid)
-        lap = laplacian(g, phi_g)
+        lap = laplacian(g, phi_g, sparse=True)
         # the dual Laplacian reads the cochain on dual darts: phi*(d*) with
         # d* from right face to left face of d; split_phi_D returns exactly that
-        lap_star = laplacian_dual(g, phi_star)
-    dbar_d, d_d = dirac_D(dg, phid)
-    prod = -(d_d @ dbar_d)
-    block = np.zeros_like(prod)
-    block[: g.nv, : g.nv] = lap
-    block[g.nv:, g.nv:] = lap_star
-    report["double_factorization"] = max_norm(prod - block) / max(1.0, max_norm(block))
+        lap_star = laplacian_dual(g, phi_star, sparse=True)
+    dbar_d, d_d = dirac_D(dg, phid, sparse=True)
+    # the faces follow the vertices on the double
+    lap_star = (lap_star[0] + g.nv, lap_star[1] + g.nv, lap_star[2])
+    report["double_factorization"] = (
+        sparse_max_norm((-1, sparse_product(d_d, dbar_d)), (-1, lap),
+                        (-1, lap_star))
+        / max(1.0, sparse_max_norm((1, lap), (1, lap_star))))
 
     # (c) Dirac square on C against the corner graph
     m = build_M(g)
     char = phi_char
     dbar_c, d_c = dirac_C(c, None if char is None else
-                          character_cochain(g, *char).values, field="constant")
-    lm = laplacian_M(m, char)
-    am = skew_adjacency(m, char)
+                          character_cochain(g, *char).values, field="constant",
+                          sparse=True)
+    lm = laplacian_M(m, char, sparse=True)
+    am = skew_adjacency(m, char, sparse=True)
     # the black corner map b[d] -> corner(R^-1 d) is the permutation rot_inv,
     # the white one w[d] -> corner(d) the identity
-    pb = -(d_c @ dbar_c)[np.ix_(g.rot, g.rot)]
-    pw = -(dbar_c @ d_c)
-    tgt_b = 0.5 * (lm - 1j * am)
-    tgt_w = 0.5 * (lm + 1j * am)
-    scale = max(1.0, max_norm(lm))
-    report["dirac_square_black"] = max_norm(pb - tgt_b) / scale
-    report["dirac_square_white"] = max_norm(pw - tgt_w) / scale
-    report["dirac_square_sum"] = max_norm((pb + pw) - lm) / scale
+    br, bc, bv = sparse_product(d_c, dbar_c)
+    pb = (g.rot_inv[br], g.rot_inv[bc], -bv)
+    pw = sparse_product(dbar_c, d_c)
+    scale = max(1.0, sparse_max_norm((1, lm)))
+    report["dirac_square_black"] = sparse_max_norm(
+        (1, pb), (-0.5, lm), (0.5j, am)) / scale
+    report["dirac_square_white"] = sparse_max_norm(
+        (-1, pw), (-0.5, lm), (-0.5j, am)) / scale
+    report["dirac_square_sum"] = sparse_max_norm(
+        (1, pb), (-1, pw), (-1, lm)) / scale
 
     # (d) corner adjacency intertwiner between the C and D Dirac operators
     report["dirac_cd"] = _dirac_cd_residual(g, c, dg)
@@ -451,28 +465,22 @@ def _dirac_cd_residual(g, c, dg):
     The adjacency couples each white w[e] to the midpoint z_e with weight 1/2,
     and each black b[e] to the origin o(e) and the right-face center, weight
     1/2 each.  Both sides only map whites <-> blacks and Lambda <-> diamonds,
-    so only those two off-diagonal blocks are built.
+    so only those two off-diagonal blocks are compared, as entry lists.
     """
-    nd, nl = g.nd, dg.n_lambda
-    black_ends = (g.origin, g.nv + g.face_of[np.arange(nd) ^ 1])
     mu_c = np.sin(2 * np.repeat(g.theta, 2))
-    dbar_c, d_c = dirac_C(c, None, field="constant")
-    dbar_d, d_d = dirac_D(dg)
+    black_ends = (g.origin, g.nv + g.face_of[np.arange(g.nd) ^ 1])
+    (wr, bc, wb), (br, wc, bw) = dirac_C(c, None, field="constant", sparse=True)
+    dbar_d, d_d = dirac_D(dg, sparse=True)
 
     # h_CD pushes rows with weight 1 and h_DC pulls columns with weight 1/2;
     # the whites of darts 2k and 2k + 1 share the diamond k
-    wb = mu_c[:, None] * dbar_c             # white rows, black columns
-    dia_b = 0.5 * (wb[0::2] + wb[1::2])
-    dia_lam = np.zeros((g.ne, nl), dtype=complex)
-    for ends in black_ends:
-        np.add.at(dia_lam.T, ends, dia_b.T)
-    bw = -mu_c[:, None] * d_c               # black rows, white columns
-    lam_w = np.zeros((nl, nd), dtype=complex)
-    for ends in black_ends:
-        np.add.at(lam_w, ends, bw)
-    lam_dia = 0.5 * lam_w[:, 0::2] + 0.5 * lam_w[:, 1::2]
-
-    want_dl = dg.mu_diamond[:, None] * dbar_d
-    want_ld = -dg.mu_lambda[:, None] * d_d
-    err = max(max_norm(dia_lam - want_dl), max_norm(lam_dia - want_ld))
-    return err / max(1.0, max_norm(want_dl), max_norm(want_ld))
+    dia_lam = (np.tile(wr >> 1, 2), np.concatenate([e[bc] for e in black_ends]),
+               np.tile(0.5 * (mu_c[wr] * wb), 2))
+    lam_dia = (np.concatenate([e[br] for e in black_ends]), np.tile(wc >> 1, 2),
+               np.tile(0.5 * (-mu_c[br] * bw), 2))
+    want_dl = (dbar_d[0], dbar_d[1], dg.mu_diamond[dbar_d[0]] * dbar_d[2])
+    want_ld = (d_d[0], d_d[1], -dg.mu_lambda[d_d[0]] * d_d[2])
+    err = max(sparse_max_norm((1, dia_lam), (-1, want_dl)),
+              sparse_max_norm((1, lam_dia), (-1, want_ld)))
+    return err / max(1.0, sparse_max_norm((1, want_dl)),
+                     sparse_max_norm((1, want_ld)))

@@ -101,23 +101,21 @@ def spinor_maps(g, F, c=None):
         c = build_C(g)
     F = np.asarray(F, dtype=complex)
     dh = half_angle_phases(g)
-    nd = g.nd
-    t = np.zeros(nd)
-    t_tilde = np.zeros(nd)
-    for b in range(nd):
-        v = int(g.origin[b])
-        sign = 1.0
-        d = b
-        acc = 0.0
-        for _ in range(len(g.darts_at[v])):
-            acc += (sign * dh[d] * math.sin(0.5 * g.theta[d >> 1])
-                    * F[d >> 1]).real
-            sign *= c.epsilon[d]
-            d = int(g.rot[d])
-        t[b] = acc
-        t_tilde[b] = (1j * dh[b] * cmath.exp(-0.5j * g.theta[b >> 1])
-                      * F[b >> 1]).real
-    rot = np.exp(0.5j * g.theta[np.arange(nd) >> 1])
+    k = np.arange(g.nd) >> 1
+    term = (dh * np.sin(0.5 * g.theta[k]) * F[k]).real
+    # T[b] sums the terms around the star of o(b), from b counterclockwise,
+    # each signed by the corner signs passed so far; all stars advance
+    # together, those of smaller degree adding nothing once closed
+    deg = np.bincount(g.origin)[g.origin]
+    d = np.arange(g.nd)
+    sign = np.ones(g.nd)
+    t = np.zeros(g.nd)
+    for step in range(int(deg.max(initial=0))):
+        t += np.where(step < deg, sign * term[d], 0.0)
+        sign *= c.epsilon[d]
+        d = g.rot[d]
+    t_tilde = (1j * dh * np.exp(-0.5j * g.theta[k]) * F[k]).real
+    rot = np.exp(0.5j * g.theta[k])
     return {"T": t, "T_tilde": t_tilde,
             "T_prime": rot * t, "T_tilde_prime": rot * t_tilde}
 
@@ -132,14 +130,12 @@ def star_identity_residual(g, F, c=None):
         c = build_C(g)
     F = np.asarray(F, dtype=complex)
     dh = half_angle_phases(g)
-    worst = 0.0
-    for d in range(g.nd):
-        d2 = int(g.rot[d])
-        lhs = (1j * dh[d] * cmath.exp(0.5j * g.theta[d >> 1]) * F[d >> 1]).real
-        rhs = c.epsilon[d] * (1j * dh[d2] * cmath.exp(-0.5j * g.theta[d2 >> 1])
-                              * F[d2 >> 1]).real
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    k = np.arange(g.nd) >> 1
+    k2 = g.rot >> 1
+    lhs = (1j * dh * np.exp(0.5j * g.theta[k]) * F[k]).real
+    rhs = c.epsilon * (1j * dh[g.rot] * np.exp(-0.5j * g.theta[k2])
+                       * F[k2]).real
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 # -- fermionic observables -------------------------------------------------------

@@ -150,12 +150,13 @@ class EmbeddedGraph:
         return math.pi * len(darts) - float(sum(b[d] for d in darts))
 
     @cached_property
-    def transition(self):
-        """Dart transitions: exp(i alpha(e, e') / 2) on the non-backtracking
-        continuations e -> e' (o(e') = t(e), e' != rev e), 0 elsewhere.
+    def transition_entries(self):
+        """Dart transitions as (e, e', exp(i alpha(e, e') / 2)) triples, one
+        per non-backtracking continuation e -> e' (o(e') = t(e), e' != rev e),
+        in row-major order.
 
-        It depends only on the embedding; graphs are not mutated after
-        construction, so it is built once per graph.
+        They depend only on the embedding; graphs are not mutated after
+        construction, so they are found once per graph.
         """
         nd = self.nd
         e, e2 = np.nonzero(self.origin[np.arange(nd) ^ 1][:, None]
@@ -165,8 +166,15 @@ class EmbeddedGraph:
         # principal_angle, elementwise
         alpha = (self.dirang[e2] - self.dirang[e] + math.pi) % TWO_PI - math.pi
         alpha[alpha <= -math.pi] += TWO_PI
-        t = np.zeros((nd, nd), dtype=complex)
-        t[e, e2] = np.exp(0.5j * alpha)
+        return e, e2, np.exp(0.5j * alpha)
+
+    @cached_property
+    def transition(self):
+        """The dense dart transition matrix of ``transition_entries``
+        (0 off the continuations), built once per graph."""
+        e, e2, phase = self.transition_entries
+        t = np.zeros((self.nd, self.nd), dtype=complex)
+        t[e, e2] = phase
         return t
 
     @cached_property

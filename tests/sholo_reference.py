@@ -4,6 +4,10 @@
 that ``sholo.vertex_residuals`` replaces with one pass over all darts, and
 ``map_S_reference`` / ``map_S_inverse_reference`` are the per-dart and
 per-edge loops of ``sholo.map_S`` / ``sholo.map_S_inverse``.
+``spinor_maps_reference`` walks each dart's vertex star and
+``star_identity_residual_reference`` each dart in turn, where
+``sholo.spinor_maps`` advances all stars together over the maximum degree
+and ``sholo.star_identity_residual`` is one pass over the darts.
 ``kernel_observables_reference`` takes the complex SVD of KW itself and
 projects each kernel vector u, and i u, onto the dart lines; the library
 instead takes the real null space of I - X T' in the half-angle gauge.
@@ -14,6 +18,7 @@ import math
 
 import numpy as np
 
+from kwlab.derived import build_C, half_angle_phases
 from kwlab.linalg import max_norm, null_space
 from kwlab.operators import kac_ward
 from kwlab.sholo import map_S_inverse
@@ -55,6 +60,58 @@ def map_S_inverse_reference(g, f):
     for k in range(g.ne):
         out[k] = (f[2 * k] + f[2 * k + 1]) / math.sin(0.5 * g.theta[k])
     return out
+
+
+def spinor_maps_reference(g, F, c=None):
+    """The four real spinor maps on black corner vertices.
+
+    Returns a dict with 'T' (gauge-summed pullback of map_S), 'T_tilde' (its
+    pointwise form, equal to T on s-holomorphic input), and the rotated
+    variants 'T_prime', 'T_tilde_prime' = exp(i theta/2) times the former.
+    """
+    if c is None:
+        c = build_C(g)
+    F = np.asarray(F, dtype=complex)
+    dh = half_angle_phases(g)
+    nd = g.nd
+    t = np.zeros(nd)
+    t_tilde = np.zeros(nd)
+    for b in range(nd):
+        v = int(g.origin[b])
+        sign = 1.0
+        d = b
+        acc = 0.0
+        for _ in range(len(g.darts_at[v])):
+            acc += (sign * dh[d] * math.sin(0.5 * g.theta[d >> 1])
+                    * F[d >> 1]).real
+            sign *= c.epsilon[d]
+            d = int(g.rot[d])
+        t[b] = acc
+        t_tilde[b] = (1j * dh[b] * cmath.exp(-0.5j * g.theta[b >> 1])
+                      * F[b >> 1]).real
+    rot = np.exp(0.5j * g.theta[np.arange(nd) >> 1])
+    return {"T": t, "T_tilde": t_tilde,
+            "T_prime": rot * t, "T_tilde_prime": rot * t_tilde}
+
+
+def star_identity_residual_reference(g, F, c=None):
+    """Pointwise reformulation of the kernel condition through corner signs.
+
+    For s-holomorphic exp(i pi/4) F the quantity Re(i D^{1/2} e^{i theta/2} F)
+    propagates to the rotated dart with the corner sign epsilon.
+    """
+    if c is None:
+        c = build_C(g)
+    F = np.asarray(F, dtype=complex)
+    dh = half_angle_phases(g)
+    worst = 0.0
+    for d in range(g.nd):
+        d2 = int(g.rot[d])
+        lhs = (1j * dh[d] * cmath.exp(0.5j * g.theta[d >> 1]) * F[d >> 1]).real
+        rhs = c.epsilon[d] * (1j * dh[d2] * cmath.exp(-0.5j * g.theta[d2 >> 1])
+                              * F[d2 >> 1]).real
+        worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 def kernel_observables_reference(g, tol=1e-7):

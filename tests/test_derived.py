@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kwlab import fixtures as fx
-from kwlab.surface_graph import GraphError, dual
+from kwlab.surface_graph import (GraphError, dual, edge_vectors,
+                                 face_centroid, face_offsets, lattice_shifts,
+                                 reduce_to_domain)
 from kwlab.derived import (build_C, build_D, build_M, epsilon_signs,
                            half_angle_phases, isoradial_data, phi_D_character,
                            split_phi_D, validate_kasteleyn)
@@ -140,3 +142,34 @@ def test_isoradial_validation():
     with pytest.raises(GraphError, match="circumcenters"):
         # unit squares are inscribed, the outer face of the patch is not
         isoradial_data(fx.square_patch(2, 2, math.tan(math.pi / 8)))
+
+
+def half_shifts_reference(g):
+    """Half-edge windings of the double with each face centre taken from a
+    second walk of the face boundary (``face_centroid``)."""
+    nd = g.nd
+    if g.surface != "torus":
+        return np.zeros((2 * nd, 2), dtype=int)
+    rev = np.arange(nd) ^ 1
+    half = 0.5 * edge_vectors(g)
+    mid = np.repeat(reduce_to_domain(g, g.vcoords[g.origin[::2]] + half[::2]),
+                    2, axis=0)
+    centre = reduce_to_domain(g, np.array(
+        [face_centroid(g, f) for f in range(len(g.faces))]))[g.face_of[rev]]
+    primal = lattice_shifts(g, half - (mid - g.vcoords[g.origin]),
+                            "midpoint shift")
+    dual_half = lattice_shifts(g, -half - face_offsets(g)[rev] - (mid - centre),
+                               "dual half shift")
+    return np.concatenate([primal, dual_half])
+
+
+@pytest.mark.parametrize("mk", (
+    lambda: fx.triangle(0.5), lambda: fx.cycle4(0.3),
+    lambda: fx.square_patch(3, 3), lambda: fx.square_torus(2),
+    lambda: fx.square_torus(5, 0.3), lambda: fx.rect_torus(0.3, 0.4),
+    lambda: fx.rect_torus_mn(2, 3, 0.3, 0.4),
+    lambda: fx.honeycomb_torus((0.3, 0.4, 0.5)),
+    lambda: fx.honeycomb_torus_iso((0.3, 0.5, math.pi / 2 - 0.8))))
+def test_double_shifts_match_face_centroid_walk(mk):
+    g = mk()
+    assert np.array_equal(build_D(g).shift, half_shifts_reference(g))

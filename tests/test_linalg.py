@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kwlab.linalg import (det_cofactor, lu_det, lu_solve, max_norm, null_space,
-                          pfaffian)
+from kwlab.linalg import (cycle_det, det_cofactor, lu_det, lu_solve, max_norm,
+                          null_space, pfaffian, sparse_max_norm,
+                          sparse_product, to_dense)
 from kwlab.surface_graph import GraphError
 
 
@@ -107,3 +108,66 @@ def test_null_space_real_input_stays_real():
         assert max_norm(a @ v) < 1e-12
     # integer input is factored as real too
     assert null_space(np.array([[1, 1], [1, 1]]))[0].dtype == np.float64
+
+
+def _random_entries(rng, shape, m):
+    """m random entries with repeated (row, col) pairs; the last row and
+    column stay empty."""
+    rows = rng.integers(0, shape[0] - 1, m)
+    cols = rng.integers(0, shape[1] - 1, m)
+    rows[m // 2:] = rows[:m - m // 2]  # every pair at least twice
+    cols[m // 2:] = cols[:m - m // 2]
+    return rows, cols, rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def test_sparse_product_matches_dense():
+    rng = np.random.default_rng(5)
+    for n, k, m, ma, mb in ((6, 5, 4, 12, 10), (9, 3, 7, 30, 2), (4, 4, 4, 0, 6)):
+        a = _random_entries(rng, (n, k), ma)
+        b = _random_entries(rng, (k, m), mb)
+        want = to_dense((n, k), a) @ to_dense((k, m), b)
+        got = to_dense((n, m), sparse_product(a, b))
+        assert max_norm(got - want) <= 1e-14
+    # an inner index that B never has contributes nothing
+    a = (np.array([0, 1]), np.array([2, 0]), np.array([1.0, 2.0]))
+    b = (np.array([0]), np.array([1]), np.array([3.0]))
+    assert [x.tolist() for x in sparse_product(a, b)] == [[1], [1], [6.0]]
+
+
+def test_sparse_max_norm_over_the_union_of_supports():
+    rng = np.random.default_rng(6)
+    a = _random_entries(rng, (7, 5), 14)
+    b = _random_entries(rng, (7, 5), 9)
+    da, db = to_dense((7, 5), a), to_dense((7, 5), b)
+    assert sparse_max_norm((1, a)) == pytest.approx(max_norm(da), abs=1e-15)
+    assert sparse_max_norm((1, a), (-1, b)) == pytest.approx(
+        max_norm(da - db), abs=1e-15)
+    assert sparse_max_norm((2.0, a), (0.5j, b)) == pytest.approx(
+        max_norm(2.0 * da + 0.5j * db), abs=1e-15)
+    # an entry only one side has counts; duplicates cancel before the norm
+    one = (np.array([0, 3, 3]), np.array([1, 2, 2]), np.array([1.0, 2.0, -2.0]))
+    other = (np.array([0]), np.array([1]), np.array([1.0]))
+    assert sparse_max_norm((1, one), (-1, other)) == 0.0
+    stray = (np.array([0, 4]), np.array([1, 0]), np.array([1.0, 1e-9]))
+    assert sparse_max_norm((1, stray), (-1, other)) == 1e-9
+    empty = (np.array([], dtype=int),) * 2 + (np.array([]),)
+    assert sparse_max_norm((1, empty)) == 0.0
+
+
+@pytest.mark.parametrize("perm", (
+    [0, 1, 2, 3],                  # fixed points
+    [1, 0, 3, 2, 4],               # 2-cycles and a fixed point
+    [1, 2, 3, 4, 5, 6, 0],         # one long cycle
+    [2, 0, 1, 4, 3, 5]))           # mixed
+def test_cycle_det_matches_dense_determinants(perm):
+    rng = np.random.default_rng(len(perm))
+    n = len(perm)
+    for w in (rng.standard_normal(n) + 1j * rng.standard_normal(n),
+              np.where(np.arange(n) % 3 == 0, 0.0, rng.standard_normal(n)),
+              np.zeros(n), np.ones(n)):
+        a = np.eye(n, dtype=complex)
+        a[np.arange(n), perm] -= w
+        want = det_cofactor(a)
+        assert abs(cycle_det(perm, w) - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(np.linalg.det(a) - want) <= 1e-12 * max(1.0, abs(want))
+    assert cycle_det([], []) == 1.0

@@ -9,7 +9,7 @@ from kwlab import fixtures as fx
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
                                  principal_angle)
 from kwlab.derived import build_C, build_D, build_M, isoradial_data
-from kwlab.linalg import lu_det, max_norm
+from kwlab.linalg import lu_det, max_norm, to_dense
 from kwlab.operators import (_dirac_cd_residual, dirac_C, dirac_D, kac_ward,
                              kasteleyn, kw_dets,
                              laplacian, laplacian_M, laplacian_dual, null_space,
@@ -17,6 +17,8 @@ from kwlab.operators import (_dirac_cd_residual, dirac_C, dirac_D, kac_ward,
                              verify_dirac_identities)
 from kwlab.oracle import signed_cycle_sum
 
+from identity_reference import (verify_corr_reference,
+                                verify_dirac_identities_reference)
 from tracked_root import sqrt_det_tracked
 
 
@@ -383,6 +385,99 @@ def test_dirac_cd_residual_vs_dense_reference():
         got = _dirac_cd_residual(g, c, dg)
         assert abs(got - dirac_cd_residual_reference(g, c, dg)) <= 1e-16
         assert got < 1e-12
+
+
+def _corr_draws():
+    """The graphs, gauged cochains and weights of test_verify_corr_random_draws."""
+    rng = np.random.default_rng(3)
+    for g in (fx.triangle(0.3), fx.cycle4(0.7), fx.rect_torus(0.3, 0.4),
+              fx.square_torus(2, 0.5)):
+        xs = rng.uniform(0.05, 0.95, g.ne)
+        vals = np.ones(g.nd, dtype=complex)
+        if g.genus == 1:
+            vals = character_cochain(g, cmath.exp(1j), cmath.exp(-2j)).values
+        phi = Cochain(g, vals)
+        for v in range(g.nv):
+            phi = phi.gauge(v, cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+        yield g, phi, xs
+
+
+def test_verify_corr_matches_dense_reference():
+    for g, phi, xs in _corr_draws():
+        for args in ((g, phi, xs), (g,)):
+            got, want = verify_corr(*args), verify_corr_reference(*args)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-15, (key, got, want)
+
+
+DIRAC_CASES = (
+    (fx.square_torus(2), None), (fx.square_torus(3), None),
+    (fx.rect_torus_iso(math.pi / 3), None), (fx.rect_torus_iso(1.1), None),
+    (fx.square_torus(2), (cmath.exp(0.4j), cmath.exp(1.3j))),
+    (fx.honeycomb_torus_iso((math.pi / 6,) * 3), None),
+    (fx.honeycomb_torus_iso((0.3, 0.5, math.pi / 2 - 0.8)), None))
+
+
+@pytest.mark.parametrize("g, phi_char", DIRAC_CASES)
+def test_dirac_identities_match_dense_reference(g, phi_char):
+    got = verify_dirac_identities(g, phi_char)
+    want = verify_dirac_identities_reference(g, phi_char)
+    assert got.keys() == want.keys()
+    assert got["pass"] == want["pass"]
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-15, (key, got, want)
+
+
+@pytest.mark.parametrize("tamper", ("scale", "stray"))
+def test_identity_checks_detect_a_tampered_dirac_D(monkeypatch, tamper):
+    import identity_reference
+    import kwlab.operators as operators
+
+    honest = operators.dirac_D
+
+    def tampered(dg, phi_d=None, sparse=False):
+        (rows, cols, vals), dop = honest(dg, phi_d, sparse=True)
+        if tamper == "scale":
+            vals = vals.copy()
+            vals[0] *= 1 + 1e-6
+        else:
+            # a stray entry in row 0, outside its support
+            col = min(set(range(dg.n_lambda)) - set(cols[rows == 0].tolist()))
+            rows, cols = np.append(rows, 0), np.append(cols, col)
+            vals = np.append(vals, 1e-6)
+        dbar = (rows, cols, vals)
+        if sparse:
+            return dbar, dop
+        ne, nl = dg.g.ne, dg.n_lambda
+        return to_dense((ne, nl), dbar), to_dense((nl, ne), dop)
+
+    monkeypatch.setattr(operators, "dirac_D", tampered)
+    monkeypatch.setattr(identity_reference, "dirac_D", tampered)
+    g = fx.square_torus(3)
+    for rep in (verify_dirac_identities(g),
+                verify_dirac_identities_reference(g)):
+        assert not rep["pass"]
+        assert rep["double_factorization"] > 1e-8
+        assert rep["dirac_cd"] > 1e-8
+
+
+def test_identity_checks_stay_sparse():
+    # both checks once built dense 576-dart products: tracemalloc peaks of
+    # 112 MB and 56 MB on this graph
+    import tracemalloc
+
+    g = fx.square_torus(12)
+    c = build_C(g)
+    for check in (lambda: verify_dirac_identities(g),
+                  lambda: verify_corr(g, c=c)):
+        tracemalloc.start()
+        try:
+            assert check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def test_skew_adjacency_antisymmetric_and_zero_diag():

@@ -17,7 +17,8 @@ from kwlab.sholo import (integrate_square, kernel_observables, laplacian_of_H,
                          vertex_residuals)
 from sholo_reference import (kernel_observables_reference,
                              map_S_inverse_reference, map_S_reference,
-                             sholo_residual_reference)
+                             sholo_residual_reference, spinor_maps_reference,
+                             star_identity_residual_reference)
 
 ROT = cmath.exp(0.25j * math.pi)
 
@@ -257,6 +258,21 @@ def test_residuals_match_vertex_loop(mk, branch):
         assert abs(integrate_square(g, F).sholo_defect
                    - max(sholo_residual_reference(g, F, v)
                          for v in range(g.nv))) <= 1e-15
+
+
+@pytest.mark.parametrize("mk", RESIDUAL_FIXTURES)
+def test_spinor_maps_match_star_loop(mk):
+    g = mk()
+    c = build_C(g)
+    rng = np.random.default_rng(8)
+    for F in (rng.standard_normal(g.ne) + 1j * rng.standard_normal(g.ne),
+              np.zeros(g.ne), *kernel_observables(g)):
+        got, want = spinor_maps(g, F, c), spinor_maps_reference(g, F, c)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert max_norm(got[key] - want[key]) <= 1e-15, key
+        assert abs(star_identity_residual(g, F, c)
+                   - star_identity_residual_reference(g, F, c)) <= 1e-15
 
 
 def _real_rows(funcs):
