@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .surface_graph import GraphError, SizeGuardError, graph_from_json
+from .surface_graph import (GraphError, SizeGuardError, edge_vectors,
+                            face_centroids, graph_from_json)
 from .derived import build_C
 from .oracle import dimer_partition, ising_partition
 from .critical import critical_beta, free_energy, hessian_tau, spectral_grid
@@ -122,8 +123,8 @@ def _observable(args):
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("x,y,re,im\n")
-            for k in range(g.ne):
-                p = g.vcoords[g.origin[2 * k]] + 0.5 * g.edge_vec(2 * k)
+            mid = g.vcoords[g.origin[::2]] + 0.5 * edge_vectors(g)[::2]
+            for k, p in enumerate(mid):
                 fh.write(f"{p[0]:.17g},{p[1]:.17g},"
                          f"{F[k].real:.17g},{F[k].imag:.17g}\n")
     _emit({"dart": args.dart, "values": [complex(v) for v in F]})
@@ -191,9 +192,9 @@ def _h_function(args):
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("kind,id,x,y,H\n")
-            from .surface_graph import face_centroid
+            centre = face_centroids(g)
             for (t, i), v in h.values.items():
-                p = g.vcoords[i] if t == "v" else face_centroid(g, i)
+                p = g.vcoords[i] if t == "v" else centre[i]
                 fh.write(f"{t},{i},{p[0]:.17g},{p[1]:.17g},{v:.17g}\n")
     _emit(out)
     return 0

@@ -20,6 +20,10 @@ dart d:
 * M: ``tail``, ``head``, ``theta_m``, ``shift`` over the edges crossing the
   primal halves [0, nd) and the dual halves [nd, 2 nd).
 
+The faces of C are not stored.  :func:`c_face_products` alone fixes their
+order (one rectangle per edge, one 2 deg(v)-gon per vertex, one 2 |f|-gon
+per face of the graph) and reduces any C-edge values over them.
+
 All constructions are combinatorial; the isoradial geometry needed by the
 Dirac operators is validated separately by :func:`isoradial_data`.
 """
@@ -27,12 +31,12 @@ Dirac operators is validated separately by :func:`isoradial_data`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .surface_graph import GraphError, EmbeddedGraph, TWO_PI, \
-    cycle_with_winding, edge_vectors, face_offsets, \
+    cycle_with_winding, edge_vectors, face_centroids, face_offsets, \
     lattice_shifts, reduce_to_domain, shift_character
 
 SNAP_TOL = 1e-9
@@ -82,19 +86,6 @@ class CGraph:
     shift: np.ndarray          # (3 nd, 2) homology winding carried by the edge
     omega: np.ndarray          # +-1 per C-edge (gauge-reduced orientation)
     epsilon: np.ndarray        # +-1 per dart
-    faces: list = field(default=())   # C-faces as lists of (edge index, +-1 orientation)
-
-    @property
-    def n_black(self):
-        return self.g.nd
-
-    @property
-    def n_white(self):
-        return self.g.nd
-
-    def edge_index(self, kind, dart):
-        base = {"perp": 0, "par": 1, "corner": 2}[kind]
-        return base * self.g.nd + dart
 
     def phi_values(self, phi):
         """Lift a dart cochain to the C-edges (parallel edges carry phi(e))."""
@@ -123,49 +114,31 @@ def build_C(g):
     shift = np.concatenate([no_shift, g.shift, no_shift])
     omega = _snap_sign(dh[w] * omega_tilde / dh[b],
                        "Kasteleyn gauge reduction failed to reach +-1")
-    c = CGraph(g, w, b, dimer_weights(g.theta), omega_tilde, shift, omega,
-               epsilon_signs(g))
-    c.faces = _c_faces(c)
-    return c
+    return CGraph(g, w, b, dimer_weights(g.theta), omega_tilde, shift, omega,
+                  epsilon_signs(g))
 
 
-def _c_faces(c):
-    """Faces of the rectangle graph as (C-edge index, orientation) cycles.
+def c_face_products(c, vals):
+    """Product of vals ** orientation around every face of C, and the sizes.
 
-    Orientation +1 means the boundary traverses the edge white-to-black.
-    Faces: one rectangle per edge, one 2 deg(v)-gon per vertex, one
-    2 |boundary|-gon per face of the original graph.
+    ``vals`` holds one value per C-edge; orientation +1 traverses an edge
+    white to black.  The faces are one rectangle per edge
+    (w[d] -> b[rev d] -> w[rev d] -> b[d] -> w[d] for d = 2k), then one
+    2 deg(v)-gon per vertex (corner d, then perp R(d), around v), then one
+    2 |f|-gon per face f (par d, then the corner of the face successor of d,
+    which ends at b[rev d]).
     """
     g = c.g
-    faces = []
-    for k in range(g.ne):
-        d, r = 2 * k, 2 * k + 1
-        faces.append([
-            (c.edge_index("par", d), +1),    # w[d] -> b[rev d]
-            (c.edge_index("perp", r), -1),   # b[rev d] -> w[rev d]
-            (c.edge_index("par", r), +1),    # w[rev d] -> b[d]
-            (c.edge_index("perp", d), -1),   # b[d] -> w[d]
-        ])
-    for v in range(g.nv):
-        cyc = []
-        d0 = g.darts_at[v][0]
-        d = d0
-        while True:
-            cyc.append((c.edge_index("corner", d), +1))  # w[d] -> b[R d]
-            d = int(g.rot[d])
-            cyc.append((c.edge_index("perp", d), -1))    # b[d] -> w[d]
-            if d == d0:
-                break
-        faces.append(cyc)
-    for f in g.faces:
-        cyc = []
-        for d in f:
-            nxt = int(g.rot_inv[d ^ 1])  # face successor
-            cyc.append((c.edge_index("par", d), +1))       # w[d] -> b[rev d]
-            cyc.append((c.edge_index("corner", nxt), -1))  # b[rev d] -> w[nxt]
-            # rev d = R(nxt), so the corner edge of nxt ends at b[rev d]
-        faces.append(cyc)
-    return faces
+    nd = g.nd
+    perp, par, corner = vals[:nd], vals[nd:2 * nd], vals[2 * nd:]
+    rect = par[0::2] * par[1::2] / (perp[0::2] * perp[1::2])
+    star = np.ones(g.nv, dtype=rect.dtype)
+    np.multiply.at(star, g.origin, corner / perp[g.rot])
+    face = np.ones(len(g.faces), dtype=rect.dtype)
+    np.multiply.at(face, g.face_of, par / corner[g.rot_inv[np.arange(nd) ^ 1]])
+    sizes = np.concatenate([np.full(g.ne, 4), 2 * np.bincount(g.origin),
+                            2 * np.bincount(g.face_of)])
+    return np.concatenate([rect, star, face]), sizes
 
 
 def validate_kasteleyn(c, orientation=None):
@@ -175,18 +148,15 @@ def validate_kasteleyn(c, orientation=None):
     around both homology generators.  Returns a report dictionary.
     """
     omega = c.omega if orientation is None else np.asarray(orientation)
-    face_results = []
-    ok = True
-    for i, cyc in enumerate(c.faces):
-        prod = 1
-        for idx, _sgn in cyc:
-            prod *= int(omega[idx])
-        want = (-1) ** (len(cyc) // 2 + 1)
-        good = prod == want
-        ok = ok and good
-        face_results.append({"face": i, "product": prod, "expected": want,
-                             "pass": good})
-    report = {"faces": face_results, "pass": ok}
+    prods, sizes = c_face_products(c, omega)
+    prods = np.rint(prods).astype(int)
+    want = (-1) ** (sizes // 2 + 1)
+    good = prods == want
+    ok = bool(good.all())
+    report = {"faces": [{"face": i, "product": p, "expected": e, "pass": k}
+                        for i, (p, e, k) in enumerate(zip(
+                            prods.tolist(), want.tolist(), good.tolist()))],
+              "pass": ok}
     if c.g.genus == 1 and orientation is None:
         # C as a graph on whites [0, nd) and blacks [nd, 2 nd)
         nd = c.g.nd
@@ -262,14 +232,10 @@ def _half_shifts(g):
     half = 0.5 * edge_vectors(g)
     mid = np.repeat(reduce_to_domain(g, g.vcoords[g.origin[::2]] + half[::2]),
                     2, axis=0)
-    off = face_offsets(g)
-    # each face's centroid, seen from the origin of its first dart
-    first = np.array([f[0] for f in g.faces])
-    centre = reduce_to_domain(g, g.vcoords[g.origin[first]]
-                              + off[first])[g.face_of[rev]]
+    centre = reduce_to_domain(g, face_centroids(g))[g.face_of[rev]]
     primal = lattice_shifts(g, half - (mid - g.vcoords[g.origin]),
                             "midpoint shift")
-    dual = lattice_shifts(g, -half - off[rev] - (mid - centre),
+    dual = lattice_shifts(g, -half - face_offsets(g)[rev] - (mid - centre),
                           "dual half shift")
     return np.concatenate([primal, dual])
 
@@ -369,10 +335,11 @@ def isoradial_data(g, tol=ISORADIAL_TOL):
     ang = g.dirang + math.pi / 2 - np.repeat(g.theta, 2)
     centers = (delta * np.stack([np.cos(ang), np.sin(ang)], axis=1)
                - face_offsets(g))
-    for f in g.faces:
-        c = centers[list(f)]
-        if np.max(np.abs(c - c.mean(axis=0))) > tol * max(delta, 1.0):
-            raise GraphError("face circumcenters disagree; not isoradial")
+    mean = np.zeros((len(g.faces), 2))
+    np.add.at(mean, g.face_of, centers)
+    mean /= np.bincount(g.face_of)[:, None]
+    if np.max(np.abs(centers - mean[g.face_of])) > tol * max(delta, 1.0):
+        raise GraphError("face circumcenters disagree; not isoradial")
     if default:
         g.isoradial_delta = delta
     return delta

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .surface_graph import Weights, build_planar, build_torus
+from .surface_graph import GraphError, Weights, build_planar, build_torus
 
 SQRT2 = math.sqrt(2.0)
 X_CRITICAL_SQUARE = SQRT2 - 1.0
@@ -40,25 +40,7 @@ def cycle4(x=0.5):
 
 def square_torus(n=1, x=X_CRITICAL_SQUARE, y=None):
     """n x n square lattice on the torus; x horizontal, y vertical weights."""
-    if y is None:
-        y = x
-    lattice = [[float(n), 0.0], [0.0, float(n)]]
-    coords = [(float(i), float(j)) for j in range(n) for i in range(n)]
-
-    def vid(i, j):
-        return (j % n) * n + (i % n)
-
-    edges = []
-    xs = []
-    for j in range(n):
-        for i in range(n):
-            sh = (1, 0) if i + 1 == n else (0, 0)
-            edges.append((vid(i, j), vid(i + 1, j), sh))
-            xs.append(x)
-            sv = (0, 1) if j + 1 == n else (0, 0)
-            edges.append((vid(i, j), vid(i, j + 1), sv))
-            xs.append(y)
-    return build_torus(lattice, coords, edges, Weights(np.array(xs)))
+    return rect_torus_mn(n, n, x, x if y is None else y)
 
 
 def rect_torus(x=0.3, y=0.4):
@@ -68,6 +50,9 @@ def rect_torus(x=0.3, y=0.4):
 
 def rect_torus_mn(m, n, x, y):
     """m x n rectangular lattice on the torus (m columns, n rows)."""
+    for k in (m, n):
+        if k < 1:
+            raise GraphError(f"lattice size must be at least 1, got {k}")
     lattice = [[float(m), 0.0], [0.0, float(n)]]
     coords = [(float(i), float(j)) for j in range(n) for i in range(m)]
 

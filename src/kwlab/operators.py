@@ -35,8 +35,8 @@ from .linalg import (cycle_det, lu_det, null_space, pfaffian,  # noqa: F401
 from .surface_graph import (Cochain, GraphError, character_cochain,
                             shift_character)
 from .derived import (build_C, build_D, build_M, c_edge_directions,
-                      dimer_weights, half_angle_phases, isoradial_data,
-                      phi_D_character, q_phases, split_phi_D)
+                      c_face_products, dimer_weights, half_angle_phases,
+                      isoradial_data, phi_D_character, q_phases, split_phi_D)
 
 __all__ = [
     "kac_ward", "kasteleyn", "laplacian", "laplacian_dual", "dirac_C",
@@ -402,13 +402,8 @@ def verify_dirac_identities(g, phi_char=None):
                                 / max(1.0, sparse_max_norm((1, lhs))))
 
     # phi_omega is a cocycle whose square inverts the (trivial) holonomy
-    coc_err = 0.0
-    for cyc in c.faces:
-        p = 1.0 + 0j
-        for idx, sgn in cyc:
-            p *= phiom[idx] if sgn > 0 else 1.0 / phiom[idx]
-        coc_err = max(coc_err, abs(p - 1.0))
-    report["phi_omega_cocycle"] = coc_err
+    report["phi_omega_cocycle"] = float(
+        np.max(np.abs(c_face_products(c, phiom)[0] - 1.0)))
 
     # (b) -d dbar = Laplacian (+) dual Laplacian on the double
     if phi_char is None:

@@ -33,10 +33,8 @@ def _random_unitary_cochain(g, rng):
         z = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         w = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         vals = character_cochain(g, z, w).values
-    phi = Cochain(g, vals)
-    for v in range(g.nv):
-        phi = phi.gauge(v, cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
-    return phi
+    p = np.exp(1j * rng.uniform(0, 2 * math.pi, g.nv))
+    return Cochain(g, vals * p[g.origin] / p[g.origin[np.arange(g.nd) ^ 1]])
 
 
 def suite_corr(g, fixture, draws=10, seed=0):

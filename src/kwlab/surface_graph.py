@@ -124,13 +124,6 @@ class EmbeddedGraph:
     def terminus(self, d):
         return int(self.origin[d ^ 1])
 
-    def edge_vec(self, d):
-        """Displacement vector of a dart, lattice shifts included."""
-        v = self.vcoords[self.origin[d ^ 1]] - self.vcoords[self.origin[d]]
-        if self.lattice is not None:
-            v = v + self.shift[d] @ self.lattice
-        return v
-
     def a_angles(self):
         """Direction angles reduced to (-pi, pi] (the branch used for square roots)."""
         a = self.dirang.copy()
@@ -364,6 +357,8 @@ def build_planar(vertex_coords, edge_list, weights, dart_angles=None):
     the counterclockwise order of the edge direction angles, which must be
     pairwise distinct (parallel edges and loops are rejected).
     """
+    if len(edge_list) == 0:
+        raise GraphError("a graph needs at least one edge")
     vcoords = np.asarray(vertex_coords, dtype=float)
     if not isinstance(weights, Weights):
         weights = Weights(weights)
@@ -399,6 +394,8 @@ def build_torus(lattice, vertex_coords, edge_list, weights, dart_angles=None):
     from u to the copy of v displaced by ``s1 L1 + s2 L2``.  Parallel edges and
     loops are fine as long as their direction angles differ.
     """
+    if len(edge_list) == 0:
+        raise GraphError("a graph needs at least one edge")
     lattice = np.asarray(lattice, dtype=float)
     if lattice.shape != (2, 2) or abs(np.linalg.det(lattice)) < 1e-12:
         raise GraphError("lattice must be an invertible 2x2 matrix")
@@ -461,11 +458,9 @@ class Cochain:
         return self.values[d]
 
     def is_cocycle(self, tol=1e-9):
-        for f in self.g.faces:
-            p = complex(np.prod([self.values[d] for d in f]))
-            if abs(p - 1.0) > tol:
-                return False
-        return True
+        p = np.ones(len(self.g.faces), dtype=complex)
+        np.multiply.at(p, self.g.face_of, self.values)
+        return not np.any(np.abs(p - 1.0) > tol)
 
     def gauge(self, vertex, c):
         """Multiply every dart leaving ``vertex`` by c (and entering by 1/c)."""
@@ -543,27 +538,6 @@ def turning(g, d1, d2):
 # -- dual graph ---------------------------------------------------------------
 
 
-def _face_trace_positions(g, d0, anchor):
-    """Corner positions of the face left of d0, walked from ``anchor`` at o(d0)."""
-    pos = np.asarray(anchor, dtype=float)
-    pts = []
-    d = d0
-    while True:
-        pts.append(pos)
-        pos = pos + g.edge_vec(d)
-        d = int(g.rot_inv[d ^ 1])
-        if d == d0:
-            break
-    return np.array(pts)
-
-
-def face_centroid(g, f):
-    """Centroid of a face walked from its first recorded dart (torus lift local)."""
-    d0 = g.faces[f][0]
-    pts = _face_trace_positions(g, d0, g.vcoords[g.origin[d0]])
-    return pts.mean(axis=0)
-
-
 def edge_vectors(g):
     """Displacement vectors of all darts (rows), lattice shifts included."""
     v = g.vcoords[g.origin[np.arange(g.nd) ^ 1]] - g.vcoords[g.origin]
@@ -572,12 +546,29 @@ def edge_vectors(g):
 
 def face_offsets(g):
     """Per dart d, the vector from o(d) to the centroid of the face left of d,
-    both read along one walk of the face boundary."""
+    both read along one walk of the face boundary from its first dart.
+
+    The faces are padded to the longest one; the corners of each face are the
+    running sums of its dart displacements, taken in walk order.
+    """
+    size = np.array([len(f) for f in g.faces])
+    valid = np.arange(size.max()) < size[:, None]
+    idx = np.zeros(valid.shape, dtype=int)
+    darts = np.concatenate(g.faces)
+    idx[valid] = darts
+    # the padding sits after each face's darts, so no corner sums it
+    pts = np.zeros((*idx.shape, 2))
+    np.cumsum(edge_vectors(g)[idx[:, :-1]], axis=1, out=pts[:, 1:])
+    centroid = pts.sum(axis=1, where=valid[..., None]) / size[:, None]
     off = np.empty((g.nd, 2))
-    for f in g.faces:
-        pts = _face_trace_positions(g, f[0], np.zeros(2))
-        off[list(f)] = pts.mean(axis=0) - pts
+    off[darts] = (centroid[:, None] - pts)[valid]
     return off
+
+
+def face_centroids(g):
+    """Centroid of every face, lifted from the origin of its first dart."""
+    first = np.array([f[0] for f in g.faces])
+    return g.vcoords[g.origin[first]] + face_offsets(g)[first]
 
 
 def reduce_to_domain(g, pts):
@@ -607,14 +598,13 @@ def dual(g):
     invariant necessarily fails at the outer-face vertex under the constant
     reference field, so it is not re-checked here.
     """
-    nf = len(g.faces)
     nd = g.nd
     rev = np.arange(nd) ^ 1
     origin = g.face_of[rev]
     dirang = (g.dirang + math.pi / 2) % TWO_PI
     rot = g.rot_inv ^ 1
 
-    vstar = np.array([face_centroid(g, f) for f in range(nf)])
+    vstar = face_centroids(g)
     shift = np.zeros((nd, 2), dtype=int)
     if g.surface == "torus":
         vstar = reduce_to_domain(g, vstar)

@@ -3,9 +3,11 @@
 ``verify_corr_reference``, ``verify_dirac_identities_reference`` and
 ``dirac_cd_blocks_reference`` are the checks ``operators.verify_corr``,
 ``operators.verify_dirac_identities`` and ``operators._dirac_cd_residual``
-once were: they densify every operator, multiply with ``@`` and take LU
-determinants of the two structure factors.  The library checks the same
-identities on entry lists; the tests compare the two key by key.
+once were: they densify every operator, multiply with ``@``, take LU
+determinants of the two structure factors and walk the faces of C
+(``c_faces_reference``) edge by edge.  The library checks the same
+identities on entry lists and face reductions; the tests compare the two key
+by key.
 """
 
 import numpy as np
@@ -18,6 +20,48 @@ from kwlab.operators import (_phi_values, dirac_C, dirac_D, kac_ward,
                              kasteleyn, laplacian, laplacian_M,
                              laplacian_dual, phi_omega, skew_adjacency)
 from kwlab.surface_graph import character_cochain
+
+
+def c_faces_reference(c):
+    """Faces of the rectangle graph as (C-edge index, orientation) cycles,
+    walked dart by dart; ``derived.c_face_products`` reduces over the same
+    faces in the same order.
+
+    Orientation +1 means the boundary traverses the edge white-to-black.
+    Faces: one rectangle per edge, one 2 deg(v)-gon per vertex, one
+    2 |boundary|-gon per face of the original graph.
+    """
+    g = c.g
+    perp, par, corner = 0, g.nd, 2 * g.nd    # offsets of the C-edge blocks
+    faces = []
+    for k in range(g.ne):
+        d, r = 2 * k, 2 * k + 1
+        faces.append([
+            (par + d, +1),     # w[d] -> b[rev d]
+            (perp + r, -1),    # b[rev d] -> w[rev d]
+            (par + r, +1),     # w[rev d] -> b[d]
+            (perp + d, -1),    # b[d] -> w[d]
+        ])
+    for v in range(g.nv):
+        cyc = []
+        d0 = g.darts_at[v][0]
+        d = d0
+        while True:
+            cyc.append((corner + d, +1))  # w[d] -> b[R d]
+            d = int(g.rot[d])
+            cyc.append((perp + d, -1))    # b[d] -> w[d]
+            if d == d0:
+                break
+        faces.append(cyc)
+    for f in g.faces:
+        cyc = []
+        for d in f:
+            nxt = int(g.rot_inv[d ^ 1])  # face successor
+            cyc.append((par + d, +1))       # w[d] -> b[rev d]
+            cyc.append((corner + nxt, -1))  # b[rev d] -> w[nxt]
+            # rev d = R(nxt), so the corner edge of nxt ends at b[rev d]
+        faces.append(cyc)
+    return faces
 
 
 def transition_factors(g, phi=None, x=None):
@@ -111,7 +155,7 @@ def verify_dirac_identities_reference(g, phi_char=None):
 
     # phi_omega is a cocycle whose square inverts the (trivial) holonomy
     coc_err = 0.0
-    for cyc in c.faces:
+    for cyc in c_faces_reference(c):
         p = 1.0 + 0j
         for idx, sgn in cyc:
             p *= phiom[idx] if sgn > 0 else 1.0 / phiom[idx]

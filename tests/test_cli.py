@@ -276,3 +276,20 @@ def test_draws_must_be_positive(tmp_path, capsys, suite, draws):
     code, out = run(capsys, "verify", suite, "-g", str(path), "--draws", draws)
     assert code == 2
     assert json.loads(out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "square-torus", "-1"], "lattice size must be at least 1, got -1"),
+    (["gen", "square-torus", "0"], "lattice size must be at least 1, got 0"),
+    (["verify", "corr", "-g", "empty.json"], "a graph needs at least one edge"),
+], ids=["size-1", "size0", "empty-torus"])
+def test_empty_graph_is_invalid_input(tmp_path, capsys, argv, message):
+    # a torus with no vertices and no edges
+    (tmp_path / "empty.json").write_text(json.dumps(
+        {"surface": "torus", "lattice": [[1.0, 0.0], [0.0, 1.0]],
+         "vertices": [], "edges": []}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"error": "invalid_input", "message": message}

@@ -1,27 +1,32 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from identity_reference import c_faces_reference
 from kwlab import fixtures as fx
-from kwlab.surface_graph import (GraphError, dual, edge_vectors,
-                                 face_centroid, face_offsets, lattice_shifts,
-                                 reduce_to_domain)
-from kwlab.derived import (build_C, build_D, build_M, epsilon_signs,
-                           half_angle_phases, isoradial_data, phi_D_character,
-                           split_phi_D, validate_kasteleyn)
+from kwlab import suites
+from kwlab.operators import phi_omega
+from kwlab.surface_graph import (Cochain, GraphError, character_cochain, dual,
+                                 edge_vectors, face_centroids, face_offsets,
+                                 lattice_shifts, reduce_to_domain)
+from kwlab.derived import (build_C, build_D, build_M, c_face_products,
+                           epsilon_signs, half_angle_phases, isoradial_data,
+                           phi_D_character, split_phi_D, validate_kasteleyn)
 
 
 def test_c_counts_triangle():
     c = build_C(fx.triangle(0.5))
-    assert c.n_black == 6 and c.n_white == 6
+    # one white and one black vertex per dart
+    assert set(c.w.tolist()) == set(c.b.tolist()) == set(range(6))
     # perp, par and corner blocks of one edge per dart each
     for arr in (c.w, c.b, c.y, c.omega_tilde, c.omega):
         assert arr.shape == (18,)
     assert c.shift.shape == (18, 2)
     d = np.arange(6)
-    for kind, partner in (("perp", d), ("par", d ^ 1), ("corner", c.g.rot)):
-        idx = c.edge_index(kind, d)
+    for block, partner in enumerate((d, d ^ 1, c.g.rot)):
+        idx = slice(6 * block, 6 * block + 6)
         assert np.array_equal(c.w[idx], d)
         assert np.array_equal(c.b[idx], partner)
 
@@ -29,11 +34,10 @@ def test_c_counts_triangle():
 def test_rectangle_face_products_minus_one():
     g = fx.cycle4(0.3)
     c = build_C(g)
-    for k in range(g.ne):
-        prod = 1
-        for idx, _ in c.faces[k]:  # rectangles are listed first
-            prod *= int(c.omega[idx])
-        assert prod == -1
+    prods, sizes = c_face_products(c, c.omega)
+    # rectangles are listed first
+    assert np.array_equal(prods[:g.ne], np.full(g.ne, -1.0))
+    assert np.array_equal(sizes[:g.ne], np.full(g.ne, 4))
 
 
 def test_kasteleyn_validation_and_flip():
@@ -144,9 +148,42 @@ def test_isoradial_validation():
         isoradial_data(fx.square_patch(2, 2, math.tan(math.pi / 8)))
 
 
+def face_walk(g, d0, anchor):
+    """Corner positions of the face left of d0, walked dart by dart from
+    ``anchor`` at o(d0)."""
+    pos = np.asarray(anchor, dtype=float)
+    pts = []
+    d = d0
+    while True:
+        pts.append(pos)
+        step = g.vcoords[g.origin[d ^ 1]] - g.vcoords[g.origin[d]]
+        if g.lattice is not None:
+            step = step + g.shift[d] @ g.lattice
+        pos = pos + step
+        d = int(g.rot_inv[d ^ 1])
+        if d == d0:
+            break
+    return np.array(pts)
+
+
+def face_centroid_walk(g, f):
+    """Centroid of a face walked from its first recorded dart."""
+    d0 = g.faces[f][0]
+    return face_walk(g, d0, g.vcoords[g.origin[d0]]).mean(axis=0)
+
+
+def face_offsets_walk(g):
+    """``face_offsets`` as one walk per face."""
+    off = np.empty((g.nd, 2))
+    for f in g.faces:
+        pts = face_walk(g, f[0], np.zeros(2))
+        off[list(f)] = pts.mean(axis=0) - pts
+    return off
+
+
 def half_shifts_reference(g):
     """Half-edge windings of the double with each face centre taken from a
-    second walk of the face boundary (``face_centroid``)."""
+    second walk of the face boundary (``face_centroid_walk``)."""
     nd = g.nd
     if g.surface != "torus":
         return np.zeros((2 * nd, 2), dtype=int)
@@ -155,11 +192,11 @@ def half_shifts_reference(g):
     mid = np.repeat(reduce_to_domain(g, g.vcoords[g.origin[::2]] + half[::2]),
                     2, axis=0)
     centre = reduce_to_domain(g, np.array(
-        [face_centroid(g, f) for f in range(len(g.faces))]))[g.face_of[rev]]
+        [face_centroid_walk(g, f) for f in range(len(g.faces))]))[g.face_of[rev]]
     primal = lattice_shifts(g, half - (mid - g.vcoords[g.origin]),
                             "midpoint shift")
-    dual_half = lattice_shifts(g, -half - face_offsets(g)[rev] - (mid - centre),
-                               "dual half shift")
+    dual_half = lattice_shifts(g, -half - face_offsets_walk(g)[rev]
+                               - (mid - centre), "dual half shift")
     return np.concatenate([primal, dual_half])
 
 
@@ -173,3 +210,89 @@ def half_shifts_reference(g):
 def test_double_shifts_match_face_centroid_walk(mk):
     g = mk()
     assert np.array_equal(build_D(g).shift, half_shifts_reference(g))
+
+
+# -- face and star reductions against the walked forms -------------------------
+
+TORI = {
+    "square2": lambda: fx.square_torus(2),
+    "square5": lambda: fx.square_torus(5, 0.3),
+    "square12": lambda: fx.square_torus(12),
+    "rect": lambda: fx.rect_torus(0.3, 0.4),
+    "rect2x3": lambda: fx.rect_torus_mn(2, 3, 0.3, 0.4),
+    "honeycomb": lambda: fx.honeycomb_torus((0.3, 0.4, 0.5)),
+    "honeycomb_iso": lambda: fx.honeycomb_torus_iso(
+        (0.3, 0.5, math.pi / 2 - 0.8)),
+}
+FACE_FIXTURES = {
+    "triangle": lambda: fx.triangle(0.5),
+    "cycle4": lambda: fx.cycle4(0.3),
+    "patch3x3": lambda: fx.square_patch(3, 3),
+    **TORI,
+    **{f"dual_{k}": (lambda mk=mk: dual(mk())) for k, mk in TORI.items()},
+}
+faces_param = pytest.mark.parametrize("name", list(FACE_FIXTURES))
+
+
+def walked_products(cycles, vals):
+    out = []
+    for cyc in cycles:
+        p = 1.0 + 0j
+        for idx, sgn in cyc:
+            p *= vals[idx] if sgn > 0 else 1.0 / vals[idx]
+        out.append(p)
+    return np.array(out)
+
+
+@faces_param
+def test_c_face_products_match_walk(name):
+    c = build_C(FACE_FIXTURES[name]())
+    cycles = c_faces_reference(c)
+    prods, sizes = c_face_products(c, c.omega)
+    assert np.array_equal(sizes, [len(cyc) for cyc in cycles])
+    assert np.array_equal(prods, walked_products(cycles, c.omega))
+    phiom = phi_omega(c)
+    got = c_face_products(c, phiom)[0]
+    assert np.max(np.abs(got - walked_products(cycles, phiom))) <= 1e-15
+    # unit values with no structure also pin each edge's orientation
+    vals = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * math.pi,
+                                                        3 * c.g.nd))
+    got = c_face_products(c, vals)[0]
+    assert np.max(np.abs(got - walked_products(cycles, vals))) <= 1e-13
+
+
+@faces_param
+def test_face_offsets_match_walk(name):
+    g = FACE_FIXTURES[name]()
+    assert np.array_equal(face_offsets(g), face_offsets_walk(g))
+
+
+@faces_param
+def test_face_centroids_match_walk(name):
+    g = FACE_FIXTURES[name]()
+    want = [face_centroid_walk(g, f) for f in range(len(g.faces))]
+    assert np.max(np.abs(face_centroids(g) - want)) <= 1e-15
+
+
+def chained_unitary_cochain(g, rng):
+    """A random unitary cochain gauged one vertex at a time."""
+    vals = np.ones(g.nd, dtype=complex)
+    if g.genus == 1:
+        z = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        w = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        vals = character_cochain(g, z, w).values
+    phi = Cochain(g, vals)
+    for v in range(g.nv):
+        phi = phi.gauge(v, cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+    return phi
+
+
+@faces_param
+def test_one_step_gauge_matches_chained(name):
+    g = FACE_FIXTURES[name]()
+    rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = suites._random_unitary_cochain(g, rng).values
+    want = chained_unitary_cochain(g, rng_ref).values
+    assert np.max(np.abs(got - want)) <= 1e-15
+    # both forms consume the same random stream
+    assert rng.uniform() == rng_ref.uniform()

@@ -411,6 +411,23 @@ def test_verify_corr_matches_dense_reference():
                 assert abs(got[key] - want[key]) <= 1e-15, (key, got, want)
 
 
+def test_corr_draw_builds_at_most_two_cochains(monkeypatch):
+    # the random gauge is one array step: a character cochain and its gauged
+    # copy, not one Cochain per vertex
+    from kwlab import suites
+    made = []
+    init = Cochain.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cochain, "__init__", counting)
+    rep = suites.suite_corr(fx.square_torus(12), "square12", draws=1)
+    assert rep["pass"]
+    assert len(made) <= 2
+
+
 DIRAC_CASES = (
     (fx.square_torus(2), None), (fx.square_torus(3), None),
     (fx.rect_torus_iso(math.pi / 3), None), (fx.rect_torus_iso(1.1), None),

@@ -226,6 +226,8 @@ def test_gauge_preserves_cocycle():
     g = fx.rect_torus(0.3, 0.4)
     phi = character_cochain(g, 0.8 + 0.1j, 1.2)
     assert phi.gauge(0, 2.0 + 1.0j).is_cocycle()
+    # a phase on one edge of the triangle is not closed around either face
+    assert not Cochain(fx.triangle(0.5), [1j, -1j, 1, 1, 1, 1]).is_cocycle()
 
 
 def test_even_face_rotation_message():
