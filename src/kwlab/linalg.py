@@ -4,7 +4,10 @@ Determinants and solves are LAPACK LU with partial pivoting through numpy;
 ``det_cofactor`` is the independent cofactor oracle the tests check
 ``lu_det`` against.  Numerical kernels are delegated to numpy's real or
 complex SVD, deterministic for fixed input.  ``pfaffian`` is the one routine
-numpy lacks, a pivoted Parlett-Reid loop over numpy rank-2 updates.
+numpy lacks: pivoted Parlett-Reid in Wimmer's panel (level-3) form
+(arXiv:1102.3440), where each panel's skew rank-2 updates reach the trailing
+block as one matrix product, and the plain rank-2 loop finishes the last
+``_NB`` rows.
 
 An entry list is a plain ``(rows, cols, vals)`` tuple of parallel arrays;
 repeated (row, col) pairs add up, as in ``to_dense``'s ``np.add.at``
@@ -52,20 +55,58 @@ def det_cofactor(a):
     return total
 
 
+# pivot steps per panel of ``pfaffian``, and the widest trailing block it
+# finishes with the unblocked loop
+_NB = 32
+
+
 def pfaffian(a):
     """Pfaffian of a real skew-symmetric matrix; 0 for odd size.
 
-    Pivoted Parlett-Reid elimination (Wimmer, arXiv:1102.3440): step k swaps
-    the largest entry of column k below the diagonal into row k + 1 (a
-    congruence that flips the sign), takes the pivot a[k, k+1] into the
-    product, and clears row and column k with a skew rank-2 update of the
-    trailing block.  Returns 0 at an exactly zero pivot column.
+    Pivoted Parlett-Reid elimination in Wimmer's blocked (level-3) form
+    (arXiv:1102.3440).  Step k swaps the largest entry of column k below the
+    diagonal into row k + 1 (a congruence that flips the sign), takes the
+    pivot a[k, k+1] into the product, and clears row and column k with the
+    skew rank-2 update A22 += u v^T - v u^T, u = row k / pivot and
+    v = column k + 1.  A panel of up to ``_NB`` steps builds each column it
+    needs from the stored one plus its pending factors U, V, and the
+    trailing block then takes the whole panel at once, A22 += U V^T - V U^T.
+    The last ``_NB`` rows, and so every matrix of at most ``_NB`` rows, go
+    through the unblocked loop.  Returns 0 at an exactly zero pivot column;
+    the input is not modified.
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
     if n % 2:
         return 0.0
-    pf = 1.0
+    pf, k0 = 1.0, 0
+    u, v = np.empty((n, _NB)), np.empty((n, _NB))
+    while n - k0 > _NB:
+        m = min(_NB, (n - k0 - _NB) // 2)
+        for j in range(m):
+            k = k0 + 2 * j
+            # column k below the diagonal, with the panel's updates applied
+            c = a[k + 1:, k] + u[k + 1:, :j] @ v[k, :j] - v[k + 1:, :j] @ u[k, :j]
+            p = int(np.argmax(np.abs(c)))
+            if p:
+                q = k + 1 + p
+                a[[k + 1, q], k + 1:] = a[[q, k + 1], k + 1:]
+                a[k + 1:, [k + 1, q]] = a[k + 1:, [q, k + 1]]
+                u[[k + 1, q], :j] = u[[q, k + 1], :j]
+                v[[k + 1, q], :j] = v[[q, k + 1], :j]
+                c[[0, p]] = c[[p, 0]]
+                pf = -pf
+            pivot = -c[0]           # a[k, k+1]; row k is minus column k
+            if pivot == 0.0:
+                return 0.0
+            pf *= pivot
+            u[k + 2:, j] = -c[1:] / pivot
+            v[k + 2:, j] = (a[k + 2:, k + 1] + u[k + 2:, :j] @ v[k + 1, :j]
+                            - v[k + 2:, :j] @ u[k + 1, :j])
+        k0 += 2 * m
+        w = u[k0:, :m] @ v[k0:, :m].T
+        a[k0:, k0:] += w - w.T
+    a, n = a[k0:, k0:], n - k0
     for k in range(0, n - 1, 2):
         p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
         if p != k + 1:

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import lu_det, lu_solve, max_norm, null_space
+from .linalg import lu_solve, max_norm, null_space
 from .surface_graph import GraphError, cycle_with_winding
 from .derived import build_C, half_angle_phases
 from .operators import (dirac_C, kac_ward, kasteleyn, phi_omega,
@@ -166,23 +166,18 @@ def observable(g, e0, backend="auto", x=None):
     # dart-line structure, making the result s-holomorphic away from e0
     pref = cmath.exp(0.25j * math.pi - 0.5j * g.a_angles()[e0 ^ 1])
     if backend == "inverse":
-        kw = kac_ward(g, None, xs)
-        d = lu_det(kw)
-        if abs(d) < 1e-12:
+        # the signed root squares to det KW, so no LU determinant is needed
+        s = sqrt_det_pfaffian(g, None, xs)
+        if s * s < 1e-12:
             raise GraphError("Kac-Ward operator is singular; use the "
                              "combinatorial backend")
-        s = sqrt_det_pfaffian(g, None, xs)
         col = np.zeros(g.nd, dtype=complex)
         col[e0 ^ 1] = 1.0
-        f = s * lu_solve(kw, col)
-        theta = 2.0 * np.arctan(xs)
-        out = np.empty(g.ne, dtype=complex)
-        for k in range(g.ne):
-            sn = math.sin(0.5 * theta[k])
-            if sn < 1e-14:
-                raise GraphError("inverse backend needs positive weights")
-            out[k] = pref * (f[2 * k] + f[2 * k + 1]) / sn
-        return out
+        f = s * lu_solve(kac_ward(g, None, xs), col)
+        sn = np.sin(np.arctan(xs))      # sin(theta / 2), theta = 2 arctan x
+        if np.any(sn < 1e-14):
+            raise GraphError("inverse backend needs positive weights")
+        return pref * (f[0::2] + f[1::2]) / sn
 
     if backend != "combinatorial":
         raise GraphError(f"unknown backend {backend!r}")

@@ -175,8 +175,11 @@ class EmbeddedGraph:
         """The transition in the half-angle gauge, diag(exp(i a/2)) T
         diag(exp(-i a/2)) with a = dirang: exactly +-1 on the continuations,
         since a(e) - a(e') + alpha(e, e') is a multiple of 2 pi."""
+        e, e2, phase = self.transition_entries
         h = np.exp(0.5j * self.dirang)
-        return np.rint((h[:, None] * self.transition * h.conj()).real)
+        t = np.zeros((self.nd, self.nd))
+        t[e, e2] = np.rint((h[e] * phase * h[e2].conj()).real)
+        return t
 
     @cached_property
     def skew_signs(self):
@@ -185,15 +188,22 @@ class EmbeddedGraph:
 
         Skewness asks s(rev e) = -s(e) and s(e) T'[rev e, f] = -s(f)
         T'[rev f, e]; the system is solved by a search over the darts and
-        checked.  A +-1 cochain phi multiplies both sides of the second
-        condition by phi(e) phi(f), so s * phi solves it for phi.
+        checked, both on the continuations of ``transition_entries`` with
+        their values read from ``transition_real``.  A +-1 cochain phi
+        multiplies both sides of the second condition by phi(e) phi(f), so
+        s * phi solves it for phi.
         """
         nd = self.nd
         rev = np.arange(nd) ^ 1
-        jt = self.transition_real[rev]      # (J T')[e, f] = T'[rev e, f]
+        t = self.transition_real
+        # the entries (r, c) of J T', (J T')[r, c] = T'[rev r, c], row-major
+        e, e2, _ = self.transition_entries
+        order = np.argsort(e ^ 1, kind="stable")
+        r, c = e[order] ^ 1, e2[order]
+        jt, jt_t = t[r ^ 1, c], t[c ^ 1, r]   # (J T')[r, c] and [c, r]
         links = [[(e ^ 1, -1.0)] for e in range(nd)]
-        for e, f in zip(*np.nonzero(jt)):
-            links[e].append((f, -jt[e, f] * jt[f, e]))
+        for e, f, p in zip(r.tolist(), c.tolist(), (-jt * jt_t).tolist()):
+            links[e].append((f, p))
         s = np.zeros(nd)
         for root in range(nd):
             if s[root]:
@@ -206,10 +216,15 @@ class EmbeddedGraph:
                     if not s[f] and p:
                         s[f] = p * s[e]
                         stack.append(f)
-        m = s[:, None] * np.stack([np.eye(nd)[rev], jt])
-        bad = np.argwhere(m != -m.transpose(0, 2, 1))
-        if bad.size:
-            _, e, f = bad[0]
+        # the first pair (e, f), row-major, where diag(s) J or diag(s) J T'
+        # is not skew; (f, e) fails with it
+        bad = np.flatnonzero(s[rev] != -s)
+        bad_t = s[r] * jt != -s[c] * jt_t
+        pairs = np.concatenate([r[bad_t] * nd + c[bad_t],
+                                c[bad_t] * nd + r[bad_t]])
+        if bad.size or pairs.size:
+            e, f = ((bad[0], bad[0] ^ 1) if bad.size
+                    else divmod(int(pairs.min()), nd))
             raise GraphError("no signs make the Kac-Ward Pfaffian matrix "
                              f"skew: darts {e} and {f} conflict")
         return s

@@ -60,6 +60,16 @@ def test_critical_beta_square_torus_8(tmp_path, capsys):
     assert abs(json.loads(out)["beta_c"] - 1.0) <= 1e-10
 
 
+def test_critical_beta_square_torus_12(tmp_path, capsys):
+    # 576 darts: every root of the Brent search is a panel-form Pfaffian
+    code, out = run(capsys, "gen", "square-torus", "12")
+    path = tmp_path / "s12.json"
+    path.write_text(out)
+    code, out = run(capsys, "critical-beta", "-g", str(path))
+    assert code == 0
+    assert abs(json.loads(out)["beta_c"] - 1.0) <= 1e-10
+
+
 def test_cli_import_leaves_scipy_out():
     # the package depends on numpy only, and a scipy import would add about
     # half a second to every CLI start

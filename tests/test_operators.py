@@ -17,6 +17,7 @@ from kwlab.operators import (_dirac_cd_residual, dirac_C, dirac_D, kac_ward,
                              verify_dirac_identities)
 from kwlab.oracle import signed_cycle_sum
 
+from pfaffian_reference import pfaffian_reference
 from identity_reference import (verify_corr_reference,
                                 verify_dirac_identities_reference)
 from tracked_root import sqrt_det_tracked
@@ -650,6 +651,23 @@ def test_sqrt_det_pfaffian_large_torus_sign():
     assert got < 0
     assert got * got == pytest.approx(lu_det(kac_ward(g, None, xs)).real,
                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("g", (fx.square_torus(8, 0.3), fx.square_torus(12)),
+                         ids=("square8", "square12"))
+def test_sqrt_det_pfaffian_panel_matches_the_unblocked_root(g, monkeypatch):
+    # 256 and 576 darts: the panel form against the same root built with
+    # the unblocked loop, above, near and below the critical coupling
+    import kwlab.operators as operators
+
+    for beta in (0.5, 1.5, 4.0):
+        xs = np.tanh(beta * np.arctanh(g.x))
+        got = sqrt_det_pfaffian(g, None, xs)
+        with monkeypatch.context() as m:
+            m.setattr(operators, "pfaffian", pfaffian_reference)
+            want = sqrt_det_pfaffian(g, None, xs)
+        assert np.sign(got) == np.sign(want) != 0
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_sqrt_det_pfaffian_rejects_bad_cochains():

@@ -148,6 +148,27 @@ def test_observable_auto_falls_back_on_singular_solve(monkeypatch):
     assert max_norm(observable(g, 0, "auto") - want) == 0.0
 
 
+def test_observable_inverse_takes_no_lu_determinant(monkeypatch):
+    # det KW is the square of the signed root, so no LU determinant is taken
+    g = fx.square_torus(4, 0.3)
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det",
+                        lambda a: calls.append(a.shape) or det(a))
+    F = observable(g, 3)
+    assert calls == []
+    assert np.all(np.isfinite(F))
+
+
+def test_observable_inverse_needs_positive_weights():
+    g = fx.triangle(0.3)
+    with pytest.raises(GraphError, match="inverse backend needs positive "
+                       "weights"):
+        observable(g, 0, "inverse", x=[0.3, 0.0, 0.4])
+    # the automatic choice takes the combinatorial backend instead
+    assert np.all(np.isfinite(observable(g, 0, x=[0.3, 0.0, 0.4])))
+
+
 def test_kernel_observables_critical_window():
     xc = fx.X_CRITICAL_SQUARE
     bc = math.atanh(xc)
