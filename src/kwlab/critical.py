@@ -10,7 +10,8 @@ import numpy as np
 
 from .linalg import lu_det
 from .surface_graph import GraphError, character_cochain, dual, shift_character
-from .operators import kac_ward, kw_dets, sqrt_det_pfaffian
+from .operators import (KERNEL_TOL, kac_ward, kac_ward_kernel, kw_dets,
+                        sqrt_det_pfaffian)
 from .oracle import ARF_SIGNS_GENUS1
 
 #: the initial root bracket of ``critical_beta``, widened if it has no sign change
@@ -150,50 +151,37 @@ def criticality_report(g, j=None, n=32):
     trace = []
     root = critical_beta(g, j, trace=trace)
     xc = np.tanh(root["beta_c"] * j)
-    hess = hessian_tau(g, x=xc)
-    fe = free_energy(g, x=xc, n=n)
-    return {
-        "beta_c": root["beta_c"],
-        "P11": root["P11"],
-        "P11_trace": trace,
-        "tau": hess["tau"],
-        "hessian": hess["hessian"],
-        "A_z": hess["A_z"],
-        "A_w": hess["A_w"],
-        "B": hess["B"],
-        "free_energy": fe["free_energy"],
-        "quadrature_size": 2 * n,
-    }
+    return {**root, "P11_trace": trace, **hessian_tau(g, x=xc),
+            "free_energy": free_energy(g, x=xc, n=n)["free_energy"],
+            "quadrature_size": 2 * n}
 
 
-def hessian_tau(g, x=None, h=1e-4):
+def hessian_tau(g, x=None):
     """Hessian of the spectral curve at (1, 1) and the modular parameter.
 
-    Central differences in the real (z, w) coordinates with one Richardson
-    extrapolation step; tau is the root of A_w t^2 + 2 B t + A_z in the upper
-    half plane.  Requires (approximately) critical weights so that the
-    discriminant A_z A_w - B^2 is positive.  The 17 distinct stencil points
-    are one ``kw_dets`` stack, bitwise the ``spectral_curve`` values there.
+    Exact, from the kernel of M = KW(1, 1) (``kac_ward_kernel``); GraphError
+    unless it is 2-dimensional, that is unless the weights are critical.
+    For M = U diag(sigma) V^T with null columns W0 of U and V0 of V, first-
+    order perturbation of the corank-2 determinant gives P(1 + a t, 1 + b t)
+    = c t^2 det(a Mz + b Mw) + O(t^3), with Mz = W0^T Dz V0 for the
+    z-derivative Dz = -diag(s1 x) T' of M (Mw with s2) and c = det U det V^T
+    prod(nonzero sigma).  tau is the root of A_w t^2 + 2 B t + A_z in the
+    upper half plane.
     """
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
-    points = list(dict.fromkeys(
-        (1 + a * step, 1 + b * step) for step in (h, h / 2)
-        for a in (-1, 0, 1) for b in (-1, 0, 1)))
-    z, w = np.array(points).T
-    vals = kw_dets(g, shift_character(g.shift, z, w), g.x if x is None else x)
-    p = dict(zip(points, vals.real))
-
-    def stencil(step):
-        azz = (p[1 + step, 1] - 2 * p[1, 1] + p[1 - step, 1]) / step ** 2
-        aww = (p[1, 1 + step] - 2 * p[1, 1] + p[1, 1 - step]) / step ** 2
-        b = (p[1 + step, 1 + step] - p[1 + step, 1 - step]
-             - p[1 - step, 1 + step] + p[1 - step, 1 - step]) / (4 * step ** 2)
-        return np.array([azz, aww, b])
-
-    coarse = stencil(h)
-    fine = stencil(h / 2)
-    azz, aww, b = (4.0 * fine - coarse) / 3.0
+    xs = g.x if x is None else np.asarray(x, dtype=float)
+    u, sig, vt, dim = kac_ward_kernel(g, xs)
+    if dim != 2:
+        raise GraphError(
+            f"weights are not critical: KW(1, 1) has a {dim}-dimensional "
+            f"kernel (sigma_n-1 / sigma_1 = {sig[-2] / sig[0]:.3g}), not 2")
+    w0, v0 = u[:, -2:], vt[-2:].T
+    tv = g.transition_real @ v0
+    mz, mw = (w0.T @ (-(s * np.repeat(xs, 2))[:, None] * tv) for s in g.shift.T)
+    c = np.linalg.det(u) * np.linalg.det(vt) * np.prod(sig[:-2])
+    det_z, det_w, det_zw = np.linalg.det(np.array([mz, mw, mz + mw]))
+    azz, aww, b = 2.0 * c * det_z, 2.0 * c * det_w, c * (det_zw - det_z - det_w)
     disc = azz * aww - b * b
     if disc <= 0:
         raise GraphError("Hessian discriminant is not positive; the weights "
@@ -256,8 +244,11 @@ def duality_check(g, draws=10, seed=0):
     Checks 2^V prod(1+x)^-1 det KW^phi(G, x) = 2^V* prod(1+x*)^-1
     det KW^phi(G*, x*) over random unitary characters, and the square-root
     version with Arf signs at the four +-1 characters (minus exactly at the
-    trivial one), from the Pfaffian signed roots.  Torus graphs only: the
-    planar dual has no valid angle data for the constant reference field.
+    trivial one), from the Pfaffian signed roots.  A root on G* at most
+    ``KERNEL_TOL`` times the largest one at the other characters is rounding
+    noise (the kernel of KW(1, 1) at criticality): its sign is reported as 0.
+    Torus graphs only: the planar dual has no valid angle data for the
+    constant reference field.
     """
     if g.genus != 1:
         raise GraphError("duality check supports genus-1 graphs (the planar "
@@ -277,29 +268,24 @@ def duality_check(g, draws=10, seed=0):
         worst = max(worst, rel)
         checks.append({"z": z, "w": w, "rel_residual": rel})
 
+    def root(h, zw):
+        pref = 2.0 ** (h.nv / 2.0) / math.sqrt(float(np.prod(1.0 + h.x)))
+        return pref * sqrt_det_pfaffian(h, character_cochain(h, *zw).values)
+
+    s = {zw: root(g, zw) for zw in ARF_SIGNS_GENUS1}
+    sd = {zw: root(gd, zw) for zw in ARF_SIGNS_GENUS1}
     sign_pattern = {}
-    pref_h = 2.0 ** (g.nv / 2.0) / math.sqrt(float(np.prod(1.0 + g.x)))
-    pref_hd = 2.0 ** (gd.nv / 2.0) / math.sqrt(float(np.prod(1.0 + gd.x)))
     for zw in ARF_SIGNS_GENUS1:
-        s = pref_h * sqrt_det_pfaffian(g, character_cochain(g, *zw).values)
-        sd = pref_hd * sqrt_det_pfaffian(gd, character_cochain(gd, *zw).values)
-        if abs(sd) < 1e-12:
-            sign_pattern[zw] = 0.0
-        else:
-            sign_pattern[zw] = s / sd
+        scale = max(abs(v) for k, v in sd.items() if k != zw)
+        degenerate = abs(sd[zw]) <= KERNEL_TOL * scale
+        sign_pattern[zw] = 0.0 if degenerate else s[zw] / sd[zw]
     return {
         "unitary_residual_max": worst,
         "unitary_checks": checks,
         "sqrt_sign_pattern": sign_pattern,
-        "pass": worst < 1e-9 and _sign_pattern_ok(sign_pattern),
+        # a degenerate point (0) carries no sign information
+        "pass": worst < 1e-9 and all(
+            v == 0.0 or abs(v - (-1.0 if zw == (1, 1) else 1.0)) <= 1e-6
+            for zw, v in sign_pattern.items()),
     }
 
-
-def _sign_pattern_ok(pattern):
-    for zw, val in pattern.items():
-        want = -1.0 if zw == (1, 1) else 1.0
-        if val == 0.0:
-            continue  # degenerate (critical) point; no sign information
-        if abs(val - want) > 1e-6:
-            return False
-    return True

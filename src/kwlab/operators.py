@@ -39,9 +39,9 @@ from .derived import (build_C, build_D, build_M, c_edge_directions,
                       isoradial_data, phi_D_character, q_phases, split_phi_D)
 
 __all__ = [
-    "kac_ward", "kasteleyn", "laplacian", "laplacian_dual", "dirac_C",
-    "dirac_D", "skew_adjacency", "laplacian_M", "null_space", "kw_dets",
-    "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
+    "kac_ward", "kac_ward_kernel", "kasteleyn", "laplacian", "laplacian_dual",
+    "dirac_C", "dirac_D", "skew_adjacency", "laplacian_M", "null_space",
+    "kw_dets", "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
 ]
 
 
@@ -93,6 +93,23 @@ def kw_dets(g, phi_rows, x_rows):
         out[i:i + step] = np.linalg.det(
             kac_ward(g, pv[i:i + step], xs[i:i + step]))
     return out.reshape(lead)
+
+
+#: relative size of the singular values that span the kernel of KW(1, 1)
+KERNEL_TOL = 1e-8
+
+
+def kac_ward_kernel(g, x=None):
+    """(U, sigma, V^T, dim): the real SVD of M = I - X T' and its kernel
+    dimension, the number of singular values below ``KERNEL_TOL * sigma[0]``.
+
+    KW(1, 1) = H^-1 M H with T' = ``g.transition_real`` and H = diag(exp(i
+    dirang / 2)) unitary, so ker KW = H^-1 ker M.
+    """
+    xs = g.x if x is None else np.asarray(x, dtype=float)
+    m = np.eye(g.nd) - np.repeat(xs, 2)[:, None] * g.transition_real
+    u, s, vt = np.linalg.svd(m)
+    return u, s, vt, int(np.count_nonzero(s < KERNEL_TOL * s[0]))
 
 
 def _out(shape, entries, sparse):

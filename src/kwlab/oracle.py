@@ -289,7 +289,7 @@ def signed_cycle_sum(g, phi=None, x=None, rng=None):
         raise SizeGuardError(f"signed cycle sum capped at {SUM_GUARD} edges")
     xs = g.x if x is None else np.asarray(x, dtype=float)
     if phi is not None:
-        pv = np.array([complex(phi[2 * k]) for k in range(g.ne)])
+        pv = np.asarray(getattr(phi, "values", phi), dtype=complex)[0::2]
         if np.any(abs(pv.imag) > 1e-12) or np.any(abs(abs(pv.real) - 1) > 1e-12):
             raise GraphError("signed cycle sum needs a +-1 cochain")
         xs = xs * pv.real

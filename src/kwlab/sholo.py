@@ -17,11 +17,11 @@ import warnings
 
 import numpy as np
 
-from .linalg import lu_solve, max_norm, null_space
+from .linalg import lu_solve, max_norm
 from .surface_graph import GraphError, cycle_with_winding
 from .derived import build_C, half_angle_phases
-from .operators import (dirac_C, kac_ward, kasteleyn, phi_omega,
-                        sqrt_det_pfaffian)
+from .operators import (dirac_C, kac_ward, kac_ward_kernel, kasteleyn,
+                        phi_omega, sqrt_det_pfaffian)
 from .oracle import _entry_terms, _sum_terms, inverse_coefficient
 
 
@@ -211,23 +211,27 @@ def observable(g, e0, backend="auto", x=None):
     return out
 
 
-def kernel_observables(g, tol=1e-7):
+#: a null vector r is kept when max|KW H^-1 r| <= KERNEL_CHECK_TOL max|r|
+KERNEL_CHECK_TOL = 1e-7
+
+
+def kernel_observables(g):
     """Globally s-holomorphic functions pulled back from the Kac-Ward kernel.
 
-    KW = H^-1 (I - X T') H with H = diag(exp(i dirang / 2)) and T' =
-    ``g.transition_real`` real, so the real null space of I - X T' (singular
-    values below 1e-8 sigma_max) spans ker KW on the dart lines.  Each basis
-    vector r, signed so that its largest entry is positive and checked against
-    the complex KW, gives exp(i pi/4) S^-1(H^-1 r): a deterministic real basis
-    of the s-holomorphic functions, empty when KW is invertible.
+    The kernel is the one ``kac_ward_kernel`` decides: the right null vectors
+    r of the real I - X T' span ker KW on the dart lines as H^-1 r.  Each r,
+    signed so that its largest entry is positive and checked against the
+    complex KW, gives exp(i pi/4) S^-1(H^-1 r): a deterministic real basis of
+    the s-holomorphic functions, two on a critical torus and none when KW is
+    invertible.
     """
     kw = kac_ward(g)
-    m = np.eye(g.nd) - np.repeat(g.x, 2)[:, None] * g.transition_real
+    _, _, vt, dim = kac_ward_kernel(g)
     h_inv = np.exp(-0.5j * g.dirang)
     found = []
-    for r in null_space(m, tol=1e-8):
+    for r in vt[len(vt) - dim:]:
         cand = h_inv * r * np.sign(r[np.argmax(np.abs(r))])
-        if max_norm(kw @ cand) <= tol * max_norm(cand):
+        if max_norm(kw @ cand) <= KERNEL_CHECK_TOL * max_norm(cand):
             found.append(cmath.exp(0.25j * math.pi) * map_S_inverse(g, cand))
     return found
 

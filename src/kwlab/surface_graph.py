@@ -60,15 +60,6 @@ class Weights:
         self.x = np.clip(x, 0.0, 1.0)
         self.theta = 2.0 * np.arctan(self.x)
 
-    @classmethod
-    def from_couplings(cls, j, beta):
-        j = np.asarray(j, dtype=float)
-        if np.any(j <= 0):
-            raise GraphError("couplings J must be positive")
-        if beta < 0:
-            raise GraphError("inverse temperature must be nonnegative")
-        return cls(np.tanh(beta * j))
-
     def dual(self):
         return Weights((1.0 - self.x) / (1.0 + self.x))
 
@@ -468,9 +459,6 @@ class Cochain:
     @classmethod
     def trivial(cls, g):
         return cls(g, np.ones(g.nd, dtype=complex))
-
-    def __getitem__(self, d):
-        return self.values[d]
 
     def is_cocycle(self, tol=1e-9):
         p = np.ones(len(self.g.faces), dtype=complex)

@@ -123,6 +123,30 @@ def test_spectral_and_tau_and_free_energy(tmp_path, capsys):
     assert "free_energy" in json.loads(out)
 
 
+@pytest.mark.parametrize("fixture", ["rect-torus", "honeycomb-torus"])
+def test_tau_off_criticality_is_invalid_input(tmp_path, capsys, fixture):
+    # both default weights are off criticality, where KW(1, 1) is invertible
+    code, out = run(capsys, "gen", fixture)
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    code, out = run(capsys, "tau", "-g", str(path))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["error"] == "invalid_input"
+    assert "not critical" in rep["message"]
+
+
+def test_verify_kw2_on_critical_square_torus_12(tmp_path, capsys):
+    # both signed roots at (1, 1) are rounding noise at criticality, a few
+    # 1e-12 on 576 darts: the sign there is undefined, not a failed check
+    code, out = run(capsys, "gen", "square-torus", "12")
+    path = tmp_path / "s12.json"
+    path.write_text(out)
+    code, out = run(capsys, "verify", "kw2", "-g", str(path))
+    assert code == 0
+    assert json.loads(out)["pass"]
+
+
 def test_h_function_command(tmp_path, capsys):
     x = 0.41421356237309503
     code, out = run(capsys, "gen", "square-torus", "2", "--x", str(x))

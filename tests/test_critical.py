@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError, Weights, build_torus
@@ -10,6 +11,7 @@ from kwlab.critical import (critical_beta, duality_check, free_energy,
                             hessian_tau, spectral_curve, spectral_grid)
 from kwlab.operators import sqrt_det_pfaffian
 from kwlab.oracle import signed_cycle_sum
+from kwlab.sholo import kernel_observables
 
 from tracked_root import sqrt_det_tracked
 
@@ -138,7 +140,9 @@ def hessian_tau_reference(g, x=None, h=1e-4):
                                             else root.conjugate())
 
 
-def test_hessian_tau_stack_is_the_scalar_stencil():
+def test_hessian_tau_matches_the_stencil():
+    # the exact Hessian against the stencil, within the stencil's rounding
+    # and truncation error
     th = 1.1
     x, y = math.tan(th / 2), math.tan((math.pi / 2 - th) / 2)
     xh = 1.0 / math.sqrt(3.0)
@@ -148,10 +152,66 @@ def test_hessian_tau_stack_is_the_scalar_stencil():
                   (fx.square_torus(2), np.full(8, fx.X_CRITICAL_SQUARE))):
         rep = hessian_tau(g, x=xs)
         hessian, tau = hessian_tau_reference(g, x=xs)
-        assert np.array_equal(rep["hessian"], hessian)
-        assert rep["tau"] == tau
+        assert np.max(np.abs(rep["hessian"] - hessian)) <= (
+            1e-9 * np.max(np.abs(hessian)))
+        assert abs(rep["tau"] - tau) <= 1e-9 * abs(tau)
     with pytest.raises(GraphError):
         hessian_tau(fx.triangle(0.3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_tau_is_exactly_i_on_square_tori(n):
+    assert abs(hessian_tau(fx.square_torus(n))["tau"] - 1j) <= 1e-14
+
+
+def test_tau_is_exact_on_critical_rect_tori():
+    for th in (0.2, math.pi / 4, math.pi / 3, 1.1, math.pi / 2 - 0.2):
+        x = math.tan(th / 2)
+        y = math.tan((math.pi / 2 - th) / 2)
+        rep = hessian_tau(fx.rect_torus(x, y))
+        assert abs(rep["tau"] - 1j * math.tan(th)) <= 1e-14 * math.tan(th)
+        assert abs(rep["B"]) <= 1e-12
+
+
+def test_hessian_tau_off_criticality_names_the_kernel():
+    with pytest.raises(GraphError, match=r"not critical: .* 0-dimensional "
+                       r"kernel \(sigma_n-1 / sigma_1 = 0\.1"):
+        hessian_tau(fx.rect_torus(0.3, 0.4))
+
+
+def _critical_rect(th, off):
+    """Rect torus at the critical pair of half-angles, y moved by ``off``."""
+    return fx.rect_torus(math.tan(th / 2),
+                         math.tan((math.pi / 2 - th + off) / 2))
+
+
+def _critical_honeycomb(x1, x2, off):
+    """Honeycomb with x1 x2 + x2 x3 + x3 x1 = 1, x3 then moved by ``off``."""
+    return fx.honeycomb_torus((x1, x2, (1 - x1 * x2) / (x1 + x2) + off))
+
+
+_OFF = st.one_of(st.just(0.0), st.floats(1e-3, 0.05), st.floats(-0.05, -1e-3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(honeycomb=st.booleans(), th=st.floats(0.2, math.pi / 2 - 0.2),
+       x1=st.floats(0.45, 0.85), x2=st.floats(0.45, 0.85), off=_OFF)
+def test_hessian_tau_decides_criticality_with_the_kernel(honeycomb, th, x1,
+                                                         x2, off):
+    g = (_critical_honeycomb(x1, x2, off) if honeycomb
+         else _critical_rect(th, off))
+    n_funcs = len(kernel_observables(g))
+    if off:
+        with pytest.raises(GraphError, match="not critical"):
+            hessian_tau(g)
+        assert n_funcs == 0
+        return
+    rep = hessian_tau(g)
+    assert n_funcs == 2
+    hessian, _ = hessian_tau_reference(g)
+    assert np.max(np.abs(rep["hessian"] - hessian)) <= (
+        1e-9 * np.max(np.abs(hessian)))
+    assert rep["tau"].imag > 0
 
 
 def test_tau_isotropic_is_i():

@@ -11,7 +11,7 @@ from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
 from kwlab.derived import build_C, build_D, build_M, isoradial_data
 from kwlab.linalg import lu_det, max_norm, to_dense
 from kwlab.operators import (_dirac_cd_residual, dirac_C, dirac_D, kac_ward,
-                             kasteleyn, kw_dets,
+                             kac_ward_kernel, kasteleyn, kw_dets,
                              laplacian, laplacian_M, laplacian_dual, null_space,
                              skew_adjacency, sqrt_det_pfaffian, verify_corr,
                              verify_dirac_identities)
@@ -720,3 +720,21 @@ def test_null_space_of_kw():
     assert len(kern) >= 1
     g2 = fx.rect_torus(0.3, 0.3)
     assert null_space(kac_ward(g2)) == []
+
+
+@pytest.mark.parametrize("g, dim", [
+    (fx.square_torus(1), 2), (fx.square_torus(4), 2),
+    (fx.rect_torus_iso(1.1), 2), (fx.rect_torus(0.3, 0.4), 0),
+    (fx.honeycomb_torus((1 / math.sqrt(3),) * 3), 2),
+])
+def test_kac_ward_kernel_is_the_kernel_of_kw(g, dim):
+    u, sig, vt, got = kac_ward_kernel(g)
+    assert got == dim
+    m = np.eye(g.nd) - np.repeat(g.x, 2)[:, None] * g.transition_real
+    assert max_norm(u @ np.diag(sig) @ vt - m) <= 1e-14
+    # the null vectors, in the complex gauge, are the kernel of KW
+    kern = np.exp(-0.5j * g.dirang)[:, None] * vt[len(vt) - dim:].T
+    assert max_norm(kac_ward(g) @ kern) <= 1e-14
+    assert len(null_space(kac_ward(g))) == dim
+    if dim == 0:
+        assert sig[-1] > 0.1 * sig[0]

@@ -123,10 +123,10 @@ def test_character_cochain_basics():
     # the horizontal loop carries -1, the vertical one +1
     hor = [d for d in range(g.nd) if abs(g.shift[d][0]) == 1]
     ver = [d for d in range(g.nd) if abs(g.shift[d][1]) == 1]
-    assert all(phi[d] == -1 for d in hor)
-    assert all(phi[d] == 1 for d in ver)
+    assert all(phi.values[d] == -1 for d in hor)
+    assert all(phi.values[d] == 1 for d in ver)
     phi = character_cochain(g, 2j, 1.0)
-    assert phi[0] * phi[1] == pytest.approx(1.0)
+    assert phi.values[0] * phi.values[1] == pytest.approx(1.0)
     assert phi.is_cocycle()
 
 
