@@ -164,9 +164,11 @@ def hessian_tau(g, x=None):
     For M = U diag(sigma) V^T with null columns W0 of U and V0 of V, first-
     order perturbation of the corank-2 determinant gives P(1 + a t, 1 + b t)
     = c t^2 det(a Mz + b Mw) + O(t^3), with Mz = W0^T Dz V0 for the
-    z-derivative Dz = -diag(s1 x) T' of M (Mw with s2) and c = det U det V^T
-    prod(nonzero sigma).  tau is the root of A_w t^2 + 2 B t + A_z in the
-    upper half plane.
+    z-derivative Dz = -diag(s1) X T' of M (Mw with s2) and c = det U det V^T
+    prod(nonzero sigma).  As X T' = I - M and M V0 = W0 diag(sigma_n-1,
+    sigma_n), Mz = -W0^T diag(s1) V0 up to the two kernel singular values,
+    so no transition is read.  tau is the root of A_w t^2 + 2 B t + A_z in
+    the upper half plane.
     """
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
@@ -177,8 +179,7 @@ def hessian_tau(g, x=None):
             f"weights are not critical: KW(1, 1) has a {dim}-dimensional "
             f"kernel (sigma_n-1 / sigma_1 = {sig[-2] / sig[0]:.3g}), not 2")
     w0, v0 = u[:, -2:], vt[-2:].T
-    tv = g.transition_real @ v0
-    mz, mw = (w0.T @ (-(s * np.repeat(xs, 2))[:, None] * tv) for s in g.shift.T)
+    mz, mw = (-(w0 * s[:, None]).T @ v0 for s in g.shift.T)
     c = np.linalg.det(u) * np.linalg.det(vt) * np.prod(sig[:-2])
     det_z, det_w, det_zw = np.linalg.det(np.array([mz, mw, mz + mw]))
     azz, aww, b = 2.0 * c * det_z, 2.0 * c * det_w, c * (det_zw - det_z - det_w)

@@ -318,7 +318,7 @@ def isoradial_data(g, tol=ISORADIAL_TOL):
     distance delta from all its corners.
 
     The default-tolerance result is cached on the graph, as
-    ``EmbeddedGraph.transition`` is (graphs are not mutated after
+    ``EmbeddedGraph.transition_entries`` are (graphs are not mutated after
     construction); a failed check is not cached, so it raises on every call.
     """
     default = tol == ISORADIAL_TOL

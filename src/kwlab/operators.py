@@ -4,8 +4,8 @@ Conventions (mirrored throughout the package):
 
 * ``KW[e, e'] = 1_{e=e'} - phi(e) x_e exp(i alpha(e,e')/2)`` for darts e' that
   continue e (same terminus-origin vertex, no backtracking), alpha the
-  velocity turning in (-pi, pi); the phase pattern is the per-graph
-  ``EmbeddedGraph.transition``.
+  velocity turning in (-pi, pi); the continuations and their phases are the
+  per-graph entry list ``EmbeddedGraph.transition_entries``.
 * The Kasteleyn matrix on the rectangle graph is W x B with rows and columns
   in ascending dart order; with the unit cochain orientation its determinant
   times 2^{-V} prod(1 + x^2) equals det KW exactly (no sign ambiguity).
@@ -14,12 +14,14 @@ Conventions (mirrored throughout the package):
 * Dirac: (dbar f)(w) = mu_w^{-1} sum phi(e) exp(i theta_X(e)) sin(theta_e) f(b)
   and its conjugate-phase partner, on the isoradial C and D graphs.
 
-Every builder but ``kac_ward`` assembles its operator's entry list once, a
-``(rows, cols, vals)`` tuple with at most four entries per row; with
-``sparse=True`` it returns that list, otherwise its dense ``np.add.at``
-scatter.  The identity suites ``verify_corr`` and
-``verify_dirac_identities`` multiply and compare entry lists (see
-``linalg``), so no check forms a dense product or an LU determinant.
+Every builder assembles its operator's entry list, a ``(rows, cols, vals)``
+tuple, and its dense matrix is a scatter of that list.  The Kac-Ward family
+(``kac_ward``, ``kac_ward_kernel``, the skew matrix of ``sqrt_det_pfaffian``)
+scatters its values onto the continuations of ``transition_entries``; the
+other builders return their list with ``sparse=True``.  The identity suites
+``verify_corr`` and ``verify_dirac_identities`` multiply and compare entry
+lists (see ``linalg``), so no check forms a dense product or an LU
+determinant.
 """
 
 from __future__ import annotations
@@ -64,8 +66,22 @@ def kac_ward(g, phi=None, x=None):
     if np.any(np.abs(pv) == 0):
         raise GraphError("cochain values must be nonzero")
     xs = g.x if x is None else np.asarray(x)
-    kw = (pv * np.repeat(xs, 2, axis=-1))[..., :, None] * g.transition
-    return np.subtract(np.eye(g.nd), kw, out=kw)
+    return _eye_minus_pattern(g, pv * np.repeat(xs, 2, axis=-1),
+                              g.transition_entries[2])
+
+
+def _eye_minus_pattern(g, rows, vals):
+    """Dense I - A with A[..., e, e'] = rows[..., e] vals[k] on each
+    continuation (e, e') = ``g.transition_entries[:2]``[k]; leading axes of
+    ``rows`` stack."""
+    e, e2, _ = g.transition_entries
+    nd = g.nd
+    a = rows[..., e] * vals
+    # flat row-major layout: (e, e') at e * nd + e', the diagonal every nd + 1
+    m = np.zeros(a.shape[:-1] + (nd * nd,), dtype=a.dtype)
+    m[..., e * nd + e2] = -a
+    m[..., ::nd + 1] += 1
+    return m.reshape(a.shape[:-1] + (nd, nd))
 
 
 #: bytes of complex matrix entries that ``kw_dets`` builds and factors at once;
@@ -103,11 +119,11 @@ def kac_ward_kernel(g, x=None):
     """(U, sigma, V^T, dim): the real SVD of M = I - X T' and its kernel
     dimension, the number of singular values below ``KERNEL_TOL * sigma[0]``.
 
-    KW(1, 1) = H^-1 M H with T' = ``g.transition_real`` and H = diag(exp(i
-    dirang / 2)) unitary, so ker KW = H^-1 ker M.
+    KW(1, 1) = H^-1 M H with T' the signs ``g.transition_signs`` and
+    H = diag(exp(i dirang / 2)) unitary, so ker KW = H^-1 ker M.
     """
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    m = np.eye(g.nd) - np.repeat(xs, 2)[:, None] * g.transition_real
+    m = _eye_minus_pattern(g, np.repeat(xs, 2), g.transition_signs)
     u, s, vt = np.linalg.svd(m)
     return u, s, vt, int(np.count_nonzero(s < KERNEL_TOL * s[0]))
 
@@ -295,7 +311,7 @@ def sqrt_det_pfaffian(g, phi=None, x=None):
     """Square root of det KW with constant coefficient +1, as a Pfaffian.
 
     In the half-angle gauge the transition is the real +-1 matrix T'
-    (``g.transition_real``), and splitting the weights symmetrically gives
+    (``g.transition_signs``), and splitting the weights symmetrically gives
     det KW = det(I - B) with B = |X|^1/2 Phi T' |X|^1/2, where the +-1
     cochain Phi absorbs the signs of the weights.  With the dart reversal J
     and the signs s of ``g.skew_signs`` times Phi, S = diag(s) J (I - B) is
@@ -317,7 +333,9 @@ def sqrt_det_pfaffian(g, phi=None, x=None):
     r = np.sqrt(np.abs(xd))
     # S[e, f] = s(e) (delta(f, rev e) - B[rev e, f]), where B[rev e, f]
     # carries Phi(rev e) = Phi(e), so s(e) Phi(e) is g.skew_signs(e)
-    skew = (-(g.skew_signs * r)[:, None] * g.transition_real[rev]) * r
+    e, f, _ = g.transition_entries
+    skew = np.zeros((g.nd, g.nd))
+    skew[e ^ 1, f] = (-(g.skew_signs * r)[e ^ 1] * g.transition_signs) * r[f]
     skew[np.arange(g.nd), rev] += s
     return pfaffian(skew) / float(np.prod(s[0::2]))
 

@@ -153,45 +153,37 @@ class EmbeddedGraph:
         return e, e2, np.exp(0.5j * alpha)
 
     @cached_property
-    def transition(self):
-        """The dense dart transition matrix of ``transition_entries``
-        (0 off the continuations), built once per graph."""
-        e, e2, phase = self.transition_entries
-        t = np.zeros((self.nd, self.nd), dtype=complex)
-        t[e, e2] = phase
-        return t
-
-    @cached_property
-    def transition_real(self):
-        """The transition in the half-angle gauge, diag(exp(i a/2)) T
-        diag(exp(-i a/2)) with a = dirang: exactly +-1 on the continuations,
-        since a(e) - a(e') + alpha(e, e') is a multiple of 2 pi."""
+    def transition_signs(self):
+        """The ``transition_entries`` values in the half-angle gauge,
+        exp(i a(e)/2) exp(i alpha(e, e')/2) exp(-i a(e')/2) with a = dirang:
+        exactly +-1, since a(e) - a(e') + alpha(e, e') is a multiple of 2 pi.
+        Dense, they are the +-1 transition T'."""
         e, e2, phase = self.transition_entries
         h = np.exp(0.5j * self.dirang)
-        t = np.zeros((self.nd, self.nd))
-        t[e, e2] = np.rint((h[e] * phase * h[e2].conj()).real)
-        return t
+        return np.rint((h[e] * phase * h[e2].conj()).real)
 
     @cached_property
     def skew_signs(self):
         """Signs s making diag(s) J (I - T'[phi]) skew-symmetric, for the
-        trivial cochain; J is the dart reversal and T' ``transition_real``.
+        trivial cochain; J is the dart reversal and T' the +-1 transition of
+        ``transition_signs``.
 
         Skewness asks s(rev e) = -s(e) and s(e) T'[rev e, f] = -s(f)
-        T'[rev f, e]; the system is solved by a search over the darts and
-        checked, both on the continuations of ``transition_entries`` with
-        their values read from ``transition_real``.  A +-1 cochain phi
-        multiplies both sides of the second condition by phi(e) phi(f), so
-        s * phi solves it for phi.
+        T'[rev f, e], where the reversal rev f -> e of a continuation
+        rev e -> f is a continuation too, found by its row-major key.  The
+        system is solved by a search over the darts and checked.  A +-1
+        cochain phi multiplies both sides of the second condition by
+        phi(e) phi(f), so s * phi solves it for phi.
         """
         nd = self.nd
         rev = np.arange(nd) ^ 1
-        t = self.transition_real
-        # the entries (r, c) of J T', (J T')[r, c] = T'[rev r, c], row-major
         e, e2, _ = self.transition_entries
-        order = np.argsort(e ^ 1, kind="stable")
-        r, c = e[order] ^ 1, e2[order]
-        jt, jt_t = t[r ^ 1, c], t[c ^ 1, r]   # (J T')[r, c] and [c, r]
+        # the entries (r, c) of J T', (J T')[r, c] = T'[rev r, c], and their
+        # transposes (J T')[c, r] = T'[rev c, r], the continuation rev e2 ->
+        # rev e read at its row-major key
+        r, c = e ^ 1, e2
+        jt = self.transition_signs
+        jt_t = jt[np.searchsorted(e * nd + e2, (c ^ 1) * nd + r)]
         links = [[(e ^ 1, -1.0)] for e in range(nd)]
         for e, f, p in zip(r.tolist(), c.tolist(), (-jt * jt_t).tolist()):
             links[e].append((f, p))
@@ -349,11 +341,48 @@ def _close_graph(surface, lattice, vcoords, origin, dirang, shift, weights,
     return g
 
 
-def _paired_angles(raw):
-    """Map raw per-canonical-dart angles into [0, 2pi) with exact pi reversal."""
-    a = np.asarray(raw, dtype=float) % TWO_PI
-    return np.stack([a, np.where(a < math.pi, a + math.pi, a - math.pi)],
-                    axis=1).ravel()
+def _build(surface, lattice, vertex_coords, edge_list, weights, dart_angles):
+    """Darts, shifts and straight-line direction angles of ``edge_list``
+    ((u, v) or (u, v, (s1, s2)) entries), with exact pi reversal and the
+    ``dart_angles`` overrides {dart: angle}, closed into a graph."""
+    if len(edge_list) == 0:
+        raise GraphError("a graph needs at least one edge")
+    vcoords = np.asarray(vertex_coords, dtype=float)
+    if not isinstance(weights, Weights):
+        weights = Weights(weights)
+    if len(weights) != len(edge_list):
+        raise GraphError("one weight per edge required")
+    nd = 2 * len(edge_list)
+    origin = np.empty(nd, dtype=int)
+    shift = np.zeros((nd, 2), dtype=int)
+    raw = np.empty(nd // 2)
+    for k, spec in enumerate(edge_list):
+        u, v, s = spec if len(spec) == 3 else (*spec, (0, 0))
+        if not (0 <= u < len(vcoords) and 0 <= v < len(vcoords)):
+            raise GraphError("edge endpoints must be vertex ids 0..V-1")
+        if lattice is None and u == v:
+            raise GraphError("planar loops are not embeddable with straight edges")
+        origin[2 * k:2 * k + 2] = u, v
+        shift[2 * k:2 * k + 2] = s, (-s[0], -s[1])
+        d = vcoords[v] - vcoords[u]
+        if lattice is not None:
+            d = d + np.array(s, dtype=float) @ lattice
+        if np.hypot(d[0], d[1]) < 1e-14:
+            raise GraphError("zero-length edge" if lattice is None else
+                             "zero-length displacement on the torus")
+        raw[k] = math.atan2(d[1], d[0])
+    a = raw % TWO_PI
+    dirang = np.stack([a, np.where(a < math.pi, a + math.pi, a - math.pi)],
+                      axis=1).ravel()
+    for dart, ang in (dart_angles or {}).items():
+        if not 0 <= int(dart) < nd:
+            raise GraphError(f"dart_angles: {dart} is not a dart id 0..2E-1")
+        if not math.isfinite(float(ang)):
+            raise GraphError(f"dart_angles: the angle of dart {dart} is not "
+                             "finite")
+        dirang[int(dart)] = float(ang) % TWO_PI
+    return _close_graph(surface, lattice, vcoords, origin, dirang, shift,
+                        weights)
 
 
 def build_planar(vertex_coords, edge_list, weights, dart_angles=None):
@@ -363,31 +392,7 @@ def build_planar(vertex_coords, edge_list, weights, dart_angles=None):
     the counterclockwise order of the edge direction angles, which must be
     pairwise distinct (parallel edges and loops are rejected).
     """
-    if len(edge_list) == 0:
-        raise GraphError("a graph needs at least one edge")
-    vcoords = np.asarray(vertex_coords, dtype=float)
-    if not isinstance(weights, Weights):
-        weights = Weights(weights)
-    if len(weights) != len(edge_list):
-        raise GraphError("one weight per edge required")
-    ne = len(edge_list)
-    origin = np.empty(2 * ne, dtype=int)
-    raw = np.empty(ne)
-    for k, (u, v) in enumerate(edge_list):
-        if u == v:
-            raise GraphError("planar loops are not embeddable with straight edges")
-        origin[2 * k] = u
-        origin[2 * k + 1] = v
-        d = vcoords[v] - vcoords[u]
-        if np.hypot(d[0], d[1]) < 1e-14:
-            raise GraphError("zero-length edge")
-        raw[k] = math.atan2(d[1], d[0])
-    dirang = _paired_angles(raw)
-    if dart_angles:
-        for d, a in dart_angles.items():
-            dirang[int(d)] = float(a) % TWO_PI
-    shift = np.zeros((2 * ne, 2), dtype=int)
-    g = _close_graph("planar", None, vcoords, origin, dirang, shift, weights)
+    g = _build("planar", None, vertex_coords, edge_list, weights, dart_angles)
     if g.genus != 0:
         raise GraphError("planar constructor produced nonzero genus")
     return g.validate()
@@ -400,39 +405,13 @@ def build_torus(lattice, vertex_coords, edge_list, weights, dart_angles=None):
     from u to the copy of v displaced by ``s1 L1 + s2 L2``.  Parallel edges and
     loops are fine as long as their direction angles differ.
     """
-    if len(edge_list) == 0:
-        raise GraphError("a graph needs at least one edge")
     lattice = np.asarray(lattice, dtype=float)
+    if not np.all(np.isfinite(lattice)):
+        raise GraphError("lattice entries must be finite")
     if lattice.shape != (2, 2) or abs(np.linalg.det(lattice)) < 1e-12:
         raise GraphError("lattice must be an invertible 2x2 matrix")
-    vcoords = np.asarray(vertex_coords, dtype=float)
-    if not isinstance(weights, Weights):
-        weights = Weights(weights)
-    if len(weights) != len(edge_list):
-        raise GraphError("one weight per edge required")
-    ne = len(edge_list)
-    origin = np.empty(2 * ne, dtype=int)
-    shift = np.zeros((2 * ne, 2), dtype=int)
-    raw = np.empty(ne)
-    for k, spec in enumerate(edge_list):
-        if len(spec) == 2:
-            u, v = spec
-            s = (0, 0)
-        else:
-            u, v, s = spec
-        origin[2 * k] = u
-        origin[2 * k + 1] = v
-        shift[2 * k] = s
-        shift[2 * k + 1] = (-s[0], -s[1])
-        d = vcoords[v] - vcoords[u] + np.array(s, dtype=float) @ lattice
-        if np.hypot(d[0], d[1]) < 1e-14:
-            raise GraphError("zero-length displacement on the torus")
-        raw[k] = math.atan2(d[1], d[0])
-    dirang = _paired_angles(raw)
-    if dart_angles:
-        for d, a in dart_angles.items():
-            dirang[int(d)] = float(a) % TWO_PI
-    g = _close_graph("torus", lattice, vcoords, origin, dirang, shift, weights)
+    g = _build("torus", lattice, vertex_coords, edge_list, weights,
+               dart_angles)
     if g.genus != 1:
         raise GraphError(f"torus data has genus {g.genus}, expected 1")
     return g.validate()
@@ -661,8 +640,7 @@ def graph_from_json(obj):
         edges = sorted(obj["edges"], key=lambda r: r["id"])
         if [r["id"] for r in edges] != list(range(len(edges))):
             raise GraphError("edge ids must be 0..E-1")
-        if any(type(r[k]) is not int or not 0 <= r[k] < len(verts)
-               for r in edges for k in ("u", "v")):
+        if any(type(r[k]) is not int for r in edges for k in ("u", "v")):
             raise GraphError("edge endpoints must be vertex ids 0..V-1")
 
         xs = np.empty(len(edges))

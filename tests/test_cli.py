@@ -7,6 +7,7 @@ import pytest
 
 import kwlab
 
+from kwlab import fixtures as fx
 from kwlab.cli import main
 
 
@@ -254,14 +255,42 @@ def _nan_coordinate(obj):
     return obj
 
 
-@pytest.mark.parametrize("mutate", [_non_object, _non_numeric_weight,
-                                    _endpoint_out_of_range, _nan_coordinate])
-def test_malformed_fixture_is_invalid_input(tmp_path, capsys, mutate):
+def _torus_json():
+    return fx.rect_torus(0.3, 0.4).to_json()
+
+
+def _nan_lattice(obj):
+    obj = _torus_json()
+    obj["lattice"][0][1] = float("nan")
+    return obj
+
+
+def _inf_lattice(obj):
+    obj = _torus_json()
+    obj["lattice"][1][1] = float("inf")
+    return obj
+
+
+def _nan_dart_angle(obj):
+    obj["dart_angles"] = {"0": float("nan")}
+    return obj
+
+
+@pytest.mark.parametrize("mutate, field", [
+    pytest.param(f, field, id=f.__name__) for f, field in [
+        (_non_object, "object"), (_non_numeric_weight, "malformed"),
+        (_endpoint_out_of_range, "endpoints"),
+        (_nan_coordinate, "coordinates"), (_nan_lattice, "lattice"),
+        (_inf_lattice, "lattice"), (_nan_dart_angle, "dart_angles")]])
+def test_malformed_fixture_is_invalid_input(tmp_path, capsys, mutate, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(mutate(_triangle_json(capsys))))
-    code, out = run(capsys, "verify", "corr", "-g", str(path))
+    code = main(["verify", "corr", "-g", str(path)])
+    out, err = capsys.readouterr()
     assert code == 2
     assert json.loads(out)["error"] == "invalid_input"
+    assert field in json.loads(out)["message"]
+    assert err == ""
 
 
 @pytest.mark.parametrize("dart", ["99", "-1"])

@@ -9,7 +9,7 @@ from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError, Weights, build_torus
 from kwlab.critical import (critical_beta, duality_check, free_energy,
                             hessian_tau, spectral_curve, spectral_grid)
-from kwlab.operators import sqrt_det_pfaffian
+from kwlab.operators import kac_ward_kernel, kw_dets, sqrt_det_pfaffian
 from kwlab.oracle import signed_cycle_sum
 from kwlab.sholo import kernel_observables
 
@@ -212,6 +212,20 @@ def test_hessian_tau_decides_criticality_with_the_kernel(honeycomb, th, x1,
     assert np.max(np.abs(rep["hessian"] - hessian)) <= (
         1e-9 * np.max(np.abs(hessian)))
     assert rep["tau"].imag > 0
+
+
+def test_no_dense_transition_is_cached_on_the_graph():
+    # the Kac-Ward pattern is held as its entry list: every dense matrix of
+    # the family is built per call, none is kept on the graph
+    g = fx.square_torus(4)
+    kw_dets(g, np.ones(g.nd), g.x)
+    kac_ward_kernel(g)
+    sqrt_det_pfaffian(g)
+    critical_beta(g)
+    hessian_tau(g)
+    assert "transition_entries" in vars(g)
+    assert not [k for k, v in vars(g).items()
+                if isinstance(v, np.ndarray) and v.shape == (g.nd, g.nd)]
 
 
 def test_tau_isotropic_is_i():

@@ -629,16 +629,29 @@ def test_sqrt_det_pfaffian_values():
     assert sqrt_det_pfaffian(g, Cochain.trivial(g)) == sqrt_det_pfaffian(g)
 
 
-def test_transition_real_is_the_gauged_transition():
+def gauged_transition_reference(g):
+    """The transition T' = H T H^-1, H = diag(exp(i dirang / 2)), from the
+    loop form of KW = I - T at phi = x = 1."""
+    t = np.eye(g.nd) - kac_ward_reference(g, np.ones(g.nd), np.ones(g.ne))
+    h = np.exp(0.5j * g.dirang)
+    return h[:, None] * t / h[None, :]
+
+
+def test_transition_signs_are_the_gauged_transition():
     for g in PFAFFIAN_FIXTURES:
-        h = np.exp(0.5j * g.dirang)
-        gauged = h[:, None] * g.transition / h[None, :]
-        assert np.array_equal(np.abs(g.transition_real), np.abs(g.transition) > 0)
-        assert max_norm(gauged - g.transition_real) < 1e-15
+        want = gauged_transition_reference(g)
+        e, e2, _ = g.transition_entries
+        assert np.array_equal(np.argwhere(np.abs(want) > 0.5),
+                              np.stack([e, e2], axis=1))
+        t = np.zeros((g.nd, g.nd))
+        t[e, e2] = g.transition_signs
+        assert max_norm(want - t) < 1e-15
+        # diag(s) J T', scattered from the signs, is skew
         s = g.skew_signs
         rev = np.arange(g.nd) ^ 1
         assert np.array_equal(s[rev], -s)
-        sj = s[:, None] * g.transition_real[rev]
+        sj = np.zeros((g.nd, g.nd))
+        sj[e ^ 1, e2] = s[e ^ 1] * g.transition_signs
         assert np.array_equal(sj, -sj.T)
 
 
@@ -681,13 +694,15 @@ def test_sqrt_det_pfaffian_rejects_bad_cochains():
 
 
 def test_skew_signs_conflict_names_the_darts():
-    # break the transition's reversal symmetry: no signs can make it skew
+    # break the transition's reversal symmetry at the continuation 0 -> 2:
+    # no signs can make it skew, and the entry (rev 0, 2) of J T' is named
     g = fx.square_torus(1, 0.4)
-    t = g.transition_real.copy()
-    e, f = np.argwhere(t)[0]
-    t[e, f] = -t[e, f]
-    g.__dict__["transition_real"] = t
-    with pytest.raises(GraphError, match=r"darts \d+ and \d+ conflict"):
+    e, e2, _ = g.transition_entries
+    k = np.flatnonzero((e == 0) & (e2 == 2))
+    t = g.transition_signs.copy()
+    t[k] = -t[k]
+    g.__dict__["transition_signs"] = t
+    with pytest.raises(GraphError, match=r"darts 1 and 2 conflict"):
         sqrt_det_pfaffian(g)
 
 
@@ -730,7 +745,8 @@ def test_null_space_of_kw():
 def test_kac_ward_kernel_is_the_kernel_of_kw(g, dim):
     u, sig, vt, got = kac_ward_kernel(g)
     assert got == dim
-    m = np.eye(g.nd) - np.repeat(g.x, 2)[:, None] * g.transition_real
+    m = (np.eye(g.nd)
+         - np.repeat(g.x, 2)[:, None] * gauged_transition_reference(g))
     assert max_norm(u @ np.diag(sig) @ vt - m) <= 1e-14
     # the null vectors, in the complex gauge, are the kernel of KW
     kern = np.exp(-0.5j * g.dirang)[:, None] * vt[len(vt) - dim:].T

@@ -86,6 +86,40 @@ def test_torus_rejects_zero_displacement():
                     Weights([0.5]))
 
 
+@pytest.mark.parametrize("bad", [(2, -1), (0, 3)])
+def test_planar_rejects_endpoints_outside_the_vertices(bad):
+    # a negative id would wrap around to the last vertex
+    coords = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(GraphError, match=r"vertex ids 0\.\.V-1"):
+        build_planar(coords, [(0, 1), (1, 2), bad], Weights([0.5] * 3))
+
+
+@pytest.mark.parametrize("bad", [(0, -1, (1, 0)), (0, 1, (1, 0))])
+def test_torus_rejects_endpoints_outside_the_vertices(bad):
+    with pytest.raises(GraphError, match=r"vertex ids 0\.\.V-1"):
+        build_torus(np.eye(2), [(0.0, 0.0)], [bad, (0, 0, (0, 1))],
+                    Weights([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("angles, what", [
+    ({4: 0.5}, "dart id"), ({-1: 0.5}, "dart id"), ({0: math.nan}, "finite"),
+    ({1: math.inf}, "finite")])
+def test_builders_reject_bad_dart_angles(angles, what):
+    with pytest.raises(GraphError, match=f"dart_angles: .*{what}"):
+        build_torus(np.eye(2), [(0.0, 0.0)], [(0, 0, (1, 0)), (0, 0, (0, 1))],
+                    Weights([0.5, 0.5]), dart_angles=angles)
+    with pytest.raises(GraphError, match=f"dart_angles: .*{what}"):
+        build_planar([(0, 0), (1, 0)], [(0, 1)], Weights([0.5]),
+                     dart_angles=angles)
+
+
+def test_torus_rejects_non_finite_lattice():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(GraphError, match="lattice entries must be finite"):
+            build_torus([[1, 0], [bad, 1]], [(0.0, 0.0)],
+                        [(0, 0, (1, 0)), (0, 0, (0, 1))], Weights([0.5, 0.5]))
+
+
 def test_dual_1x1_square_weights():
     x, y = 0.3, 0.45
     g = fx.rect_torus(x, y)
