@@ -6,6 +6,7 @@ significant digits) on stdout; exit code 0 iff every requested check passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,47 +45,50 @@ def _emit(obj):
     sys.stdout.write(render(obj) + "\n")
 
 
+#: distinct weights per fixture: one per edge, or horizontal and vertical
+N_WEIGHTS = {"triangle": 3, "square-torus": 2, "rect-torus": 2,
+             "honeycomb-torus": 3}
+
+
 def _gen(args):
-    n_edges = {"triangle": 3, "square-torus": 2 * args.size * args.size,
-               "rect-torus": 2, "honeycomb-torus": 3}[args.fixture]
+    n = N_WEIGHTS[args.fixture]
+    for flag in ("x", "theta", "J", "beta"):
+        vals = getattr(args, flag)
+        if vals is not None and not np.all(np.isfinite(vals)):
+            raise GraphError(f"--{flag} must be finite")
+        if vals is not None and flag != "beta" and len(vals) not in (1, n):
+            raise GraphError(f"--{flag} takes 1 or {n} values for "
+                             f"{args.fixture}, got {len(vals)}")
     if args.J is not None:
         if args.beta is None:
             raise GraphError("--J requires --beta")
-        xs = [math.tanh(args.beta * j) for j in _per_edge(args.J, n_edges)]
+        xs = [math.tanh(args.beta * j) for j in args.J]
     elif args.theta is not None:
-        xs = [math.tan(t / 2.0) for t in _per_edge(args.theta, n_edges)]
-    elif args.x is not None:
-        xs = _per_edge(args.x, n_edges)
+        xs = [math.tan(t / 2.0) for t in args.theta]
     else:
-        xs = None
+        xs = args.x
+    if xs is not None and len(xs) == 1:
+        xs = xs * n
 
     if args.fixture == "triangle":
         g = fixtures.triangle(np.asarray(xs) if xs else 0.5)
     elif args.fixture == "square-torus":
-        x = xs[0] if xs else fixtures.X_CRITICAL_SQUARE
-        g = fixtures.square_torus(args.size, x, xs[1] if xs and len(xs) > 1 else None)
+        g = fixtures.square_torus(args.size,
+                                  *(xs or [fixtures.X_CRITICAL_SQUARE]))
     elif args.fixture == "rect-torus":
-        x, y = (xs[0], xs[-1]) if xs else (0.3, 0.4)
-        g = fixtures.rect_torus(x, y)
+        g = fixtures.rect_torus(*(xs or [0.3, 0.4]))
     else:
         g = fixtures.honeycomb_torus(tuple(xs) if xs else (0.5, 0.5, 0.5))
 
     obj = g.to_json()
     if args.J is not None:
         # re-emit in coupling form so downstream commands can sweep beta
-        js = _per_edge(args.J, n_edges)
         obj["beta"] = args.beta
         for e in obj["edges"]:
             del e["x"]
-            e["J"] = js[e["id"] % len(js)]
+            e["J"] = args.J[e["id"] % len(args.J)]
     _emit(obj)
     return 0
-
-
-def _per_edge(vals, n):
-    if len(vals) == 1:
-        return [vals[0]] * n
-    return list(vals)
 
 
 def _verify(args):
@@ -200,7 +204,9 @@ def _h_function(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on first use."""
     p = argparse.ArgumentParser(prog="kwlab",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

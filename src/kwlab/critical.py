@@ -203,6 +203,8 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
     """
     if g.genus != 1:
         raise GraphError("free energy needs a genus-1 graph")
+    if beta is not None and not math.isfinite(beta):
+        raise GraphError(f"beta must be finite, got {beta}")
     if x is None:
         if beta is None:
             xs = g.x

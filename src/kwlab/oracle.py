@@ -313,6 +313,8 @@ def ising_partition(g, j=None, beta=1.0):
 
     if g.nv > SPIN_GUARD or g.ne > SUM_GUARD:
         raise SizeGuardError("partition-function oracle size guard exceeded")
+    if not math.isfinite(beta):
+        raise GraphError(f"beta must be finite, got {beta}")
     if j is None:
         if np.any(g.x >= 1.0) or np.any(g.x <= 0.0):
             raise GraphError("weights must be in (0,1) to infer couplings")

@@ -13,6 +13,7 @@ Edge weights live in [0, 1] and are parametrized by ``x = tan(theta / 2)``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -53,9 +54,9 @@ class Weights:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise GraphError("weights must be a flat array")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise GraphError("edge weights must be finite")
-        if np.any(x < -1e-15) or np.any(x > 1.0 + 1e-15):
+        if (x < -1e-15).any() or (x > 1.0 + 1e-15).any():
             raise GraphError("edge weights must lie in [0, 1]")
         self.x = np.clip(x, 0.0, 1.0)
         self.theta = 2.0 * np.arctan(self.x)
@@ -223,34 +224,39 @@ class EmbeddedGraph:
             raise GraphError("rotation permutation has wrong size")
         if sorted(self.rot.tolist()) != list(range(nd)):
             raise GraphError("rotation is not a permutation of the darts")
-        if np.any(self.origin[self.rot] != self.origin):
+        if (self.origin[self.rot] != self.origin).any():
             raise GraphError("rotation moves a dart to a different vertex")
         turn = (self.dirang[np.arange(nd) ^ 1] - self.dirang) % TWO_PI
-        if np.any(np.abs(turn - math.pi) > ANGLE_TIE_TOL):
+        if (np.abs(turn - math.pi) > ANGLE_TIE_TOL).any():
             raise GraphError("reversed dart is not rotated by pi")
-        if np.any(self.x < -1e-15) or np.any(self.x > 1 + 1e-15):
+        if (self.x < -1e-15).any() or (self.x > 1 + 1e-15).any():
             raise GraphError("edge weights outside [0, 1]")
-        if np.max(np.abs(self.theta - 2.0 * np.arctan(self.x))) > 1e-14:
+        if np.abs(self.theta - 2.0 * np.arctan(self.x)).max() > 1e-14:
             raise GraphError("theta and x are inconsistent")
         chi = self.nv - self.ne + len(self.faces)
         if chi != 2 - 2 * self.genus:
             raise GraphError("Euler characteristic does not match the genus")
-        if self.surface == "planar" and np.any(self.shift != 0):
+        if self.surface == "planar" and self.shift.any():
             raise GraphError("planar graphs cannot wind around a lattice")
         if check_angle_sums:
             b = self.beta()
-            for v in range(self.nv):
-                s = float(sum(b[d] for d in self.darts_at[v]))
-                if abs(s - TWO_PI) > ANGLE_SUM_TOL:
-                    raise GraphError(
-                        f"angle gaps at vertex {v} sum to {s}, expected 2pi"
-                    )
-            for f in range(len(self.faces)):
-                r = self.face_rotation(f, b) / TWO_PI
-                if abs(r - round(r)) > ANGLE_SUM_TOL or round(r) % 2 == 0:
-                    raise GraphError(
-                        f"face {f} boundary rotation {r} (x 2pi) is not an odd integer"
-                    )
+            sums = np.bincount(self.origin, weights=b, minlength=self.nv)
+            bad = np.flatnonzero(np.abs(sums - TWO_PI) > ANGLE_SUM_TOL)
+            if bad.size:
+                raise GraphError(f"angle gaps at vertex {bad[0]} sum to "
+                                 f"{float(sums[bad[0]])}, expected 2pi")
+            # face_rotation of every face: each face's gaps summed in walk order
+            size = np.fromiter(map(len, self.faces), dtype=int)
+            darts = np.fromiter(itertools.chain(*self.faces), dtype=int)
+            gaps = np.bincount(np.repeat(np.arange(len(size)), size),
+                               weights=b[darts], minlength=len(size))
+            r = (math.pi * size - gaps) / TWO_PI
+            k = np.round(r)
+            bad = np.flatnonzero((np.abs(r - k) > ANGLE_SUM_TOL) | (k % 2 == 0))
+            if bad.size:
+                raise GraphError(f"face {bad[0]} boundary rotation "
+                                 f"{float(r[bad[0]])} (x 2pi) is not an odd "
+                                 "integer")
         return self
 
     # -- io ------------------------------------------------------------------
@@ -282,29 +288,33 @@ class EmbeddedGraph:
 
 def _close_graph(surface, lattice, vcoords, origin, dirang, shift, weights,
                  rot=None):
-    """Fill in rotation (by angle sorting unless given), faces, genus; validate."""
+    """Fill in rotation (by angle sorting unless given), faces and genus."""
     nd = len(origin)
     nv = len(vcoords)
-    darts_at = [[] for _ in range(nv)]
-    for d in range(nd):
-        darts_at[origin[d]].append(d)
+    by_origin = np.argsort(origin, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(origin, minlength=nv)).tolist()
+    darts_at = tuple(tuple(by_origin[i:j]) for i, j in zip([0] + ends, ends))
     if rot is None:
+        # each vertex's darts by angle; rot is the next one, cyclically
+        order = np.lexsort((dirang, origin))
+        o, a = origin[order], dirang[order]
+        new = o[1:] != o[:-1]
+        first = np.concatenate(([True], new))
+        last = np.concatenate((new, [True]))
+        nxt = np.arange(1, nd + 1)
+        nxt[last] = np.flatnonzero(first)
+        # the last dart's gap wraps across 2pi; a lone dart's gap is 2pi
+        tie = a[nxt] + TWO_PI * last - a < ANGLE_TIE_TOL
+        if tie.any():
+            raise GraphError(
+                f"coincident dart directions at vertex {o[tie].min()}")
         rot = np.empty(nd, dtype=int)
-        for v in range(nv):
-            ds = sorted(darts_at[v], key=lambda d: dirang[d])
-            for i in range(len(ds) - 1):
-                if dirang[ds[i + 1]] - dirang[ds[i]] < ANGLE_TIE_TOL:
-                    raise GraphError(
-                        f"coincident dart directions at vertex {v}"
-                    )
-            if len(ds) >= 2 and (dirang[ds[0]] + TWO_PI - dirang[ds[-1]]) < ANGLE_TIE_TOL:
-                raise GraphError(f"coincident dart directions at vertex {v}")
-            for i, d in enumerate(ds):
-                rot[d] = ds[(i + 1) % len(ds)]
+        rot[order] = order[nxt]
     rot_inv = np.empty(nd, dtype=int)
     rot_inv[rot] = np.arange(nd)
 
-    face_of = np.full(nd, -1, dtype=int)
+    step = rot_inv[np.arange(nd) ^ 1].tolist()
+    face_of = [-1] * nd
     faces = []
     for d0 in range(nd):
         if face_of[d0] >= 0:
@@ -314,7 +324,7 @@ def _close_graph(surface, lattice, vcoords, origin, dirang, shift, weights,
         while face_of[d] < 0:
             face_of[d] = len(faces)
             cyc.append(d)
-            d = int(rot_inv[d ^ 1])
+            d = step[d]
         faces.append(tuple(cyc))
 
     chi = nv - nd // 2 + len(faces)
@@ -322,7 +332,7 @@ def _close_graph(surface, lattice, vcoords, origin, dirang, shift, weights,
         raise GraphError(f"Euler characteristic {chi} is not realizable")
     genus = (2 - chi) // 2
 
-    g = EmbeddedGraph(
+    return EmbeddedGraph(
         surface=surface,
         lattice=None if lattice is None else np.asarray(lattice, dtype=float),
         vcoords=np.asarray(vcoords, dtype=float),
@@ -333,12 +343,11 @@ def _close_graph(surface, lattice, vcoords, origin, dirang, shift, weights,
         x=weights.x,
         theta=weights.theta,
         faces=tuple(faces),
-        face_of=face_of,
+        face_of=np.array(face_of),
         rot_inv=rot_inv,
         genus=genus,
-        darts_at=tuple(tuple(ds) for ds in darts_at),
+        darts_at=darts_at,
     )
-    return g
 
 
 def _build(surface, lattice, vertex_coords, edge_list, weights, dart_angles):
@@ -353,27 +362,26 @@ def _build(surface, lattice, vertex_coords, edge_list, weights, dart_angles):
     if len(weights) != len(edge_list):
         raise GraphError("one weight per edge required")
     nd = 2 * len(edge_list)
-    origin = np.empty(nd, dtype=int)
-    shift = np.zeros((nd, 2), dtype=int)
-    raw = np.empty(nd // 2)
-    for k, spec in enumerate(edge_list):
-        u, v, s = spec if len(spec) == 3 else (*spec, (0, 0))
-        if not (0 <= u < len(vcoords) and 0 <= v < len(vcoords)):
-            raise GraphError("edge endpoints must be vertex ids 0..V-1")
-        if lattice is None and u == v:
-            raise GraphError("planar loops are not embeddable with straight edges")
-        origin[2 * k:2 * k + 2] = u, v
-        shift[2 * k:2 * k + 2] = s, (-s[0], -s[1])
-        d = vcoords[v] - vcoords[u]
-        if lattice is not None:
-            d = d + np.array(s, dtype=float) @ lattice
-        if np.hypot(d[0], d[1]) < 1e-14:
-            raise GraphError("zero-length edge" if lattice is None else
-                             "zero-length displacement on the torus")
-        raw[k] = math.atan2(d[1], d[0])
-    a = raw % TWO_PI
-    dirang = np.stack([a, np.where(a < math.pi, a + math.pi, a - math.pi)],
-                      axis=1).ravel()
+    # one row (u, v, s1, s2) per edge
+    uvs = np.array([(*e[:2], *(e[2] if len(e) == 3 else (0, 0)))
+                    for e in edge_list], dtype=int)
+    origin, s = uvs[:, :2].ravel(), uvs[:, 2:]
+    if origin.min() < 0 or origin.max() >= len(vcoords):
+        raise GraphError("edge endpoints must be vertex ids 0..V-1")
+    if lattice is None and (uvs[:, 0] == uvs[:, 1]).any():
+        raise GraphError("planar loops are not embeddable with straight edges")
+    shift = np.concatenate([s, -s], axis=1).reshape(nd, 2)
+    uv = vcoords[origin].reshape(-1, 2, 2)
+    d = uv[:, 1] - uv[:, 0]
+    if lattice is not None:
+        d = d + s @ lattice
+    if (np.hypot(d[:, 0], d[:, 1]) < 1e-14).any():
+        raise GraphError("zero-length edge" if lattice is None else
+                         "zero-length displacement on the torus")
+    # math.atan2, not np.arctan2: they differ in the last bit
+    a = np.array([math.atan2(y, x) for x, y in d.tolist()]) % TWO_PI
+    dirang = np.array([a, np.where(a < math.pi, a + math.pi, a - math.pi)]
+                      ).T.ravel()
     for dart, ang in (dart_angles or {}).items():
         if not 0 <= int(dart) < nd:
             raise GraphError(f"dart_angles: {dart} is not a dart id 0..2E-1")
@@ -406,7 +414,7 @@ def build_torus(lattice, vertex_coords, edge_list, weights, dart_angles=None):
     loops are fine as long as their direction angles differ.
     """
     lattice = np.asarray(lattice, dtype=float)
-    if not np.all(np.isfinite(lattice)):
+    if not np.isfinite(lattice).all():
         raise GraphError("lattice entries must be finite")
     if lattice.shape != (2, 2) or abs(np.linalg.det(lattice)) < 1e-12:
         raise GraphError("lattice must be an invertible 2x2 matrix")
@@ -635,7 +643,7 @@ def graph_from_json(obj):
         if [r["id"] for r in verts] != list(range(len(verts))):
             raise GraphError("vertex ids must be 0..V-1")
         coords = np.array([(float(r["x"]), float(r["y"])) for r in verts])
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             raise GraphError("vertex coordinates must be finite")
         edges = sorted(obj["edges"], key=lambda r: r["id"])
         if [r["id"] for r in edges] != list(range(len(edges))):

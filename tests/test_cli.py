@@ -356,3 +356,124 @@ def test_empty_graph_is_invalid_input(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert code == 2 and err == ""
     assert json.loads(out) == {"error": "invalid_input", "message": message}
+
+
+def _no_constants(text):
+    """The JSON in ``text``; NaN and Infinity are not JSON and fail."""
+    def reject(name):
+        raise AssertionError(f"{name} in the output")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["free-energy", "--beta", "nan"], ["free-energy", "--beta", "inf"],
+    ["z-ising", "--beta", "nan"], ["z-ising", "--beta=-inf"]],
+    ids=["free-energy-nan", "free-energy-inf", "z-ising-nan", "z-ising-inf"])
+def test_non_finite_beta_is_invalid_input(tmp_path, capsys, argv):
+    # free-energy used to print NaN or Infinity with exit 0, and z-ising
+    # --beta nan to exit 1 as if its check had failed
+    code, out = run(capsys, "gen", "square-torus", "2", "--J", "1",
+                    "--beta", "0.5")
+    path = tmp_path / "j.json"
+    path.write_text(out)
+    code = main([*argv, "-g", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    rep = _no_constants(out)
+    assert rep["error"] == "invalid_input"
+    assert rep["message"].startswith("beta must be finite")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["rect-torus", "--J", "inf", "1", "--beta", "1"], "--J"),
+    (["square-torus", "2", "--J", "1", "--beta", "inf"], "--beta"),
+    (["honeycomb-torus", "--J", "nan", "--beta", "1"], "--J"),
+    (["triangle", "--x", "nan"], "--x"),
+    (["rect-torus", "--theta", "inf", "1"], "--theta")])
+def test_gen_rejects_non_finite_flags(capsys, argv, flag):
+    code = main(["gen", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert _no_constants(out) == {"error": "invalid_input",
+                                  "message": f"{flag} must be finite"}
+
+
+@pytest.mark.parametrize("fixture, n", [
+    ("triangle", 3), ("square-torus", 2), ("rect-torus", 2),
+    ("honeycomb-torus", 3)])
+@pytest.mark.parametrize("flag", ["--x", "--theta", "--J"])
+def test_gen_takes_one_or_all_distinct_weights(capsys, fixture, n, flag):
+    beta = ["--beta", "0.5"] if flag == "--J" else []
+    for count in (1, n):
+        code, _ = run(capsys, "gen", fixture, flag, *["0.3"] * count, *beta)
+        assert code == 0
+    # other counts used to be cut to the first values silently, or to fail
+    # without naming the flag
+    for count in {2, 3, 4, 8} - {n}:
+        code, out = run(capsys, "gen", fixture, flag, *["0.3"] * count, *beta)
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "invalid_input",
+            "message": f"{flag} takes 1 or {n} values for {fixture}, "
+                       f"got {count}"}
+
+
+def test_gen_weight_lists_keep_their_order(capsys):
+    # the first value is horizontal, the second vertical
+    _, out = run(capsys, "gen", "rect-torus", "--x", "0.1", "0.2")
+    assert [e["x"] for e in json.loads(out)["edges"]] == [0.1, 0.2]
+    _, out = run(capsys, "gen", "square-torus", "2", "--J", "0.5", "1",
+                 "--beta", "1")
+    assert [e["J"] for e in json.loads(out)["edges"]] == [0.5, 1.0] * 4
+
+
+def test_repeated_main_calls_repeat_their_output(tmp_path, capsys):
+    _, out = run(capsys, "gen", "square-torus", "2", "--J", "1",
+                 "--beta", "0.5")
+    (tmp_path / "j.json").write_text(out)
+    _, out = run(capsys, "gen", "square-torus", "2")
+    (tmp_path / "c.json").write_text(out)
+    j, c = str(tmp_path / "j.json"), str(tmp_path / "c.json")
+    commands = [
+        ["gen", "honeycomb-torus", "--x", "0.2", "0.3", "0.4"],
+        ["verify", "det", "-g", j, "--draws", "2", "--seed", "3"],
+        ["z-ising", "-g", j, "--beta", "0.4"], ["z-dimer", "-g", c],
+        ["tau", "-g", c], ["spectral", "-g", j, "--grid", "4"],
+        ["observable", "-g", j, "--dart", "3"], ["critical-beta", "-g", j],
+        ["free-energy", "-g", j, "--grid", "4"],
+        ["h-function", "-g", c, "--from", "kernel"],
+        ["tau", "-g", j],  # exit 2: off criticality
+    ]
+    first = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _ in first] == [0] * 10 + [2]
+    assert [run(capsys, *argv) for argv in commands] == first
+    # a parse error exits 2 through argparse and leaves the parser usable
+    for bad in (["no-such-command"], ["tau"], ["gen", "square-torus", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *commands[4]) == first[4]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    import argparse
+
+    from kwlab.cli import build_parser
+
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    run(capsys, "gen", "rect-torus")
+    one_build = len(inits)
+    assert one_build > 10  # the parser and its ten subcommand parsers
+    for _ in range(19):
+        run(capsys, "gen", "rect-torus")
+    assert len(inits) == one_build
+    assert build_parser() is build_parser()
