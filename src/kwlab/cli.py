@@ -19,7 +19,8 @@ from .surface_graph import (GraphError, SizeGuardError, edge_vectors,
 from .derived import build_C
 from .oracle import dimer_partition, ising_partition
 from .critical import critical_beta, free_energy, hessian_tau, spectral_grid
-from .sholo import integrate_square, kernel_observables, observable
+from .sholo import (BASE_POINT, integrate_square, kernel_observables,
+                    observable)
 from .report import render
 from .suites import SUITE_NAMES, run_suite
 
@@ -59,9 +60,10 @@ def _gen(args):
         if vals is not None and flag != "beta" and len(vals) not in (1, n):
             raise GraphError(f"--{flag} takes 1 or {n} values for "
                              f"{args.fixture}, got {len(vals)}")
+    if (args.J is None) != (args.beta is None):
+        raise GraphError("--J requires --beta" if args.beta is None
+                         else "--beta requires --J")
     if args.J is not None:
-        if args.beta is None:
-            raise GraphError("--J requires --beta")
         xs = [math.tanh(args.beta * j) for j in args.J]
     elif args.theta is not None:
         xs = [math.tan(t / 2.0) for t in args.theta]
@@ -186,19 +188,22 @@ def _h_function(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         h = integrate_square(g, F)
+    # Lambda: the vertices, then the faces
+    nodes = ([("v", i) for i in range(g.nv)]
+             + [("f", j) for j in range(len(g.faces))])
+    values = h.values.tolist()
     out = {
-        "base_point": list(h.base_point),
+        "base_point": ["v", BASE_POINT],
         "loop_residual": h.loop_residual,
         "sholo_defect": h.sholo_defect,
         "periods": h.periods,
-        "values": {f"{t}{i}": v for (t, i), v in h.values.items()},
+        "values": {f"{t}{i}": v for (t, i), v in zip(nodes, values)},
     }
     if args.csv:
+        points = np.vstack([g.vcoords, face_centroids(g)]).tolist()
         with open(args.csv, "w") as fh:
             fh.write("kind,id,x,y,H\n")
-            centre = face_centroids(g)
-            for (t, i), v in h.values.items():
-                p = g.vcoords[i] if t == "v" else centre[i]
+            for (t, i), p, v in zip(nodes, points, values):
                 fh.write(f"{t},{i},{p[0]:.17g},{p[1]:.17g},{v:.17g}\n")
     _emit(out)
     return 0

@@ -20,6 +20,13 @@ ROOT_BRACKET_HI = 50.0
 BRENT_MAX_ITER = 200
 
 
+def _couplings(g):
+    """Couplings J = arctanh(x) from the weights, which must lie in (0, 1)."""
+    if np.any(g.x <= 0.0) or np.any(g.x >= 1.0):
+        raise GraphError("weights must be in (0,1) to infer couplings")
+    return np.arctanh(g.x)
+
+
 def spectral_curve(g, z, w, x=None):
     """det KW at the character (z, w); a Laurent polynomial on the torus."""
     if g.genus != 1:
@@ -58,11 +65,7 @@ def critical_beta(g, j=None, tol=1e-12, trace=None):
     """
     if g.genus != 1:
         raise GraphError("criticality search needs a genus-1 graph")
-    if j is None:
-        if np.any(g.x <= 0.0) or np.any(g.x >= 1.0):
-            raise GraphError("weights must be in (0,1) to infer couplings")
-        j = np.arctanh(g.x)
-    j = np.asarray(j, dtype=float)
+    j = _couplings(g) if j is None else np.asarray(j, dtype=float)
     if np.any(j <= 0):
         raise GraphError("couplings must be positive")
 
@@ -143,11 +146,7 @@ def criticality_report(g, j=None, n=32):
     Invariants: Im(tau) > 0 and a symmetric Hessian (both guaranteed by the
     constituent routines).
     """
-    if j is None:
-        if np.any(g.x <= 0.0) or np.any(g.x >= 1.0):
-            raise GraphError("weights must be in (0,1) to infer couplings")
-        j = np.arctanh(g.x)
-    j = np.asarray(j, dtype=float)
+    j = _couplings(g) if j is None else np.asarray(j, dtype=float)
     trace = []
     root = critical_beta(g, j, trace=trace)
     xc = np.tanh(root["beta_c"] * j)
@@ -208,13 +207,9 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
     if x is None:
         if beta is None:
             xs = g.x
-            if np.any(xs <= 0) or np.any(xs >= 1):
-                raise GraphError("weights must be in (0,1)")
-            coupling_term = float(np.sum(np.log(np.cosh(np.arctanh(xs)))))
+            coupling_term = float(np.sum(np.log(np.cosh(_couplings(g)))))
         else:
-            if j is None:
-                j = np.arctanh(g.x)
-            j = np.asarray(j, dtype=float)
+            j = _couplings(g) if j is None else np.asarray(j, dtype=float)
             xs = np.tanh(beta * j)
             coupling_term = float(np.sum(np.log(np.cosh(beta * j))))
     else:

@@ -7,19 +7,25 @@ and T, T', and their pointwise variants (into corner spinors), fermionic
 observables built either from the inverse Kac-Ward operator or from marked
 two-leg configurations, kernel-derived globally s-holomorphic functions, and
 the discrete primitive H of Im(F^2 dz) with its Laplacians.
+
+H lives on Lambda as ``derived.DGraph.lam`` numbers it (vertices 0..V-1, then
+faces V..V+F-1); its corner relations are dart arrays solved along one
+spanning tree that crosses the relations at s-holomorphic vertices first.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import lu_solve, max_norm
 from .surface_graph import GraphError, cycle_with_winding
-from .derived import build_C, half_angle_phases
+from .derived import build_C, half_angle_phases, isoradial_data
 from .operators import (dirac_C, kac_ward, kac_ward_kernel, kasteleyn,
                         phi_omega, sqrt_det_pfaffian)
 from .oracle import _entry_terms, _sum_terms, inverse_coefficient
@@ -238,117 +244,122 @@ def kernel_observables(g):
 
 # -- the integral of F^2 ------------------------------------------------------------
 
+#: the Lambda node where H = 0: vertex 0
+BASE_POINT = 0
+#: vertex residuals, relative to max(1, max|F|), above which F draws a
+#: warning and below which the corner relations of a vertex are trusted
+WARN_TOL, STAR_TOL = 1e-6, 1e-8
 
+
+@dataclass
 class HFunction:
-    """Discrete primitive of Im(F^2 dz) on primal and dual vertices.
+    """Discrete primitive of Im(F^2 dz): ``values[i]`` is H at Lambda node i.
 
-    ``values`` maps Lambda nodes ('v', i) and ('f', j) to reals; increments
-    across each midpoint corner are squared moduli of line projections of F.
-    On the torus the two homology periods are reported, never forced to zero.
+    On the torus H is multivalued: ``periods`` are its increments along the
+    two homology generators, never forced to zero, and ``loop_residual`` is 0.
     """
 
-    def __init__(self, g, F, values, base_point, loop_residual, periods,
-                 sholo_defect):
-        self.g = g
-        self.F = np.asarray(F, dtype=complex)
-        self.values = values
-        self.base_point = base_point
-        self.loop_residual = loop_residual
-        self.periods = periods
-        self.sholo_defect = sholo_defect
-
-    def edge_increment(self, d):
-        """H(terminus) - H(origin) across a primal dart: Im(2 cos(theta) D F^2)."""
-        g = self.g
-        th = g.theta[d >> 1]
-        dd = cmath.exp(1j * g.dirang[d])
-        return (2.0 * math.cos(th) * dd * self.F[d >> 1] ** 2).imag
-
-    def dual_edge_increment(self, d):
-        """H(left face) - H(right face) across the dual of a primal dart."""
-        g = self.g
-        th = math.pi / 2 - g.theta[d >> 1]
-        dd = 1j * cmath.exp(1j * g.dirang[d])
-        return (2.0 * math.cos(th) * dd * self.F[d >> 1] ** 2).imag
+    F: np.ndarray
+    values: np.ndarray
+    loop_residual: float
+    periods: list | None
+    sholo_defect: float
 
 
-def integrate_square(g, F, base_point=None, warn_tol=1e-6, star_tol=1e-8):
+def edge_increments(g, F):
+    """Per dart, H(terminus) - H(origin) = Im(2 cos(theta) D F^2) and
+    H(left face) - H(right face) = Im(2 cos(pi/2 - theta) i D F^2), with
+    D = exp(i dirang) and F at the dart's midpoint."""
+    k = np.arange(g.nd) >> 1
+    f2 = np.asarray(F, dtype=complex)[k] ** 2
+    dd = np.exp(1j * g.dirang)
+    return ((2.0 * np.cos(g.theta[k]) * dd * f2).imag,
+            (2.0 * np.cos(g.theta_dual()[k]) * (1j * dd) * f2).imag)
+
+
+def _tree_solve(head, tail, inc, trusted, n):
+    """H over n nodes from relations H[head] - H[tail] = inc, along one tree.
+
+    From BASE_POINT the tree crosses, level by level, every trusted relation
+    that leaves the reached set; when none is left it crosses the
+    lowest-numbered relation that does, and repeats.  Within a level the
+    lowest-numbered relation to a node wins.  Unreached nodes stay NaN.
+    """
+    h = np.full(n, np.nan)
+    h[BASE_POINT] = 0.0
+    reached = np.zeros(n, dtype=bool)
+    reached[BASE_POINT] = True
+    while not reached.all():
+        leaving = reached[head] != reached[tail]
+        rel = np.flatnonzero(leaving & trusted)
+        if rel.size == 0:
+            rel = np.flatnonzero(leaving)[:1]
+            if rel.size == 0:
+                break
+        from_head = reached[head[rel]]
+        node, first = np.unique(np.where(from_head, tail[rel], head[rel]),
+                                return_index=True)
+        rel, from_head = rel[first], from_head[first]
+        h[node] = np.where(from_head, h[head[rel]] - inc[rel],
+                           h[tail[rel]] + inc[rel])
+        reached[node] = True
+    return h
+
+
+def _homology_walks(g):
+    """Dart walks from vertex 0 winding once around each torus generator."""
+    term = g.origin[np.arange(g.nd) ^ 1].tolist()
+    shift = [tuple(s) for s in g.shift.tolist()]
+    adj = [[(term[d], d, shift[d]) for d in darts] for darts in g.darts_at]
+    return [cycle_with_winding(adj, t) for t in ((1, 0), (0, 1))]
+
+
+def integrate_square(g, F):
     """Integrate the corner increments of an s-holomorphic F into H.
 
-    Every dart contributes two corner relations H(origin) - H(face) given by
-    squared projections of F(z); a breadth-first tree from the base point
-    (lowest primal vertex by default) fixes the representative.  The four
-    relations around one midpoint close identically; closure around a vertex
-    star requires s-holomorphicity there, so relations at vertices violating
-    it (e.g. patch boundaries, observable pinning points) are used for
-    reachability but excluded from the reported planar loop defect.  On the
-    torus the primal homology periods are returned instead of a defect.
+    Dart d gives relations 2d and 2d + 1 at its origin v:
+    H(v) - H(face left of d) and H(v) - H(face right of d) are twice the
+    squared projections of F(z) onto the lines ``_line_plus(d)`` and
+    ``_line_minus(d)``.  The four relations around one midpoint close
+    identically; those around a vertex star close where F is s-holomorphic,
+    and only there are they trusted.  H is solved along the trusted-first
+    spanning tree of ``_tree_solve`` from vertex 0, so untrusted relations
+    (patch boundaries, observable pinning points) only reach nodes that
+    trusted ones cannot.  ``loop_residual`` is the worst defect of a trusted
+    relation on the plane; on the torus the primal homology periods are
+    returned instead.
     """
     F = np.asarray(F, dtype=complex)
     fscale = max(1.0, float(np.max(np.abs(F))))
     vertex_res = vertex_residuals(g, F)
     defect = float(np.max(vertex_res, initial=0.0))
-    reliable_v = [r < star_tol * fscale for r in vertex_res]
-    if defect > warn_tol * fscale and not all(reliable_v):
-        bad = sum(1 for r in reliable_v if not r)
+    trusted_v = vertex_res < STAR_TOL * fscale
+    if defect > WARN_TOL * fscale and not trusted_v.all():
         warnings.warn(
-            f"F is not s-holomorphic at {bad} vertices (worst residual "
-            f"{defect:.2e}); their corner relations are excluded from the "
-            "loop defect", stacklevel=2)
+            f"F is not s-holomorphic at {np.count_nonzero(~trusted_v)} "
+            f"vertices (worst residual {defect:.2e}); their corner relations "
+            "are excluded from the loop defect", stacklevel=2)
 
-    nodes = [("v", i) for i in range(g.nv)] + [("f", j) for j in range(len(g.faces))]
-    index = {nid: i for i, nid in enumerate(nodes)}
-    darts = np.arange(g.nd)
-    inc_l = 2.0 * np.abs(_proj(F[darts >> 1], _line_plus(g, darts))) ** 2
-    inc_r = 2.0 * np.abs(_proj(F[darts >> 1], _line_minus(g, darts))) ** 2
-    rels = []  # (primal node, face node, H(v) - H(f), reliable)
-    for d in range(g.nd):
-        vid = int(g.origin[d])
-        v = index[("v", vid)]
-        fl = index[("f", int(g.face_of[d]))]
-        fr = index[("f", int(g.face_of[d ^ 1]))]
-        ok = reliable_v[vid]
-        rels.append((v, fl, inc_l[d], ok))
-        rels.append((v, fr, inc_r[d], ok))
-
-    h = np.full(len(nodes), np.nan)
-    if base_point is None:
-        base_point = ("v", 0)
-    h[index[base_point]] = 0.0
-    for trusted_only in (True, False):
-        changed = True
-        while changed:
-            changed = False
-            for (v, f, inc, ok) in rels:
-                if trusted_only and not ok:
-                    continue
-                if math.isnan(h[v]) and not math.isnan(h[f]):
-                    h[v] = h[f] + inc
-                    changed = True
-                elif math.isnan(h[f]) and not math.isnan(h[v]):
-                    h[f] = h[v] - inc
-                    changed = True
-    if np.any(np.isnan(h)):
+    d = np.arange(g.nd)
+    head = np.repeat(g.origin, 2)
+    tail = g.nv + np.column_stack([g.face_of, g.face_of[d ^ 1]]).ravel()
+    proj = np.column_stack([_proj(F[d >> 1], _line_plus(g, d)),
+                            _proj(F[d >> 1], _line_minus(g, d))])
+    inc = 2.0 * np.abs(proj.ravel()) ** 2
+    trusted = np.repeat(trusted_v[g.origin], 2)
+    h = _tree_solve(head, tail, inc, trusted, g.nv + len(g.faces))
+    if np.isnan(h).any():
         raise GraphError("increment graph is disconnected")
 
     loop_residual = 0.0
     if g.surface == "planar":
-        for (v, f, inc, ok) in rels:
-            if ok:
-                loop_residual = max(loop_residual, abs((h[v] - h[f]) - inc))
-
+        loop_residual = float(np.max(np.abs(h[head] - h[tail] - inc)[trusted],
+                                     initial=0.0))
     periods = None
     if g.genus == 1:
-        periods = []
-        hf = HFunction(g, F, {}, base_point, 0.0, None, defect)
-        adj = [[(g.terminus(d), d, tuple(g.shift[d].tolist()))
-                for d in g.darts_at[u]] for u in range(g.nv)]
-        for target in ((1, 0), (0, 1)):
-            cyc = cycle_with_winding(adj, target)
-            periods.append(float(sum(hf.edge_increment(d) for d in cyc)))
-
-    values = {nid: float(h[index[nid]]) for nid in nodes}
-    return HFunction(g, F, values, base_point, loop_residual, periods, defect)
+        primal = edge_increments(g, F)[0]
+        periods = [float(sum(primal[w].tolist())) for w in _homology_walks(g)]
+    return HFunction(F, h, loop_residual, periods, defect)
 
 
 def laplacian_of_H(g, h):
@@ -357,57 +368,43 @@ def laplacian_of_H(g, h):
     Uses the local increment formulas, so the values are meaningful on the
     torus as well (where H itself is multivalued).  Returns (primal, dual)
     arrays; on critical isoradial data the primal values are <= 0 and the dual
-    values >= 0 wherever F is s-holomorphic.
+    values >= 0 wherever F is s-holomorphic.  Each sum runs over the darts in
+    the order of their star (primal) or face walk (dual).
     """
-    theta = g.theta
-    primal = np.zeros(g.nv)
-    for v in range(g.nv):
-        mu = 0.5 * sum(math.sin(2 * theta[d >> 1]) for d in g.darts_at[v])
-        acc = 0.0
-        for d in g.darts_at[v]:
-            # H(v) - H(terminus) = -increment along d
-            acc += math.tan(theta[d >> 1]) * (-h.edge_increment(d))
-        primal[v] = acc / mu
-    dual = np.zeros(len(g.faces))
-    for f in range(len(g.faces)):
-        mu = 0.5 * sum(math.sin(2 * (math.pi / 2 - theta[d >> 1]))
-                       for d in g.faces[f])
-        acc = 0.0
-        for d in g.faces[f]:
-            # dual dart from f crosses d toward face_of(rev d);
-            # H(f) - H(other) = -(H(left of rev d) - H(right of rev d)) ...
-            # the dual increment of dart (rev d) runs face(rev d) <- face(d)=f
-            acc += math.tan(math.pi / 2 - theta[d >> 1]) * (
-                h.dual_edge_increment(d ^ 1))
-        dual[f] = acc / mu
+    primal_inc, dual_inc = edge_increments(g, h.F)
+    th = g.theta[np.arange(g.nd) >> 1]
+    # H(v) - H(terminus) = -increment along d
+    primal = (np.bincount(g.origin, np.tan(th) * -primal_inc, minlength=g.nv)
+              / (0.5 * np.bincount(g.origin, np.sin(2 * th), minlength=g.nv)))
+    nf = len(g.faces)
+    walk = np.fromiter(itertools.chain.from_iterable(g.faces), int, g.nd)
+    face = g.face_of[walk]
+    th = g.theta_dual()[walk >> 1]
+    # the dual dart from a face crosses d toward the face right of d
+    dual = (np.bincount(face, np.tan(th) * dual_inc[walk ^ 1], minlength=nf)
+            / (0.5 * np.bincount(face, np.sin(2 * th), minlength=nf)))
     return primal, dual
 
 
 # -- the equivalence suite ------------------------------------------------------
 
 
-def verify_sholo(g, draws=50, seed=0, include_dbar=None):
+def verify_sholo(g, draws=50, seed=0):
     """Verdict agreement of the kernel characterizations of s-holomorphicity.
 
     For random midpoint functions all the normalized kernel norms must be
     large; for kernel-derived functions (when the operator is singular) all
-    must be small.  ``include_dbar`` adds the isoradial dbar criterion
-    (default: when the data is isoradial).
+    must be small.  Isoradial data adds the dbar criterion.
     """
-    from .derived import isoradial_data
-
     rng = np.random.default_rng(seed)
     c = build_C(g)
     kw = kac_ward(g)
     kom_real = kasteleyn(c, None, "omega").real
-    if include_dbar is None:
-        try:
-            isoradial_data(g)
-            include_dbar = True
-        except GraphError:
-            include_dbar = False
-    dbar = None
-    if include_dbar:
+    try:
+        isoradial_data(g)
+    except GraphError:
+        dbar = None
+    else:
         dbar, _ = dirac_C(c, field="edge", phi_c=phi_omega(c))
 
     rotF = cmath.exp(0.25j * math.pi)

@@ -11,6 +11,12 @@ and ``sholo.star_identity_residual`` is one pass over the darts.
 ``kernel_observables_reference`` takes the complex SVD of KW itself and
 projects each kernel vector u, and i u, onto the dart lines; the library
 instead takes the real null space of I - X T' in the half-angle gauge.
+``integrate_square_reference`` keys H by ('v', i) / ('f', j) tuples and
+solves the corner relations by fixed-point sweeps (trusted relations first,
+then all); ``laplacian_of_H_reference`` loops over vertices and faces with
+per-dart increment methods.  The library solves the same relations on one
+trusted-first spanning tree over the Lambda arrays and sums the Laplacians
+with ``np.bincount``.
 """
 
 import cmath
@@ -21,7 +27,8 @@ import numpy as np
 from kwlab.derived import build_C, half_angle_phases
 from kwlab.linalg import max_norm, null_space
 from kwlab.operators import kac_ward
-from kwlab.sholo import map_S_inverse
+from kwlab.sholo import map_S_inverse, vertex_residuals
+from kwlab.surface_graph import GraphError, cycle_with_winding
 
 
 def _proj(z, angle):
@@ -138,3 +145,119 @@ def kernel_observables_reference(g, tol=1e-7):
                 continue
             found.append(F)
     return found
+
+
+class HFunctionReference:
+    """H keyed by Lambda node tuples, with per-dart increment methods."""
+
+    def __init__(self, g, F, values, loop_residual, periods, sholo_defect):
+        self.g = g
+        self.F = np.asarray(F, dtype=complex)
+        self.values = values
+        self.loop_residual = loop_residual
+        self.periods = periods
+        self.sholo_defect = sholo_defect
+
+    def edge_increment(self, d):
+        """H(terminus) - H(origin) across a primal dart: Im(2 cos(theta) D F^2)."""
+        g = self.g
+        th = g.theta[d >> 1]
+        dd = cmath.exp(1j * g.dirang[d])
+        return (2.0 * math.cos(th) * dd * self.F[d >> 1] ** 2).imag
+
+    def dual_edge_increment(self, d):
+        """H(left face) - H(right face) across the dual of a primal dart."""
+        g = self.g
+        th = math.pi / 2 - g.theta[d >> 1]
+        dd = 1j * cmath.exp(1j * g.dirang[d])
+        return (2.0 * math.cos(th) * dd * self.F[d >> 1] ** 2).imag
+
+
+def integrate_square_reference(g, F, warn_tol=1e-6, star_tol=1e-8):
+    """Corner relations solved by fixed-point sweeps from ('v', 0)."""
+    F = np.asarray(F, dtype=complex)
+    fscale = max(1.0, float(np.max(np.abs(F))))
+    vertex_res = vertex_residuals(g, F)
+    defect = float(np.max(vertex_res, initial=0.0))
+    reliable_v = [r < star_tol * fscale for r in vertex_res]
+
+    nodes = [("v", i) for i in range(g.nv)] + [("f", j) for j in range(len(g.faces))]
+    index = {nid: i for i, nid in enumerate(nodes)}
+    darts = np.arange(g.nd)
+    a = g.dirang[darts]
+    th = g.theta[darts >> 1]
+    line_plus = -0.5 * (math.pi / 2 + a + th)
+    line_minus = -0.5 * (math.pi / 2 + a - th)
+    u_l, u_r = np.exp(1j * line_plus), np.exp(1j * line_minus)
+    inc_l = 2.0 * np.abs(u_l * (F[darts >> 1] * u_l.conj()).real) ** 2
+    inc_r = 2.0 * np.abs(u_r * (F[darts >> 1] * u_r.conj()).real) ** 2
+    rels = []  # (primal node, face node, H(v) - H(f), reliable)
+    for d in range(g.nd):
+        vid = int(g.origin[d])
+        v = index[("v", vid)]
+        fl = index[("f", int(g.face_of[d]))]
+        fr = index[("f", int(g.face_of[d ^ 1]))]
+        ok = reliable_v[vid]
+        rels.append((v, fl, inc_l[d], ok))
+        rels.append((v, fr, inc_r[d], ok))
+
+    h = np.full(len(nodes), np.nan)
+    h[index[("v", 0)]] = 0.0
+    for trusted_only in (True, False):
+        changed = True
+        while changed:
+            changed = False
+            for (v, f, inc, ok) in rels:
+                if trusted_only and not ok:
+                    continue
+                if math.isnan(h[v]) and not math.isnan(h[f]):
+                    h[v] = h[f] + inc
+                    changed = True
+                elif math.isnan(h[f]) and not math.isnan(h[v]):
+                    h[f] = h[v] - inc
+                    changed = True
+    if np.any(np.isnan(h)):
+        raise GraphError("increment graph is disconnected")
+
+    loop_residual = 0.0
+    if g.surface == "planar":
+        for (v, f, inc, ok) in rels:
+            if ok:
+                loop_residual = max(loop_residual, abs((h[v] - h[f]) - inc))
+
+    periods = None
+    if g.genus == 1:
+        periods = []
+        hf = HFunctionReference(g, F, {}, 0.0, None, defect)
+        adj = [[(g.terminus(d), d, tuple(g.shift[d].tolist()))
+                for d in g.darts_at[u]] for u in range(g.nv)]
+        for target in ((1, 0), (0, 1)):
+            cyc = cycle_with_winding(adj, target)
+            periods.append(float(sum(hf.edge_increment(d) for d in cyc)))
+
+    values = {nid: float(h[index[nid]]) for nid in nodes}
+    return HFunctionReference(g, F, values, loop_residual, periods, defect)
+
+
+def laplacian_of_H_reference(g, h):
+    """Primal and dual Laplacians of H, one vertex and one face at a time."""
+    theta = g.theta
+    primal = np.zeros(g.nv)
+    for v in range(g.nv):
+        mu = 0.5 * sum(math.sin(2 * theta[d >> 1]) for d in g.darts_at[v])
+        acc = 0.0
+        for d in g.darts_at[v]:
+            # H(v) - H(terminus) = -increment along d
+            acc += math.tan(theta[d >> 1]) * (-h.edge_increment(d))
+        primal[v] = acc / mu
+    dual = np.zeros(len(g.faces))
+    for f in range(len(g.faces)):
+        mu = 0.5 * sum(math.sin(2 * (math.pi / 2 - theta[d >> 1]))
+                       for d in g.faces[f])
+        acc = 0.0
+        for d in g.faces[f]:
+            # the dual dart from f crosses d toward the face right of d
+            acc += math.tan(math.pi / 2 - theta[d >> 1]) * (
+                h.dual_edge_increment(d ^ 1))
+        dual[f] = acc / mu
+    return primal, dual

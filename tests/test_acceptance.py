@@ -19,8 +19,9 @@ from kwlab.operators import (kac_ward, kasteleyn, sqrt_det_pfaffian,
                              verify_corr, verify_dirac_identities)
 from kwlab.oracle import dimer_partition, inverse_matrix, ising_partition
 from kwlab.critical import critical_beta, duality_check, hessian_tau, spectral_curve
-from kwlab.sholo import (integrate_square, kernel_observables, laplacian_of_H,
-                         observable, sholo_residual, verify_sholo)
+from kwlab.sholo import (edge_increments, integrate_square,
+                         kernel_observables, laplacian_of_H, observable,
+                         sholo_residual, verify_sholo)
 
 XC = fx.X_CRITICAL_SQUARE
 BETA_C = math.atanh(XC)
@@ -224,12 +225,13 @@ def test_11_integral_of_square():
         warnings.simplefilter("ignore")
         h = integrate_square(g, np.ones(g.ne, dtype=complex))
     interior = {v for v in range(g.nv) if len(g.darts_at[v]) == 4}
+    primal = edge_increments(g, h.F)[0]
     worst_inc = 0.0
     for d in range(0, g.nd, 2):
         v1, v2 = int(g.origin[d]), g.terminus(d)
         if v1 in interior and v2 in interior:
-            got = h.values[("v", v2)] - h.values[("v", v1)]
-            worst_inc = max(worst_inc, abs(got - h.edge_increment(d)))
+            got = h.values[v2] - h.values[v1]
+            worst_inc = max(worst_inc, abs(got - primal[d]))
     prim, du = laplacian_of_H(g, h)
     inner_faces = [f for f in range(len(g.faces)) if len(g.faces[f]) == 4]
     max_prim = max(prim[v] for v in interior)

@@ -179,8 +179,13 @@ def test_h_function_kernel_is_deterministic(tmp_path, capsys):
     g = square_torus(4)
     h = integrate_square(g, kernel_observables(g)[0])
     rep = json.loads(first)
-    assert rep["values"] == {f"{t}{i}": v for (t, i), v in h.values.items()}
+    # the Lambda nodes in order: vertices, then faces
+    names = ([f"v{i}" for i in range(g.nv)]
+             + [f"f{j}" for j in range(len(g.faces))])
+    assert list(rep["values"]) == names
+    assert list(rep["values"].values()) == h.values.tolist()
     assert rep["periods"] == h.periods
+    assert rep["base_point"] == ["v", 0]
 
 
 def test_exit_code_on_invalid_input(tmp_path, capsys):
@@ -209,12 +214,14 @@ def test_seeded_output_is_identical(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_verify_all_at_critical_weight(tmp_path, capsys):
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+def test_verify_all_at_critical_weight(tmp_path, capsys, seed):
     # default x is critical, where det KW = 0 and the inv suite must not invert
     code, out = run(capsys, "gen", "square-torus", "2")
     path = tmp_path / "c.json"
     path.write_text(out)
-    code, out = run(capsys, "verify", "all", "-g", str(path))
+    code, out = run(capsys, "verify", "all", "-g", str(path),
+                    "--seed", str(seed))
     assert code == 0
     rep = json.loads(out)
     assert "inv" in {r["suite"] for r in rep["reports"]}
@@ -416,6 +423,31 @@ def test_gen_takes_one_or_all_distinct_weights(capsys, fixture, n, flag):
             "error": "invalid_input",
             "message": f"{flag} takes 1 or {n} values for {fixture}, "
                        f"got {count}"}
+
+
+def test_gen_beta_requires_couplings(capsys):
+    # --beta without --J used to print the x form with no beta field
+    code = main(["gen", "rect-torus", "--x", "0.3", "0.4", "--beta", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"error": "invalid_input",
+                               "message": "--beta requires --J"}
+
+
+@pytest.mark.parametrize("x", ["1.0", "0.0"])
+def test_free_energy_beta_needs_weights_in_the_open_interval(tmp_path,
+                                                             capsys, x):
+    # couplings arctanh(x) are inferred from the weights; x = 1 used to print
+    # Infinity with exit 0 and a RuntimeWarning
+    _, out = run(capsys, "gen", "rect-torus", "--x", x, "0.4")
+    path = tmp_path / "r.json"
+    path.write_text(out)
+    code = main(["free-energy", "-g", str(path), "--beta", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert _no_constants(out) == {
+        "error": "invalid_input",
+        "message": "weights must be in (0,1) to infer couplings"}
 
 
 def test_gen_weight_lists_keep_their_order(capsys):

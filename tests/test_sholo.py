@@ -10,12 +10,17 @@ from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm, null_space
 from kwlab.operators import kac_ward, phi_omega, dirac_C
-from kwlab.sholo import (integrate_square, kernel_observables, laplacian_of_H,
-                         map_S, map_S_inverse, observable, sholo_residual,
+from kwlab.sholo import (_line_minus, _line_plus, _proj, _tree_solve,
+                         edge_increments, integrate_square,
+                         kernel_observables, laplacian_of_H, map_S,
+                         map_S_inverse, observable, sholo_residual,
                          sholo_residual_all, spinor_maps,
                          star_identity_residual, verify_sholo,
                          vertex_residuals)
-from sholo_reference import (kernel_observables_reference,
+from kwlab.surface_graph import SizeGuardError
+from sholo_reference import (integrate_square_reference,
+                             kernel_observables_reference,
+                             laplacian_of_H_reference,
                              map_S_inverse_reference, map_S_reference,
                              sholo_residual_reference, spinor_maps_reference,
                              star_identity_residual_reference)
@@ -185,22 +190,23 @@ def test_kernel_observables_critical_window():
 def test_integrate_square_zero_and_constant():
     g = fx.square_patch(3, 3)
     h0 = integrate_square(g, np.zeros(g.ne))
-    assert all(v == 0 for v in h0.values.values())
+    assert not h0.values.any()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         h = integrate_square(g, np.ones(g.ne, dtype=complex))
     assert h.loop_residual < 1e-12
     # increments match the closed formula between interior vertices
     inside = set(interior_vertices(g))
+    primal = edge_increments(g, h.F)[0]
     for d in range(0, g.nd, 2):
         v1, v2 = int(g.origin[d]), g.terminus(d)
         if v1 in inside and v2 in inside:
-            got = h.values[("v", v2)] - h.values[("v", v1)]
-            assert got == pytest.approx(h.edge_increment(d), abs=1e-10)
+            got = h.values[v2] - h.values[v1]
+            assert got == pytest.approx(primal[d], abs=1e-10)
     # increments are squared moduli: nonnegative across corners
     for d in range(g.nd):
         if int(g.origin[d]) in inside:
-            diff = h.values[("v", int(g.origin[d]))] - h.values[("f", int(g.face_of[d]))]
+            diff = h.values[int(g.origin[d])] - h.values[g.nv + int(g.face_of[d])]
             assert diff >= -1e-12
 
 
@@ -234,8 +240,9 @@ def test_laplacian_of_H_signs():
 
 def test_verify_sholo_suites():
     assert verify_sholo(fx.triangle(0.3), draws=15, seed=2)["pass"]
-    assert verify_sholo(fx.rect_torus(0.3, 0.4), draws=15, seed=2,
-                        include_dbar=False)["pass"]
+    # not isoradial, so without the dbar criterion
+    rep = verify_sholo(fx.rect_torus(0.3, 0.4), draws=15, seed=2)
+    assert rep["pass"] and "dbar_Tprime" not in rep["draws"][0]
     rep = verify_sholo(fx.square_torus(2), draws=15, seed=2)
     assert rep["pass"] and rep["n_kernel_functions"] > 0
     # non-uniform isoradial torus, dbar criterion included, nontrivial kernel
@@ -279,6 +286,104 @@ def test_residuals_match_vertex_loop(mk, branch):
         assert abs(integrate_square(g, F).sholo_defect
                    - max(sholo_residual_reference(g, F, v)
                          for v in range(g.nv))) <= 1e-15
+
+
+H_FIXTURES = RESIDUAL_FIXTURES + (
+    lambda: fx.square_patch(4, 4), lambda: fx.square_torus(1),
+    lambda: fx.square_torus(2), lambda: fx.square_torus(4),
+    lambda: fx.square_torus(12))
+
+
+def _h_inputs(g):
+    """F = 1, a random F, every kernel function and an observable."""
+    rng = np.random.default_rng(9)
+    funcs = [np.ones(g.ne, dtype=complex),
+             rng.standard_normal(g.ne) + 1j * rng.standard_normal(g.ne),
+             *kernel_observables(g)]
+    # pinned at the last dart: an observable pinned at vertex 0 leaves the
+    # base point untrusted, where the reference's sweeps cross untrusted
+    # relations before trusted ones
+    try:
+        funcs.append(observable(g, g.nd - 1))
+    except SizeGuardError:  # critical and beyond the combinatorial guard
+        pass
+    return funcs
+
+
+def _lattice_distance(diff, periods, reach=6):
+    """Distance of each entry of diff from the integer span of the periods."""
+    m = np.arange(-reach, reach + 1)
+    lattice = (m[:, None] * periods[0] + m[None, :] * periods[1]).ravel()
+    return np.min(np.abs(diff[:, None] - lattice[None, :]), axis=1)
+
+
+@pytest.mark.parametrize("mk", H_FIXTURES)
+def test_integrate_square_matches_sweeps(mk):
+    g = mk()
+    for F in _h_inputs(g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            h = integrate_square(g, F)
+            ref = integrate_square_reference(g, F)
+        want = np.array(list(ref.values.values()))
+        # Lambda keeps the reference's node order: vertices, then faces
+        assert list(ref.values) == ([("v", i) for i in range(g.nv)]
+                                    + [("f", j) for j in range(len(g.faces))])
+        scale = max(1.0, float(np.max(np.abs(want))))
+        if g.genus == 0:
+            assert h.periods is ref.periods is None
+            assert max_norm(h.values - want) <= 1e-14 * scale
+        else:
+            # the two trees may close different homology cycles
+            p_scale = max(1.0, *map(abs, ref.periods))
+            assert max(map(abs, np.subtract(h.periods, ref.periods))) \
+                <= 1e-15 * p_scale
+            assert np.max(_lattice_distance(h.values - want, h.periods)) \
+                <= 1e-13 * scale
+        assert h.sholo_defect == ref.sholo_defect
+        if ref.loop_residual < 1e-12:
+            assert h.loop_residual < 1e-12
+        for got, exp in zip(laplacian_of_H(g, h),
+                            laplacian_of_H_reference(g, ref)):
+            assert max_norm(got - exp) <= 1e-15 * max(1.0, max_norm(exp))
+
+
+def test_tree_solve_order():
+    # relations H[head] - H[tail] = inc over six nodes, node 5 unreachable
+    head = np.array([3, 1, 1, 1, 3, 4, 4])
+    tail = np.array([0, 0, 0, 2, 2, 1, 2])
+    inc = np.array([5.0, 1.0, 2.0, 0.5, 7.0, 1.0, 3.0])
+    trusted = np.array([False, True, True, True, True, False, False])
+    h = _tree_solve(head, tail, inc, trusted, 6)
+    # node 1 from relation 1, not 2 (same level); node 3 over the trusted
+    # relation 4, not the untrusted 0 that leaves node 0; node 4 over the
+    # lowest-numbered untrusted relation 5
+    assert h[:5].tolist() == [0.0, 1.0, 0.5, 7.5, 2.0]
+    assert np.isnan(h[5])
+
+
+def test_trusted_first_tree_on_an_untrusted_base_point():
+    # F = 1 is not s-holomorphic at the corners of a patch, vertex 0 among them
+    g = fx.square_patch(3, 3)
+    F = np.ones(g.ne, dtype=complex)
+    trusted_v = vertex_residuals(g, F) < 1e-8
+    assert not trusted_v[0]
+    with pytest.warns(UserWarning):
+        h = integrate_square(g, F)
+    assert h.loop_residual < 1e-12
+    # a plain breadth-first tree crosses the outer face from vertex 0 first,
+    # and the interior corner relations then fail to close
+    d = np.arange(g.nd)
+    head = np.repeat(g.origin, 2)
+    tail = g.nv + np.column_stack([g.face_of, g.face_of[d ^ 1]]).ravel()
+    proj = np.column_stack([_proj(F[d >> 1], _line_plus(g, d)),
+                            _proj(F[d >> 1], _line_minus(g, d))])
+    inc = 2.0 * np.abs(proj.ravel()) ** 2
+    trusted = np.repeat(trusted_v[g.origin], 2)
+    assert max_norm(_tree_solve(head, tail, inc, trusted, len(h.values))
+                    - h.values) == 0.0
+    bfs = _tree_solve(head, tail, inc, np.ones_like(trusted), len(h.values))
+    assert np.max(np.abs(bfs[head] - bfs[tail] - inc)[trusted]) > 1.0
 
 
 @pytest.mark.parametrize("mk", RESIDUAL_FIXTURES)
