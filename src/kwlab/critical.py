@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from .linalg import lu_det
-from .surface_graph import GraphError, character_cochain, dual, shift_character
+from .surface_graph import (GraphError, SizeGuardError, character_cochain,
+                            dual, shift_character)
 from .operators import (KERNEL_TOL, kac_ward, kac_ward_kernel, kw_dets,
                         sqrt_det_pfaffian)
 from .oracle import ARF_SIGNS_GENUS1
@@ -18,6 +19,9 @@ from .oracle import ARF_SIGNS_GENUS1
 ROOT_BRACKET_LO = 1e-6
 ROOT_BRACKET_HI = 50.0
 BRENT_MAX_ITER = 200
+#: character entries (grid points times darts) a spectral grid may hold;
+#: 2^22 complex entries take 64 MiB
+GRID_GUARD = 1 << 22
 
 
 def _couplings(g):
@@ -45,6 +49,9 @@ def spectral_grid(g, n, x=None):
         raise GraphError(f"grid size must be at least 1, got {n}")
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
+    if n * n * g.nd > GRID_GUARD:
+        raise SizeGuardError(f"a {n} x {n} spectral grid on {g.nd} darts "
+                             f"exceeds GRID_GUARD ({GRID_GUARD} entries)")
     angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
     units = np.array([cmath.exp(1j * a) for a in angles])
     # every node is bitwise the spectral_curve value there
@@ -204,6 +211,8 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
         raise GraphError("free energy needs a genus-1 graph")
     if beta is not None and not math.isfinite(beta):
         raise GraphError(f"beta must be finite, got {beta}")
+    if n < 1:
+        raise GraphError(f"grid size must be at least 1, got {n}")
     if x is None:
         if beta is None:
             xs = g.x
@@ -225,8 +234,9 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
             raise GraphError("log of a nonpositive curve value on the grid")
         return float(np.sum(np.log(re))) / nn ** 2
 
-    i_n = log_integral(n)
+    # the finer grid first: a grid guard stops the command before any work
     i_2n = log_integral(2 * n)
+    i_n = log_integral(n)
     base = g.nv * math.log(2.0) + coupling_term
     return {
         "free_energy": base + 0.5 * i_2n,

@@ -5,17 +5,19 @@ check each other: even subgraphs are enumerated from a GF(2) cycle-space
 basis, loop signs come from non-crossing resolutions and velocity rotation
 numbers, the dimer partition function is a subset-DP permanent over the
 bipartite rectangle graph, and the inverse-operator coefficients are assembled
-from marked two-leg configurations.
+from marked two-leg configurations.  ``_resolve`` resolves many (marked or
+unmarked) configurations in one array pass: the cyclically adjacent pairing at
+every vertex, the open strands walked in step with bitwise the phases of a
+dart-by-dart walk, and the loops labelled by pointer jumping.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .surface_graph import GraphError, SizeGuardError, principal_angle
+from .surface_graph import TWO_PI, GraphError, SizeGuardError
 
 EVEN_GUARD = 24
 SUM_GUARD = 20
@@ -110,22 +112,20 @@ def enumerate_parity(g, odd_vertices, excluded=(), bases=None):
     ``bases``, a dict the caller keeps, caches the cycle-space basis of each
     excluded-edge set across calls.
     """
-    odd = [v for v in odd_vertices]
+    odd = list(odd_vertices)
+    if len(odd) % 2:
+        return []
+    bases = {} if bases is None else bases
     key = frozenset(excluded)
-    if bases is None:
-        bases = {}
     if key not in bases:
         bases[key] = _cycle_space_basis(g, key)
     basis, parent, _ = bases[key]
     base = 0
-    if odd:
-        if len(odd) % 2:
-            return []
-        for a, b in zip(odd[::2], odd[1::2]):
-            m = _tree_path_mask(g, parent, a, b)
-            if m is None:
-                return []  # odd vertices in different components
-            base ^= m
+    for a, b in zip(odd[::2], odd[1::2]):
+        m = _tree_path_mask(g, parent, a, b)
+        if m is None:
+            return []  # odd vertices in different components
+        base ^= m
     subs = [base]
     for b in basis:
         subs += [s ^ b for s in subs]
@@ -134,156 +134,114 @@ def enumerate_parity(g, odd_vertices, excluded=(), bases=None):
 
 # -- loop resolution and the quadratic form -----------------------------------
 
+#: configurations times darts resolved per array pass; bounds every temporary
+RESOLVE_BATCH = 1 << 14
 
-class LoopResolution:
-    """Non-crossing resolution of a (possibly marked) even subgraph.
 
-    ``loops`` is a list of dart cycles; ``path`` the optional open dart walk
-    between the two marked midpoints, stored with its start and end velocity
-    angles.
+def _turns(g):
+    """``principal_angle(dirang[d2] - dirang[d1])`` at [d1, d2], for every pair
+    of darts, by the same float operations."""
+    a = (g.dirang[None, :] - g.dirang[:, None] + math.pi) % TWO_PI - math.pi
+    a[a <= -math.pi] += TWO_PI
+    return a
+
+
+def _resolve(g, masks, e1=None, e2=None):
+    """The complex factor of each configuration: (-1)^q of its loops, times
+    exp(i rot / 2) along its open strand when marked.
+
+    ``masks`` (B,) are edge subsets.  With ``e1`` and ``e2`` (scalars or (B,)
+    arrays) each configuration is entered leaving the midpoint of e1 toward
+    its terminus and left entering the midpoint of e2 from its origin; both
+    edges are absent from its mask, so the exit stub takes the slot of dart
+    e1 ^ 1 and the entry stub that of dart e2.  At each vertex the present
+    incidences pair off cyclically adjacent in angle order.  The strand
+    rotation adds the ``principal_angle`` turns between e1, the strand's
+    darts and e2 in walk order, so it is bitwise their sum in that order.
     """
+    masks = np.asarray(masks, dtype=np.int64)
+    if e1 is not None:
+        e1, e2 = (np.broadcast_to(e, masks.shape) for e in (e1, e2))
+    turns, order = _turns(g), np.lexsort((g.dirang, g.origin))
+    out = np.empty(len(masks), dtype=complex)
+    step = max(1, RESOLVE_BATCH // g.nd)
+    for i in range(0, len(masks), step):
+        part = slice(i, i + step)
+        ends = (None, None) if e1 is None else (e1[part], e2[part])
+        sign, rot = _resolve_batch(g, turns, order, masks[part], *ends)
+        out[part] = sign * np.exp(0.5j * rot)
+    return out
 
-    def __init__(self, loops, path=None, path_start=None, path_end=None):
-        self.loops = loops
-        self.path = path
-        self.path_start = path_start
-        self.path_end = path_end
 
+def _resolve_batch(g, turns, order, masks, e1, e2):
+    """(sign, rot) arrays of ``_resolve`` for one batch.
 
-def _noncrossing_pairing(items, rng=None):
-    """Pair an even-length angle-sorted list of incidences without crossings.
-
-    The default pairs cyclically adjacent incidences; with ``rng`` a uniform
-    random non-crossing (Catalan) matching is drawn instead.
+    Dart d of configuration b is entry b * nd + d of the flat arrays, so
+    flipping the last bit of an entry reverses its dart.
     """
-    n = len(items)
-    if n % 2:
+    nd, b = g.nd, len(masks)
+    base = np.arange(b) * nd
+    present = (masks[:, None] >> (np.arange(nd) >> 1) & 1).astype(bool)
+    # the darts on loops: the stubs join the pairing, then leave with the
+    # darts of the open strand
+    loop = present.reshape(-1)
+    if e1 is not None:
+        exit_stub, entry_stub = base + (e1 ^ 1), base + e2
+        loop[exit_stub] = loop[entry_stub] = True
+    # in (configuration, origin, dirang) order every vertex holds an even
+    # number of incidences, stubs included, so the partner of the i-th one
+    # is the (i ^ 1)-th
+    at = np.flatnonzero(present[:, order])
+    start = at - at % nd
+    inc = start + order[at - start]
+    vertex = start * g.nv + g.origin[inc - start]
+    if len(at) % 2 or np.any(vertex[0::2] != vertex[1::2]):
         raise GraphError("odd incidence count cannot be resolved")
-    if rng is None:
-        return [(items[i], items[i + 1]) for i in range(0, n, 2)]
+    partner = np.arange(b * nd)
+    partner[inc] = inc[np.arange(len(inc)) ^ 1]
 
-    def rec(seq):
-        if not seq:
-            return []
-        # pair seq[0] with an odd-offset partner, then split
-        choices = list(range(1, len(seq), 2))
-        j = int(rng.choice(choices))
-        inner = rec(seq[1:j])
-        outer = rec(seq[j + 1:])
-        return [(seq[0], seq[j])] + inner + outer
-
-    return rec(list(items))
-
-
-def resolve(g, edge_mask, marks=None, rng=None):
-    """Resolve an even subgraph (bitmask) into non-crossing loops and one path.
-
-    ``marks`` is None or a pair (exit_dart, entry_dart): the configuration is
-    entered leaving the midpoint of ``exit_dart`` toward its terminus and is
-    left entering the midpoint of ``entry_dart`` from its origin.  Pairings at
-    each vertex follow the cyclic order of the incident dart angles.
-    """
-    # incidences at each vertex that carries strands: darts pointing out of it
-    EXIT, ENTRY = -1, -2
-    inc = {}
-    for k in range(g.ne):
-        if edge_mask >> k & 1:
-            inc.setdefault(int(g.origin[2 * k]), []).append(2 * k)
-            inc.setdefault(int(g.origin[2 * k + 1]), []).append(2 * k + 1)
-    if marks is not None:
-        e_out, e_in = marks
-        # exit stub: strand arriving at t(e_out) from the midpoint, i.e. the
-        # incidence of rev(e_out) at that vertex; entry stub at o(e_in).
-        inc.setdefault(g.terminus(e_out), []).append((EXIT, e_out ^ 1))
-        inc.setdefault(int(g.origin[e_in]), []).append((ENTRY, e_in))
-
-    def angle(item):
-        d = item[1] if isinstance(item, tuple) else item
-        return g.dirang[d]
-
-    succ = {}  # incidence -> incidence across a vertex
-    # in vertex order, so that the draws from rng do not depend on how the
-    # incidences were collected (a vertex without strands draws nothing)
-    for v in sorted(inc):
-        items = sorted(inc[v], key=angle)
-        for a, b in _noncrossing_pairing(items, rng):
-            succ[_ikey(a)] = b
-            succ[_ikey(b)] = a
-
-    used = set()
-    path = None
-    path_start = path_end = None
-    loops = []
-    if marks is not None:
-        # walk the open strand from the exit stub
-        darts = []
-        cur = succ[("EXIT",)]
-        start_dir = float(g.dirang[marks[0]])
-        while True:
-            if isinstance(cur, tuple):
-                if cur[0] == ENTRY:
-                    break
-                raise GraphError("marked resolution closed onto the exit stub")
-            darts.append(cur)
-            used.add(cur >> 1)
-            cur = succ[(cur ^ 1,)]
-        end_dir = float(g.dirang[marks[1]])
-        path = darts
-        path_start, path_end = start_dir, end_dir
-    for k in range(g.ne):
-        if not (edge_mask >> k & 1) or k in used:
-            continue
-        cyc = []
-        cur = 2 * k
-        while True:
-            cyc.append(cur)
-            used.add(cur >> 1)
-            nxt = succ[(cur ^ 1,)]
-            if isinstance(nxt, tuple):
-                raise GraphError("loop walk reached a marked stub")
-            cur = nxt
-            if cur == 2 * k:
+    rot = np.zeros(b)
+    if e1 is not None:
+        loop[exit_stub] = loop[entry_stub] = False
+        # walk every open strand from its exit stub, in step
+        prev, cur = e1, partner[exit_stub]
+        active = np.ones(b, dtype=bool)
+        for _ in range(g.ne + 1):
+            here = cur - base
+            rot = np.where(active, rot + turns[prev, here], rot)
+            active &= cur != entry_stub
+            if not active.any():
                 break
-        loops.append(cyc)
-    return LoopResolution(loops, path, path_start, path_end)
+            loop[cur] = loop[cur ^ 1] = False
+            prev, cur = here, np.where(active, partner[cur ^ 1], cur)
+        else:
+            raise GraphError("open strand did not reach the entry stub")
 
-
-def _ikey(item):
-    if isinstance(item, tuple):
-        return ("EXIT",) if item[0] == -1 else ("ENTRY",)
-    return (item,)
-
-
-def rot_of_loop(g, darts):
-    """Total velocity rotation of a closed dart cycle (closing turn included)."""
-    total = 0.0
-    n = len(darts)
-    for i in range(n):
-        d1, d2 = darts[i], darts[(i + 1) % n]
-        total += principal_angle(g.dirang[d2] - g.dirang[d1])
-    return total
-
-
-def rot_of_path(g, darts, start_dir, end_dir):
-    """Velocity rotation along an open walk, from start to end direction."""
-    dirs = [start_dir] + [float(g.dirang[d]) for d in darts] + [end_dir]
-    total = 0.0
-    for i in range(len(dirs) - 1):
-        total += principal_angle(dirs[i + 1] - dirs[i])
-    return total
-
-
-def q_sign(g, resolution):
-    """(-1)^q of a resolved family of loops: product of -exp(i rot / 2)."""
-    sign = 1.0 + 0j
-    for cyc in resolution.loops:
-        sign *= -cmath.exp(0.5j * rot_of_loop(g, cyc))
-    if abs(abs(sign.real) - 1.0) > 1e-9 or abs(sign.imag) > 1e-9:
+    # each loop is two orbits of d -> partner(d ^ 1) on the loop darts, one
+    # per orientation; pointer jumping labels every orbit by its least dart
+    darts = np.flatnonzero(loop)
+    pos = np.empty(b * nd, dtype=np.intp)
+    pos[darts] = np.arange(len(darts))
+    succ = partner[darts ^ 1]
+    turn = turns[darts % nd, succ % nd]
+    nxt = pos[succ]
+    label = darts
+    for _ in range(g.ne.bit_length()):
+        label = np.minimum(label, label[nxt])
+        nxt = nxt[nxt]
+    # one orientation per loop: the orbit holding the loop's least dart
+    first = np.flatnonzero((label == darts) & (label[pos[darts ^ 1]] > darts))
+    loop_rot = np.bincount(pos[label], turn, minlength=len(darts))[first]
+    wind = np.rint(loop_rot / TWO_PI)
+    # -exp(i rot / 2) of a loop is -(-1)^wind; a remainder above 2e-9 puts
+    # its imaginary part above 1e-9
+    if np.any(np.abs(loop_rot - TWO_PI * wind) > 2e-9):
         raise GraphError("loop sign did not land on +-1; inconsistent angle data")
-    return 1 if sign.real > 0 else -1
+    flips = np.bincount(darts[first] // nd, wind % 2 == 0, minlength=b)
+    return 1.0 - 2.0 * (flips % 2), rot
 
 
-def signed_cycle_sum(g, phi=None, x=None, rng=None):
+def signed_cycle_sum(g, phi=None, x=None):
     """Sum over even subgraphs of (-1)^q phi(xi) x(xi); the square root of det KW."""
     if g.ne > SUM_GUARD:
         raise SizeGuardError(f"signed cycle sum capped at {SUM_GUARD} edges")
@@ -293,7 +251,7 @@ def signed_cycle_sum(g, phi=None, x=None, rng=None):
         if np.any(abs(pv.imag) > 1e-12) or np.any(abs(abs(pv.real) - 1) > 1e-12):
             raise GraphError("signed cycle sum needs a +-1 cochain")
         xs = xs * pv.real
-    return float(_sum_terms(g, *_signed_evens(g, rng), xs).real)
+    return float(_sum_terms(g, [_signed_evens(g)], xs)[..., 0].real)
 
 
 # -- partition functions -------------------------------------------------------
@@ -416,51 +374,67 @@ def dimer_partition(c, phis=None):
 # -- inverse-operator coefficients ----------------------------------------------
 
 
-def _signed_evens(g, rng=None):
+def _signed_evens(g):
     """Every even subgraph (as a mask array) and its loop sign, resolved once."""
-    masks = enumerate_even(g)
-    signs = [q_sign(g, resolve(g, m, rng=rng)) for m in masks]
-    return np.array(masks, dtype=np.int64), np.array(signs, dtype=float)
+    masks = np.array(enumerate_even(g), dtype=np.int64)
+    return masks, _resolve(g, masks)
 
 
-def _entry_terms(g, e1, e2, evens=None, rng=None, bases=None):
-    """Monomials of the coefficient (e1, e2) of ``inverse_coefficient``: it is
-    the sum of factor * prod_{k in mask} x_k.  Diagonal terms are the signed
-    even subgraphs ``evens`` (``_signed_evens`` by default) avoiding the edge
-    of e1; off-diagonal masks hold the edge of e1, whose weight x_{e1} they
-    carry.  ``bases`` is the basis cache of ``enumerate_parity``.
+def _entry_terms(g, entries, evens=None, bases=None):
+    """Monomials of the coefficients (e1, e2) in ``entries`` of
+    ``inverse_coefficient``: a (masks, factors) pair per entry, whose value is
+    the sum of factor * prod_{k in mask} x_k.
+
+    Diagonal terms are the signed even subgraphs ``evens`` (``_signed_evens``
+    by default) avoiding the edge of e1; off-diagonal masks hold the edge of
+    e1, whose weight x_{e1} they carry.  The configurations of all entries
+    are resolved together, in ``_resolve`` batches.  ``bases`` is the basis
+    cache of ``enumerate_parity``.
     """
-    k1, k2 = e1 >> 1, e2 >> 1
-    if e1 == e2:
-        masks, signs = _signed_evens(g, rng) if evens is None else evens
-        keep = (masks >> k1 & 1) == 0
-        return masks[keep], signs[keep]
-
-    if e2 == (e1 ^ 1):
-        # the open walk would have to leave and re-enter the marked midpoint
-        # through the same half-edge; no subgraph realizes that
-        return [], []
-
-    t1, o2 = g.terminus(e1), int(g.origin[e2])
-    odd = [] if t1 == o2 else [t1, o2]
-    excl = [k1] if k1 == k2 else [k1, k2]
-    masks, factors = [], []
-    for mask in enumerate_parity(g, odd, excl, bases):
-        res = resolve(g, mask, marks=(e1, e2), rng=rng)
-        ro = rot_of_path(g, res.path, res.path_start, res.path_end)
-        masks.append(mask | 1 << k1)
-        factors.append(q_sign(g, res) * cmath.exp(0.5j * ro))
-    return masks, factors
-
-
-def _sum_terms(g, masks, factors, xs):
-    """sum factor * prod_{k in mask} x_k for each weight row of ``xs`` (..., ne)."""
-    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(g.ne)) & 1
-    mono = np.where(bits == 1, xs[..., None, :], 1.0).prod(axis=-1)
-    return (mono * np.array(factors, dtype=complex)).sum(axis=-1)
+    found = []
+    for e1, e2 in entries:
+        if e2 in (e1, e1 ^ 1):
+            # e1 ^ 1: the open walk would have to leave and re-enter the
+            # marked midpoint through the same half-edge; no subgraph does
+            found.append([])
+            continue
+        t1, o2 = g.terminus(e1), int(g.origin[e2])
+        found.append(enumerate_parity(g, [] if t1 == o2 else [t1, o2],
+                                      [e1 >> 1, e2 >> 1], bases))
+    counts = [len(m) for m in found]
+    masks = np.array([m for ms in found for m in ms], dtype=np.int64)
+    e1s, e2s = np.repeat(np.array(entries, dtype=np.int64).reshape(-1, 2),
+                         counts, axis=0).T
+    factors = _resolve(g, masks, e1s, e2s)
+    masks |= 1 << (e1s >> 1)
+    ends = np.cumsum(counts)
+    terms = []
+    for (e1, e2), a, b in zip(entries, ends - counts, ends):
+        if e1 == e2:
+            masks_d, signs = _signed_evens(g) if evens is None else evens
+            keep = (masks_d >> (e1 >> 1) & 1) == 0
+            terms.append((masks_d[keep], signs[keep]))
+        else:
+            terms.append((masks[a:b], factors[a:b]))
+    return terms
 
 
-def inverse_coefficient(g, e1, e2, x=None, rng=None):
+def _sum_terms(g, terms, xs):
+    """sum factor * prod_{k in mask} x_k of each (masks, factors) pair in
+    ``terms``, for each weight row of ``xs`` (..., ne): shape (..., len(terms)).
+    """
+    lens = np.array([len(m) for m, _ in terms])
+    bits = (np.concatenate([m for m, _ in terms])[:, None] >> np.arange(g.ne)) & 1
+    vals = (np.where(bits == 1, xs[..., None, :], 1.0).prod(axis=-1)
+            * np.concatenate([f for _, f in terms]))
+    out = np.zeros(xs.shape[:-1] + (len(terms),), dtype=complex)
+    # each nonempty sum runs up to the start of the next nonempty one
+    full = lens > 0
+    out[..., full] = np.add.reduceat(vals, (np.cumsum(lens) - lens)[full], axis=-1)
+    return out
+
+
+def inverse_coefficient(g, e1, e2, x=None):
     """Combinatorial coefficient of the (scaled) inverse Kac-Ward operator.
 
     Diagonal: the signed even-subgraph sum avoiding the edge of e1.
@@ -472,23 +446,22 @@ def inverse_coefficient(g, e1, e2, x=None, rng=None):
     if g.ne > INV_GUARD:
         raise SizeGuardError(f"inverse-coefficient oracle capped at {INV_GUARD} edges")
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    return _sum_terms(g, *_entry_terms(g, e1, e2, rng=rng), xs)
+    return _sum_terms(g, _entry_terms(g, [(e1, e2)]), xs)[..., 0]
 
 
-def inverse_matrix(g, x=None, rng=None):
+def inverse_matrix(g, x=None):
     """The full combinatorial matrix: equals sqrt(det KW) times KW^{-1}.
 
     ``x`` of shape (..., ne) gives a stack (..., nd, nd).  Each configuration
-    is resolved once for the stack, each even subgraph once for the diagonal.
+    is resolved once for the stack, all of them in ``_resolve`` batches, and
+    each even subgraph once for the diagonal; the sums run one row at a time.
     """
     if g.ne > INV_GUARD:
         raise SizeGuardError(f"inverse-coefficient oracle capped at {INV_GUARD} edges")
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    evens = _signed_evens(g, rng)
-    bases = {}
+    terms = _entry_terms(g, [(e1, e2) for e1 in range(g.nd)
+                             for e2 in range(g.nd)], _signed_evens(g), {})
     m = np.empty(xs.shape[:-1] + (g.nd, g.nd), dtype=complex)
     for e1 in range(g.nd):
-        for e2 in range(g.nd):
-            m[..., e1, e2] = _sum_terms(
-                g, *_entry_terms(g, e1, e2, evens, rng, bases), xs)
+        m[..., e1, :] = _sum_terms(g, terms[e1 * g.nd:(e1 + 1) * g.nd], xs)
     return m

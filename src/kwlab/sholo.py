@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import lu_solve, max_norm
-from .surface_graph import GraphError, cycle_with_winding
+from .surface_graph import GraphError, SizeGuardError, cycle_with_winding
 from .derived import build_C, half_angle_phases, isoradial_data
 from .operators import (dirac_C, kac_ward, kac_ward_kernel, kasteleyn,
                         phi_omega, sqrt_det_pfaffian)
-from .oracle import _entry_terms, _sum_terms, inverse_coefficient
+from .oracle import INV_GUARD, _entry_terms, _sum_terms, inverse_coefficient
 
 
 def _proj(z, angle):
@@ -187,15 +187,18 @@ def observable(g, e0, backend="auto", x=None):
 
     if backend != "combinatorial":
         raise GraphError(f"unknown backend {backend!r}")
-    from .oracle import INV_GUARD
     if g.ne > INV_GUARD:
-        from .surface_graph import SizeGuardError
         raise SizeGuardError("combinatorial observable capped at "
                              f"{INV_GUARD} edges")
     theta = 2.0 * np.arctan(np.asarray(xs, dtype=float))
     k0 = e0 >> 1
     out = np.zeros(g.ne, dtype=complex)
-    bases = {}
+    # the configurations of the inverse coefficients (e0, e_in), without
+    # the weight x_{e0} and with the walk phase conjugated
+    cols = [d for d in range(g.nd) if d >> 1 != k0]
+    row = dict(zip(cols, (
+        (m ^ 1 << k0, np.conj(f))
+        for m, f in _entry_terms(g, [(e0, d) for d in cols]))))
     for k in range(g.ne):
         if k == k0:
             # midpoint of the pinned edge: diagonal (even-subgraph) term
@@ -206,13 +209,7 @@ def observable(g, e0, backend="auto", x=None):
                 continue
             out[k] = pref * inverse_coefficient(g, e0 ^ 1, e0 ^ 1, x=xs) / sn
             continue
-        # the configurations of the inverse coefficients (e0, e_in), without
-        # the weight x_{e0} and with the walk phase conjugated
-        total = 0.0 + 0j
-        for e_in in (2 * k, 2 * k + 1):
-            masks, factors = _entry_terms(g, e0, e_in, bases=bases)
-            total += _sum_terms(g, [m ^ 1 << k0 for m in masks],
-                                np.conj(factors), xs)
+        total = _sum_terms(g, [row[2 * k], row[2 * k + 1]], xs).sum(axis=-1)
         out[k] = pref * total / math.cos(0.5 * theta[k])
     return out
 
@@ -256,7 +253,8 @@ class HFunction:
     """Discrete primitive of Im(F^2 dz): ``values[i]`` is H at Lambda node i.
 
     On the torus H is multivalued: ``periods`` are its increments along the
-    two homology generators, never forced to zero, and ``loop_residual`` is 0.
+    two homology generators, never forced to zero (None where F is not
+    s-holomorphic on their walks), and ``loop_residual`` is 0.
     """
 
     F: np.ndarray
@@ -266,15 +264,23 @@ class HFunction:
     sholo_defect: float
 
 
+def primal_increments(g, F, darts):
+    """H(terminus) - H(origin) = Im(2 cos(theta) D F^2) along each dart of
+    ``darts``, with D = exp(i dirang) and F at the dart's midpoint."""
+    darts = np.asarray(darts)
+    k = darts >> 1
+    return (2.0 * np.cos(g.theta[k]) * np.exp(1j * g.dirang[darts])
+            * np.asarray(F, dtype=complex)[k] ** 2).imag
+
+
 def edge_increments(g, F):
-    """Per dart, H(terminus) - H(origin) = Im(2 cos(theta) D F^2) and
-    H(left face) - H(right face) = Im(2 cos(pi/2 - theta) i D F^2), with
-    D = exp(i dirang) and F at the dart's midpoint."""
-    k = np.arange(g.nd) >> 1
-    f2 = np.asarray(F, dtype=complex)[k] ** 2
-    dd = np.exp(1j * g.dirang)
-    return ((2.0 * np.cos(g.theta[k]) * dd * f2).imag,
-            (2.0 * np.cos(g.theta_dual()[k]) * (1j * dd) * f2).imag)
+    """Per dart, the ``primal_increments`` and H(left face) - H(right face)
+    = Im(2 cos(pi/2 - theta) i D F^2)."""
+    d = np.arange(g.nd)
+    k = d >> 1
+    dual = (2.0 * np.cos(g.theta_dual()[k]) * (1j * np.exp(1j * g.dirang))
+            * np.asarray(F, dtype=complex)[k] ** 2).imag
+    return primal_increments(g, F, d), dual
 
 
 def _tree_solve(head, tail, inc, trusted, n):
@@ -327,7 +333,8 @@ def integrate_square(g, F):
     (patch boundaries, observable pinning points) only reach nodes that
     trusted ones cannot.  ``loop_residual`` is the worst defect of a trusted
     relation on the plane; on the torus the primal homology periods are
-    returned instead.
+    returned instead, or None when a vertex on either homology walk is
+    untrusted.
     """
     F = np.asarray(F, dtype=complex)
     fscale = max(1.0, float(np.max(np.abs(F))))
@@ -357,8 +364,11 @@ def integrate_square(g, F):
                                      initial=0.0))
     periods = None
     if g.genus == 1:
-        primal = edge_increments(g, F)[0]
-        periods = [float(sum(primal[w].tolist())) for w in _homology_walks(g)]
+        walks = _homology_walks(g)
+        # a walk through a vertex where F is not s-holomorphic sums no period
+        if all(trusted_v[g.origin[w]].all() for w in walks):
+            periods = [float(sum(primal_increments(g, F, w).tolist()))
+                       for w in walks]
     return HFunction(F, h, loop_residual, periods, defect)
 
 

@@ -161,6 +161,14 @@ def test_h_function_command(tmp_path, capsys):
     code, out = run(capsys, "h-function", "-g", str(path), "--from",
                     "observable", "--dart", "0")
     assert code == 0
+    # off criticality the observable pinned at vertex 0, where the homology
+    # walks start, is not s-holomorphic there: no periods
+    code, out = run(capsys, "gen", "square-torus", "2", "--x", "0.37")
+    path.write_text(out)
+    code, out = run(capsys, "h-function", "-g", str(path), "--from",
+                    "observable", "--dart", "0")
+    assert code == 0
+    assert json.loads(out)["periods"] is None
 
 
 def test_h_function_kernel_is_deterministic(tmp_path, capsys):
@@ -298,6 +306,21 @@ def test_malformed_fixture_is_invalid_input(tmp_path, capsys, mutate, field):
     assert json.loads(out)["error"] == "invalid_input"
     assert field in json.loads(out)["message"]
     assert err == ""
+
+
+@pytest.mark.parametrize("argv", [["free-energy", "--grid", "3000"],
+                                  ["spectral", "--grid", "100000"]],
+                         ids=["free-energy", "spectral"])
+def test_huge_grid_is_a_size_guard(tmp_path, capsys, argv):
+    # the character stack would take gigabytes: refused before it is built
+    code, out = run(capsys, "gen", "square-torus", "2")
+    path = tmp_path / "s.json"
+    path.write_text(out)
+    code = main([argv[0], "-g", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["error"] == "size_guard"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("dart", ["99", "-1"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kwlab import fixtures as fx
-from kwlab.surface_graph import GraphError, Weights, build_torus
+from kwlab import critical
+from kwlab.surface_graph import GraphError, SizeGuardError, Weights, build_torus
 from kwlab.critical import (critical_beta, duality_check, free_energy,
                             hessian_tau, spectral_curve, spectral_grid)
 from kwlab.operators import kac_ward_kernel, kw_dets, sqrt_det_pfaffian
@@ -294,6 +295,27 @@ def test_spectral_grid_and_free_energy_reproducible():
     f2 = free_energy(g, n=8)
     assert f1["free_energy"] == f2["free_energy"]
     assert f1["free_energy_coarse"] == f2["free_energy_coarse"]
+
+
+def test_grid_guard(monkeypatch):
+    g = fx.rect_torus(0.3, 0.4)
+    monkeypatch.setattr(critical, "GRID_GUARD", 4 * 4 * g.nd)
+    assert spectral_grid(g, 4)[2].shape == (4, 4)
+    with pytest.raises(SizeGuardError):
+        spectral_grid(g, 5)
+    # the free energy takes the n x n and 2n x 2n grids, the finer first,
+    # so a refused one costs no determinant
+    calls = []
+    grid = critical.spectral_grid
+    monkeypatch.setattr(critical, "spectral_grid",
+                        lambda g, n, x=None: calls.append(n) or grid(g, n, x))
+    assert free_energy(g, n=2)["grid"] == 2
+    assert calls == [4, 2]
+    with pytest.raises(SizeGuardError):
+        free_energy(g, n=3)
+    assert calls[2:] == [6]
+    with pytest.raises(GraphError, match="at least 1"):
+        free_energy(g, n=-3000)
 
 
 def test_spectral_grid_matches_single_points():

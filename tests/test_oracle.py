@@ -8,14 +8,15 @@ from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError, SizeGuardError, character_cochain
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
-from kwlab.operators import kac_ward
+from kwlab.operators import kac_ward, sqrt_det_pfaffian
 from kwlab import oracle
-from kwlab.oracle import (LoopResolution, _ikey, _noncrossing_pairing,
-                          _permanent, dimer_partition, enumerate_even,
-                          enumerate_parity, inverse_coefficient, inverse_matrix,
-                          ising_partition, q_sign, resolve, rot_of_loop,
-                          rot_of_path, signed_cycle_sum)
+from kwlab.oracle import (_permanent, _resolve, dimer_partition,
+                          enumerate_even, enumerate_parity, inverse_coefficient,
+                          inverse_matrix, ising_partition, signed_cycle_sum)
 
+from oracle_reference import (LoopResolution, _ikey, _noncrossing_pairing,
+                              config_factor, q_sign, resolve, rot_of_loop,
+                              rot_of_path)
 from tracked_root import sqrt_det_tracked
 
 
@@ -188,6 +189,48 @@ def test_resolve_matches_reference(g, seed):
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+def _array_factors(g, cases):
+    """``_resolve`` on the unmarked and on the marked cases, in case order."""
+    plain = [m for m, marks in cases if marks is None]
+    marked = [(m, *marks) for m, marks in cases if marks is not None]
+    got = list(_resolve(g, plain))
+    masks, e1s, e2s = np.array(marked).T
+    return got + list(_resolve(g, masks, e1s, e2s))
+
+
+@pytest.mark.parametrize("g", [fx.square_patch(2, 2), fx.square_torus(2),
+                               fx.honeycomb_torus((0.3, 0.4, 0.5)),
+                               fx.rect_torus_mn(2, 3, 0.3, 0.4)],
+                         ids=["patch", "square2", "honeycomb", "rect23"])
+def test_array_resolver_matches_loop_form(g):
+    cases = _resolutions(g)
+    cases.sort(key=lambda case: case[1] is not None)
+    want = [config_factor(g, mask, marks) for mask, marks in cases]
+    got = _array_factors(g, cases)
+    # bitwise: the same loop signs and the same strand phases
+    assert got == want
+
+
+def test_array_resolver_batches(monkeypatch):
+    g = fx.square_torus(2, 0.4)
+    cases = sorted(_resolutions(g), key=lambda case: case[1] is not None)
+    whole = _array_factors(g, cases)
+    # seven configurations per pass: batches split every group of cases
+    monkeypatch.setattr(oracle, "RESOLVE_BATCH", 7 * g.nd)
+    assert _array_factors(g, cases) == whole
+    assert len(_resolve(g, [])) == 0
+    assert len(_resolve(g, [], 0, 2)) == 0
+
+
+def test_array_resolver_rejects_odd_vertices():
+    g = fx.triangle(0.5)
+    with pytest.raises(GraphError, match="odd incidence"):
+        _resolve(g, [0b001])
+    with pytest.raises(GraphError, match="odd incidence"):
+        # marks at darts whose stubs leave vertex 1 and vertex 2 odd
+        _resolve(g, [0], 0, 4)
+
+
 def test_inverse_matrix_builds_each_basis_once(monkeypatch):
     g = fx.square_patch(2, 2)
     built = []
@@ -271,6 +314,16 @@ def test_inverse_matrix_vs_dense():
         kw = kac_ward(g)
         expected = sqrt_det_tracked(g) * lu_solve(kw, np.eye(g.nd, dtype=complex))
         assert max_norm(inverse_matrix(g) - expected) < 1e-9
+
+
+def test_inverse_matrix_at_the_guard():
+    g = fx.rect_torus_mn(2, 3, 0.3, 0.4)
+    assert g.ne == oracle.INV_GUARD
+    expected = sqrt_det_pfaffian(g) * lu_solve(kac_ward(g),
+                                               np.eye(g.nd, dtype=complex))
+    assert max_norm(inverse_matrix(g) - expected) < 1e-9
+    with pytest.raises(SizeGuardError):
+        inverse_matrix(fx.square_patch(3, 3))
 
 
 def ryser_permanent_reference(a):

@@ -10,11 +10,11 @@ from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm, null_space
 from kwlab.operators import kac_ward, phi_omega, dirac_C
-from kwlab.sholo import (_line_minus, _line_plus, _proj, _tree_solve,
-                         edge_increments, integrate_square,
-                         kernel_observables, laplacian_of_H, map_S,
-                         map_S_inverse, observable, sholo_residual,
-                         sholo_residual_all, spinor_maps,
+from kwlab.sholo import (STAR_TOL, _homology_walks, _line_minus, _line_plus,
+                         _proj, _tree_solve, edge_increments,
+                         integrate_square, kernel_observables, laplacian_of_H,
+                         map_S, map_S_inverse, observable, primal_increments,
+                         sholo_residual, sholo_residual_all, spinor_maps,
                          star_identity_residual, verify_sholo,
                          vertex_residuals)
 from kwlab.surface_graph import SizeGuardError
@@ -226,6 +226,26 @@ def test_torus_periods_reported():
     assert h.loop_residual == 0.0  # planar-only diagnostic
 
 
+def test_torus_periods_need_trusted_walks():
+    # pinned at a dart leaving vertex 0, where both homology walks start: F
+    # is not s-holomorphic there, and the walk sums (-4.303 and 1.7e-16) are
+    # not periods, as the trusted relations close modulo 1.579
+    g = fx.square_torus(2, 0.37)
+    F = observable(g, 0)
+    assert not _walks_trusted(g, F)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        h = integrate_square(g, F)
+    assert h.periods is None
+    # where F is s-holomorphic on both walks, their sums are the periods
+    g = fx.square_torus(2)
+    F = kernel_observables(g)[0]
+    assert _walks_trusted(g, F)
+    want = [sum(primal_increments(g, F, w).tolist())
+            for w in _homology_walks(g)]
+    assert integrate_square(g, F).periods == want
+
+
 def test_laplacian_of_H_signs():
     g = fx.square_torus(2)
     F = kernel_observables(g)[0]
@@ -317,6 +337,13 @@ def _lattice_distance(diff, periods, reach=6):
     return np.min(np.abs(diff[:, None] - lattice[None, :]), axis=1)
 
 
+def _walks_trusted(g, F):
+    """Whether F is s-holomorphic at every vertex of both homology walks."""
+    scale = max(1.0, float(np.max(np.abs(F))))
+    trusted = vertex_residuals(g, F) < STAR_TOL * scale
+    return all(trusted[g.origin[w]].all() for w in _homology_walks(g))
+
+
 @pytest.mark.parametrize("mk", H_FIXTURES)
 def test_integrate_square_matches_sweeps(mk):
     g = mk()
@@ -333,7 +360,12 @@ def test_integrate_square_matches_sweeps(mk):
         if g.genus == 0:
             assert h.periods is ref.periods is None
             assert max_norm(h.values - want) <= 1e-14 * scale
+        elif h.periods is None:
+            # the reference sums its walks whatever the trust of their
+            # vertices; the library reports no periods there
+            assert not _walks_trusted(g, F)
         else:
+            assert _walks_trusted(g, F)
             # the two trees may close different homology cycles
             p_scale = max(1.0, *map(abs, ref.periods))
             assert max(map(abs, np.subtract(h.periods, ref.periods))) \
