@@ -6,9 +6,8 @@ from .surface_graph import (Cochain, EmbeddedGraph, GraphError, SizeGuardError,
 from .derived import build_C, build_D, build_M, isoradial_data, validate_kasteleyn
 from .linalg import lu_det as det
 from .operators import (dirac_C, dirac_D, kac_ward, kasteleyn, laplacian,
-                        laplacian_M, laplacian_dual, null_space,
-                        skew_adjacency, sqrt_det_pfaffian, verify_corr,
-                        verify_dirac_identities)
+                        laplacian_M, laplacian_dual, skew_adjacency,
+                        sqrt_det_pfaffian, verify_corr, verify_dirac_identities)
 
 __all__ = [
     "Cochain", "EmbeddedGraph", "GraphError", "SizeGuardError", "Weights",
@@ -16,7 +15,7 @@ __all__ = [
     "graph_from_json", "turning",
     "build_C", "build_D", "build_M", "isoradial_data", "validate_kasteleyn",
     "det", "dirac_C", "dirac_D", "kac_ward", "kasteleyn", "laplacian",
-    "laplacian_M", "laplacian_dual", "null_space", "skew_adjacency",
+    "laplacian_M", "laplacian_dual", "skew_adjacency",
     "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
 ]
 

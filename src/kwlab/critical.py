@@ -11,8 +11,8 @@ import numpy as np
 from .linalg import lu_det
 from .surface_graph import (GraphError, SizeGuardError, character_cochain,
                             dual, shift_character)
-from .operators import (KERNEL_TOL, kac_ward, kac_ward_kernel, kw_dets,
-                        sqrt_det_pfaffian)
+from .operators import (KERNEL_TOL, kac_ward, kac_ward_kernel, kac_ward_real,
+                        kw_dets, sqrt_det_pfaffian)
 from .oracle import ARF_SIGNS_GENUS1
 
 #: the initial root bracket of ``critical_beta``, widened if it has no sign change
@@ -167,26 +167,29 @@ def hessian_tau(g, x=None):
 
     Exact, from the kernel of M = KW(1, 1) (``kac_ward_kernel``); GraphError
     unless it is 2-dimensional, that is unless the weights are critical.
-    For M = U diag(sigma) V^T with null columns W0 of U and V0 of V, first-
-    order perturbation of the corank-2 determinant gives P(1 + a t, 1 + b t)
-    = c t^2 det(a Mz + b Mw) + O(t^3), with Mz = W0^T Dz V0 for the
-    z-derivative Dz = -diag(s1) X T' of M (Mw with s2) and c = det U det V^T
-    prod(nonzero sigma).  As X T' = I - M and M V0 = W0 diag(sigma_n-1,
-    sigma_n), Mz = -W0^T diag(s1) V0 up to the two kernel singular values,
-    so no transition is read.  tau is the root of A_w t^2 + 2 B t + A_z in
-    the upper half plane.
+    For orthonormal bases W0 of the left and V0 of the right kernel,
+    first-order perturbation of the corank-2 determinant gives
+    P(1 + a t, 1 + b t) = c t^2 det(a Mz + b Mw) + O(t^3), with
+    Mz = W0^T Dz V0 for the z-derivative Dz = -diag(s1) X T' of M (Mw with
+    s2) and c = det(M (I - V0 V0^T) + W0 V0^T), which is det U det V^T
+    prod(nonzero sigma) for the SVD's bases.  As X T' = I - M and M V0 is
+    at the size of the kernel singular values, Mz = -W0^T diag(s1) V0 up to
+    them, so no transition is read.  An orthogonal change of either basis
+    multiplies c and det(a Mz + b Mw) by the same sign.  tau is the root of
+    A_w t^2 + 2 B t + A_z in the upper half plane.
     """
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    u, sig, vt, dim = kac_ward_kernel(g, xs)
+    w0, v0, dim = kac_ward_kernel(g, xs)
+    m = kac_ward_real(g, xs)
     if dim != 2:
+        sig = np.linalg.svd(m, compute_uv=False)
         raise GraphError(
             f"weights are not critical: KW(1, 1) has a {dim}-dimensional "
             f"kernel (sigma_n-1 / sigma_1 = {sig[-2] / sig[0]:.3g}), not 2")
-    w0, v0 = u[:, -2:], vt[-2:].T
     mz, mw = (-(w0 * s[:, None]).T @ v0 for s in g.shift.T)
-    c = np.linalg.det(u) * np.linalg.det(vt) * np.prod(sig[:-2])
+    c = np.linalg.det(m - (m @ v0 - w0) @ v0.T)
     det_z, det_w, det_zw = np.linalg.det(np.array([mz, mw, mz + mw]))
     azz, aww, b = 2.0 * c * det_z, 2.0 * c * det_w, c * (det_zw - det_z - det_w)
     disc = azz * aww - b * b

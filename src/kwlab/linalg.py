@@ -2,12 +2,13 @@
 
 Determinants and solves are LAPACK LU with partial pivoting through numpy;
 ``det_cofactor`` is the independent cofactor oracle the tests check
-``lu_det`` against.  Numerical kernels are delegated to numpy's real or
-complex SVD, deterministic for fixed input.  ``pfaffian`` is the one routine
-numpy lacks: pivoted Parlett-Reid in Wimmer's panel (level-3) form
-(arXiv:1102.3440), where each panel's skew rank-2 updates reach the trailing
-block as one matrix product, and the plain rank-2 loop finishes the last
-``_NB`` rows.
+``lu_det`` against.  The Kac-Ward kernel is decided in ``operators``, by a
+solve against fixed probe columns and a Ritz step, with numpy's SVD where
+that cannot decide; the SVD null space the tests compare it with lives in
+the tests.  ``pfaffian`` is the one routine numpy lacks: pivoted
+Parlett-Reid in Wimmer's panel (level-3) form (arXiv:1102.3440), where each
+panel's skew rank-2 updates reach the trailing block as one matrix product,
+and the plain rank-2 loop finishes the last ``_NB`` rows.
 
 An entry list is a plain ``(rows, cols, vals)`` tuple of parallel arrays;
 repeated (row, col) pairs add up, as in ``to_dense``'s ``np.add.at``
@@ -121,24 +122,6 @@ def pfaffian(a):
             upd = np.outer(a[k, k + 2:] / pivot, a[k + 2:, k + 1])
             a[k + 2:, k + 2:] += upd - upd.T
     return float(pf)
-
-
-def null_space(a, tol=1e-8):
-    """Orthonormal basis of the numerical right kernel.
-
-    Returns the right-singular vectors whose singular value is below
-    ``tol * sigma_max`` (all of them for an exactly zero matrix).  Real input
-    stays real: it is factored by the real SVD and gives real vectors.
-    """
-    a = np.asarray(a)
-    a = a if np.iscomplexobj(a) else a.astype(float, copy=False)
-    _, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return [vh[i].conj() for i in range(vh.shape[0])]
-    keep = s < tol * s[0]
-    # rows of vh beyond len(s) (wide input) are exact kernel directions
-    return [vh[i].conj() for i in range(vh.shape[0])
-            if i >= len(s) or keep[i]]
 
 
 def max_norm(a):

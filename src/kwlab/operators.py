@@ -22,17 +22,24 @@ other builders return their list with ``sparse=True``.  The identity suites
 ``verify_corr`` and ``verify_dirac_identities`` multiply and compare entry
 lists (see ``linalg``), so no check forms a dense product or an LU
 determinant.
+
+One decision says whether KW(1, 1) is singular: ``kac_ward_kernel``, from
+one solve against the fixed ``kernel_probes`` columns and a Rayleigh-Ritz
+step (``ritz_kernel``), with the full SVD only where the probe cannot
+decide.  ``sholo.observable`` makes the same decision from its own solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
 # lu_det stays bound here: the benchmark's tracer wraps it in every module
 # that binds it, and its tests expect this one
-from .linalg import (cycle_det, lu_det, null_space, pfaffian,  # noqa: F401
+from .linalg import (cycle_det, lu_det, lu_solve, pfaffian,  # noqa: F401
                      sparse_max_norm, sparse_product, to_dense)
 from .surface_graph import (Cochain, GraphError, character_cochain,
                             shift_character)
@@ -42,8 +49,8 @@ from .derived import (build_C, build_D, build_M, c_edge_directions,
 
 __all__ = [
     "kac_ward", "kac_ward_kernel", "kasteleyn", "laplacian", "laplacian_dual",
-    "dirac_C", "dirac_D", "skew_adjacency", "laplacian_M", "null_space",
-    "kw_dets", "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
+    "dirac_C", "dirac_D", "skew_adjacency", "laplacian_M", "kw_dets",
+    "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
 ]
 
 
@@ -70,24 +77,42 @@ def kac_ward(g, phi=None, x=None):
                               g.transition_entries[2])
 
 
-def _eye_minus_pattern(g, rows, vals):
+def _eye_minus_pattern(g, rows, vals, out=None):
     """Dense I - A with A[..., e, e'] = rows[..., e] vals[k] on each
     continuation (e, e') = ``g.transition_entries[:2]``[k]; leading axes of
-    ``rows`` stack."""
+    ``rows`` stack.  ``out``, a flat array of as many entries, takes the
+    matrices in place of a new one."""
     e, e2, _ = g.transition_entries
     nd = g.nd
     a = rows[..., e] * vals
     # flat row-major layout: (e, e') at e * nd + e', the diagonal every nd + 1
-    m = np.zeros(a.shape[:-1] + (nd * nd,), dtype=a.dtype)
+    shape = a.shape[:-1] + (nd * nd,)
+    if out is None:
+        m = np.zeros(shape, dtype=a.dtype)
+    else:
+        m = out.reshape(shape)
+        m.fill(0)
     m[..., e * nd + e2] = -a
     m[..., ::nd + 1] += 1
     return m.reshape(a.shape[:-1] + (nd, nd))
 
 
-#: bytes of complex matrix entries that ``kw_dets`` builds and factors at once;
-#: freeing the first chunk lifts glibc's mmap and trim thresholds above the
-#: grid's temporaries, so later calls reuse heap pages instead of new ones
+#: bytes of complex matrix entries that ``kw_dets`` builds and factors at once
+#: (a single matrix per chunk from 129 darts up); every chunk is built in one
+#: reused work array, so a grid at a size seen before takes no new pages for
+#: its matrices, whatever the heap did in between
 KW_CHUNK_BYTES = 512 * 1024
+
+# the work array of ``kw_dets``, one per thread
+_work = threading.local()
+
+
+def _kw_buffer(size):
+    """The reused complex work array of this thread, at least ``size`` long."""
+    buf = getattr(_work, "kw", None)
+    if buf is None or buf.size < size:
+        buf = _work.kw = np.empty(size, dtype=complex)
+    return buf[:size]
 
 
 def kw_dets(g, phi_rows, x_rows):
@@ -95,37 +120,181 @@ def kw_dets(g, phi_rows, x_rows):
 
     The leading axes broadcast as in ``kac_ward``.  The stack is built and
     factored in chunks of at most ``KW_CHUNK_BYTES`` of matrix entries (one
-    matrix at a time once a single one exceeds it); each determinant is
-    bitwise the one ``lu_det(kac_ward(g, phi, x))`` returns.
+    matrix at a time once a single one exceeds it), each chunk in the same
+    reused work array; each determinant is bitwise the one
+    ``lu_det(kac_ward(g, phi, x))`` returns.
     """
     pv = _phi_values(g, phi_rows)
+    if np.any(np.abs(pv) == 0):
+        raise GraphError("cochain values must be nonzero")
     xs = np.asarray(x_rows)
     lead = np.broadcast_shapes(pv.shape[:-1], xs.shape[:-1])
     pv = np.broadcast_to(pv, lead + pv.shape[-1:]).reshape(-1, g.nd)
     xs = np.broadcast_to(xs, lead + xs.shape[-1:]).reshape(-1, g.ne)
     step = max(1, KW_CHUNK_BYTES // (16 * g.nd * g.nd))
+    buf = _kw_buffer(min(step, len(pv)) * g.nd * g.nd)
     out = np.empty(len(pv), dtype=complex)
     for i in range(0, len(pv), step):
-        out[i:i + step] = np.linalg.det(
-            kac_ward(g, pv[i:i + step], xs[i:i + step]))
+        rows = pv[i:i + step] * np.repeat(xs[i:i + step], 2, axis=-1)
+        out[i:i + step] = np.linalg.det(_eye_minus_pattern(
+            g, rows, g.transition_entries[2], buf[:len(rows) * g.nd * g.nd]))
     return out.reshape(lead)
 
 
 #: relative size of the singular values that span the kernel of KW(1, 1)
 KERNEL_TOL = 1e-8
+#: probe columns of the kernel test (``ritz_kernel``)
+KERNEL_PROBES = 4
+#: Ritz values of an exact kernel, in units of sqrt(n) eps sigma_hi: at
+#: most 2.8 on the critical square and rectangular tori up to 576 darts
+KERNEL_EXACT = 32
+#: darts from which ``kac_ward_kernel`` tries one solve and a Ritz step
+#: before a full SVD.  On critical tori, both kernel bases included, the SVD
+#: takes 0.14 against 0.24 ms at 36 darts, 0.33 against 0.29 ms at 48 and
+#: 0.43 against 0.30 ms at 64 (best of 40 on 2 CPUs)
+KERNEL_SVD_DARTS = 48
+
+
+@functools.cache
+def kernel_probes(n):
+    """The fixed n x ``KERNEL_PROBES`` probe columns, read-only.
+
+    Standard normal entries, as Box-Muller pairs of a splitmix64 stream:
+    importing ``numpy.random`` for them would cost a CLI process about
+    14 ms, as much as the whole kernel test at 576 darts.
+    """
+    k = n * KERNEL_PROBES
+    z = np.arange(1, 2 * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    # 53 random bits, shifted into (0, 1)
+    u = ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[:k])) * np.cos(2.0 * math.pi * u[k:])
+    r = r.reshape(n, KERNEL_PROBES)
+    r.flags.writeable = False
+    return r
+
+
+def sigma_hi(g, x=None):
+    """sqrt(|M|_1 |M|_inf) >= sigma_1 for M = I - X T', and so for KW(1, 1),
+    whose entries have the same moduli; from the entry list.  It is at most
+    sqrt(nd) sigma_1."""
+    xd = np.repeat(g.x if x is None else np.asarray(x, dtype=float), 2)
+    e, e2, _ = g.transition_entries
+    # a loop edge continues into its own dart: that entry sits on the diagonal
+    loop = e == e2
+    diag = np.abs(1.0 - np.bincount(e[loop], (xd[e] * g.transition_signs)[loop],
+                                    minlength=g.nd))
+    off = np.where(loop, 0.0, np.abs(xd[e]))
+    return math.sqrt((diag + np.bincount(e2, off, minlength=g.nd)).max()
+                     * (diag + np.bincount(e, off, minlength=g.nd)).max())
+
+
+def _rounding_level(n, hi):
+    """The residual |m v| of an exact kernel vector v of an n x n matrix m
+    with sigma_1 <= hi <= sqrt(n) sigma_1.  It stays below ``KERNEL_TOL``
+    sigma_1 up to 10^6 rows, so what it counts the SVD counts too."""
+    return KERNEL_EXACT * math.sqrt(n) * np.finfo(float).eps * hi
+
+
+def ritz_kernel(m, y, hi):
+    """(dim, V0) for the square matrix m from y = m^-1 R, or None in doubt.
+
+    R holds the probe columns, and hi bounds sigma_1 (``sigma_hi``).
+    Rayleigh-Ritz on Q = orth(y): the Ritz values rho are the singular
+    values of the n x k matrix m Q, and V0, orthonormal, is Q times the
+    right singular vectors of the dim smallest.  dim counts the rho at
+    rounding level, at most ``KERNEL_EXACT`` sqrt(n) eps hi.  One solve can
+    overestimate a small singular value by about sqrt(n) (Dixon's bound),
+    so every other rho must exceed 100 sqrt(n) ``KERNEL_TOL`` hi, and
+    dim < k; else None.  A rho in between is a near-kernel that one Ritz
+    step resolves only to its own relative size, not to the SVD's rounding.
+    """
+    if not np.all(np.isfinite(y)):
+        return None
+    n, k = y.shape
+    q = np.linalg.qr(y)[0]
+    _, rho, vh = np.linalg.svd(m @ q, full_matrices=False)
+    dim = int(np.count_nonzero(rho <= _rounding_level(n, hi)))
+    # rho is descending: rho[k - dim - 1] is the smallest one left out
+    if dim == k or rho[k - dim - 1] <= 100 * math.sqrt(n) * KERNEL_TOL * hi:
+        return None
+    return dim, q @ vh[k - dim:].conj().T
+
+
+def kac_ward_real(g, x=None):
+    """M = I - X T', KW(1, 1) in the half-angle gauge: a real matrix."""
+    xs = g.x if x is None else np.asarray(x, dtype=float)
+    return _eye_minus_pattern(g, np.repeat(xs, 2), g.transition_signs)
 
 
 def kac_ward_kernel(g, x=None):
-    """(U, sigma, V^T, dim): the real SVD of M = I - X T' and its kernel
-    dimension, the number of singular values below ``KERNEL_TOL * sigma[0]``.
+    """(W0, V0, dim): orthonormal bases of the left and right kernels of
+    M = I - X T', as nd x dim arrays, and the kernel dimension.
 
     KW(1, 1) = H^-1 M H with T' the signs ``g.transition_signs`` and
-    H = diag(exp(i dirang / 2)) unitary, so ker KW = H^-1 ker M.
+    H = diag(exp(i dirang / 2)) unitary, so ker KW = H^-1 ker M, and both
+    have the singular values of M.  From ``KERNEL_SVD_DARTS`` darts the
+    kernel is decided by one solve against the probe columns and a Ritz
+    step (``ritz_kernel``).  The full SVD runs, and counts the singular
+    values below ``KERNEL_TOL * sigma_1``, on smaller graphs and wherever
+    the probe cannot decide: at an exactly singular pivot, a Ritz value in
+    the band of doubt, all probe Ritz values small, or no left basis (a
+    zero weight, no skew signs, a failed check).  Both routes count the same dimension and span the
+    same kernels; the bases themselves differ by an orthogonal change, and
+    each is deterministic.
     """
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    m = _eye_minus_pattern(g, np.repeat(xs, 2), g.transition_signs)
+    m = kac_ward_real(g, xs)
+    if g.nd >= KERNEL_SVD_DARTS:
+        found = _probed_kernel(g, m, xs)
+        if found is not None:
+            return found
+    return svd_kernel(m)
+
+
+def svd_kernel(m):
+    """``kac_ward_kernel``'s answer from the full SVD of the square m: the
+    null columns of U and V for the singular values below ``KERNEL_TOL``
+    sigma_1, and their number."""
     u, s, vt = np.linalg.svd(m)
-    return u, s, vt, int(np.count_nonzero(s < KERNEL_TOL * s[0]))
+    n, dim = len(s), int(np.count_nonzero(s < KERNEL_TOL * s[0]))
+    return u[:, n - dim:], vt[n - dim:].T, dim
+
+
+def _probed_kernel(g, m, xs):
+    """``kac_ward_kernel`` from one solve and a Ritz step, or None.
+
+    The left basis follows from the right one.  With D = |X|^1/2 and the
+    signs s of ``sqrt_det_pfaffian``, S = diag(s) J D^-1 M D is real skew,
+    so (D^-1 V0)^T S = 0 and W0 = D^-1 J diag(s) D^-1 V0 spans the left
+    kernel.  It is orthonormalized and must leave |M^T W0| at rounding
+    level, as the right basis does.
+    """
+    hi = sigma_hi(g, xs)
+    try:
+        found = ritz_kernel(m, lu_solve(m, kernel_probes(g.nd)), hi)
+    except GraphError:
+        return None
+    if found is None:
+        return None
+    dim, v0 = found
+    if not dim:
+        return v0, v0, 0
+    xd = np.repeat(xs, 2)
+    if np.any(xd == 0):
+        return None
+    try:
+        s = g.skew_signs * np.sign(xd)
+    except GraphError:
+        return None
+    d = np.sqrt(np.abs(xd))
+    w0 = ((s / d)[:, None] * v0)[np.arange(g.nd) ^ 1] / d[:, None]
+    w0 = np.linalg.qr(w0)[0]
+    if not np.linalg.norm(m.T @ w0) <= _rounding_level(g.nd, hi):
+        return None
+    return w0, v0, dim
 
 
 def _out(shape, entries, sparse):

@@ -26,8 +26,10 @@ import numpy as np
 from .linalg import lu_solve, max_norm
 from .surface_graph import GraphError, SizeGuardError, cycle_with_winding
 from .derived import build_C, half_angle_phases, isoradial_data
-from .operators import (dirac_C, kac_ward, kac_ward_kernel, kasteleyn,
-                        phi_omega, sqrt_det_pfaffian)
+from .operators import (KERNEL_PROBES, KERNEL_TOL, dirac_C, kac_ward,
+                        kac_ward_kernel, kac_ward_real, kasteleyn,
+                        kernel_probes, phi_omega, ritz_kernel, sigma_hi,
+                        sqrt_det_pfaffian, svd_kernel)
 from .oracle import INV_GUARD, _entry_terms, _sum_terms, inverse_coefficient
 
 
@@ -172,17 +174,31 @@ def observable(g, e0, backend="auto", x=None):
     # dart-line structure, making the result s-holomorphic away from e0
     pref = cmath.exp(0.25j * math.pi - 0.5j * g.a_angles()[e0 ^ 1])
     if backend == "inverse":
-        # the signed root squares to det KW, so no LU determinant is needed
-        s = sqrt_det_pfaffian(g, None, xs)
-        if s * s < 1e-12:
-            raise GraphError("Kac-Ward operator is singular; use the "
-                             "combinatorial backend")
-        col = np.zeros(g.nd, dtype=complex)
-        col[e0 ^ 1] = 1.0
-        f = s * lu_solve(kac_ward(g, None, xs), col)
         sn = np.sin(np.arctan(xs))      # sin(theta / 2), theta = 2 arctan x
         if np.any(sn < 1e-14):
             raise GraphError("inverse backend needs positive weights")
+        # the signed root squares to det KW, so no LU determinant is needed
+        s = sqrt_det_pfaffian(g, None, xs)
+        # "singular" is decided as ``kac_ward_kernel`` does, and KW has the
+        # singular values of I - X T'.  As sigma_min >= |det KW| / hi^(nd-1),
+        # s^2 >= KERNEL_TOL hi^nd proves KW regular (on small graphs); else
+        # the one solve takes the probe columns next to the column at rev(e0)
+        hi = sigma_hi(g, xs)
+        probe = s == 0 or (2 * math.log(abs(s))
+                           < math.log(KERNEL_TOL) + g.nd * math.log(hi))
+        kw = kac_ward(g, None, xs)
+        rhs = np.zeros((g.nd, 1 + probe * KERNEL_PROBES), dtype=complex)
+        rhs[e0 ^ 1, 0] = 1.0
+        if probe:
+            rhs[:, 1:] = kernel_probes(g.nd)
+        y = lu_solve(kw, rhs)
+        if probe:
+            found = ritz_kernel(kw, y[:, 1:], hi)
+            if (found[0] if found else
+                    svd_kernel(kac_ward_real(g, xs))[2]):
+                raise GraphError("Kac-Ward operator is singular; use the "
+                                 "combinatorial backend")
+        f = s * y[:, 0]
         return pref * (f[0::2] + f[1::2]) / sn
 
     if backend != "combinatorial":
@@ -221,18 +237,20 @@ KERNEL_CHECK_TOL = 1e-7
 def kernel_observables(g):
     """Globally s-holomorphic functions pulled back from the Kac-Ward kernel.
 
-    The kernel is the one ``kac_ward_kernel`` decides: the right null vectors
-    r of the real I - X T' span ker KW on the dart lines as H^-1 r.  Each r,
-    signed so that its largest entry is positive and checked against the
-    complex KW, gives exp(i pi/4) S^-1(H^-1 r): a deterministic real basis of
-    the s-holomorphic functions, two on a critical torus and none when KW is
-    invertible.
+    The kernel is the one ``kac_ward_kernel`` decides: its right basis
+    vectors r of the real I - X T' span ker KW on the dart lines as H^-1 r.
+    Each r, signed so that its largest entry is positive and checked against
+    the complex KW, gives exp(i pi/4) S^-1(H^-1 r): a deterministic real
+    basis of the s-holomorphic functions, two on a critical torus and none
+    when KW is invertible.
     """
+    # the kernel's temporaries are freed before the dense KW is built, so
+    # the two never hold heap pages at once
+    _, v0, _ = kac_ward_kernel(g)
     kw = kac_ward(g)
-    _, _, vt, dim = kac_ward_kernel(g)
     h_inv = np.exp(-0.5j * g.dirang)
     found = []
-    for r in vt[len(vt) - dim:]:
+    for r in v0.T:
         cand = h_inv * r * np.sign(r[np.argmax(np.abs(r))])
         if max_norm(kw @ cand) <= KERNEL_CHECK_TOL * max_norm(cand):
             found.append(cmath.exp(0.25j * math.pi) * map_S_inverse(g, cand))

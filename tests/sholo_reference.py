@@ -10,7 +10,7 @@ per-edge loops of ``sholo.map_S`` / ``sholo.map_S_inverse``.
 and ``sholo.star_identity_residual`` is one pass over the darts.
 ``kernel_observables_reference`` takes the complex SVD of KW itself and
 projects each kernel vector u, and i u, onto the dart lines; the library
-instead takes the real null space of I - X T' in the half-angle gauge.
+instead reads the real kernel basis of I - X T' in the half-angle gauge.
 ``integrate_square_reference`` keys H by ('v', i) / ('f', j) tuples and
 solves the corner relations by fixed-point sweeps (trusted relations first,
 then all); ``laplacian_of_H_reference`` loops over vertices and faces with
@@ -25,10 +25,12 @@ import math
 import numpy as np
 
 from kwlab.derived import build_C, half_angle_phases
-from kwlab.linalg import max_norm, null_space
+from kwlab.linalg import max_norm
 from kwlab.operators import kac_ward
 from kwlab.sholo import map_S_inverse, vertex_residuals
 from kwlab.surface_graph import GraphError, cycle_with_winding
+
+from kernel_reference import null_space
 
 
 def _proj(z, angle):

@@ -71,17 +71,25 @@ def test_critical_beta_square_torus_12(tmp_path, capsys):
     assert abs(json.loads(out)["beta_c"] - 1.0) <= 1e-10
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_out(tmp_path, capsys):
     # the package depends on numpy only, and a scipy import would add about
-    # half a second to every CLI start
+    # half a second to every CLI start; numpy.random about 14 ms, so the
+    # kernel probes of h-function are built without it
     src = os.path.dirname(os.path.dirname(kwlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, kwlab.cli; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    path = tmp_path / "sq4.json"
+    path.write_text(run(capsys, "gen", "square-torus", "4")[1])
+    listing = ("print(sorted(m for m in sys.modules if m.split('.')[0] == "
+               "'scipy' or m.startswith('numpy.random')))")
+    for code in ("import sys, kwlab.cli; " + listing,
+                 "import sys, kwlab.cli; kwlab.cli.main(sys.argv[1:]); "
+                 + listing):
+        out = subprocess.run(
+            [sys.executable, "-c", code, "h-function", "--from", "kernel",
+             "-g", str(path)],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert '"sholo_defect"' in out.stdout
 
 
 def test_z_commands(tmp_path, capsys):

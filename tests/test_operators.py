@@ -6,20 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kwlab import fixtures as fx
+from kwlab import operators
+from kwlab.critical import hessian_tau
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
                                  principal_angle)
 from kwlab.derived import build_C, build_D, build_M, isoradial_data
 from kwlab.linalg import lu_det, max_norm, to_dense
-from kwlab.operators import (_dirac_cd_residual, dirac_C, dirac_D, kac_ward,
-                             kac_ward_kernel, kasteleyn, kw_dets,
-                             laplacian, laplacian_M, laplacian_dual, null_space,
-                             skew_adjacency, sqrt_det_pfaffian, verify_corr,
-                             verify_dirac_identities)
+from kwlab.operators import (KERNEL_PROBES, _dirac_cd_residual, dirac_C,
+                             dirac_D, kac_ward, kac_ward_kernel, kasteleyn,
+                             kernel_probes, kw_dets, laplacian, laplacian_M,
+                             laplacian_dual, skew_adjacency, sqrt_det_pfaffian,
+                             verify_corr, verify_dirac_identities)
 from kwlab.oracle import signed_cycle_sum
+from kwlab.sholo import kernel_observables
 
 from pfaffian_reference import pfaffian_reference
 from identity_reference import (verify_corr_reference,
                                 verify_dirac_identities_reference)
+from kernel_reference import (hessian_tau_svd_reference,
+                              kac_ward_kernel_reference, null_space)
 from tracked_root import sqrt_det_tracked
 
 
@@ -743,14 +748,120 @@ def test_null_space_of_kw():
     (fx.honeycomb_torus((1 / math.sqrt(3),) * 3), 2),
 ])
 def test_kac_ward_kernel_is_the_kernel_of_kw(g, dim):
-    u, sig, vt, got = kac_ward_kernel(g)
+    w0, v0, got = kac_ward_kernel(g)
     assert got == dim
     m = (np.eye(g.nd)
          - np.repeat(g.x, 2)[:, None] * gauged_transition_reference(g))
+    # the SVD reference factors M and counts the same kernel
+    u, sig, vt, ref_dim = kac_ward_kernel_reference(g)
     assert max_norm(u @ np.diag(sig) @ vt - m) <= 1e-14
+    assert ref_dim == dim
+    # orthonormal bases of the left and right null spaces of the SVD
+    for basis, null in ((v0, vt[g.nd - dim:].T), (w0, u[:, g.nd - dim:])):
+        assert basis.shape == (g.nd, dim)
+        assert max_norm(basis.T @ basis - np.eye(dim)) <= 1e-14
+        assert max_norm(basis @ basis.T - null @ null.T) <= 1e-14
+    assert max_norm(m @ v0) <= 1e-14 and max_norm(m.T @ w0) <= 1e-14
     # the null vectors, in the complex gauge, are the kernel of KW
-    kern = np.exp(-0.5j * g.dirang)[:, None] * vt[len(vt) - dim:].T
+    kern = np.exp(-0.5j * g.dirang)[:, None] * v0
     assert max_norm(kac_ward(g) @ kern) <= 1e-14
     assert len(null_space(kac_ward(g))) == dim
     if dim == 0:
         assert sig[-1] > 0.1 * sig[0]
+
+
+def _critical_torus(kind, size, th, x1, x2):
+    """A critical torus: square or rectangular size x (size + 1) lattices,
+    or the honeycomb with x1 x2 + x2 x3 + x3 x1 = 1."""
+    if kind == "square":
+        return fx.square_torus(size)
+    if kind == "rect":
+        return fx.rect_torus_mn(size, size + 1, math.tan(th / 2),
+                                math.tan((math.pi / 2 - th) / 2))
+    return fx.honeycomb_torus((x1, x2, (1 - x1 * x2) / (x1 + x2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["square", "rect", "honeycomb", "planar"]),
+       size=st.sampled_from([1, 2, 3, 4, 6, 8]),
+       th=st.floats(0.3, math.pi / 2 - 0.3), x1=st.floats(0.45, 0.85),
+       x2=st.floats(0.45, 0.85), k=st.one_of(st.none(), st.integers(3, 12)),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_kac_ward_kernel_matches_the_svd_near_criticality(kind, size, th, x1,
+                                                          x2, k, sign):
+    # the probe route against the full SVD at x_c (1 +- 10^-k) and at x_c
+    g = (fx.square_patch(size, size) if kind == "planar"
+         else _critical_torus(kind, size, th, x1, x2))
+    xs = g.x if k is None else g.x * (1.0 + sign * 10.0 ** -k)
+    w0, v0, dim = kac_ward_kernel(g, xs)
+    u, _, vt, ref_dim = kac_ward_kernel_reference(g, xs)
+    assert dim == ref_dim
+    for basis, null in ((v0, vt[g.nd - dim:].T), (w0, u[:, g.nd - dim:])):
+        assert max_norm(basis @ basis.T - null @ null.T) <= 1e-10
+    if g.genus != 1:
+        return
+    ref = hessian_tau_svd_reference(g, xs)
+    if ref is None:
+        with pytest.raises(GraphError, match="not critical"):
+            hessian_tau(g, xs)
+        return
+    rep = hessian_tau(g, xs)
+    assert max_norm(rep["hessian"] - ref[0]) <= 1e-12 * max_norm(ref[0])
+    assert abs(rep["tau"] - ref[1]) <= 1e-12 * abs(ref[1])
+
+
+def test_kac_ward_kernel_takes_the_svd_only_in_doubt(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    critical = fx.square_torus(8)
+    assert kac_ward_kernel(critical)[2] == 2
+    assert len(kernel_observables(critical)) == 2
+    assert abs(hessian_tau(critical)["tau"] - 1j) <= 1e-14
+    assert kac_ward_kernel(fx.square_torus(12, 0.3))[2] == 0
+    # only the n x k Ritz steps factor anything
+    assert seen and all(shape[1] == KERNEL_PROBES for shape in seen)
+    # a near-kernel (sigma_n-1 / sigma_1 about 1e-9) lies in the band of
+    # doubt: the SVD decides it
+    g = fx.square_torus(12, fx.X_CRITICAL_SQUARE + 1e-9)
+    assert kac_ward_kernel(g)[2] == 2
+    assert seen[-1] == (g.nd, g.nd)
+
+
+def test_kernel_probes_are_fixed_and_read_only():
+    r = kernel_probes(64)
+    assert r is kernel_probes(64) and r.shape == (64, KERNEL_PROBES)
+    assert not r.flags.writeable
+    # about standard normal, and the columns far from parallel
+    assert abs(r.mean()) < 0.3 and 0.7 < r.std() < 1.3
+    assert np.linalg.cond(r) < 10
+    assert np.array_equal(kernel_probes(16), kernel_probes(16).copy())
+
+
+def test_kw_dets_reuse_one_work_array():
+    g = fx.square_torus(4, 0.3)
+    phis = np.ones((3, g.nd))
+    first = kw_dets(g, phis, g.x)
+    buf = operators._work.kw
+    assert np.array_equal(kw_dets(g, phis, g.x), first)
+    assert operators._work.kw is buf
+    assert np.array_equal(first, [lu_det(kac_ward(g, phi)) for phi in phis])
+
+
+@pytest.mark.parametrize("g", [
+    fx.rect_torus(0.3, 0.4), fx.square_torus(3), fx.triangle(0.5),
+    fx.honeycomb_torus((0.3, 0.6, 0.9)), fx.square_patch(2, 3, 0.7)])
+def test_sigma_hi_is_the_dense_bound(g):
+    # the 1x1 torus has loop edges, whose continuation sits on the diagonal
+    for m in (kac_ward(g), operators.kac_ward_real(g)):
+        a = np.abs(m)
+        hi = operators.sigma_hi(g)
+        assert hi == pytest.approx(np.sqrt(a.sum(axis=0).max()
+                                           * a.sum(axis=1).max()), rel=1e-14)
+        sig = np.linalg.svd(m, compute_uv=False)
+        assert sig[0] <= hi * (1 + 1e-14) and hi <= np.sqrt(g.nd) * sig[0]

@@ -8,8 +8,10 @@ import pytest
 from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
-from kwlab.linalg import lu_solve, max_norm, null_space
-from kwlab.operators import kac_ward, phi_omega, dirac_C
+from kwlab.linalg import lu_solve, max_norm
+from kwlab.operators import (KERNEL_PROBES, KERNEL_TOL, dirac_C, kac_ward,
+                             kac_ward_kernel, phi_omega, sigma_hi,
+                             sqrt_det_pfaffian)
 from kwlab.sholo import (STAR_TOL, _homology_walks, _line_minus, _line_plus,
                          _proj, _tree_solve, edge_increments,
                          integrate_square, kernel_observables, laplacian_of_H,
@@ -18,6 +20,8 @@ from kwlab.sholo import (STAR_TOL, _homology_walks, _line_minus, _line_plus,
                          star_identity_residual, verify_sholo,
                          vertex_residuals)
 from kwlab.surface_graph import SizeGuardError
+
+from kernel_reference import null_space
 from sholo_reference import (integrate_square_reference,
                              kernel_observables_reference,
                              laplacian_of_H_reference,
@@ -173,6 +177,49 @@ def test_observable_inverse_needs_positive_weights():
     # the automatic choice takes the combinatorial backend instead
     assert np.all(np.isfinite(observable(g, 0, x=[0.3, 0.0, 0.4])))
 
+
+
+@pytest.mark.parametrize("d", [1e-8, 1e-7])
+def test_observable_inverse_solves_next_to_criticality(d):
+    # sigma_n-1 / sigma_1 is about 1.2 d, above KERNEL_TOL: no kernel, so
+    # the inverse backend solves where an absolute cut on s * s refused
+    g = fx.square_torus(2, fx.X_CRITICAL_SQUARE + d)
+    F = observable(g, 0, "inverse")
+    want = observable(g, 0, "combinatorial")
+    # the solve loses the condition number, about 1 / d
+    assert max_norm(F - want) <= 100 * np.finfo(float).eps / d * max_norm(want)
+
+
+def test_observable_inverse_refuses_a_near_kernel():
+    # sigma_n-1 / sigma_1 is about 1.2e-9, below KERNEL_TOL, while s * s is
+    # about 1e-9: singular by the one decision of kac_ward_kernel
+    g = fx.square_torus(12, fx.X_CRITICAL_SQUARE + 1e-9)
+    with pytest.raises(GraphError, match="singular"):
+        observable(g, 0, "inverse")
+    assert kac_ward_kernel(g)[2] == 2
+
+
+def test_observable_regular_root_skips_the_probes(monkeypatch):
+    import kwlab.sholo as sholo
+
+    seen = []
+    monkeypatch.setattr(sholo, "lu_solve",
+                        lambda a, b: seen.append(b.shape) or lu_solve(a, b))
+    # sigma_min >= |det KW| / hi^(nd - 1) and |det KW| = s^2: a root with
+    # s^2 >= KERNEL_TOL hi^nd proves KW regular without the kernel test
+    g = fx.square_torus(2, 0.27)
+    s = sqrt_det_pfaffian(g)
+    hi = sigma_hi(g)
+    assert s * s >= KERNEL_TOL * hi ** g.nd
+    assert (np.linalg.svd(kac_ward(g), compute_uv=False)[-1]
+            >= s * s / hi ** (g.nd - 1))
+    want = observable(g, 3, "combinatorial")
+    assert max_norm(observable(g, 3, "inverse") - want) < 1e-10
+    assert seen == [(g.nd, 1)]
+    # on a larger torus the bound proves nothing, and the probes come along
+    g = fx.square_torus(8, 0.27)
+    assert np.all(np.isfinite(observable(g, 3, "inverse")))
+    assert seen[-1] == (g.nd, 1 + KERNEL_PROBES)
 
 def test_kernel_observables_critical_window():
     xc = fx.X_CRITICAL_SQUARE
