@@ -1,13 +1,16 @@
 """Exact combinatorial ground truth: spins, even subgraphs, matchings, loop signs.
 
 Everything here is independent of the dense operator pipeline so the two can
-check each other: even subgraphs are enumerated from a GF(2) cycle-space
-basis, loop signs come from non-crossing resolutions and velocity rotation
-numbers, the dimer partition function is a subset-DP permanent over the
-bipartite rectangle graph, and the inverse-operator coefficients are assembled
-from marked two-leg configurations.  ``_resolve`` resolves many (marked or
-unmarked) configurations in one array pass: the cyclically adjacent pairing at
-every vertex, the open strands walked in step with bitwise the phases of a
+check each other: one spanning forest gives the GF(2) basis of the cycle space
+and each vertex's path to its root, so the even subgraphs are the span of that
+basis and the two-leg configurations of every inverse entry are one shift of
+it, filtered to avoid the entry's two edges.  Loop signs come from
+non-crossing resolutions and velocity rotation numbers, the dimer partition
+function is a subset-DP permanent over the bipartite rectangle graph, and the
+inverse-operator coefficients are assembled from marked two-leg
+configurations.  ``_resolve`` resolves many (marked or unmarked)
+configurations in one array pass: the cyclically adjacent pairing at every
+vertex, the open strands walked in step with bitwise the phases of a
 dart-by-dart walk, and the loops labelled by pointer jumping.
 """
 
@@ -26,110 +29,54 @@ MATCH_GUARD = 40
 INV_GUARD = 12
 
 
-# -- even subgraphs ----------------------------------------------------------
+# -- the spanning forest and even subgraphs ------------------------------------
 
 
-def _cycle_space_basis(g, excluded=()):
-    """GF(2) basis of even edge subsets avoiding ``excluded``, plus a tree map.
+def _forest(g):
+    """One spanning forest of g, by depth-first search from each unseen vertex.
 
-    Returns (basis_masks, tree) where tree maps each vertex to the (edge,
-    parent) pair of a spanning forest; used both for enumeration and for
-    solving marked parity problems.
+    Returns (basis, path, root): the GF(2) basis of the cycle space, one
+    fundamental cycle per edge off the forest (as bitmasks); the edge mask
+    of each vertex's forest path to its root (an int64 array); and each
+    vertex's root, which labels its component.
     """
-    excluded = set(excluded)
+    ends = g.origin.reshape(-1, 2).tolist()
     adj = [[] for _ in range(g.nv)]
-    for k in range(g.ne):
-        if k in excluded:
+    for k, (u, v) in enumerate(ends):
+        adj[u].append((k, v))
+        adj[v].append((k, u))
+    path, root = [None] * g.nv, [None] * g.nv
+    tree = set()
+    for r in range(g.nv):
+        if root[r] is not None:
             continue
-        adj[int(g.origin[2 * k])].append((k, int(g.origin[2 * k + 1])))
-        adj[int(g.origin[2 * k + 1])].append((k, int(g.origin[2 * k])))
-    parent = {}
-    tree_edges = set()
-    roots = []
-    for root in range(g.nv):
-        if root in parent:
-            continue
-        parent[root] = (None, None)
-        roots.append(root)
-        stack = [root]
+        path[r], root[r] = 0, r
+        stack = [r]
         while stack:
             u = stack.pop()
             for (k, v) in adj[u]:
-                if v not in parent:
-                    parent[v] = (k, u)
-                    tree_edges.add(k)
+                if root[v] is None:
+                    path[v], root[v] = path[u] ^ 1 << k, r
+                    tree.add(k)
                     stack.append(v)
-    basis = []
-    for k in range(g.ne):
-        if k in excluded or k in tree_edges:
-            continue
-        mask = 1 << k
-        for end in (int(g.origin[2 * k]), int(g.origin[2 * k + 1])):
-            v = end
-            while parent[v][0] is not None:
-                mask ^= 1 << parent[v][0]
-                v = parent[v][1]
-        basis.append(mask)
-    return basis, parent, roots
+    basis = [1 << k ^ path[u] ^ path[v]
+             for k, (u, v) in enumerate(ends) if k not in tree]
+    return basis, np.array(path, dtype=np.int64), np.array(root)
 
 
-def enumerate_even(g):
-    """All even edge subsets as bitmasks (exactly the cycle space of the graph)."""
-    if g.ne > EVEN_GUARD:
-        raise SizeGuardError(f"even-subgraph enumeration capped at {EVEN_GUARD} edges")
-    basis, _, _ = _cycle_space_basis(g)
+def _span(basis):
+    """Every GF(2) combination of ``basis``, in doubling order."""
     subs = [0]
     for b in basis:
         subs += [s ^ b for s in subs]
     return subs
 
 
-def _tree_path_mask(g, parent, u, v):
-    """Edge mask of the forest path between two vertices; None if disconnected."""
-    seen = {}
-    a = u
-    while a is not None:
-        seen[a] = True
-        a = parent[a][1]
-    b = v
-    mask_v = 0
-    while b not in seen:
-        if parent[b][0] is None:
-            return None
-        mask_v ^= 1 << parent[b][0]
-        b = parent[b][1]
-    mask_u = 0
-    a = u
-    while a != b:
-        mask_u ^= 1 << parent[a][0]
-        a = parent[a][1]
-    return mask_u ^ mask_v
-
-
-def enumerate_parity(g, odd_vertices, excluded=(), bases=None):
-    """Edge subsets of E minus ``excluded`` with odd degree exactly at ``odd_vertices``.
-
-    ``bases``, a dict the caller keeps, caches the cycle-space basis of each
-    excluded-edge set across calls.
-    """
-    odd = list(odd_vertices)
-    if len(odd) % 2:
-        return []
-    bases = {} if bases is None else bases
-    key = frozenset(excluded)
-    if key not in bases:
-        bases[key] = _cycle_space_basis(g, key)
-    basis, parent, _ = bases[key]
-    base = 0
-    for a, b in zip(odd[::2], odd[1::2]):
-        m = _tree_path_mask(g, parent, a, b)
-        if m is None:
-            return []  # odd vertices in different components
-        base ^= m
-    subs = [base]
-    for b in basis:
-        subs += [s ^ b for s in subs]
-    return subs
+def enumerate_even(g):
+    """All even edge subsets as bitmasks (exactly the cycle space of the graph)."""
+    if g.ne > EVEN_GUARD:
+        raise SizeGuardError(f"even-subgraph enumeration capped at {EVEN_GUARD} edges")
+    return _span(_forest(g)[0])
 
 
 # -- loop resolution and the quadratic form -----------------------------------
@@ -251,7 +198,8 @@ def signed_cycle_sum(g, phi=None, x=None):
         if np.any(abs(pv.imag) > 1e-12) or np.any(abs(abs(pv.real) - 1) > 1e-12):
             raise GraphError("signed cycle sum needs a +-1 cochain")
         xs = xs * pv.real
-    return float(_sum_terms(g, [_signed_evens(g)], xs)[..., 0].real)
+    masks = np.array(enumerate_even(g), dtype=np.int64)
+    return float(_sum_terms(g, [(masks, _resolve(g, masks))], xs)[..., 0].real)
 
 
 # -- partition functions -------------------------------------------------------
@@ -374,48 +322,42 @@ def dimer_partition(c, phis=None):
 # -- inverse-operator coefficients ----------------------------------------------
 
 
-def _signed_evens(g):
-    """Every even subgraph (as a mask array) and its loop sign, resolved once."""
-    masks = np.array(enumerate_even(g), dtype=np.int64)
-    return masks, _resolve(g, masks)
-
-
-def _entry_terms(g, entries, evens=None, bases=None):
+def _entry_terms(g, entries):
     """Monomials of the coefficients (e1, e2) in ``entries`` of
     ``inverse_coefficient``: a (masks, factors) pair per entry, whose value is
     the sum of factor * prod_{k in mask} x_k.
 
-    Diagonal terms are the signed even subgraphs ``evens`` (``_signed_evens``
-    by default) avoiding the edge of e1; off-diagonal masks hold the edge of
-    e1, whose weight x_{e1} they carry.  The configurations of all entries
-    are resolved together, in ``_resolve`` batches.  ``bases`` is the basis
-    cache of ``enumerate_parity``.
+    One spanning forest serves every entry.  The edge subsets with odd
+    vertices exactly t(e1) and o(e2) are the coset path[t(e1)] ^ path[o(e2)]
+    of the cycle space (none when the two lie in different components), so
+    every entry's candidates are one XOR of an (entries, evens) array, kept
+    where they avoid the edges of e1 and e2.  Diagonal terms are the signed
+    even subgraphs avoiding the edge of e1; off-diagonal masks hold the edge
+    of e1, whose weight x_{e1} they carry.  The configurations of all
+    entries are resolved together, in ``_resolve`` batches.
     """
-    found = []
-    for e1, e2 in entries:
-        if e2 in (e1, e1 ^ 1):
-            # e1 ^ 1: the open walk would have to leave and re-enter the
-            # marked midpoint through the same half-edge; no subgraph does
-            found.append([])
-            continue
-        t1, o2 = g.terminus(e1), int(g.origin[e2])
-        found.append(enumerate_parity(g, [] if t1 == o2 else [t1, o2],
-                                      [e1 >> 1, e2 >> 1], bases))
-    counts = [len(m) for m in found]
-    masks = np.array([m for ms in found for m in ms], dtype=np.int64)
-    e1s, e2s = np.repeat(np.array(entries, dtype=np.int64).reshape(-1, 2),
-                         counts, axis=0).T
-    factors = _resolve(g, masks, e1s, e2s)
-    masks |= 1 << (e1s >> 1)
-    ends = np.cumsum(counts)
-    terms = []
-    for (e1, e2), a, b in zip(entries, ends - counts, ends):
-        if e1 == e2:
-            masks_d, signs = _signed_evens(g) if evens is None else evens
-            keep = (masks_d >> (e1 >> 1) & 1) == 0
-            terms.append((masks_d[keep], signs[keep]))
-        else:
-            terms.append((masks[a:b], factors[a:b]))
+    basis, path, root = _forest(g)
+    evens = np.array(_span(basis), dtype=np.int64)
+    e1, e2 = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+    t1, o2 = g.origin[e1 ^ 1], g.origin[e2]
+    # e1 and e2 on one edge: the diagonal is filled in below, and at
+    # e2 = e1 ^ 1 the open walk would have to leave and re-enter the marked
+    # midpoint through the same half-edge, which no subgraph does
+    marked = (e1 >> 1 != e2 >> 1) & (root[t1] == root[o2])
+    cand = (path[t1] ^ path[o2])[:, None] ^ evens
+    avoid = (1 << (e1 >> 1) | 1 << (e2 >> 1))[:, None]
+    entry, pick = np.nonzero(marked[:, None] & (cand & avoid == 0))
+    masks = cand[entry, pick]
+    factors = _resolve(g, masks, e1[entry], e2[entry])
+    masks |= 1 << (e1[entry] >> 1)
+    ends = np.cumsum(np.bincount(entry, minlength=len(e1))).tolist()
+    terms = [(masks[a:b], factors[a:b]) for a, b in zip([0] + ends, ends)]
+    diagonal = np.flatnonzero(e1 == e2)
+    if len(diagonal):
+        signs = _resolve(g, evens)
+    for i in diagonal:
+        keep = (evens >> (e1[i] >> 1) & 1) == 0
+        terms[i] = (evens[keep], signs[keep])
     return terms
 
 
@@ -460,7 +402,7 @@ def inverse_matrix(g, x=None):
         raise SizeGuardError(f"inverse-coefficient oracle capped at {INV_GUARD} edges")
     xs = g.x if x is None else np.asarray(x, dtype=float)
     terms = _entry_terms(g, [(e1, e2) for e1 in range(g.nd)
-                             for e2 in range(g.nd)], _signed_evens(g), {})
+                             for e2 in range(g.nd)])
     m = np.empty(xs.shape[:-1] + (g.nd, g.nd), dtype=complex)
     for e1 in range(g.nd):
         m[..., e1, :] = _sum_terms(g, terms[e1 * g.nd:(e1 + 1) * g.nd], xs)

@@ -30,7 +30,7 @@ from .operators import (KERNEL_PROBES, KERNEL_TOL, dirac_C, kac_ward,
                         kac_ward_kernel, kac_ward_real, kasteleyn,
                         kernel_probes, phi_omega, ritz_kernel, sigma_hi,
                         sqrt_det_pfaffian, svd_kernel)
-from .oracle import INV_GUARD, _entry_terms, _sum_terms, inverse_coefficient
+from .oracle import INV_GUARD, _entry_terms, _sum_terms
 
 
 def _proj(z, angle):
@@ -208,25 +208,22 @@ def observable(g, e0, backend="auto", x=None):
                              f"{INV_GUARD} edges")
     theta = 2.0 * np.arctan(np.asarray(xs, dtype=float))
     k0 = e0 >> 1
+    rest = np.arange(g.ne) != k0
+    # the configurations of the inverse coefficients (e0, e_in) for the two
+    # darts e_in of every other edge, without the weight x_{e0} and with the
+    # walk phase conjugated, then the diagonal (even-subgraph) term at the
+    # pinned midpoint
+    terms = _entry_terms(g, [(e0, d) for d in range(g.nd) if rest[d >> 1]]
+                         + [(e0 ^ 1, e0 ^ 1)])
+    sums = _sum_terms(g, [(m ^ 1 << k0, np.conj(f)) for m, f in terms[:-1]]
+                      + terms[-1:], xs)
     out = np.zeros(g.ne, dtype=complex)
-    # the configurations of the inverse coefficients (e0, e_in), without
-    # the weight x_{e0} and with the walk phase conjugated
-    cols = [d for d in range(g.nd) if d >> 1 != k0]
-    row = dict(zip(cols, (
-        (m ^ 1 << k0, np.conj(f))
-        for m, f in _entry_terms(g, [(e0, d) for d in cols]))))
-    for k in range(g.ne):
-        if k == k0:
-            # midpoint of the pinned edge: diagonal (even-subgraph) term
-            sn = math.sin(0.5 * theta[k0])
-            if sn < 1e-14:
-                out[k] = 0.0  # convention: the pinned midpoint of a
-                # zero-weight edge carries no value
-                continue
-            out[k] = pref * inverse_coefficient(g, e0 ^ 1, e0 ^ 1, x=xs) / sn
-            continue
-        total = _sum_terms(g, [row[2 * k], row[2 * k + 1]], xs).sum(axis=-1)
-        out[k] = pref * total / math.cos(0.5 * theta[k])
+    out[rest] = pref * sums[:-1].reshape(-1, 2).sum(axis=-1) / np.cos(
+        0.5 * theta[rest])
+    sn = math.sin(0.5 * theta[k0])
+    # convention: the pinned midpoint of a zero-weight edge carries no value
+    if sn >= 1e-14:
+        out[k0] = pref * sums[-1] / sn
     return out
 
 

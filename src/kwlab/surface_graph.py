@@ -447,11 +447,6 @@ class Cochain:
     def trivial(cls, g):
         return cls(g, np.ones(g.nd, dtype=complex))
 
-    def is_cocycle(self, tol=1e-9):
-        p = np.ones(len(self.g.faces), dtype=complex)
-        np.multiply.at(p, self.g.face_of, self.values)
-        return not np.any(np.abs(p - 1.0) > tol)
-
     def gauge(self, vertex, c):
         """Multiply every dart leaving ``vertex`` by c (and entering by 1/c)."""
         vals = self.values.copy()

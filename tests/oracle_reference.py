@@ -9,6 +9,12 @@ many configurations, and each of its factors must equal
 ``rng``, ``resolve`` draws a uniform random non-crossing (Catalan) pairing
 at each vertex instead of the cyclically adjacent one; the loop sign does
 not depend on that choice.
+
+``enumerate_parity`` builds a cycle-space basis of the graph minus each set
+of excluded edges and lists the subsets with the given odd vertices, one
+exclusion set at a time; ``oracle._entry_terms`` replaces it with one
+spanning forest of the whole graph, and its configurations must be the
+same sets.
 """
 
 import cmath
@@ -172,3 +178,98 @@ def config_factor(g, mask, marks=None):
         return q_sign(g, res)
     ro = rot_of_path(g, res.path, res.path_start, res.path_end)
     return q_sign(g, res) * cmath.exp(0.5j * ro)
+
+
+# -- per-exclusion-set enumeration ----------------------------------------------
+
+
+def _cycle_space_basis(g, excluded=()):
+    """GF(2) basis of even edge subsets avoiding ``excluded``, plus a tree map.
+
+    Returns (basis_masks, tree) where tree maps each vertex to the (edge,
+    parent) pair of a spanning forest; used both for enumeration and for
+    solving marked parity problems.
+    """
+    excluded = set(excluded)
+    adj = [[] for _ in range(g.nv)]
+    for k in range(g.ne):
+        if k in excluded:
+            continue
+        adj[int(g.origin[2 * k])].append((k, int(g.origin[2 * k + 1])))
+        adj[int(g.origin[2 * k + 1])].append((k, int(g.origin[2 * k])))
+    parent = {}
+    tree_edges = set()
+    roots = []
+    for root in range(g.nv):
+        if root in parent:
+            continue
+        parent[root] = (None, None)
+        roots.append(root)
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for (k, v) in adj[u]:
+                if v not in parent:
+                    parent[v] = (k, u)
+                    tree_edges.add(k)
+                    stack.append(v)
+    basis = []
+    for k in range(g.ne):
+        if k in excluded or k in tree_edges:
+            continue
+        mask = 1 << k
+        for end in (int(g.origin[2 * k]), int(g.origin[2 * k + 1])):
+            v = end
+            while parent[v][0] is not None:
+                mask ^= 1 << parent[v][0]
+                v = parent[v][1]
+        basis.append(mask)
+    return basis, parent, roots
+
+
+def _tree_path_mask(g, parent, u, v):
+    """Edge mask of the forest path between two vertices; None if disconnected."""
+    seen = {}
+    a = u
+    while a is not None:
+        seen[a] = True
+        a = parent[a][1]
+    b = v
+    mask_v = 0
+    while b not in seen:
+        if parent[b][0] is None:
+            return None
+        mask_v ^= 1 << parent[b][0]
+        b = parent[b][1]
+    mask_u = 0
+    a = u
+    while a != b:
+        mask_u ^= 1 << parent[a][0]
+        a = parent[a][1]
+    return mask_u ^ mask_v
+
+
+def enumerate_parity(g, odd_vertices, excluded=(), bases=None):
+    """Edge subsets of E minus ``excluded`` with odd degree exactly at ``odd_vertices``.
+
+    ``bases``, a dict the caller keeps, caches the cycle-space basis of each
+    excluded-edge set across calls.
+    """
+    odd = list(odd_vertices)
+    if len(odd) % 2:
+        return []
+    bases = {} if bases is None else bases
+    key = frozenset(excluded)
+    if key not in bases:
+        bases[key] = _cycle_space_basis(g, key)
+    basis, parent, _ = bases[key]
+    base = 0
+    for a, b in zip(odd[::2], odd[1::2]):
+        m = _tree_path_mask(g, parent, a, b)
+        if m is None:
+            return []  # odd vertices in different components
+        base ^= m
+    subs = [base]
+    for b in basis:
+        subs += [s ^ b for s in subs]
+    return subs

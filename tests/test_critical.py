@@ -99,6 +99,8 @@ def test_critical_beta_brent_matches_bisection(g, j):
     # Brent needs about a third of the bisection's 46 steps
     assert len(trace) <= 20
     assert trace[0][0] == 1e-6 and trace[1][0] == 50.0
+    # the trace brackets the root: both signs appear
+    assert {v > 0 for _, v in trace} == {True, False}
 
 
 def test_sqrt_sign_change_across_criticality():
@@ -370,18 +372,3 @@ def test_duality_rejects_planar():
     with pytest.raises(GraphError):
         duality_check(fx.triangle(0.5))
 
-
-def test_criticality_report_bundle():
-    from kwlab.critical import criticality_report
-    g = fx.rect_torus(0.4, 0.4)
-    rep = criticality_report(g, j=np.array([1.0, 1.0]), n=16)
-    assert abs(math.tanh(rep["beta_c"]) - (math.sqrt(2) - 1)) < 1e-8
-    assert rep["tau"].imag > 0
-    h = rep["hessian"]
-    assert abs(h[0, 1] - h[1, 0]) < 1e-12
-    assert len(rep["P11_trace"]) > 10
-    # the trace brackets the root: both signs appear
-    signs = {v > 0 for _, v in rep["P11_trace"]}
-    assert signs == {True, False}
-    assert rep["quadrature_size"] == 32
-    assert np.isfinite(rep["free_energy"])

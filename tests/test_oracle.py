@@ -5,23 +5,32 @@ import numpy as np
 import pytest
 
 from kwlab import fixtures as fx
-from kwlab.surface_graph import GraphError, SizeGuardError, character_cochain
+from kwlab.surface_graph import (GraphError, SizeGuardError, build_torus,
+                                 character_cochain)
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
 from kwlab.operators import kac_ward, sqrt_det_pfaffian
 from kwlab import oracle
-from kwlab.oracle import (_permanent, _resolve, dimer_partition,
-                          enumerate_even, enumerate_parity, inverse_coefficient,
-                          inverse_matrix, ising_partition, signed_cycle_sum)
+from kwlab.oracle import (_entry_terms, _permanent, _resolve, dimer_partition,
+                          enumerate_even, inverse_coefficient, inverse_matrix,
+                          ising_partition, signed_cycle_sum)
 
 from oracle_reference import (LoopResolution, _ikey, _noncrossing_pairing,
-                              config_factor, q_sign, resolve, rot_of_loop,
-                              rot_of_path)
+                              config_factor, enumerate_parity, q_sign, resolve,
+                              rot_of_loop, rot_of_path)
 from tracked_root import sqrt_det_tracked
 
 
 def bits(mask, n):
     return [k for k in range(n) if mask >> k & 1]
+
+
+def two_component_torus():
+    """Two 1x1 tori on one lattice: 2 vertices, 4 loops, 2 faces, genus 1."""
+    return build_torus([[1.0, 0.0], [0.0, 1.0]], [(0.0, 0.0), (0.5, 0.5)],
+                       [(0, 0, (1, 0)), (0, 0, (0, 1)),
+                        (1, 1, (1, 0)), (1, 1, (0, 1))],
+                       [0.3, 0.4, 0.35, 0.45])
 
 
 def test_even_counts():
@@ -231,24 +240,50 @@ def test_array_resolver_rejects_odd_vertices():
         _resolve(g, [0], 0, 4)
 
 
-def test_inverse_matrix_builds_each_basis_once(monkeypatch):
+def test_inverse_matrix_builds_one_forest(monkeypatch):
     g = fx.square_patch(2, 2)
     built = []
-    original = oracle._cycle_space_basis
-
-    def counting(g, excluded=()):
-        built.append(frozenset(excluded))
-        return original(g, excluded)
-
-    monkeypatch.setattr(oracle, "_cycle_space_basis", counting)
+    original = oracle._forest
+    monkeypatch.setattr(oracle, "_forest",
+                        lambda g: built.append(g) or original(g))
     got = inverse_matrix(g)
-    excluded = {frozenset((e1 >> 1, e2 >> 1)) for e1 in range(g.nd)
-                for e2 in range(g.nd) if e2 not in (e1, e1 ^ 1)}
-    # one build for the even subgraphs, one per distinct exclusion set
-    assert len(built) == len(excluded) + 1
-    assert len(set(built)) == len(built)
+    assert len(built) == 1
     monkeypatch.undo()
     assert np.array_equal(got, inverse_matrix(g))
+
+
+def test_two_component_torus():
+    g = two_component_torus()
+    assert (g.nv, g.ne, len(g.faces), g.genus) == (2, 4, 2, 1)
+    # no configuration joins the two components: the inverse is block diagonal
+    m = inverse_matrix(g)
+    assert np.all(m[:4, 4:] == 0) and np.all(m[4:, :4] == 0)
+    assert np.any(m[:4, 2:4] != 0)
+
+
+@pytest.mark.parametrize("g", [fx.triangle(0.3), fx.square_patch(2, 2),
+                               fx.square_torus(2),
+                               fx.honeycomb_torus((0.3, 0.4, 0.5)),
+                               fx.rect_torus_mn(2, 3, 0.3, 0.4),
+                               two_component_torus()],
+                         ids=["triangle", "patch", "square2", "honeycomb",
+                              "rect23", "two"])
+def test_entry_terms_match_enumerate_parity(g):
+    entries = [(e1, e2) for e1 in range(g.nd) for e2 in range(g.nd)]
+    evens = enumerate_even(g)
+    for (e1, e2), (masks, _) in zip(entries, _entry_terms(g, entries)):
+        k1 = e1 >> 1
+        if e1 == e2:
+            want = [m for m in evens if not m >> k1 & 1]
+        elif e2 == e1 ^ 1:
+            want = []
+        else:
+            t1, o2 = g.terminus(e1), int(g.origin[e2])
+            odd = [] if t1 == o2 else [t1, o2]
+            want = [m | 1 << k1
+                    for m in enumerate_parity(g, odd, [k1, e2 >> 1])]
+        # the same configurations, each once
+        assert sorted(masks.tolist()) == sorted(want)
 
 
 def test_ising_three_way():
@@ -412,8 +447,9 @@ def inverse_coefficient_reference(g, e1, e2, xs):
 
 
 @pytest.mark.parametrize("g", [fx.triangle(0.3), fx.square_patch(2, 2),
-                               fx.rect_torus(0.3, 0.4), fx.square_torus(2)],
-                         ids=["triangle", "patch", "rect", "square2"])
+                               fx.rect_torus(0.3, 0.4), fx.square_torus(2),
+                               two_component_torus()],
+                         ids=["triangle", "patch", "rect", "square2", "two"])
 def test_inverse_matrix_vs_per_entry_reference(g):
     rng = np.random.default_rng(22)
     xs = np.stack([g.x, rng.uniform(0.05, 0.95, g.ne), np.zeros(g.ne)])
