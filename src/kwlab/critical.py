@@ -242,6 +242,9 @@ def duality_check(g, draws=10, seed=0):
     trivial one), from the Pfaffian signed roots.  A root on G* at most
     ``KERNEL_TOL`` times the largest one at the other characters is rounding
     noise (the kernel of KW(1, 1) at criticality): its sign is reported as 0.
+    The rule is relative, not ``kac_ward_kernel``'s, because next to
+    criticality (x_c + 1e-9 on the 12x12 square torus) the kernel rule
+    already finds dim 2 where the root still carries its sign to 1e-7.
     Torus graphs only: the planar dual has no valid angle data for the
     constant reference field.
     """

@@ -25,8 +25,8 @@ determinant.
 
 One decision says whether KW(1, 1) is singular: ``kac_ward_kernel``, from
 one solve against the fixed ``kernel_probes`` columns and a Rayleigh-Ritz
-step (``ritz_kernel``), with the full SVD only where the probe cannot
-decide.  ``sholo.observable`` makes the same decision from its own solve.
+step (``_probed_kernel``), with the full SVD only where the probe cannot
+decide.  ``sholo.observable``'s inverse backend asks it too.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def kw_dets(g, phi_rows, x_rows):
 
 #: relative size of the singular values that span the kernel of KW(1, 1)
 KERNEL_TOL = 1e-8
-#: probe columns of the kernel test (``ritz_kernel``)
+#: probe columns of the kernel test (``_probed_kernel``)
 KERNEL_PROBES = 4
 #: Ritz values of an exact kernel, in units of sqrt(n) eps sigma_hi: at
 #: most 2.8 on the critical square and rectangular tori up to 576 darts
@@ -198,31 +198,6 @@ def _rounding_level(n, hi):
     return KERNEL_EXACT * math.sqrt(n) * np.finfo(float).eps * hi
 
 
-def ritz_kernel(m, y, hi):
-    """(dim, V0) for the square matrix m from y = m^-1 R, or None in doubt.
-
-    R holds the probe columns, and hi bounds sigma_1 (``sigma_hi``).
-    Rayleigh-Ritz on Q = orth(y): the Ritz values rho are the singular
-    values of the n x k matrix m Q, and V0, orthonormal, is Q times the
-    right singular vectors of the dim smallest.  dim counts the rho at
-    rounding level, at most ``KERNEL_EXACT`` sqrt(n) eps hi.  One solve can
-    overestimate a small singular value by about sqrt(n) (Dixon's bound),
-    so every other rho must exceed 100 sqrt(n) ``KERNEL_TOL`` hi, and
-    dim < k; else None.  A rho in between is a near-kernel that one Ritz
-    step resolves only to its own relative size, not to the SVD's rounding.
-    """
-    if not np.all(np.isfinite(y)):
-        return None
-    n, k = y.shape
-    q = np.linalg.qr(y)[0]
-    _, rho, vh = np.linalg.svd(m @ q, full_matrices=False)
-    dim = int(np.count_nonzero(rho <= _rounding_level(n, hi)))
-    # rho is descending: rho[k - dim - 1] is the smallest one left out
-    if dim == k or rho[k - dim - 1] <= 100 * math.sqrt(n) * KERNEL_TOL * hi:
-        return None
-    return dim, q @ vh[k - dim:].conj().T
-
-
 def kac_ward_real(g, x=None):
     """M = I - X T', KW(1, 1) in the half-angle gauge: a real matrix."""
     xs = g.x if x is None else np.asarray(x, dtype=float)
@@ -237,13 +212,13 @@ def kac_ward_kernel(g, x=None):
     H = diag(exp(i dirang / 2)) unitary, so ker KW = H^-1 ker M, and both
     have the singular values of M.  From ``KERNEL_SVD_DARTS`` darts the
     kernel is decided by one solve against the probe columns and a Ritz
-    step (``ritz_kernel``).  The full SVD runs, and counts the singular
+    step (``_probed_kernel``).  The full SVD runs, and counts the singular
     values below ``KERNEL_TOL * sigma_1``, on smaller graphs and wherever
     the probe cannot decide: at an exactly singular pivot, a Ritz value in
     the band of doubt, all probe Ritz values small, or no left basis (a
-    zero weight, no skew signs, a failed check).  Both routes count the same dimension and span the
-    same kernels; the bases themselves differ by an orthogonal change, and
-    each is deterministic.
+    zero weight, no skew signs, a failed check).  Both routes count the
+    same dimension and span the same kernels; the bases themselves differ
+    by an orthogonal change, and each is deterministic.
     """
     xs = g.x if x is None else np.asarray(x, dtype=float)
     m = kac_ward_real(g, xs)
@@ -251,20 +226,25 @@ def kac_ward_kernel(g, x=None):
         found = _probed_kernel(g, m, xs)
         if found is not None:
             return found
-    return svd_kernel(m)
-
-
-def svd_kernel(m):
-    """``kac_ward_kernel``'s answer from the full SVD of the square m: the
-    null columns of U and V for the singular values below ``KERNEL_TOL``
-    sigma_1, and their number."""
+    # the null columns of U and V
     u, s, vt = np.linalg.svd(m)
     n, dim = len(s), int(np.count_nonzero(s < KERNEL_TOL * s[0]))
     return u[:, n - dim:], vt[n - dim:].T, dim
 
 
 def _probed_kernel(g, m, xs):
-    """``kac_ward_kernel`` from one solve and a Ritz step, or None.
+    """``kac_ward_kernel`` from one solve and a Ritz step, or None in doubt.
+
+    Rayleigh-Ritz on Q = orth(Y), Y = M^-1 R for the probe columns R: the
+    Ritz values rho are the singular values of the nd x k matrix M Q, and
+    V0, orthonormal, is Q times the right singular vectors of the dim
+    smallest.  dim counts the rho at rounding level, at most
+    ``KERNEL_EXACT`` sqrt(nd) eps hi, where hi = ``sigma_hi`` bounds
+    sigma_1.  One solve can overestimate a small singular value by about
+    sqrt(nd) (Dixon's bound), so every other rho must exceed
+    100 sqrt(nd) ``KERNEL_TOL`` hi, and dim < k.  A rho in between is a
+    near-kernel that one Ritz step resolves only to its own relative size,
+    not to the SVD's rounding.
 
     The left basis follows from the right one.  With D = |X|^1/2 and the
     signs s of ``sqrt_det_pfaffian``, S = diag(s) J D^-1 M D is real skew,
@@ -274,12 +254,19 @@ def _probed_kernel(g, m, xs):
     """
     hi = sigma_hi(g, xs)
     try:
-        found = ritz_kernel(m, lu_solve(m, kernel_probes(g.nd)), hi)
+        y = lu_solve(m, kernel_probes(g.nd))
     except GraphError:
         return None
-    if found is None:
+    if not np.all(np.isfinite(y)):
         return None
-    dim, v0 = found
+    n, k = y.shape
+    q = np.linalg.qr(y)[0]
+    _, rho, vh = np.linalg.svd(m @ q, full_matrices=False)
+    dim = int(np.count_nonzero(rho <= _rounding_level(n, hi)))
+    # rho is descending: rho[k - dim - 1] is the smallest one left out
+    if dim == k or rho[k - dim - 1] <= 100 * math.sqrt(n) * KERNEL_TOL * hi:
+        return None
+    v0 = q @ vh[k - dim:].T
     if not dim:
         return v0, v0, 0
     xd = np.repeat(xs, 2)
@@ -290,9 +277,9 @@ def _probed_kernel(g, m, xs):
     except GraphError:
         return None
     d = np.sqrt(np.abs(xd))
-    w0 = ((s / d)[:, None] * v0)[np.arange(g.nd) ^ 1] / d[:, None]
+    w0 = ((s / d)[:, None] * v0)[np.arange(n) ^ 1] / d[:, None]
     w0 = np.linalg.qr(w0)[0]
-    if not np.linalg.norm(m.T @ w0) <= _rounding_level(g.nd, hi):
+    if not np.linalg.norm(m.T @ w0) <= _rounding_level(n, hi):
         return None
     return w0, v0, dim
 

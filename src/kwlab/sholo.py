@@ -26,10 +26,8 @@ import numpy as np
 from .linalg import lu_solve, max_norm
 from .surface_graph import GraphError, SizeGuardError, cycle_with_winding
 from .derived import build_C, half_angle_phases, isoradial_data
-from .operators import (KERNEL_PROBES, KERNEL_TOL, dirac_C, kac_ward,
-                        kac_ward_kernel, kac_ward_real, kasteleyn,
-                        kernel_probes, phi_omega, ritz_kernel, sigma_hi,
-                        sqrt_det_pfaffian, svd_kernel)
+from .operators import (dirac_C, kac_ward, kac_ward_kernel, kac_ward_real,
+                        kasteleyn, phi_omega, sqrt_det_pfaffian)
 from .oracle import INV_GUARD, _entry_terms, _sum_terms
 
 
@@ -153,8 +151,10 @@ def observable(g, e0, backend="auto", x=None):
     """Two-point fermionic observable pinned at the dart e0.
 
     ``backend='inverse'`` reads the column of sqrt(det KW) KW^{-1} at rev(e0)
-    and assembles F through the inverse of map_S (needs det KW != 0 and all
-    weights positive).  ``backend='combinatorial'`` sums marked two-leg
+    and assembles F through the inverse of map_S.  It needs all weights
+    positive and KW regular, as ``kac_ward_kernel`` decides, and takes the
+    column from one real solve with the half-angle M = I - X T'.
+    ``backend='combinatorial'`` sums marked two-leg
     configurations with rotation phases (size-guarded, works at x = 0).  The
     result is s-holomorphic around every vertex not touching e0.
     """
@@ -179,26 +179,16 @@ def observable(g, e0, backend="auto", x=None):
             raise GraphError("inverse backend needs positive weights")
         # the signed root squares to det KW, so no LU determinant is needed
         s = sqrt_det_pfaffian(g, None, xs)
-        # "singular" is decided as ``kac_ward_kernel`` does, and KW has the
-        # singular values of I - X T'.  As sigma_min >= |det KW| / hi^(nd-1),
-        # s^2 >= KERNEL_TOL hi^nd proves KW regular (on small graphs); else
-        # the one solve takes the probe columns next to the column at rev(e0)
-        hi = sigma_hi(g, xs)
-        probe = s == 0 or (2 * math.log(abs(s))
-                           < math.log(KERNEL_TOL) + g.nd * math.log(hi))
-        kw = kac_ward(g, None, xs)
-        rhs = np.zeros((g.nd, 1 + probe * KERNEL_PROBES), dtype=complex)
-        rhs[e0 ^ 1, 0] = 1.0
-        if probe:
-            rhs[:, 1:] = kernel_probes(g.nd)
-        y = lu_solve(kw, rhs)
-        if probe:
-            found = ritz_kernel(kw, y[:, 1:], hi)
-            if (found[0] if found else
-                    svd_kernel(kac_ward_real(g, xs))[2]):
-                raise GraphError("Kac-Ward operator is singular; use the "
-                                 "combinatorial backend")
-        f = s * y[:, 0]
+        if kac_ward_kernel(g, xs)[2]:
+            raise GraphError("Kac-Ward operator is singular; use the "
+                             "combinatorial backend")
+        # KW(1, 1) = H^-1 M H with H = diag(h), h = exp(i dirang / 2), so
+        # KW^-1 e_r = h_r conj(h) M^-1 e_r: one real solve for the column
+        rhs = np.zeros((g.nd, 1))
+        rhs[e0 ^ 1] = 1.0
+        h = np.exp(0.5j * g.dirang)
+        y = lu_solve(kac_ward_real(g, xs), rhs)[:, 0]
+        f = s * h[e0 ^ 1] * h.conj() * y
         return pref * (f[0::2] + f[1::2]) / sn
 
     if backend != "combinatorial":

@@ -508,18 +508,6 @@ def cycle_with_winding(adj, target):
     return walk
 
 
-def turning(g, d1, d2):
-    """Velocity rotation from dart d1 to a successor dart d2, in (-pi, pi).
-
-    Requires terminus(d1) = origin(d2) and forbids backtracking d2 = rev(d1).
-    """
-    if g.origin[d2] != g.terminus(d1):
-        raise GraphError("darts are not consecutive")
-    if d2 == (d1 ^ 1):
-        raise GraphError("backtracking turn is excluded")
-    return principal_angle(g.dirang[d2] - g.dirang[d1])
-
-
 # -- dual graph ---------------------------------------------------------------
 
 

@@ -74,11 +74,15 @@ def test_critical_beta_square_torus_12(tmp_path, capsys):
 def test_cli_import_leaves_scipy_out(tmp_path, capsys):
     # the package depends on numpy only, and a scipy import would add about
     # half a second to every CLI start; numpy.random about 14 ms, so the
-    # kernel probes of h-function are built without it
+    # kernel probes are built without it (64 darts: h-function and the
+    # inverse observable both take the probe route)
     src = os.path.dirname(os.path.dirname(kwlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     path = tmp_path / "sq4.json"
     path.write_text(run(capsys, "gen", "square-torus", "4")[1])
+    regular = tmp_path / "sq4r.json"
+    regular.write_text(
+        run(capsys, "gen", "square-torus", "4", "--x", "0.3")[1])
     listing = ("print(sorted(m for m in sys.modules if m.split('.')[0] == "
                "'scipy' or m.startswith('numpy.random')))")
     for code in ("import sys, kwlab.cli; " + listing,
@@ -90,6 +94,13 @@ def test_cli_import_leaves_scipy_out(tmp_path, capsys):
             env=env, capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.strip().splitlines()[-1] == "[]"
     assert '"sholo_defect"' in out.stdout
+    out = subprocess.run(
+        [sys.executable, "-c", code, "observable", "--dart", "3", "-g",
+         str(regular)],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    # 32 edges, past the combinatorial guard: the inverse backend answered
+    assert '"values"' in out.stdout
 
 
 def test_z_commands(tmp_path, capsys):

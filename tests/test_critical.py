@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kwlab import fixtures as fx
 from kwlab import critical
-from kwlab.surface_graph import GraphError, SizeGuardError, Weights, build_torus
+from kwlab.surface_graph import (GraphError, SizeGuardError, Weights,
+                                 build_torus, dual)
 from kwlab.critical import (critical_beta, duality_check, free_energy,
                             hessian_tau, spectral_curve, spectral_grid)
 from kwlab.operators import kac_ward_kernel, kw_dets, sqrt_det_pfaffian
@@ -366,6 +367,17 @@ def test_duality_sign_pattern():
     assert pat[(1, 1)] == pytest.approx(-1.0, abs=1e-9)
     for zw in ((-1, 1), (1, -1), (-1, -1)):
         assert pat[zw] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_duality_keeps_the_sign_where_the_kernel_rule_says_singular():
+    # sigma_n-1 / sigma_1 of the dual's KW(1, 1) is about 1.2e-9, below
+    # KERNEL_TOL, yet its root at (1, 1) still carries the Arf sign: the
+    # relative rule checks it where a kernel rule would report 0
+    g = fx.square_torus(12, fx.X_CRITICAL_SQUARE + 1e-9)
+    assert kac_ward_kernel(dual(g))[2] == 2
+    rep = duality_check(g, draws=1)
+    assert rep["sqrt_sign_pattern"][(1, 1)] == pytest.approx(-1.0, abs=1e-6)
+    assert rep["pass"]
 
 
 def test_duality_rejects_planar():

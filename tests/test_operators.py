@@ -17,8 +17,8 @@ from kwlab.operators import (KERNEL_PROBES, _dirac_cd_residual, dirac_C,
                              kernel_probes, kw_dets, laplacian, laplacian_M,
                              laplacian_dual, skew_adjacency, sqrt_det_pfaffian,
                              verify_corr, verify_dirac_identities)
-from kwlab.oracle import signed_cycle_sum
-from kwlab.sholo import kernel_observables
+from kwlab.oracle import INV_GUARD, signed_cycle_sum
+from kwlab.sholo import kernel_observables, observable
 
 from pfaffian_reference import pfaffian_reference
 from identity_reference import (verify_corr_reference,
@@ -798,6 +798,17 @@ def test_kac_ward_kernel_matches_the_svd_near_criticality(kind, size, th, x1,
     assert dim == ref_dim
     for basis, null in ((v0, vt[g.nd - dim:].T), (w0, u[:, g.nd - dim:])):
         assert max_norm(basis @ basis.T - null @ null.T) <= 1e-10
+    # the inverse observable refuses exactly where the reference has a
+    # kernel; else its solve loses the condition number, about 10^k
+    if g.ne <= INV_GUARD:
+        if ref_dim:
+            with pytest.raises(GraphError, match="singular"):
+                observable(g, 0, "inverse", x=xs)
+        else:
+            want = observable(g, 0, "combinatorial", x=xs)
+            tol = 1e-10 if k is None else 100 * np.finfo(float).eps * 10.0 ** k
+            assert (max_norm(observable(g, 0, "inverse", x=xs) - want)
+                    <= tol * max_norm(want))
     if g.genus != 1:
         return
     ref = hessian_tau_svd_reference(g, xs)

@@ -9,9 +9,7 @@ from kwlab import fixtures as fx
 from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
-from kwlab.operators import (KERNEL_PROBES, KERNEL_TOL, dirac_C, kac_ward,
-                             kac_ward_kernel, phi_omega, sigma_hi,
-                             sqrt_det_pfaffian)
+from kwlab.operators import dirac_C, kac_ward, kac_ward_kernel, phi_omega
 from kwlab.sholo import (STAR_TOL, _homology_walks, _line_minus, _line_plus,
                          _proj, _tree_solve, edge_increments,
                          integrate_square, kernel_observables, laplacian_of_H,
@@ -199,27 +197,34 @@ def test_observable_inverse_refuses_a_near_kernel():
     assert kac_ward_kernel(g)[2] == 2
 
 
-def test_observable_regular_root_skips_the_probes(monkeypatch):
+def test_observable_inverse_asks_the_kernel_and_solves_the_real_m(
+        monkeypatch):
     import kwlab.sholo as sholo
 
-    seen = []
-    monkeypatch.setattr(sholo, "lu_solve",
-                        lambda a, b: seen.append(b.shape) or lu_solve(a, b))
-    # sigma_min >= |det KW| / hi^(nd - 1) and |det KW| = s^2: a root with
-    # s^2 >= KERNEL_TOL hi^nd proves KW regular without the kernel test
     g = fx.square_torus(2, 0.27)
-    s = sqrt_det_pfaffian(g)
-    hi = sigma_hi(g)
-    assert s * s >= KERNEL_TOL * hi ** g.nd
-    assert (np.linalg.svd(kac_ward(g), compute_uv=False)[-1]
-            >= s * s / hi ** (g.nd - 1))
     want = observable(g, 3, "combinatorial")
+    seen = []
+
+    def recording_solve(a, b):
+        seen.append((a.dtype, a.shape, b.shape))
+        return lu_solve(a, b)
+
+    def no_dense_kw(*args, **kwargs):
+        raise AssertionError("the inverse backend built a dense complex KW")
+
+    monkeypatch.setattr(sholo, "lu_solve", recording_solve)
+    monkeypatch.setattr(sholo, "kac_ward", no_dense_kw)
+    # KW(1, 1) = H^-1 M H: one real nd x nd solve with one right-hand side
     assert max_norm(observable(g, 3, "inverse") - want) < 1e-10
-    assert seen == [(g.nd, 1)]
-    # on a larger torus the bound proves nothing, and the probes come along
-    g = fx.square_torus(8, 0.27)
-    assert np.all(np.isfinite(observable(g, 3, "inverse")))
-    assert seen[-1] == (g.nd, 1 + KERNEL_PROBES)
+    assert seen == [(np.dtype(float), (g.nd, g.nd), (g.nd, 1))]
+    # "singular" is what kac_ward_kernel says, whatever the solve could do
+    monkeypatch.setattr(sholo, "kac_ward_kernel",
+                        lambda g, x=None: (None, None, 1))
+    with pytest.raises(GraphError, match="singular"):
+        observable(g, 3, "inverse")
+    assert max_norm(observable(g, 3, "auto") - want) == 0.0
+    assert len(seen) == 1
+
 
 def test_kernel_observables_critical_window():
     xc = fx.X_CRITICAL_SQUARE
