@@ -6,7 +6,7 @@ provides the defining residual, the real-linear maps S (into dart functions)
 and T, T', and their pointwise variants (into corner spinors), fermionic
 observables built either from the inverse Kac-Ward operator or from marked
 two-leg configurations, kernel-derived globally s-holomorphic functions, and
-the discrete primitive H of Im(F^2 dz) with its Laplacians.
+the discrete primitive H of Im(F^2 dz).
 
 H lives on Lambda as ``derived.DGraph.lam`` numbers it (vertices 0..V-1, then
 faces V..V+F-1); its corner relations are dart arrays solved along one
@@ -16,7 +16,6 @@ spanning tree that crosses the relations at s-holomorphic vertices first.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -124,24 +123,6 @@ def spinor_maps(g, F, c=None):
     rot = np.exp(0.5j * g.theta[k])
     return {"T": t, "T_tilde": t_tilde,
             "T_prime": rot * t, "T_tilde_prime": rot * t_tilde}
-
-
-def star_identity_residual(g, F, c=None):
-    """Pointwise reformulation of the kernel condition through corner signs.
-
-    For s-holomorphic exp(i pi/4) F the quantity Re(i D^{1/2} e^{i theta/2} F)
-    propagates to the rotated dart with the corner sign epsilon.
-    """
-    if c is None:
-        c = build_C(g)
-    F = np.asarray(F, dtype=complex)
-    dh = half_angle_phases(g)
-    k = np.arange(g.nd) >> 1
-    k2 = g.rot >> 1
-    lhs = (1j * dh * np.exp(0.5j * g.theta[k]) * F[k]).real
-    rhs = c.epsilon * (1j * dh[g.rot] * np.exp(-0.5j * g.theta[k2])
-                       * F[k2]).real
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 # -- fermionic observables -------------------------------------------------------
@@ -375,30 +356,6 @@ def integrate_square(g, F):
             periods = [float(sum(primal_increments(g, F, w).tolist()))
                        for w in walks]
     return HFunction(F, h, loop_residual, periods, defect)
-
-
-def laplacian_of_H(g, h):
-    """Laplacians of the primitive on both vertex classes, from the increments.
-
-    Uses the local increment formulas, so the values are meaningful on the
-    torus as well (where H itself is multivalued).  Returns (primal, dual)
-    arrays; on critical isoradial data the primal values are <= 0 and the dual
-    values >= 0 wherever F is s-holomorphic.  Each sum runs over the darts in
-    the order of their star (primal) or face walk (dual).
-    """
-    primal_inc, dual_inc = edge_increments(g, h.F)
-    th = g.theta[np.arange(g.nd) >> 1]
-    # H(v) - H(terminus) = -increment along d
-    primal = (np.bincount(g.origin, np.tan(th) * -primal_inc, minlength=g.nv)
-              / (0.5 * np.bincount(g.origin, np.sin(2 * th), minlength=g.nv)))
-    nf = len(g.faces)
-    walk = np.fromiter(itertools.chain.from_iterable(g.faces), int, g.nd)
-    face = g.face_of[walk]
-    th = g.theta_dual()[walk >> 1]
-    # the dual dart from a face crosses d toward the face right of d
-    dual = (np.bincount(face, np.tan(th) * dual_inc[walk ^ 1], minlength=nf)
-            / (0.5 * np.bincount(face, np.sin(2 * th), minlength=nf)))
-    return primal, dual
 
 
 # -- the equivalence suite ------------------------------------------------------

@@ -7,7 +7,8 @@ per-edge loops of ``sholo.map_S`` / ``sholo.map_S_inverse``.
 ``spinor_maps_reference`` walks each dart's vertex star and
 ``star_identity_residual_reference`` each dart in turn, where
 ``sholo.spinor_maps`` advances all stars together over the maximum degree
-and ``sholo.star_identity_residual`` is one pass over the darts.
+and ``star_identity_residual`` (here, as no library flow reads it) is one
+pass over the darts.
 ``kernel_observables_reference`` takes the complex SVD of KW itself and
 projects each kernel vector u, and i u, onto the dart lines; the library
 instead reads the real kernel basis of I - X T' in the half-angle gauge.
@@ -15,11 +16,13 @@ instead reads the real kernel basis of I - X T' in the half-angle gauge.
 solves the corner relations by fixed-point sweeps (trusted relations first,
 then all); ``laplacian_of_H_reference`` loops over vertices and faces with
 per-dart increment methods.  The library solves the same relations on one
-trusted-first spanning tree over the Lambda arrays and sums the Laplacians
-with ``np.bincount``.
+trusted-first spanning tree over the Lambda arrays; ``laplacian_of_H``
+(here, as no library flow reads it either) sums the Laplacians with
+``np.bincount``.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +30,7 @@ import numpy as np
 from kwlab.derived import build_C, half_angle_phases
 from kwlab.linalg import max_norm
 from kwlab.operators import kac_ward
-from kwlab.sholo import map_S_inverse, vertex_residuals
+from kwlab.sholo import edge_increments, map_S_inverse, vertex_residuals
 from kwlab.surface_graph import GraphError, cycle_with_winding
 
 from kernel_reference import null_space
@@ -101,6 +104,24 @@ def spinor_maps_reference(g, F, c=None):
     rot = np.exp(0.5j * g.theta[np.arange(nd) >> 1])
     return {"T": t, "T_tilde": t_tilde,
             "T_prime": rot * t, "T_tilde_prime": rot * t_tilde}
+
+
+def star_identity_residual(g, F, c=None):
+    """Pointwise reformulation of the kernel condition through corner signs.
+
+    For s-holomorphic exp(i pi/4) F the quantity Re(i D^{1/2} e^{i theta/2} F)
+    propagates to the rotated dart with the corner sign epsilon.
+    """
+    if c is None:
+        c = build_C(g)
+    F = np.asarray(F, dtype=complex)
+    dh = half_angle_phases(g)
+    k = np.arange(g.nd) >> 1
+    k2 = g.rot >> 1
+    lhs = (1j * dh * np.exp(0.5j * g.theta[k]) * F[k]).real
+    rhs = c.epsilon * (1j * dh[g.rot] * np.exp(-0.5j * g.theta[k2])
+                       * F[k2]).real
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def star_identity_residual_reference(g, F, c=None):
@@ -262,4 +283,28 @@ def laplacian_of_H_reference(g, h):
             acc += math.tan(math.pi / 2 - theta[d >> 1]) * (
                 h.dual_edge_increment(d ^ 1))
         dual[f] = acc / mu
+    return primal, dual
+
+
+def laplacian_of_H(g, h):
+    """Laplacians of the primitive on both vertex classes, from the increments.
+
+    Uses the local increment formulas, so the values are meaningful on the
+    torus as well (where H itself is multivalued).  Returns (primal, dual)
+    arrays; on critical isoradial data the primal values are <= 0 and the dual
+    values >= 0 wherever F is s-holomorphic.  Each sum runs over the darts in
+    the order of their star (primal) or face walk (dual).
+    """
+    primal_inc, dual_inc = edge_increments(g, h.F)
+    th = g.theta[np.arange(g.nd) >> 1]
+    # H(v) - H(terminus) = -increment along d
+    primal = (np.bincount(g.origin, np.tan(th) * -primal_inc, minlength=g.nv)
+              / (0.5 * np.bincount(g.origin, np.sin(2 * th), minlength=g.nv)))
+    nf = len(g.faces)
+    walk = np.fromiter(itertools.chain.from_iterable(g.faces), int, g.nd)
+    face = g.face_of[walk]
+    th = g.theta_dual()[walk >> 1]
+    # the dual dart from a face crosses d toward the face right of d
+    dual = (np.bincount(face, np.tan(th) * dual_inc[walk ^ 1], minlength=nf)
+            / (0.5 * np.bincount(face, np.sin(2 * th), minlength=nf)))
     return primal, dual

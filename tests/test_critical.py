@@ -10,7 +10,8 @@ from kwlab import critical
 from kwlab.surface_graph import (GraphError, SizeGuardError, Weights,
                                  build_torus, dual)
 from kwlab.critical import (critical_beta, duality_check, free_energy,
-                            hessian_tau, spectral_curve, spectral_grid)
+                            hessian_tau, spectral_coefficients, spectral_curve,
+                            spectral_grid)
 from kwlab.operators import kac_ward_kernel, kw_dets, sqrt_det_pfaffian
 from kwlab.oracle import signed_cycle_sum
 from kwlab.sholo import kernel_observables
@@ -328,6 +329,136 @@ def test_spectral_grid_matches_single_points():
     want = np.array([[spectral_curve(g, cmath.exp(1j * a), cmath.exp(1j * b))
                       for b in angles] for a in angles])
     assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-15
+
+
+def _shift21_torus(x=(0.3, 0.4, 0.5)):
+    """One vertex with loops of shift (1, 0), (1, 1) and (2, 1): a sheared
+    triangular lattice whose (2, 1) edge carries z^2 w in the curve."""
+    edges = [(0, 0, (1, 0)), (0, 0, (1, 1)), (0, 0, (2, 1))]
+    return build_torus([[1.0, 0.0], [0.0, 1.0]], [(0.0, 0.0)], edges,
+                       Weights(np.asarray(x, dtype=float)))
+
+
+def _laurent(a, b, c, z, w):
+    return np.sum(c * np.power.outer(z, a)[:, None] * np.power.outer(w, b))
+
+
+def _assert_interpolated_grid_exact(g, n=16, seed=0):
+    """Every node of the interpolated grid, and off-grid torus points of the
+    coefficients, against direct determinants, to 1e-13 max|P|."""
+    a, b, c = spectral_coefficients(g)
+    # the grid is the interpolated route
+    assert len(a) * len(b) < n * n
+    angles, _, vals = spectral_grid(g, n)
+    want = np.array([[spectral_curve(g, cmath.exp(1j * p), cmath.exp(1j * q))
+                      for q in angles] for p in angles])
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(vals - want)) <= 1e-13 * scale
+    rng = np.random.default_rng(seed)
+    for p, q in rng.uniform(0, 2 * math.pi, (20, 2)):
+        z, w = cmath.exp(1j * p), cmath.exp(1j * q)
+        assert abs(_laurent(a, b, c, z, w) - spectral_curve(g, z, w)) <= (
+            1e-13 * scale)
+
+
+@pytest.mark.parametrize("g", [
+    _critical_rect(1.1, 0.0), _critical_rect(1.1, 0.03), fx.rect_torus(),
+    _critical_honeycomb(0.5, 0.7, 0.0), _critical_honeycomb(0.45, 0.85, 0.0),
+    _critical_honeycomb(0.5, 0.7, -0.04), fx.honeycomb_torus((0.4, 0.5, 0.6)),
+    fx.square_torus(1), fx.square_torus(2), fx.square_torus(3),
+    dual(fx.square_torus(2, 0.3)), _shift21_torus(),
+])
+def test_interpolated_grid_matches_the_curve(g):
+    _assert_interpolated_grid_exact(g)
+
+
+def test_exponent_bound_covers_a_shift_two_edge():
+    a, b, c = spectral_coefficients(_shift21_torus())
+    assert (a[0], a[-1], b[0], b[-1]) == (-4, 4, -2, 2)
+    # z^2 w and z^-2 w^-1 come from the (2, 1) loop alone
+    assert min(abs(c[a == 2][0][b == 1][0]),
+               abs(c[a == -2][0][b == -1][0])) > 0.1
+    _assert_interpolated_grid_exact(_shift21_torus(), n=8)
+
+
+_WEIGHT = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["rect", "honeycomb", "shift21"]),
+       x=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT), seed=st.integers(0, 2 ** 16))
+def test_interpolated_grid_matches_the_curve_over_weights(kind, x, seed):
+    g = {"rect": lambda: fx.rect_torus(*x[:2]),
+         "honeycomb": lambda: fx.honeycomb_torus(x),
+         "shift21": lambda: _shift21_torus(x)}[kind]()
+    _assert_interpolated_grid_exact(g, n=8, seed=seed)
+
+
+def _count_kw_dets(monkeypatch):
+    """Rows handed to kw_dets by the critical module, one entry per call."""
+    rows = []
+
+    def counted(g, phi, x):
+        out = kw_dets(g, phi, x)
+        rows.append(out.size)
+        return out
+
+    monkeypatch.setattr(critical, "kw_dets", counted)
+    return rows
+
+
+def test_grid_determinant_counts(monkeypatch):
+    rows = _count_kw_dets(monkeypatch)
+    # 5 x 5 coefficients fix the 16 x 16 grid on the 2 x 2 torus
+    spectral_grid(fx.square_torus(2), 16)
+    assert sum(rows) == 25
+    rows.clear()
+    # 3 x 3 coefficients, once for each of the 32 x 32 and 16 x 16 grids
+    free_energy(fx.rect_torus(), n=16)
+    assert rows == [9, 9]
+    rows.clear()
+    # 17 x 17 coefficients against one node: the direct stack
+    spectral_grid(fx.square_torus(8, 0.3), 1)
+    assert rows == [1]
+
+
+def _hessian_from_coefficients(g):
+    """P_zz, P_ww and P_zw at (1, 1) as moments of the Laurent coefficients.
+
+    At criticality the gradient sum(a c_ab) vanishes, so sum(a^2 c_ab) is
+    P_zz; tau is the upper root of A_w t^2 + 2 B t + A_z.
+    """
+    a, b, c = spectral_coefficients(g)
+    ea, eb = np.meshgrid(a, b, indexing="ij")
+    azz, aww, bb = (float(np.sum(m * c).real)
+                    for m in (ea * ea, eb * eb, ea * eb))
+    root = (-bb + 1j * math.sqrt(azz * aww - bb * bb)) / aww
+    return azz, aww, bb, (root if root.imag > 0 else root.conjugate())
+
+
+@pytest.mark.parametrize("g", [
+    fx.rect_torus_iso(1.1), fx.square_torus(1), fx.square_torus(2),
+    fx.square_torus(3), _critical_honeycomb(0.5, 0.7, 0.0),
+    _critical_honeycomb(0.45, 0.85, 0.0), _critical_honeycomb(0.8, 0.6, 0.0),
+])
+def test_tau_from_the_coefficients(g):
+    rep = hessian_tau(g)
+    azz, aww, b, tau = _hessian_from_coefficients(g)
+    assert abs(azz - rep["A_z"]) <= 1e-12
+    assert abs(aww - rep["A_w"]) <= 1e-12
+    assert abs(b - rep["B"]) <= 1e-12
+    assert abs(tau - rep["tau"]) <= 1e-12
+
+
+def test_spectral_coefficients_needs_a_torus_and_fits_the_guard(monkeypatch):
+    with pytest.raises(GraphError, match="genus-1"):
+        spectral_coefficients(fx.triangle(0.3))
+    g = fx.square_torus(2)
+    monkeypatch.setattr(critical, "GRID_GUARD", 25 * g.nd)
+    assert spectral_coefficients(g)[2].shape == (5, 5)
+    monkeypatch.setattr(critical, "GRID_GUARD", 25 * g.nd - 1)
+    with pytest.raises(SizeGuardError, match="5 x 5 coefficients"):
+        spectral_coefficients(g)
 
 
 def test_critical_beta_error_names_beta(monkeypatch):
