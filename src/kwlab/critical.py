@@ -82,17 +82,8 @@ def spectral_coefficients(g, x=None):
     return a, b, np.roll(c, (-a[0], -b[0]), axis=(0, 1))
 
 
-def spectral_grid(g, n, x=None):
-    """Sample the curve on the half-offset n x n grid over the unit torus.
-
-    Returns (phi1, phi2, P) arrays; the offset avoids the (1, 1) zero at
-    criticality.  When the curve has fewer coefficients than the grid has
-    nodes (L1 L2 < n^2), the grid is ``spectral_coefficients`` evaluated as
-    E_z C E_w^T with E = units^exponents, which agrees with ``spectral_curve``
-    to rounding (about 1e-15 max|P| on the small tori, 1e-14 at 256 darts).
-    Otherwise all n^2 determinants are one ``kw_dets`` stack.  Both routes
-    factor nd x nd matrices, so the rule takes the fewer.
-    """
+def _grid_guard(g, n):
+    """GraphError or SizeGuardError unless an n x n spectral grid may run."""
     if n < 1:
         raise GraphError(f"grid size must be at least 1, got {n}")
     if g.genus != 1:
@@ -100,19 +91,46 @@ def spectral_grid(g, n, x=None):
     if n * n * g.nd > GRID_GUARD:
         raise SizeGuardError(f"a {n} x {n} spectral grid on {g.nd} darts "
                              f"exceeds GRID_GUARD ({GRID_GUARD} entries)")
-    angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+
+
+def _from_coefficients(g, n):
+    """Whether ``spectral_grid`` evaluates an n x n grid from the Laurent
+    coefficients: when the curve has fewer of them than the grid has nodes."""
     l1, l2 = map(len, _exponents(g))
-    if l1 * l2 < n * n:
-        a, b, c = spectral_coefficients(g, x)
-        # node k sits at the angle 2 pi (2k + 1) / 2n
-        odd = 2 * np.arange(n) + 1
-        vals = _unit_powers(odd, 2 * n, a) @ c @ _unit_powers(odd, 2 * n, b).T
-        return angles, angles.copy(), vals
+    return l1 * l2 < n * n
+
+
+def spectral_grid(g, n, x=None):
+    """Sample the curve on the half-offset n x n grid over the unit torus.
+
+    Returns (phi1, phi2, P) arrays; the offset avoids the (1, 1) zero at
+    criticality.  When the curve has fewer coefficients than the grid has
+    nodes (L1 L2 < n^2), the grid is ``spectral_coefficients`` evaluated as
+    E_z C E_w^T with E = units^exponents (``_coefficient_grid``), which
+    agrees with ``spectral_curve`` to rounding (about 1e-15 max|P| on the
+    small tori, 1e-14 at 256 darts).  Otherwise all n^2 determinants are one
+    ``kw_dets`` stack.  Both routes factor nd x nd matrices, so the rule
+    takes the fewer.
+    """
+    _grid_guard(g, n)
+    angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    if _from_coefficients(g, n):
+        return angles, angles.copy(), _coefficient_grid(
+            spectral_coefficients(g, x), n)
     units = np.array([cmath.exp(1j * a) for a in angles])
     # on this route every node is bitwise the spectral_curve value there
     phi = shift_character(g.shift, units[:, None], units[None, :])
     vals = kw_dets(g, phi, g.x if x is None else x)
     return angles, angles.copy(), vals
+
+
+def _coefficient_grid(coefficients, n):
+    """The half-offset n x n grid of ``spectral_grid`` from the curve's
+    Laurent coefficients (a, b, c)."""
+    a, b, c = coefficients
+    # node k sits at the angle 2 pi (2k + 1) / 2n
+    odd = 2 * np.arange(n) + 1
+    return _unit_powers(odd, 2 * n, a) @ c @ _unit_powers(odd, 2 * n, b).T
 
 
 def critical_beta(g, j=None, tol=1e-12, trace=None):
@@ -267,18 +285,25 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
         xs = np.asarray(x, dtype=float)
         coupling_term = float(np.sum(np.log(np.cosh(np.arctanh(xs)))))
 
-    def log_integral(nn):
-        _, _, vals = spectral_grid(g, nn, xs)
+    def log_integral(vals):
         if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals))):
             raise GraphError("spectral curve is not real on the unit torus")
         re = vals.real
         if np.any(re <= 0):
             raise GraphError("log of a nonpositive curve value on the grid")
-        return float(np.sum(np.log(re))) / nn ** 2
+        return float(np.sum(np.log(re))) / re.size
 
-    # the finer grid first: a grid guard stops the command before any work
-    i_2n = log_integral(2 * n)
-    i_n = log_integral(n)
+    # the finer grid first: a grid guard stops the command before any work.
+    # A coarse grid from the Laurent coefficients implies a fine one from
+    # them, and both then evaluate the one coefficient stack
+    if _from_coefficients(g, n):
+        _grid_guard(g, 2 * n)
+        coefficients = spectral_coefficients(g, xs)
+        i_2n = log_integral(_coefficient_grid(coefficients, 2 * n))
+        i_n = log_integral(_coefficient_grid(coefficients, n))
+    else:
+        i_2n = log_integral(spectral_grid(g, 2 * n, xs)[2])
+        i_n = log_integral(spectral_grid(g, n, xs)[2])
     base = g.nv * math.log(2.0) + coupling_term
     return {
         "free_energy": base + 0.5 * i_2n,

@@ -69,9 +69,10 @@ def epsilon_signs(g):
 
 
 def dimer_weights(theta):
-    """C-edge weights: cos(theta) on perp, sin(theta) on par, 1 on corners."""
-    th = np.repeat(theta, 2)
-    return np.concatenate([np.cos(th), np.sin(th), np.ones(len(th))])
+    """C-edge weights: cos(theta) on perp, sin(theta) on par, 1 on corners.
+    Leading axes of ``theta`` stack."""
+    th = np.repeat(theta, 2, axis=-1)
+    return np.concatenate([np.cos(th), np.sin(th), np.ones(th.shape)], axis=-1)
 
 
 @dataclass
@@ -88,10 +89,11 @@ class CGraph:
     epsilon: np.ndarray        # +-1 per dart
 
     def phi_values(self, phi):
-        """Lift a dart cochain to the C-edges (parallel edges carry phi(e))."""
+        """Lift a dart cochain to the C-edges (parallel edges carry phi(e));
+        leading axes of ``phi`` stack."""
         nd = self.g.nd
-        vals = np.ones(3 * nd, dtype=complex)
-        vals[nd:2 * nd] = phi
+        vals = np.ones(np.shape(phi)[:-1] + (3 * nd,), dtype=complex)
+        vals[..., nd:2 * nd] = phi
         return vals
 
 

@@ -15,9 +15,14 @@ repeated (row, col) pairs add up, as in ``to_dense``'s ``np.add.at``
 scatter.  ``sparse_product`` multiplies two lists, ``sparse_max_norm``
 measures a linear combination of lists over the union of their supports,
 and ``cycle_det`` is det(I - A) for a weighted permutation matrix A.
+Leading axes of ``vals`` (of ``w`` for ``cycle_det``) are a stack of
+matrices on one pattern: the pattern's indices are computed once for the
+stack, and each matrix's result is bitwise the one it gets alone.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -129,19 +134,39 @@ def max_norm(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _rows(vals, n):
+    """``vals`` (..., n) as a 2-d stack of rows, and its leading shape."""
+    vals = np.asarray(vals)
+    lead = vals.shape[:-1]
+    return vals.reshape(math.prod(lead), n), lead
+
+
 def to_dense(shape, entries):
-    """Dense complex matrix of an entry list; repeated entries add up."""
-    m = np.zeros(shape, dtype=complex)
+    """Dense complex matrix of an entry list; repeated entries add up.
+
+    Leading axes of the values give a stack of shape (..., *shape).
+    """
     rows, cols, vals = entries
-    np.add.at(m, (rows, cols), vals)
-    return m
+    vals = np.asarray(vals)
+    lead = vals.shape[:-1]
+    if not lead:
+        m = np.zeros(shape, dtype=complex)
+        np.add.at(m, (rows, cols), vals)
+        return m
+    # one scatter for the stack: matrix k fills the k-th block of ``size``
+    size = shape[0] * shape[1]
+    flat = rows * shape[1] + cols + size * np.arange(math.prod(lead))[:, None]
+    m = np.zeros(math.prod(lead) * size, dtype=complex)
+    np.add.at(m, flat.ravel(), vals.ravel())
+    return m.reshape(lead + tuple(shape))
 
 
 def sparse_product(a, b):
     """Entry list of A B: each entry (i, k) of A meets every entry (k, j) of B.
 
     The inner index is joined by sorting B's rows; repeated (row, col) pairs
-    are kept, to be summed by whatever reads the product.
+    are kept, to be summed by whatever reads the product.  Leading axes of
+    the two value arrays broadcast.
     """
     ar, ac, av = a
     br, bc, bv = b
@@ -152,7 +177,7 @@ def sparse_product(a, b):
     # the k-th match of entry i of A sits at sorted position lo[i] + k
     first = np.cumsum(count) - count
     ib = order[np.arange(len(ia)) + np.repeat(lo - first, count)]
-    return ar[ia], bc[ib], av[ia] * bv[ib]
+    return ar[ia], bc[ib], np.asarray(av)[..., ia] * np.asarray(bv)[..., ib]
 
 
 def sparse_max_norm(*terms):
@@ -161,24 +186,42 @@ def sparse_max_norm(*terms):
 
     Repeated (row, col) pairs are summed first, so an entry that only one
     term has still counts, and max_norm(to_dense(A) - to_dense(B)) is
-    ``sparse_max_norm((1, A), (-1, B))``.
+    ``sparse_max_norm((1, A), (-1, B))``.  Leading axes of the values
+    broadcast and give an array of norms; the sums are one ``np.bincount``
+    per part, each matrix's slots offset past the previous one's.
     """
     rows = np.concatenate([a[0] for _, a in terms])
+    vals = [coef * np.asarray(a[2], dtype=complex) for coef, a in terms]
+    lead = np.broadcast_shapes(*(v.shape[:-1] for v in vals))
     if not rows.size:
-        return 0.0
+        return np.zeros(lead) if lead else 0.0
     cols = np.concatenate([a[1] for _, a in terms])
-    vals = np.concatenate([coef * np.asarray(a[2], dtype=complex)
-                           for coef, a in terms])
+    vals, _ = _rows(np.concatenate(
+        [np.broadcast_to(v, lead + v.shape[-1:]) for v in vals], axis=-1),
+        len(rows))
     _, slot = np.unique(rows * (int(cols.max()) + 1) + cols,
                         return_inverse=True)
-    total = (np.bincount(slot, vals.real)
-             + 1j * np.bincount(slot, vals.imag))
-    return float(np.max(np.abs(total)))
+    n = int(slot.max()) + 1
+    slot = (slot + n * np.arange(len(vals))[:, None]).ravel()
+    total = (np.bincount(slot, vals.real.ravel(), minlength=n * len(vals))
+             + 1j * np.bincount(slot, vals.imag.ravel(),
+                                minlength=n * len(vals)))
+    norms = np.max(np.abs(total.reshape(lead + (n,))), axis=-1)
+    return norms if lead else float(norms)
+
+
+def prod_rows(a):
+    """np.prod over the last axis, row by row: each product is bitwise the
+    1-d np.prod of its row, which one stacked reduction does not promise
+    (numpy may run it across the rows, through another multiply loop)."""
+    rows, lead = _rows(a, np.shape(a)[-1])
+    return np.array([np.prod(r) for r in rows]).reshape(lead)
 
 
 def cycle_det(perm, w):
     """det(I - A) for A[i, perm[i]] = w[i]: the product over the cycles of
-    the permutation of 1 - (product of w along the cycle)."""
+    the permutation of 1 - (product of w along the cycle).  Leading axes of
+    ``w`` give an array of determinants."""
     perm = np.asarray(perm, dtype=int)
     n = len(perm)
     # label each cycle by its smallest index: after k doublings lab[i] is
@@ -186,6 +229,8 @@ def cycle_det(perm, w):
     lab, step = np.arange(n), perm
     for _ in range((n - 1).bit_length()):
         lab, step = np.minimum(lab, lab[step]), step[step]
-    prod = np.ones(n, dtype=complex)
-    np.multiply.at(prod, lab, w)
-    return complex(np.prod(1.0 - prod[lab == np.arange(n)]))
+    w, lead = _rows(w, n)
+    prod = np.ones(w.shape, dtype=complex)
+    np.multiply.at(prod, (slice(None), lab), w)
+    dets = prod_rows(1.0 - prod[:, lab == np.arange(n)])
+    return dets.reshape(lead) if lead else complex(dets[0])

@@ -40,7 +40,7 @@ import numpy as np
 # lu_det stays bound here: the benchmark's tracer wraps it in every module
 # that binds it, and its tests expect this one
 from .linalg import (cycle_det, lu_det, lu_solve, pfaffian,  # noqa: F401
-                     sparse_max_norm, sparse_product, to_dense)
+                     prod_rows, sparse_max_norm, sparse_product, to_dense)
 from .surface_graph import (Cochain, GraphError, character_cochain,
                             shift_character)
 from .derived import (build_C, build_D, build_M, c_edge_directions,
@@ -139,6 +139,20 @@ def kw_dets(g, phi_rows, x_rows):
         out[i:i + step] = np.linalg.det(_eye_minus_pattern(
             g, rows, g.transition_entries[2], buf[:len(rows) * g.nd * g.nd]))
     return out.reshape(lead)
+
+
+#: bytes of per-draw arrays that a seeded suite (``suites.suite_corr``,
+#: ``suites.suite_det``, ``sholo.verify_sholo``) holds at once: each
+#: evaluates its draws in chunks of at most this many bytes (one draw at
+#: least), so its memory does not grow with the number of draws
+_DRAW_CHUNK_BYTES = 1 << 20
+
+
+def _draw_chunks(draws, row_bytes):
+    """The (start, stop) ranges that cover range(draws) in chunks of at most
+    ``_DRAW_CHUNK_BYTES`` at ``row_bytes`` per draw, and one draw at least."""
+    step = max(1, _DRAW_CHUNK_BYTES // row_bytes)
+    return [(i, min(i + step, draws)) for i in range(0, draws, step)]
 
 
 #: relative size of the singular values that span the kernel of KW(1, 1)
@@ -290,11 +304,12 @@ def _out(shape, entries, sparse):
 
 
 def _eye_minus(n, a):
-    """Entry list of I - A for the n x n identity and an entry list A."""
+    """Entry list of I - A for the n x n identity and an entry list A; the
+    leading axes of A's values stack."""
     d = np.arange(n)
     rows, cols, vals = a
     return (np.concatenate([d, rows]), np.concatenate([d, cols]),
-            np.concatenate([np.ones(n), -vals]))
+            np.concatenate([np.ones(vals.shape[:-1] + (n,)), -vals], axis=-1))
 
 
 def kasteleyn(c, phi=None, orientation="omega", x=None, sparse=False):
@@ -303,7 +318,9 @@ def kasteleyn(c, phi=None, orientation="omega", x=None, sparse=False):
     ``orientation`` is either the +-1 orientation 'omega' or the unit cochain
     'omega_tilde'; the entry at (w, b) is phi_C(w,b) * orientation(w,b) * y.
     ``x`` overrides the graph's edge weights; the dimer weights y are then
-    recomputed from theta = 2 arctan(x).
+    recomputed from theta = 2 arctan(x).  Leading axes of ``phi`` (..., nd)
+    and ``x`` (..., ne) broadcast to a stack of matrices (or of values, with
+    ``sparse``) on the one pattern.
     """
     if orientation not in ("omega", "omega_tilde"):
         raise GraphError(f"unknown orientation {orientation!r}")
@@ -508,40 +525,56 @@ def verify_corr(g, phi=None, x=None, c=None):
     determinants 2^V and prod(1 + x^2).  Every operator is an entry list;
     both factors are I minus a weighted permutation (qR and i phi x J), so
     their determinants are cycle products.
+
+    Leading axes of ``phi`` (..., nd) and ``x`` (..., ne) broadcast, as in
+    ``kac_ward``, and every residual is then an array over them: the stack
+    is evaluated on patterns joined once, and each draw's residuals are
+    bitwise those it gets alone.  The stack is held whole, so callers bound
+    it (``suites.suite_corr`` does, in chunks of draws).
     """
     if c is None:
         c = build_C(g)
     xs = g.x if x is None else np.asarray(x, dtype=float)
+    pv = _phi_values(g, phi)
+    lead = np.broadcast_shapes(pv.shape[:-1], xs.shape[:-1])
+    pv = np.broadcast_to(pv, lead + pv.shape[-1:])
+    xs = np.broadcast_to(xs, lead + xs.shape[-1:])
     d = np.arange(g.nd)
-    pxd = _phi_values(g, phi) * np.repeat(xs, 2)
+    pxd = pv * np.repeat(xs, 2, axis=-1)
     e, e2, phase = g.transition_entries
     q = q_phases(g)
-    kw = _eye_minus(g.nd, (e, e2, pxd[e] * phase))
+    kw = _eye_minus(g.nd, (e, e2, pxd[..., e] * phase))
     iqr = _eye_minus(g.nd, (d, g.rot, q))
     ixj = _eye_minus(g.nd, (d, d ^ 1, 1j * pxd))
     lhs = sparse_product(kw, iqr)
-    rhs = sparse_product(ixj,
-                         kasteleyn(c, phi, "omega_tilde", xs, sparse=True))
-    scale = max(1.0, sparse_max_norm((1, lhs)))
-    res_tilde = sparse_max_norm((1, lhs), (-1, rhs)) / scale
+    scale = np.maximum(1.0, sparse_max_norm((1, lhs)))
 
-    # the diagonal gauge exp(-i a/2) enters on both dart-indexed sides, as
-    # a column scaling
+    # both orientations on one new leading axis, on the one pattern: the
+    # unit cochain, then the +-1 one, where the diagonal gauge exp(-i a/2)
+    # enters on both dart-indexed sides as a column scaling
     gauge = half_angle_phases(g) ** -1
-    lhs2 = (lhs[0], lhs[1], lhs[2] * gauge[lhs[1]])
-    rhs2 = sparse_product((ixj[0], ixj[1], ixj[2] * gauge[ixj[1]]),
-                          kasteleyn(c, phi, "omega", xs, sparse=True))
-    res_omega = sparse_max_norm((1, lhs2), (-1, rhs2)) / scale
+    kr, kc, tilde = kasteleyn(c, pv, "omega_tilde", xs, sparse=True)
+    omega = kasteleyn(c, pv, "omega", xs, sparse=True)[2]
+    rhs = sparse_product(
+        (ixj[0], ixj[1], np.stack([ixj[2], ixj[2] * gauge[ixj[1]]])),
+        (kr, kc, np.stack([tilde, omega])))
+    lhs = (lhs[0], lhs[1], np.stack([lhs[2], lhs[2] * gauge[lhs[1]]]))
+    res_tilde, res_omega = sparse_max_norm((1, lhs), (-1, rhs)) / scale
 
+    # the draw-free factor once; the relative errors in Python complex
+    # arithmetic, draw by draw (numpy's complex abs rounds differently)
     det_iqr = cycle_det(g.rot, q)
-    det_ixj = cycle_det(d ^ 1, 1j * pxd)
     want_iqr = 2.0 ** g.nv
-    want_ixj = complex(np.prod(1.0 + xs.astype(complex) ** 2))
+    det_ixj = np.ravel(cycle_det(d ^ 1, 1j * pxd)).tolist()
+    want_ixj = np.ravel(prod_rows(1.0 + xs.astype(complex) ** 2)).tolist()
+    rel_ixj = np.reshape([abs(dt - w) / abs(w)
+                          for dt, w in zip(det_ixj, want_ixj)], lead)
+    rel_iqr = abs(det_iqr - want_iqr) / abs(want_iqr)
     return {
         "residual_omega_tilde": res_tilde,
         "residual_omega": res_omega,
-        "det_I_qR_relerr": abs(det_iqr - want_iqr) / abs(want_iqr),
-        "det_I_ixJ_relerr": abs(det_ixj - want_ixj) / abs(want_ixj),
+        "det_I_qR_relerr": np.full(lead, rel_iqr) if lead else rel_iqr,
+        "det_I_ixJ_relerr": rel_ixj if lead else float(rel_ixj),
     }
 
 

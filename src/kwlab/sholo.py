@@ -25,8 +25,8 @@ import numpy as np
 from .linalg import lu_solve, max_norm
 from .surface_graph import GraphError, SizeGuardError, cycle_with_winding
 from .derived import build_C, half_angle_phases, isoradial_data
-from .operators import (dirac_C, kac_ward, kac_ward_kernel, kac_ward_real,
-                        kasteleyn, phi_omega, sqrt_det_pfaffian)
+from .operators import (_draw_chunks, dirac_C, kac_ward, kac_ward_kernel,
+                        kac_ward_real, kasteleyn, phi_omega, sqrt_det_pfaffian)
 from .oracle import INV_GUARD, _entry_terms, _sum_terms
 
 
@@ -47,12 +47,13 @@ def _line_minus(g, d):
 
 
 def _dart_residuals(g, F, branch=0.0, d=None):
-    """Projection-matching defect of each dart in ``d`` (default: all)."""
+    """Projection-matching defect of each dart in ``d`` (default: all);
+    leading axes of ``F`` stack."""
     F = np.asarray(F, dtype=complex)
     d = np.arange(g.nd) if d is None else np.asarray(d, dtype=int)
     d2 = g.rot[d]
-    lhs = _proj(F[d >> 1], _line_plus(g, d) + branch)
-    rhs = _proj(F[d2 >> 1], _line_minus(g, d2) + branch)
+    lhs = _proj(F[..., d >> 1], _line_plus(g, d) + branch)
+    rhs = _proj(F[..., d2 >> 1], _line_minus(g, d2) + branch)
     rhs *= np.exp(0.5j * (g.beta()[d] - g.theta[d >> 1] - g.theta[d2 >> 1]))
     return np.abs(lhs - rhs)
 
@@ -80,10 +81,10 @@ def sholo_residual_all(g, F, branch=0.0):
 
 def map_S(g, F):
     """Real-linear map into dart functions: sin(theta/2) times the projection
-    of F(z_e) onto the line exp(-i a_e / 2) R."""
+    of F(z_e) onto the line exp(-i a_e / 2) R; leading axes of F stack."""
     k = np.arange(g.nd) >> 1
-    return np.sin(0.5 * g.theta[k]) * _proj(np.asarray(F, dtype=complex)[k],
-                                            -0.5 * g.a_angles())
+    return np.sin(0.5 * g.theta[k]) * _proj(
+        np.asarray(F, dtype=complex)[..., k], -0.5 * g.a_angles())
 
 
 def map_S_inverse(g, f):
@@ -101,25 +102,26 @@ def spinor_maps(g, F, c=None):
     Returns a dict with 'T' (gauge-summed pullback of map_S), 'T_tilde' (its
     pointwise form, equal to T on s-holomorphic input), and the rotated
     variants 'T_prime', 'T_tilde_prime' = exp(i theta/2) times the former.
+    Leading axes of F stack.
     """
     if c is None:
         c = build_C(g)
     F = np.asarray(F, dtype=complex)
     dh = half_angle_phases(g)
     k = np.arange(g.nd) >> 1
-    term = (dh * np.sin(0.5 * g.theta[k]) * F[k]).real
+    term = (dh * np.sin(0.5 * g.theta[k]) * F[..., k]).real
     # T[b] sums the terms around the star of o(b), from b counterclockwise,
     # each signed by the corner signs passed so far; all stars advance
     # together, those of smaller degree adding nothing once closed
     deg = np.bincount(g.origin)[g.origin]
     d = np.arange(g.nd)
     sign = np.ones(g.nd)
-    t = np.zeros(g.nd)
+    t = np.zeros(term.shape)
     for step in range(int(deg.max(initial=0))):
-        t += np.where(step < deg, sign * term[d], 0.0)
+        t += np.where(step < deg, sign * term[..., d], 0.0)
         sign *= c.epsilon[d]
         d = g.rot[d]
-    t_tilde = (1j * dh * np.exp(-0.5j * g.theta[k]) * F[k]).real
+    t_tilde = (1j * dh * np.exp(-0.5j * g.theta[k]) * F[..., k]).real
     rot = np.exp(0.5j * g.theta[k])
     return {"T": t, "T_tilde": t_tilde,
             "T_prime": rot * t, "T_tilde_prime": rot * t_tilde}
@@ -366,7 +368,9 @@ def verify_sholo(g, draws=50, seed=0):
 
     For random midpoint functions all the normalized kernel norms must be
     large; for kernel-derived functions (when the operator is singular) all
-    must be small.  Isoradial data adds the dbar criterion.
+    must be small.  Isoradial data adds the dbar criterion.  The draws are
+    evaluated as stacks of at most ``operators._DRAW_CHUNK_BYTES``: each
+    criterion norm is one matrix product against a chunk's mapped draws.
     """
     rng = np.random.default_rng(seed)
     c = build_C(g)
@@ -382,36 +386,44 @@ def verify_sholo(g, draws=50, seed=0):
     rotF = cmath.exp(0.25j * math.pi)
 
     def norms(F):
-        F = np.asarray(F, dtype=complex)
-        scale = max(np.max(np.abs(F)), 1e-30)
+        """Each criterion's norm for every row of the stack F, as a list."""
+        scale = np.maximum(_max_rows(F), 1e-30)
         sp = spinor_maps(g, F, c)
-        out = {
-            "sholo": sholo_residual_all(g, rotF * F) / scale,
-            "kw_S": max_norm(kw @ map_S(g, F)) / scale,
-            "kasteleyn_T": max_norm(kom_real @ sp["T"]) / scale,
-        }
+        crit = {"sholo": _max_rows(_dart_residuals(g, rotF * F)),
+                "kw_S": _max_rows(map_S(g, F) @ kw.T),
+                "kasteleyn_T": _max_rows(sp["T"] @ kom_real.T)}
         if dbar is not None:
-            out["dbar_Tprime"] = max_norm(dbar @ sp["T_tilde_prime"]) / scale
-        return out
+            crit["dbar_Tprime"] = _max_rows(sp["T_tilde_prime"] @ dbar.T)
+        return {k: (v / scale).tolist() for k, v in crit.items()}
 
     checks = []
     agree = True
-    for t in range(draws):
-        F = rng.standard_normal(g.ne) + 1j * rng.standard_normal(g.ne)
-        ns = norms(F)
-        big = all(v > 1e-3 for v in ns.values())
-        small = all(v < 1e-8 for v in ns.values())
-        agree = agree and (big or small)
-        checks.append({"draw": t, **ns, "verdict_agrees": big or small})
+    # the draws, their S, T, T~ and T~' maps and three products
+    for lo, hi in _draw_chunks(draws, 16 * 12 * g.nd):
+        z = rng.standard_normal((hi - lo, 2, g.ne))
+        ns = norms(z[:, 0] + 1j * z[:, 1])
+        for t, vals in zip(range(lo, hi), zip(*ns.values())):
+            big = all(v > 1e-3 for v in vals)
+            small = all(v < 1e-8 for v in vals)
+            agree = agree and (big or small)
+            checks.append({"draw": t, **dict(zip(ns, vals)),
+                           "verdict_agrees": big or small})
 
     kernel_funcs = kernel_observables(g)
-    for i, F in enumerate(kernel_funcs):
+    if kernel_funcs:
         # kernel functions carry the exp(i pi/4) factor already; undo it for
         # the map-based norms
-        ns = norms(np.asarray(F) / rotF)
-        small = all(v < 1e-7 for v in ns.values())
-        agree = agree and small
-        checks.append({"kernel_function": i, **ns, "verdict_agrees": small})
+        ns = norms(np.asarray(kernel_funcs) / rotF)
+        for i, vals in enumerate(zip(*ns.values())):
+            small = all(v < 1e-7 for v in vals)
+            agree = agree and small
+            checks.append({"kernel_function": i, **dict(zip(ns, vals)),
+                           "verdict_agrees": small})
 
     return {"draws": checks, "n_kernel_functions": len(kernel_funcs),
             "pass": agree}
+
+
+def _max_rows(a):
+    """The max-norm of each row of a stack (0 for an empty row)."""
+    return np.max(np.abs(a), axis=-1, initial=0.0)

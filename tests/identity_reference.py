@@ -8,18 +8,29 @@ determinants of the two structure factors and walk the faces of C
 (``c_faces_reference``) edge by edge.  The library checks the same
 identities on entry lists and face reductions; the tests compare the two key
 by key.
+
+``suite_corr_reference`` and ``suite_det_reference`` are the ``corr`` and
+``det`` suites as loops of single draws: each draw's cochain is gauged one
+Cochain at a time (``random_unitary_cochain_reference``), checked by one
+``verify_corr`` call, or factored by three ``lu_det`` calls.  The suites
+evaluate chunks of draws as stacks; the tests compare the reports bitwise.
 """
+
+import cmath
+import math
 
 import numpy as np
 
 from kwlab.derived import (build_C, build_D, build_M, half_angle_phases,
                            isoradial_data, phi_D_character, q_phases,
-                           split_phi_D)
+                           split_phi_D, validate_kasteleyn)
 from kwlab.linalg import lu_det, max_norm
 from kwlab.operators import (_phi_values, dirac_C, dirac_D, kac_ward,
                              kasteleyn, laplacian, laplacian_M,
-                             laplacian_dual, phi_omega, skew_adjacency)
-from kwlab.surface_graph import character_cochain
+                             laplacian_dual, phi_omega, skew_adjacency,
+                             verify_corr)
+from kwlab.report import check, make_report
+from kwlab.surface_graph import Cochain, character_cochain
 
 
 def c_faces_reference(c):
@@ -238,3 +249,53 @@ def dirac_cd_blocks_reference(g, c, dg):
     want_ld = -dg.mu_lambda[:, None] * d_d
     err = max(max_norm(dia_lam - want_dl), max_norm(lam_dia - want_ld))
     return err / max(1.0, max_norm(want_dl), max_norm(want_ld))
+
+
+def random_unitary_cochain_reference(g, rng):
+    """A random character (on the torus) times a random gauge, one vertex
+    angle per vertex; the generator is read as ``suites._draw_inputs`` reads
+    it after a draw's weights."""
+    vals = np.ones(g.nd, dtype=complex)
+    if g.genus == 1:
+        z = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        w = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        vals = character_cochain(g, z, w).values
+    p = np.exp(1j * rng.uniform(0, 2 * math.pi, g.nv))
+    return Cochain(g, vals * p[g.origin] / p[g.origin[np.arange(g.nd) ^ 1]])
+
+
+def suite_corr_reference(g, fixture, draws=10, seed=0):
+    rng = np.random.default_rng(seed)
+    checks = []
+    for t in range(draws):
+        xs = rng.uniform(0.02, 0.98, g.ne)
+        phi = random_unitary_cochain_reference(g, rng)
+        rep = verify_corr(g, phi, xs)
+        checks.append(check(f"intertwining_tilde[{t}]",
+                            rep["residual_omega_tilde"], 1e-12))
+        checks.append(check(f"intertwining_omega[{t}]",
+                            rep["residual_omega"], 1e-12))
+        checks.append(check(f"det_I_qR[{t}]", rep["det_I_qR_relerr"], 1e-12))
+        checks.append(check(f"det_I_ixJ[{t}]", rep["det_I_ixJ_relerr"], 1e-12))
+    return make_report("corr", fixture, seed, checks)
+
+
+def suite_det_reference(g, fixture, draws=20, seed=0):
+    rng = np.random.default_rng(seed)
+    c = build_C(g)
+    checks = [check("kasteleyn_faces",
+                    0.0 if validate_kasteleyn(c)["pass"] else 1.0, 0.5)]
+    signs = set()
+    for t in range(draws):
+        xs = rng.uniform(0.02, 0.98, g.ne)
+        phi = random_unitary_cochain_reference(g, rng)
+        dkw = lu_det(kac_ward(g, phi, xs))
+        pref = 2.0 ** (-g.nv) * complex(np.prod(1 + xs.astype(complex) ** 2))
+        ratio_t = dkw / (pref * lu_det(kasteleyn(c, phi, "omega_tilde", xs)))
+        ratio_o = dkw / (pref * lu_det(kasteleyn(c, phi, "omega", xs)))
+        checks.append(check(f"ratio_tilde_is_one[{t}]", abs(ratio_t - 1.0), 1e-10))
+        signs.add(1 if ratio_o.real > 0 else -1)
+        checks.append(check(f"ratio_omega_is_sign[{t}]",
+                            abs(abs(ratio_o) - 1.0) + abs(ratio_o.imag), 1e-10))
+    checks.append(check("omega_sign_constant", 0.0 if len(signs) == 1 else 1.0, 0.5))
+    return make_report("det", fixture, seed, checks)

@@ -19,6 +19,10 @@ per-dart increment methods.  The library solves the same relations on one
 trusted-first spanning tree over the Lambda arrays; ``laplacian_of_H``
 (here, as no library flow reads it either) sums the Laplacians with
 ``np.bincount``.
+``verify_sholo_reference`` is the ``sholo`` suite as a loop of single
+draws, each criterion norm from the loop forms above and one dense
+matrix-vector product; ``sholo.verify_sholo`` maps and multiplies chunks of
+draws as stacks.
 """
 
 import cmath
@@ -27,9 +31,10 @@ import math
 
 import numpy as np
 
-from kwlab.derived import build_C, half_angle_phases
+from kwlab import sholo
+from kwlab.derived import build_C, half_angle_phases, isoradial_data
 from kwlab.linalg import max_norm
-from kwlab.operators import kac_ward
+from kwlab.operators import dirac_C, kac_ward, kasteleyn, phi_omega
 from kwlab.sholo import edge_increments, map_S_inverse, vertex_residuals
 from kwlab.surface_graph import GraphError, cycle_with_winding
 
@@ -308,3 +313,54 @@ def laplacian_of_H(g, h):
     dual = (np.bincount(face, np.tan(th) * dual_inc[walk ^ 1], minlength=nf)
             / (0.5 * np.bincount(face, np.sin(2 * th), minlength=nf)))
     return primal, dual
+
+
+def verify_sholo_reference(g, draws=50, seed=0):
+    """``sholo.verify_sholo``, one draw at a time; the kernel functions are
+    read through ``sholo.kernel_observables`` as the library reads them."""
+    rng = np.random.default_rng(seed)
+    c = build_C(g)
+    kw = kac_ward(g)
+    kom_real = kasteleyn(c, None, "omega").real
+    try:
+        isoradial_data(g)
+    except GraphError:
+        dbar = None
+    else:
+        dbar, _ = dirac_C(c, field="edge", phi_c=phi_omega(c))
+
+    rotF = cmath.exp(0.25j * math.pi)
+
+    def norms(F):
+        F = np.asarray(F, dtype=complex)
+        scale = max(np.max(np.abs(F)), 1e-30)
+        sp = spinor_maps_reference(g, F, c)
+        out = {
+            "sholo": max(sholo_residual_reference(g, rotF * F, v)
+                         for v in range(g.nv)) / scale,
+            "kw_S": max_norm(kw @ map_S_reference(g, F)) / scale,
+            "kasteleyn_T": max_norm(kom_real @ sp["T"]) / scale,
+        }
+        if dbar is not None:
+            out["dbar_Tprime"] = max_norm(dbar @ sp["T_tilde_prime"]) / scale
+        return out
+
+    checks = []
+    agree = True
+    for t in range(draws):
+        F = rng.standard_normal(g.ne) + 1j * rng.standard_normal(g.ne)
+        ns = norms(F)
+        big = all(v > 1e-3 for v in ns.values())
+        small = all(v < 1e-8 for v in ns.values())
+        agree = agree and (big or small)
+        checks.append({"draw": t, **ns, "verdict_agrees": big or small})
+
+    kernel_funcs = sholo.kernel_observables(g)
+    for i, F in enumerate(kernel_funcs):
+        ns = norms(np.asarray(F) / rotF)
+        small = all(v < 1e-7 for v in ns.values())
+        agree = agree and small
+        checks.append({"kernel_function": i, **ns, "verdict_agrees": small})
+
+    return {"draws": checks, "n_kernel_functions": len(kernel_funcs),
+            "pass": agree}

@@ -291,8 +291,11 @@ def chained_unitary_cochain(g, rng):
 def test_one_step_gauge_matches_chained(name):
     g = FACE_FIXTURES[name]()
     rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    got = suites._random_unitary_cochain(g, rng).values
-    want = chained_unitary_cochain(g, rng_ref).values
-    assert np.max(np.abs(got - want)) <= 1e-15
+    xs, phi = suites._draw_inputs(g, rng, 2)
+    for t in range(2):
+        # each draw takes its weights, then its cochain
+        assert np.array_equal(xs[t], rng_ref.uniform(0.02, 0.98, g.ne))
+        want = chained_unitary_cochain(g, rng_ref).values
+        assert np.max(np.abs(phi[t] - want)) <= 1e-15
     # both forms consume the same random stream
     assert rng.uniform() == rng_ref.uniform()

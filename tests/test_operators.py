@@ -21,7 +21,8 @@ from kwlab.oracle import INV_GUARD, signed_cycle_sum
 from kwlab.sholo import kernel_observables, observable
 
 from pfaffian_reference import pfaffian_reference
-from identity_reference import (verify_corr_reference,
+from identity_reference import (suite_corr_reference, suite_det_reference,
+                                verify_corr_reference,
                                 verify_dirac_identities_reference)
 from kernel_reference import (hessian_tau_svd_reference,
                               kac_ward_kernel_reference, null_space)
@@ -432,6 +433,71 @@ def test_corr_draw_builds_at_most_two_cochains(monkeypatch):
     rep = suites.suite_corr(fx.square_torus(12), "square12", draws=1)
     assert rep["pass"]
     assert len(made) <= 2
+
+
+SUITE_GRAPHS = {
+    "triangle": fx.triangle, "patch": lambda: fx.square_patch(2, 2),
+    "square2": lambda: fx.square_torus(2), "rect": fx.rect_torus,
+    "honeycomb": fx.honeycomb_torus,
+}
+
+
+def _chunks_seen(monkeypatch, chunk_bytes):
+    """Set the draw chunk bound and record the chunks the suites take."""
+    from kwlab import suites
+    monkeypatch.setattr(operators, "_DRAW_CHUNK_BYTES", chunk_bytes)
+    seen = []
+
+    def spy(draws, row_bytes):
+        seen.append(operators._draw_chunks(draws, row_bytes))
+        return seen[-1]
+
+    monkeypatch.setattr(suites, "_draw_chunks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", SUITE_GRAPHS)
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_batched_corr_and_det_match_the_draw_loops(name, seed):
+    from kwlab import suites
+    g = SUITE_GRAPHS[name]()
+    for draws in (1, None, 45):
+        kw = {} if draws is None else {"draws": draws}
+        assert suites.suite_corr(g, name, seed=seed, **kw) == \
+            suite_corr_reference(g, name, seed=seed, **kw)
+        assert suites.suite_det(g, name, seed=seed, **kw) == \
+            suite_det_reference(g, name, seed=seed, **kw)
+
+
+@pytest.mark.parametrize("chunk_bytes", (1, 50_000))
+def test_batched_suites_cross_chunk_boundaries(monkeypatch, chunk_bytes):
+    # one draw per chunk, and chunks of several draws with a shorter last one
+    from kwlab import suites
+    seen = _chunks_seen(monkeypatch, chunk_bytes)
+    g = fx.square_torus(2)
+    for draws in (9, 23):
+        assert suites.suite_corr(g, "s2", draws, 3) == \
+            suite_corr_reference(g, "s2", draws, 3)
+        assert suites.suite_det(g, "s2", draws, 3) == \
+            suite_det_reference(g, "s2", draws, 3)
+    for chunks in seen:
+        assert len(chunks) > 1
+        assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
+    assert any(hi - lo > 1 for chunks in seen for lo, hi in chunks) == (
+        chunk_bytes > 1)
+
+
+def test_verify_corr_stack_is_bitwise_the_single_draws():
+    from kwlab import suites
+    for g in SUITE_GRAPHS.values():
+        g = g()
+        xs, phi = suites._draw_inputs(g, np.random.default_rng(2), 6)
+        got = verify_corr(g, phi.reshape(2, 3, -1), xs.reshape(2, 3, -1))
+        for i in range(6):
+            want = verify_corr(g, phi[i], xs[i])
+            for key in want:
+                assert got[key].shape == (2, 3)
+                assert got[key][divmod(i, 3)] == want[key], key
 
 
 DIRAC_CASES = (

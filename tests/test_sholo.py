@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kwlab import fixtures as fx
+from kwlab import operators, sholo
 from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
@@ -25,7 +26,8 @@ from sholo_reference import (integrate_square_reference,
                              map_S_inverse_reference, map_S_reference,
                              sholo_residual_reference, spinor_maps_reference,
                              star_identity_residual,
-                             star_identity_residual_reference)
+                             star_identity_residual_reference,
+                             verify_sholo_reference)
 
 ROT = cmath.exp(0.25j * math.pi)
 
@@ -320,6 +322,66 @@ def test_verify_sholo_suites():
     # non-uniform isoradial torus, dbar criterion included, nontrivial kernel
     rep = verify_sholo(fx.rect_torus_iso(math.pi / 3), draws=15, seed=2)
     assert rep["pass"] and rep["n_kernel_functions"] > 0
+
+
+def _assert_same_sholo_reports(got, want):
+    assert got["pass"] == want["pass"]
+    assert got["n_kernel_functions"] == want["n_kernel_functions"]
+    assert len(got["draws"]) == len(want["draws"])
+    for a, b in zip(got["draws"], want["draws"]):
+        assert a.keys() == b.keys() and a["verdict_agrees"] == b["verdict_agrees"]
+        for key in b.keys() - {"draw", "kernel_function", "verdict_agrees"}:
+            # a random draw's norms are O(1), a kernel function's rounding
+            tol = 1e-12 * abs(b[key]) if "draw" in b else 1e-12
+            assert abs(a[key] - b[key]) <= tol, (key, a, b)
+        assert a.get("draw") == b.get("draw")
+
+
+SHOLO_GRAPHS = (fx.triangle(0.3), fx.square_patch(2, 2), fx.square_torus(2),
+                fx.rect_torus(0.3, 0.4), fx.honeycomb_torus(),
+                fx.rect_torus_iso(math.pi / 3))
+
+
+@pytest.mark.parametrize("g", SHOLO_GRAPHS)
+def test_batched_sholo_matches_the_draw_loop(g):
+    for seed, draws in ((0, 50), (7, 3)):
+        _assert_same_sholo_reports(verify_sholo(g, draws, seed),
+                                   verify_sholo_reference(g, draws, seed))
+
+
+@pytest.mark.parametrize("chunk_bytes", (1, 10_000))
+def test_batched_sholo_crosses_chunk_boundaries(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(operators, "_DRAW_CHUNK_BYTES", chunk_bytes)
+    seen = []
+
+    def spy(draws, row_bytes):
+        seen.append(operators._draw_chunks(draws, row_bytes))
+        return seen[-1]
+
+    monkeypatch.setattr(sholo, "_draw_chunks", spy)
+    g = fx.square_torus(2)
+    _assert_same_sholo_reports(verify_sholo(g, 11, 4),
+                               verify_sholo_reference(g, 11, 4))
+    (chunks,) = seen
+    assert len(chunks) > 1 and chunks[-1][1] == 11
+    assert (max(hi - lo for lo, hi in chunks) > 1) == (chunk_bytes > 1)
+
+
+def test_sholo_verdict_detects_a_perturbed_kernel_function(monkeypatch):
+    g = fx.square_torus(2)
+    assert verify_sholo(g, draws=5)["pass"]
+    honest = sholo.kernel_observables
+
+    def perturbed(g):
+        found = [np.array(f) for f in honest(g)]
+        found[0][3] += 1e-3
+        return found
+
+    monkeypatch.setattr(sholo, "kernel_observables", perturbed)
+    for rep in (verify_sholo(g, draws=5), verify_sholo_reference(g, draws=5)):
+        assert not rep["pass"]
+        assert [c.get("kernel_function") for c in rep["draws"]
+                if not c["verdict_agrees"]] == [0]
 
 
 def test_observable_on_torus_nonadjacent():
