@@ -62,8 +62,14 @@ def spectral_coefficients(g, x=None):
 
     Returns (a, b, c) with P(z, w) = sum c[i, k] z^a[i] w^b[k]: a and b are
     the exponent ranges of ``_exponents`` (lengths L1, L2) and c comes from
-    one ``kw_dets`` stack at the L1 x L2 roots of unity and one ``fft2``.
-    The ranges are bounds, so outer coefficients may be rounding noise.
+    the curve at the L1 x L2 roots of unity and one ``fft2``.  The ranges are
+    bounds, so outer coefficients may be rounding noise.
+
+    In the half-angle gauge KW(z, w) = H^-1 (I - diag(phi x) T') H, with
+    H = diag(exp(i dirang / 2)) and T' the +-1 ``g.transition_signs``, so
+    for real weights P(conj z, conj w) = conj P(z, w).  Root j pairs with
+    root -j mod L: one ``kw_dets`` stack factors the rows j <= L1 / 2, and
+    each later row is the conjugate of row L1 - j read at the columns -k.
     """
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
@@ -72,10 +78,12 @@ def spectral_coefficients(g, x=None):
     if l1 * l2 * g.nd > GRID_GUARD:
         raise SizeGuardError(f"the {l1} x {l2} coefficients on {g.nd} darts "
                              f"exceed GRID_GUARD ({GRID_GUARD} entries)")
-    z = np.exp(2j * math.pi * np.arange(l1) / l1)
+    z = np.exp(2j * math.pi * np.arange(l1 // 2 + 1) / l1)
     w = np.exp(2j * math.pi * np.arange(l2) / l2)
-    vals = kw_dets(g, shift_character(g.shift, z[:, None], w[None, :]),
+    half = kw_dets(g, shift_character(g.shift, z[:, None], w[None, :]),
                    g.x if x is None else x)
+    vals = np.concatenate(
+        [half, half[l1 - l1 // 2 - 1:0:-1, -np.arange(l2) % l2].conj()])
     # vals[j, k] = sum c[a, b] exp(2 pi i (j a / l1 + k b / l2)), an inverse
     # DFT of c indexed by the exponents mod L; none alias, as L spans them
     c = np.fft.fft2(vals) / (l1 * l2)
@@ -108,20 +116,34 @@ def spectral_grid(g, n, x=None):
     nodes (L1 L2 < n^2), the grid is ``spectral_coefficients`` evaluated as
     E_z C E_w^T with E = units^exponents (``_coefficient_grid``), which
     agrees with ``spectral_curve`` to rounding (about 1e-15 max|P| on the
-    small tori, 1e-14 at 256 darts).  Otherwise all n^2 determinants are one
-    ``kw_dets`` stack.  Both routes factor nd x nd matrices, so the rule
-    takes the fewer.
+    small tori, 1e-14 at 256 darts).  Otherwise the nodes are determinants;
+    both routes factor nd x nd matrices, so the rule takes the fewer.
+
+    The direct grid is closed under conjugation: node k of the flattened
+    grid sits at the conjugate of node n^2 - 1 - k.  In the half-angle gauge
+    KW(z, w) = H^-1 (I - diag(phi x) T') H, with H = diag(exp(i dirang / 2))
+    and T' the +-1 ``g.transition_signs``, so for real weights
+    P(conj z, conj w) = conj P(z, w).  One ``kw_dets`` stack factors the
+    first n^2 // 2 nodes, the last ones are their conjugates, and the middle
+    node of an odd grid, (-1, -1), is the real determinant of
+    ``kac_ward_real`` at the weights signed by the windings' parity.
     """
     _grid_guard(g, n)
     angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
     if _from_coefficients(g, n):
         return angles, angles.copy(), _coefficient_grid(
             spectral_coefficients(g, x), n)
+    xs = g.x if x is None else x
     units = np.array([cmath.exp(1j * a) for a in angles])
-    # on this route every node is bitwise the spectral_curve value there
-    phi = shift_character(g.shift, units[:, None], units[None, :])
-    vals = kw_dets(g, phi, g.x if x is None else x)
-    return angles, angles.copy(), vals
+    k = np.arange(n * n // 2)
+    half = kw_dets(g, shift_character(g.shift, units[k // n], units[k % n]),
+                   xs)
+    # both darts of an edge carry (-1)^(s1 + s2) at (-1, -1), as a reversed
+    # dart has the opposite shift: the sign folds into the edge weights
+    sign = 1.0 - 2.0 * (np.sum(g.shift[0::2], axis=1) % 2)
+    mid = [np.linalg.det(kac_ward_real(g, sign * xs))] if n % 2 else []
+    vals = np.concatenate([half, mid, half[::-1].conj()])
+    return angles, angles.copy(), vals.reshape(n, n)
 
 
 def _coefficient_grid(coefficients, n):
@@ -286,11 +308,21 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
         coupling_term = float(np.sum(np.log(np.cosh(np.arctanh(xs)))))
 
     def log_integral(vals):
-        if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals))):
-            raise GraphError("spectral curve is not real on the unit torus")
+        def node(flat):
+            m = len(vals)
+            i, k = divmod(int(flat), m)
+            return (f"on the {m} x {m} grid at (phi1, phi2) = "
+                    f"({2 * math.pi * (i + 0.5) / m:.6g}, "
+                    f"{2 * math.pi * (k + 0.5) / m:.6g})")
+
+        imag = np.abs(vals.imag)
+        if np.max(imag) > 1e-8 * max(1.0, np.max(np.abs(vals))):
+            raise GraphError("spectral curve is not real "
+                             + node(np.argmax(imag)))
         re = vals.real
         if np.any(re <= 0):
-            raise GraphError("log of a nonpositive curve value on the grid")
+            raise GraphError("log of a nonpositive curve value "
+                             + node(np.argmin(re)))
         return float(np.sum(np.log(re))) / re.size
 
     # the finer grid first: a grid guard stops the command before any work.

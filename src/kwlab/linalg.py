@@ -1,14 +1,14 @@
 """Dense complex linear algebra, and entry lists for the identity checks.
 
 Determinants and solves are LAPACK LU with partial pivoting through numpy;
-``det_cofactor`` is the independent cofactor oracle the tests check
-``lu_det`` against.  The Kac-Ward kernel is decided in ``operators``, by a
-solve against fixed probe columns and a Ritz step, with numpy's SVD where
-that cannot decide; the SVD null space the tests compare it with lives in
-the tests.  ``pfaffian`` is the one routine numpy lacks: pivoted
-Parlett-Reid in Wimmer's panel (level-3) form (arXiv:1102.3440), where each
-panel's skew rank-2 updates reach the trailing block as one matrix product,
-and the plain rank-2 loop finishes the last ``_NB`` rows.
+the tests check ``lu_det`` against an independent cofactor expansion.  The
+Kac-Ward kernel is decided in ``operators``, by a solve against fixed probe
+columns and a Ritz step, with numpy's SVD where that cannot decide; the SVD
+null space the tests compare it with lives in the tests.  ``pfaffian`` is
+the one routine numpy lacks: pivoted Parlett-Reid in Wimmer's panel
+(level-3) form (arXiv:1102.3440), where each panel's skew rank-2 updates
+reach the trailing block as one matrix product, and the plain rank-2 loop
+finishes the last ``_NB`` rows.
 
 An entry list is a plain ``(rows, cols, vals)`` tuple of parallel arrays;
 repeated (row, col) pairs add up, as in ``to_dense``'s ``np.add.at``
@@ -43,22 +43,6 @@ def lu_solve(a, b):
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise GraphError("singular system") from exc
-
-
-def det_cofactor(a):
-    """O(n!) cofactor-expansion determinant; test oracle for lu_det."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    if n == 1:
-        return complex(a[0, 0])
-    total = 0.0 + 0j
-    rest = np.arange(1, n)
-    for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        total += (-1) ** j * a[0, j] * det_cofactor(a[np.ix_(rest, cols)])
-    return total
 
 
 # pivot steps per panel of ``pfaffian``, and the widest trailing block it

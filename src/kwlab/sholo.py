@@ -75,10 +75,6 @@ def sholo_residual(g, F, v, branch=0.0):
                         initial=0.0))
 
 
-def sholo_residual_all(g, F, branch=0.0):
-    return float(np.max(_dart_residuals(g, F, branch), initial=0.0))
-
-
 def map_S(g, F):
     """Real-linear map into dart functions: sin(theta/2) times the projection
     of F(z_e) onto the line exp(-i a_e / 2) R; leading axes of F stack."""
@@ -259,16 +255,6 @@ def primal_increments(g, F, darts):
     k = darts >> 1
     return (2.0 * np.cos(g.theta[k]) * np.exp(1j * g.dirang[darts])
             * np.asarray(F, dtype=complex)[k] ** 2).imag
-
-
-def edge_increments(g, F):
-    """Per dart, the ``primal_increments`` and H(left face) - H(right face)
-    = Im(2 cos(pi/2 - theta) i D F^2)."""
-    d = np.arange(g.nd)
-    k = d >> 1
-    dual = (2.0 * np.cos(g.theta_dual()[k]) * (1j * np.exp(1j * g.dirang))
-            * np.asarray(F, dtype=complex)[k] ** 2).imag
-    return primal_increments(g, F, d), dual
 
 
 def _tree_solve(head, tail, inc, trusted, n):

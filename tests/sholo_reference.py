@@ -8,7 +8,9 @@ per-edge loops of ``sholo.map_S`` / ``sholo.map_S_inverse``.
 ``star_identity_residual_reference`` each dart in turn, where
 ``sholo.spinor_maps`` advances all stars together over the maximum degree
 and ``star_identity_residual`` (here, as no library flow reads it) is one
-pass over the darts.
+pass over the darts.  ``sholo_residual_all`` (the largest dart residual)
+and ``edge_increments`` (the primal and dual increments of H per dart) are
+here for the same reason.
 ``kernel_observables_reference`` takes the complex SVD of KW itself and
 projects each kernel vector u, and i u, onto the dart lines; the library
 instead reads the real kernel basis of I - X T' in the half-angle gauge.
@@ -35,7 +37,8 @@ from kwlab import sholo
 from kwlab.derived import build_C, half_angle_phases, isoradial_data
 from kwlab.linalg import max_norm
 from kwlab.operators import dirac_C, kac_ward, kasteleyn, phi_omega
-from kwlab.sholo import edge_increments, map_S_inverse, vertex_residuals
+from kwlab.sholo import (_dart_residuals, map_S_inverse, primal_increments,
+                         vertex_residuals)
 from kwlab.surface_graph import GraphError, cycle_with_winding
 
 from kernel_reference import null_space
@@ -109,6 +112,20 @@ def spinor_maps_reference(g, F, c=None):
     rot = np.exp(0.5j * g.theta[np.arange(nd) >> 1])
     return {"T": t, "T_tilde": t_tilde,
             "T_prime": rot * t, "T_tilde_prime": rot * t_tilde}
+
+
+def sholo_residual_all(g, F, branch=0.0):
+    return float(np.max(_dart_residuals(g, F, branch), initial=0.0))
+
+
+def edge_increments(g, F):
+    """Per dart, the ``primal_increments`` and H(left face) - H(right face)
+    = Im(2 cos(pi/2 - theta) i D F^2)."""
+    d = np.arange(g.nd)
+    k = d >> 1
+    dual = (2.0 * np.cos(g.theta_dual()[k]) * (1j * np.exp(1j * g.dirang))
+            * np.asarray(F, dtype=complex)[k] ** 2).imag
+    return primal_increments(g, F, d), dual
 
 
 def star_identity_residual(g, F, c=None):

@@ -12,7 +12,8 @@ from kwlab.surface_graph import (GraphError, SizeGuardError, Weights,
 from kwlab.critical import (critical_beta, duality_check, free_energy,
                             hessian_tau, spectral_coefficients, spectral_curve,
                             spectral_grid)
-from kwlab.operators import kac_ward_kernel, kw_dets, sqrt_det_pfaffian
+from kwlab.operators import (kac_ward_kernel, kac_ward_real, kw_dets,
+                             sqrt_det_pfaffian)
 from kwlab.oracle import signed_cycle_sum
 from kwlab.sholo import kernel_observables
 
@@ -283,6 +284,36 @@ def test_free_energy_critical_self_convergent():
     assert r64["convergence_estimate"] < r32["convergence_estimate"]
 
 
+def test_free_energy_names_the_node_where_the_curve_is_not_real(
+        monkeypatch):
+    # the direct 2 x 2 grid of free_energy(n=1) factors the nodes (0, 0) and
+    # (0, 1); the rest are their conjugates
+    def skewed(g, phi, x):
+        out = kw_dets(g, phi, x)
+        out[1] += 1j
+        return out
+
+    monkeypatch.setattr(critical, "kw_dets", skewed)
+    with pytest.raises(GraphError, match=r"^spectral curve is not real on "
+                       r"the 2 x 2 grid at \(phi1, phi2\) = "
+                       r"\(1\.5708, 4\.71239\)$"):
+        free_energy(fx.rect_torus(0.3, 0.4), n=1)
+
+
+def test_free_energy_names_the_node_where_the_curve_is_nonpositive(
+        monkeypatch):
+    def negated(g, phi, x):
+        out = kw_dets(g, phi, x)
+        out[0] = -1.0
+        return out
+
+    monkeypatch.setattr(critical, "kw_dets", negated)
+    with pytest.raises(GraphError, match=r"^log of a nonpositive curve value "
+                       r"on the 2 x 2 grid at \(phi1, phi2\) = "
+                       r"\(1\.5708, 1\.5708\)$"):
+        free_energy(fx.rect_torus(0.3, 0.4), n=1)
+
+
 def test_spectral_grid_real_and_positive_off_criticality():
     g = fx.rect_torus(0.3, 0.4)
     _, _, vals = spectral_grid(g, 16)
@@ -323,12 +354,15 @@ def test_grid_guard(monkeypatch):
 
 
 def test_spectral_grid_matches_single_points():
-    # 64 darts: the 8 x 8 grid spans 8 chunks of the determinant stack
+    # 64 darts: the 32 factored nodes of the 8 x 8 grid span 4 chunks of the
+    # determinant stack; the other 32 are their conjugates
     g = fx.square_torus(4, 0.37)
     angles, _, vals = spectral_grid(g, 8)
     want = np.array([[spectral_curve(g, cmath.exp(1j * a), cmath.exp(1j * b))
                       for b in angles] for a in angles])
-    assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-15
+    flat, want = vals.ravel(), want.ravel()
+    assert np.max(np.abs(flat[:32] - want[:32]) / np.abs(want[:32])) <= 1e-15
+    assert np.array_equal(flat[32:], flat[:32][::-1].conj())
 
 
 def _shift21_torus(x=(0.3, 0.4, 0.5)):
@@ -409,17 +443,61 @@ def _count_kw_dets(monkeypatch):
 
 def test_grid_determinant_counts(monkeypatch):
     rows = _count_kw_dets(monkeypatch)
-    # 5 x 5 coefficients fix the 16 x 16 grid on the 2 x 2 torus
+    real = []
+    monkeypatch.setattr(critical, "kac_ward_real",
+                        lambda g, x: real.append(1) or kac_ward_real(g, x))
+    # 5 x 5 coefficients fix the 16 x 16 grid on the 2 x 2 torus: the roots
+    # j = 0, 1, 2 of z are factored, j = 3, 4 are their conjugates
     spectral_grid(fx.square_torus(2), 16)
-    assert sum(rows) == 25
+    assert sum(rows) == 15
     rows.clear()
     # 3 x 3 coefficients, once for both the 32 x 32 and 16 x 16 grids
     free_energy(fx.rect_torus(), n=16)
-    assert rows == [9]
+    assert rows == [6]
     rows.clear()
-    # 17 x 17 coefficients against one node: the direct stack
+    assert real == []
+    # 17 x 17 coefficients against one node: the direct route, whose one
+    # node (-1, -1) is a real determinant
     spectral_grid(fx.square_torus(8, 0.3), 1)
-    assert rows == [1]
+    assert sum(rows) == 0 and real == [1]
+    rows.clear()
+    # the direct 3 x 3 grid: 4 complex determinants and the real middle
+    spectral_grid(fx.square_torus(8, 0.3), 3)
+    assert sum(rows) == 4 and real == [1, 1]
+
+
+def test_real_node_is_the_curve_at_minus_one():
+    # the direct 1 x 1 grid is the node (-1, -1), a real determinant
+    for g in (fx.square_torus(1), fx.square_torus(2), fx.square_torus(3),
+              fx.square_torus(8), fx.honeycomb_torus((0.4, 0.5, 0.6)),
+              _shift21_torus()):
+        vals = spectral_grid(g, 1)[2]
+        want = spectral_curve(g, -1, -1)
+        assert vals.shape == (1, 1) and vals[0, 0].imag == 0.0
+        assert abs(vals[0, 0] - want) <= 1e-14 * abs(want)
+
+
+_UNIT_ANGLES = st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["rect", "honeycomb", "shift21", "dual"]),
+       x=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT),
+       angles=st.lists(_UNIT_ANGLES, min_size=1, max_size=4))
+def test_spectral_curve_is_conjugate_symmetric(kind, x, angles):
+    # KW(z, w) = H^-1 (I - diag(phi x) T') H with T' real: for real weights
+    # P(conj z, conj w) = conj P(z, w)
+    g = {"rect": lambda: fx.rect_torus(*x[:2]),
+         "honeycomb": lambda: fx.honeycomb_torus(x),
+         "shift21": lambda: _shift21_torus(x),
+         "dual": lambda: dual(fx.honeycomb_torus(x))}[kind]()
+    zw = [(cmath.exp(1j * p), cmath.exp(1j * q)) for p, q in angles]
+    vals = [spectral_curve(g, z, w) for z, w in zw]
+    mirrored = [spectral_curve(g, z.conjugate(), w.conjugate())
+                for z, w in zw]
+    scale = max(map(abs, vals + mirrored))
+    for v, m in zip(vals, mirrored):
+        assert abs(m - v.conjugate()) <= 1e-14 * scale
 
 
 def _hessian_from_coefficients(g):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kwlab.linalg import (_NB, cycle_det, det_cofactor, lu_det, lu_solve,
-                          max_norm, pfaffian, sparse_max_norm, sparse_product,
-                          to_dense)
+from kwlab.linalg import (_NB, cycle_det, lu_det, lu_solve, max_norm,
+                          pfaffian, sparse_max_norm, sparse_product, to_dense)
 from kwlab.surface_graph import GraphError
 
 from kernel_reference import null_space
+from linalg_reference import det_cofactor
 from pfaffian_reference import pfaffian_reference
 
 

@@ -12,20 +12,19 @@ from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
 from kwlab.operators import dirac_C, kac_ward, kac_ward_kernel, phi_omega
 from kwlab.sholo import (STAR_TOL, _homology_walks, _line_minus, _line_plus,
-                         _proj, _tree_solve, edge_increments,
-                         integrate_square, kernel_observables,
-                         map_S, map_S_inverse, observable, primal_increments,
-                         sholo_residual, sholo_residual_all, spinor_maps,
+                         _proj, _tree_solve, integrate_square,
+                         kernel_observables, map_S, map_S_inverse, observable,
+                         primal_increments, sholo_residual, spinor_maps,
                          verify_sholo, vertex_residuals)
 from kwlab.surface_graph import SizeGuardError
 
 from kernel_reference import null_space
-from sholo_reference import (integrate_square_reference,
+from sholo_reference import (edge_increments, integrate_square_reference,
                              kernel_observables_reference, laplacian_of_H,
                              laplacian_of_H_reference,
                              map_S_inverse_reference, map_S_reference,
-                             sholo_residual_reference, spinor_maps_reference,
-                             star_identity_residual,
+                             sholo_residual_all, sholo_residual_reference,
+                             spinor_maps_reference, star_identity_residual,
                              star_identity_residual_reference,
                              verify_sholo_reference)
 
