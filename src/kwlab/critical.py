@@ -8,11 +8,10 @@ import math
 
 import numpy as np
 
-from .linalg import lu_det
 from .surface_graph import (GraphError, SizeGuardError, character_cochain,
                             dual, shift_character)
-from .operators import (KERNEL_TOL, kac_ward, kac_ward_kernel, kac_ward_real,
-                        kw_dets, sqrt_det_pfaffian)
+from .operators import (KERNEL_TOL, kac_ward_kernel, kac_ward_real, kw_dets,
+                        kw_real_det, refined_kernel, sqrt_det_pfaffian)
 from .oracle import ARF_SIGNS_GENUS1
 
 #: the initial root bracket of ``critical_beta``, widened if it has no sign change
@@ -36,7 +35,7 @@ def spectral_curve(g, z, w, x=None):
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
     phi = character_cochain(g, z, w)
-    return lu_det(kac_ward(g, phi, x))
+    return complex(kw_dets(g, phi.values, g.x if x is None else x))
 
 
 def _exponents(g):
@@ -68,8 +67,11 @@ def spectral_coefficients(g, x=None):
     In the half-angle gauge KW(z, w) = H^-1 (I - diag(phi x) T') H, with
     H = diag(exp(i dirang / 2)) and T' the +-1 ``g.transition_signs``, so
     for real weights P(conj z, conj w) = conj P(z, w).  Root j pairs with
-    root -j mod L: one ``kw_dets`` stack factors the rows j <= L1 / 2, and
-    each later row is the conjugate of row L1 - j read at the columns -k.
+    root -j mod L, and L1 and L2 are odd (each edge's winding enters both
+    ranges with both signs): one ``kw_dets`` stack factors the columns
+    k <= L2 // 2 of row 0 and the rows 0 < j <= L1 // 2, the rest of row 0
+    are the conjugates of its columns L2 - k, and each later row is the
+    conjugate of row L1 - j read at the columns -k.
     """
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
@@ -78,10 +80,15 @@ def spectral_coefficients(g, x=None):
     if l1 * l2 * g.nd > GRID_GUARD:
         raise SizeGuardError(f"the {l1} x {l2} coefficients on {g.nd} darts "
                              f"exceed GRID_GUARD ({GRID_GUARD} entries)")
-    z = np.exp(2j * math.pi * np.arange(l1 // 2 + 1) / l1)
-    w = np.exp(2j * math.pi * np.arange(l2) / l2)
-    half = kw_dets(g, shift_character(g.shift, z[:, None], w[None, :]),
+    # the roots (j, k) of row 0 up to k = L2 // 2, then the rows j > 0
+    j = np.repeat(np.arange(l1 // 2 + 1), [l2 // 2 + 1] + [l2] * (l1 // 2))
+    k = np.concatenate([np.arange(l2 // 2 + 1), np.tile(np.arange(l2), l1 // 2)])
+    dets = kw_dets(g, shift_character(g.shift, np.exp(2j * math.pi * j / l1),
+                                      np.exp(2j * math.pi * k / l2)),
                    g.x if x is None else x)
+    row0 = dets[:l2 // 2 + 1]
+    half = np.concatenate([[np.concatenate([row0, row0[:0:-1].conj()])],
+                           dets[l2 // 2 + 1:].reshape(l1 // 2, l2)])
     vals = np.concatenate(
         [half, half[l1 - l1 // 2 - 1:0:-1, -np.arange(l2) % l2].conj()])
     # vals[j, k] = sum c[a, b] exp(2 pi i (j a / l1 + k b / l2)), an inverse
@@ -117,7 +124,8 @@ def spectral_grid(g, n, x=None):
     E_z C E_w^T with E = units^exponents (``_coefficient_grid``), which
     agrees with ``spectral_curve`` to rounding (about 1e-15 max|P| on the
     small tori, 1e-14 at 256 darts).  Otherwise the nodes are determinants;
-    both routes factor nd x nd matrices, so the rule takes the fewer.
+    both routes factor the same r x r Schur complements (``kw_dets``), so
+    the rule takes the fewer.
 
     The direct grid is closed under conjugation: node k of the flattened
     grid sits at the conjugate of node n^2 - 1 - k.  In the half-angle gauge
@@ -125,8 +133,8 @@ def spectral_grid(g, n, x=None):
     and T' the +-1 ``g.transition_signs``, so for real weights
     P(conj z, conj w) = conj P(z, w).  One ``kw_dets`` stack factors the
     first n^2 // 2 nodes, the last ones are their conjugates, and the middle
-    node of an odd grid, (-1, -1), is the real determinant of
-    ``kac_ward_real`` at the weights signed by the windings' parity.
+    node of an odd grid, (-1, -1), is the real determinant ``kw_real_det``
+    at the weights signed by the windings' parity.
     """
     _grid_guard(g, n)
     angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
@@ -141,7 +149,7 @@ def spectral_grid(g, n, x=None):
     # both darts of an edge carry (-1)^(s1 + s2) at (-1, -1), as a reversed
     # dart has the opposite shift: the sign folds into the edge weights
     sign = 1.0 - 2.0 * (np.sum(g.shift[0::2], axis=1) % 2)
-    mid = [np.linalg.det(kac_ward_real(g, sign * xs))] if n % 2 else []
+    mid = [kw_real_det(g, sign * xs)] if n % 2 else []
     vals = np.concatenate([half, mid, half[::-1].conj()])
     return angles, angles.copy(), vals.reshape(n, n)
 
@@ -192,7 +200,8 @@ def critical_beta(g, j=None, tol=1e-12, trace=None):
         raise GraphError("no sign change of the signed square root in the "
                          "root bracket; weights look pathological")
     beta_c = _brent(s, lo, hi, s_lo, s_hi, tol)
-    p11 = spectral_curve(g, 1.0, 1.0, np.tanh(beta_c * j))
+    # P(1, 1) = det KW(1, 1) is the real det(I - X T')
+    p11 = kw_real_det(g, np.tanh(beta_c * j))
     return {"beta_c": beta_c, "P11": abs(p11)}
 
 
@@ -256,6 +265,10 @@ def hessian_tau(g, x=None):
     them, so no transition is read.  An orthogonal change of either basis
     multiplies c and det(a Mz + b Mw) by the same sign.  tau is the root of
     A_w t^2 + 2 B t + A_z in the upper half plane.
+
+    The bases first take one step of inverse iteration
+    (``operators.refined_kernel``): after the probe route's one solve
+    |M V0| sits near 1e-14 at 576 darts, and the step takes it to rounding.
     """
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
@@ -267,6 +280,7 @@ def hessian_tau(g, x=None):
         raise GraphError(
             f"weights are not critical: KW(1, 1) has a {dim}-dimensional "
             f"kernel (sigma_n-1 / sigma_1 = {sig[-2] / sig[0]:.3g}), not 2")
+    w0, v0 = refined_kernel(g, xs, w0, v0)
     mz, mw = (-(w0 * s[:, None]).T @ v0 for s in g.shift.T)
     c = np.linalg.det(m - (m @ v0 - w0) @ v0.T)
     det_z, det_w, det_zw = np.linalg.det(np.array([mz, mw, mz + mw]))

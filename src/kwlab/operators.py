@@ -23,10 +23,21 @@ other builders return their list with ``sparse=True``.  The identity suites
 lists (see ``linalg``), so no check forms a dense product or an LU
 determinant.
 
+Determinants and real solves factor an r x r Schur complement, not the
+nd x nd KW (the kernel's SVD and ``hessian_tau``'s c-determinant aside).
+The darts S leaving an independent vertex set continue only into the
+other darts R, so KW_SS = I and det KW = det(KW_RR - KW_RS KW_SR):
+``kw_dets``, ``kw_real_det`` and ``_schur_solve`` build and factor that
+complement from ``EmbeddedGraph.schur_pattern`` (``_schur_matrices``),
+and a solve recovers y_S = b_S + A_SR y_R.  The dense builders stay for
+the callers that need a matrix.
+
 One decision says whether KW(1, 1) is singular: ``kac_ward_kernel``, from
 one solve against the fixed ``kernel_probes`` columns and a Rayleigh-Ritz
 step (``_probed_kernel``), with the full SVD only where the probe cannot
-decide.  ``sholo.observable``'s inverse backend asks it too.
+decide.  ``sholo.observable``'s inverse backend asks it too, through
+``kac_ward_kernel_solve``, which also returns the column from the same
+factorization.
 """
 
 from __future__ import annotations
@@ -77,21 +88,15 @@ def kac_ward(g, phi=None, x=None):
                               g.transition_entries[2])
 
 
-def _eye_minus_pattern(g, rows, vals, out=None):
+def _eye_minus_pattern(g, rows, vals):
     """Dense I - A with A[..., e, e'] = rows[..., e] vals[k] on each
     continuation (e, e') = ``g.transition_entries[:2]``[k]; leading axes of
-    ``rows`` stack.  ``out``, a flat array of as many entries, takes the
-    matrices in place of a new one."""
+    ``rows`` stack."""
     e, e2, _ = g.transition_entries
     nd = g.nd
     a = rows[..., e] * vals
     # flat row-major layout: (e, e') at e * nd + e', the diagonal every nd + 1
-    shape = a.shape[:-1] + (nd * nd,)
-    if out is None:
-        m = np.zeros(shape, dtype=a.dtype)
-    else:
-        m = out.reshape(shape)
-        m.fill(0)
+    m = np.zeros(a.shape[:-1] + (nd * nd,), dtype=a.dtype)
     m[..., e * nd + e2] = -a
     m[..., ::nd + 1] += 1
     return m.reshape(a.shape[:-1] + (nd, nd))
@@ -115,30 +120,94 @@ def _kw_buffer(size):
     return buf[:size]
 
 
+def _schur_matrices(g, a, out=None):
+    """The Schur complements I - A_RR - A_RS A_SR of ``g.schur_pattern``, as
+    (..., r, r) matrices, for A with the values ``a`` (..., nk) on the
+    continuations of ``g.transition_entries``; leading axes of ``a`` stack.
+    ``out``, a flat array of as many entries, takes the matrices in place of
+    a new one.  det(I - A) is their determinant: A_SS = 0."""
+    p = g.schur_pattern
+    r = len(p.rest)
+    # the factor 1 of the R -> R entries at index nk
+    a1 = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
+    a1[..., :-1] = a
+    a1[..., -1] = 1
+    shape = a.shape[:-1] + (r * r,)
+    if out is None:
+        m = np.zeros(shape, dtype=a.dtype)
+    else:
+        m = out.reshape(shape)
+        m.fill(0)
+    if len(p.slots):        # a graph with no continuation has no terms
+        m[..., p.slots] = -np.add.reduceat(a1[..., p.first] * a1[..., p.second],
+                                           p.starts, axis=-1)
+    m[..., ::r + 1] += 1
+    return m.reshape(a.shape[:-1] + (r, r))
+
+
 def kw_dets(g, phi_rows, x_rows):
     """det KW for each row of ``phi_rows`` (..., nd) and ``x_rows`` (..., ne).
 
-    The leading axes broadcast as in ``kac_ward``.  The stack is built and
-    factored in chunks of at most ``KW_CHUNK_BYTES`` of matrix entries (one
-    matrix at a time once a single one exceeds it), each chunk in the same
-    reused work array; each determinant is bitwise the one
-    ``lu_det(kac_ward(g, phi, x))`` returns.
+    The leading axes broadcast as in ``kac_ward``.  Each determinant is that
+    of the r x r Schur complement ``_schur_matrices``, not of the nd x nd
+    KW.  The stack is built and factored in chunks of at most
+    ``KW_CHUNK_BYTES`` of matrix entries (one matrix at a time once a single
+    one exceeds it), each chunk in the same reused work array; each
+    determinant is bitwise the one its row gets alone.
     """
     pv = _phi_values(g, phi_rows)
     if np.any(np.abs(pv) == 0):
         raise GraphError("cochain values must be nonzero")
-    xs = np.asarray(x_rows)
-    lead = np.broadcast_shapes(pv.shape[:-1], xs.shape[:-1])
-    pv = np.broadcast_to(pv, lead + pv.shape[-1:]).reshape(-1, g.nd)
-    xs = np.broadcast_to(xs, lead + xs.shape[-1:]).reshape(-1, g.ne)
-    step = max(1, KW_CHUNK_BYTES // (16 * g.nd * g.nd))
-    buf = _kw_buffer(min(step, len(pv)) * g.nd * g.nd)
-    out = np.empty(len(pv), dtype=complex)
-    for i in range(0, len(pv), step):
-        rows = pv[i:i + step] * np.repeat(xs[i:i + step], 2, axis=-1)
-        out[i:i + step] = np.linalg.det(_eye_minus_pattern(
-            g, rows, g.transition_entries[2], buf[:len(rows) * g.nd * g.nd]))
+    rows = pv * np.repeat(x_rows, 2, axis=-1)
+    lead = rows.shape[:-1]
+    rows = rows.reshape(-1, g.nd)
+    e, _, phase = g.transition_entries
+    size = len(g.schur_pattern.rest) ** 2
+    step = max(1, KW_CHUNK_BYTES // (16 * size))
+    buf = _kw_buffer(min(step, len(rows)) * size)
+    out = np.empty(len(rows), dtype=complex)
+    for i in range(0, len(rows), step):
+        a = rows[i:i + step, e] * phase
+        out[i:i + step] = np.linalg.det(_schur_matrices(g, a,
+                                                        buf[:len(a) * size]))
     return out.reshape(lead)
+
+
+def _real_entries(g, xs):
+    """The entries of X T', the A of M = I - X T', on the continuations."""
+    return np.repeat(xs, 2)[g.transition_entries[0]] * g.transition_signs
+
+
+def kw_real_det(g, x=None):
+    """det M for the real M = I - X T' (``kac_ward_real``), from its Schur
+    complement."""
+    xs = g.x if x is None else np.asarray(x, dtype=float)
+    return float(np.linalg.det(_schur_matrices(g, _real_entries(g, xs))))
+
+
+def _schur_solve(g, a, b):
+    """(I - A)^-1 b for A with the real values ``a`` on the continuations and
+    b of shape (nd, k), through the Schur complement on the darts R:
+    B y_R = b_R + A_RS b_S, then y_S = b_S + A_SR y_R.  GraphError at an
+    exactly singular pivot of B."""
+    p = g.schur_pattern
+    e, e2, _ = g.transition_entries
+    z = np.array(b, dtype=float)
+    np.add.at(z, e[p.into_s], a[p.into_s, None] * b[e2[p.into_s]])
+    y = np.array(b, dtype=float)
+    y[p.rest] = lu_solve(_schur_matrices(g, a), z[p.rest])
+    np.add.at(y, e[p.from_s], a[p.from_s, None] * y[e2[p.from_s]])
+    return y
+
+
+def _minus_apply(g, a, v, transpose=False):
+    """(I - A) v, or (I - A)^T v, for A with the values ``a`` on the
+    continuations and v of shape (nd, k)."""
+    e, e2, _ = g.transition_entries
+    dst, src = (e2, e) if transpose else (e, e2)
+    out = np.array(v, dtype=np.result_type(a, v))
+    np.add.at(out, dst, -a[:, None] * v[src])
+    return out
 
 
 #: bytes of per-draw arrays that a seeded suite (``suites.suite_corr``,
@@ -234,20 +303,32 @@ def kac_ward_kernel(g, x=None):
     same dimension and span the same kernels; the bases themselves differ
     by an orthogonal change, and each is deterministic.
     """
+    return kac_ward_kernel_solve(g, None, x)[:3]
+
+
+def kac_ward_kernel_solve(g, rhs, x=None):
+    """``kac_ward_kernel``'s (W0, V0, dim), and Y = M^-1 rhs for the columns
+    ``rhs`` (nd x k), or None when dim > 0 or ``rhs`` is None.
+
+    Y comes from the factorization that decided the kernel: the probe
+    route's solve takes ``rhs`` along with the probe columns, and the SVD
+    route reads Y = V diag(1 / sigma) U^T rhs off its factors.
+    """
     xs = g.x if x is None else np.asarray(x, dtype=float)
-    m = kac_ward_real(g, xs)
     if g.nd >= KERNEL_SVD_DARTS:
-        found = _probed_kernel(g, m, xs)
+        found = _probed_kernel(g, xs, rhs)
         if found is not None:
             return found
     # the null columns of U and V
-    u, s, vt = np.linalg.svd(m)
+    u, s, vt = np.linalg.svd(kac_ward_real(g, xs))
     n, dim = len(s), int(np.count_nonzero(s < KERNEL_TOL * s[0]))
-    return u[:, n - dim:], vt[n - dim:].T, dim
+    y = None if rhs is None or dim else vt.T @ ((u.T @ rhs) / s[:, None])
+    return u[:, n - dim:], vt[n - dim:].T, dim, y
 
 
-def _probed_kernel(g, m, xs):
-    """``kac_ward_kernel`` from one solve and a Ritz step, or None in doubt.
+def _probed_kernel(g, xs, rhs):
+    """``kac_ward_kernel_solve`` from one solve and a Ritz step, or None in
+    doubt.
 
     Rayleigh-Ritz on Q = orth(Y), Y = M^-1 R for the probe columns R: the
     Ritz values rho are the singular values of the nd x k matrix M Q, and
@@ -258,31 +339,44 @@ def _probed_kernel(g, m, xs):
     sqrt(nd) (Dixon's bound), so every other rho must exceed
     100 sqrt(nd) ``KERNEL_TOL`` hi, and dim < k.  A rho in between is a
     near-kernel that one Ritz step resolves only to its own relative size,
-    not to the SVD's rounding.
-
-    The left basis follows from the right one.  With D = |X|^1/2 and the
-    signs s of ``sqrt_det_pfaffian``, S = diag(s) J D^-1 M D is real skew,
-    so (D^-1 V0)^T S = 0 and W0 = D^-1 J diag(s) D^-1 V0 spans the left
-    kernel.  It is orthonormalized and must leave |M^T W0| at rounding
-    level, as the right basis does.
+    not to the SVD's rounding.  The solve (``_schur_solve``) takes ``rhs``
+    along with R, and M Q is formed from the entry list.  The left basis
+    is ``_left_basis``.
     """
     hi = sigma_hi(g, xs)
+    a = _real_entries(g, xs)
+    probes = kernel_probes(g.nd)
+    k = probes.shape[1]
     try:
-        y = lu_solve(m, kernel_probes(g.nd))
+        y = _schur_solve(g, a, probes if rhs is None
+                         else np.concatenate([probes, rhs], axis=1))
     except GraphError:
         return None
     if not np.all(np.isfinite(y)):
         return None
-    n, k = y.shape
-    q = np.linalg.qr(y)[0]
-    _, rho, vh = np.linalg.svd(m @ q, full_matrices=False)
+    n = g.nd
+    q = np.linalg.qr(y[:, :k])[0]
+    _, rho, vh = np.linalg.svd(_minus_apply(g, a, q), full_matrices=False)
     dim = int(np.count_nonzero(rho <= _rounding_level(n, hi)))
     # rho is descending: rho[k - dim - 1] is the smallest one left out
     if dim == k or rho[k - dim - 1] <= 100 * math.sqrt(n) * KERNEL_TOL * hi:
         return None
     v0 = q @ vh[k - dim:].T
     if not dim:
-        return v0, v0, 0
+        return v0, v0, 0, None if rhs is None else y[:, k:]
+    w0 = _left_basis(g, xs, a, v0, hi)
+    return None if w0 is None else (w0, v0, dim, None)
+
+
+def _left_basis(g, xs, a, v0, hi):
+    """The left kernel basis of M that the right basis V0 gives, or None.
+
+    With D = |X|^1/2 and the signs s of ``sqrt_det_pfaffian``,
+    S = diag(s) J D^-1 M D is real skew, so (D^-1 V0)^T S = 0 and
+    W0 = D^-1 J diag(s) D^-1 V0 spans the left kernel.  It is
+    orthonormalized and must leave |M^T W0| at rounding level, as the right
+    basis does; None at a zero weight or where there are no skew signs.
+    """
     xd = np.repeat(xs, 2)
     if np.any(xd == 0):
         return None
@@ -291,11 +385,33 @@ def _probed_kernel(g, m, xs):
     except GraphError:
         return None
     d = np.sqrt(np.abs(xd))
-    w0 = ((s / d)[:, None] * v0)[np.arange(n) ^ 1] / d[:, None]
+    w0 = ((s / d)[:, None] * v0)[np.arange(g.nd) ^ 1] / d[:, None]
     w0 = np.linalg.qr(w0)[0]
-    if not np.linalg.norm(m.T @ w0) <= _rounding_level(n, hi):
+    if not (np.linalg.norm(_minus_apply(g, a, w0, transpose=True))
+            <= _rounding_level(g.nd, hi)):
         return None
-    return w0, v0, dim
+    return w0
+
+
+def refined_kernel(g, xs, w0, v0):
+    """(W0, V0) of ``kac_ward_kernel`` after one step of inverse iteration,
+    V0 <- orth(M^-1 V0) with ``_schur_solve``, and W0 derived from it again
+    (``_left_basis``).  From ``KERNEL_SVD_DARTS`` darts only, where the
+    probe route decides; the SVD's bases are at rounding already.  At an
+    exactly singular pivot, or where no left basis passes its check, the
+    bases come back as given."""
+    if g.nd < KERNEL_SVD_DARTS:
+        return w0, v0
+    a = _real_entries(g, xs)
+    try:
+        y = _schur_solve(g, a, v0)
+    except GraphError:
+        return w0, v0
+    if not np.all(np.isfinite(y)):
+        return w0, v0
+    v1 = np.linalg.qr(y)[0]
+    w1 = _left_basis(g, xs, a, v1, sigma_hi(g, xs))
+    return (w0, v0) if w1 is None else (w1, v1)
 
 
 def _out(shape, entries, sparse):

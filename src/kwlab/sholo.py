@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lu_solve, max_norm
+from .linalg import max_norm
 from .surface_graph import GraphError, SizeGuardError, cycle_with_winding
 from .derived import build_C, half_angle_phases, isoradial_data
 from .operators import (_draw_chunks, dirac_C, kac_ward, kac_ward_kernel,
-                        kac_ward_real, kasteleyn, phi_omega, sqrt_det_pfaffian)
+                        kac_ward_kernel_solve, kasteleyn, phi_omega,
+                        sqrt_det_pfaffian)
 from .oracle import INV_GUARD, _entry_terms, _sum_terms
 
 
@@ -132,7 +133,8 @@ def observable(g, e0, backend="auto", x=None):
     ``backend='inverse'`` reads the column of sqrt(det KW) KW^{-1} at rev(e0)
     and assembles F through the inverse of map_S.  It needs all weights
     positive and KW regular, as ``kac_ward_kernel`` decides, and takes the
-    column from one real solve with the half-angle M = I - X T'.
+    column of the half-angle M = I - X T' from the factorization that
+    decides it (``kac_ward_kernel_solve``).
     ``backend='combinatorial'`` sums marked two-leg
     configurations with rotation phases (size-guarded, works at x = 0).  The
     result is s-holomorphic around every vertex not touching e0.
@@ -158,16 +160,17 @@ def observable(g, e0, backend="auto", x=None):
             raise GraphError("inverse backend needs positive weights")
         # the signed root squares to det KW, so no LU determinant is needed
         s = sqrt_det_pfaffian(g, None, xs)
-        if kac_ward_kernel(g, xs)[2]:
-            raise GraphError("Kac-Ward operator is singular; use the "
-                             "combinatorial backend")
         # KW(1, 1) = H^-1 M H with H = diag(h), h = exp(i dirang / 2), so
-        # KW^-1 e_r = h_r conj(h) M^-1 e_r: one real solve for the column
+        # KW^-1 e_r = h_r conj(h) M^-1 e_r: the real column comes from the
+        # factorization that decides the kernel
         rhs = np.zeros((g.nd, 1))
         rhs[e0 ^ 1] = 1.0
+        dim, y = kac_ward_kernel_solve(g, rhs, xs)[2:]
+        if dim:
+            raise GraphError("Kac-Ward operator is singular; use the "
+                             "combinatorial backend")
         h = np.exp(0.5j * g.dirang)
-        y = lu_solve(kac_ward_real(g, xs), rhs)[:, 0]
-        f = s * h[e0 ^ 1] * h.conj() * y
+        f = s * h[e0 ^ 1] * h.conj() * y[:, 0]
         return pref * (f[0::2] + f[1::2]) / sn
 
     if backend != "combinatorial":

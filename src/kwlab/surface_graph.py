@@ -68,6 +68,32 @@ class Weights:
         return len(self.x)
 
 
+@dataclass(frozen=True)
+class SchurPattern:
+    """Where the Schur complement of I - A on the darts ``rest`` takes its
+    entries, for A supported on the continuations (``schur_pattern``).
+
+    Index k < nk points into ``EmbeddedGraph.transition_entries``, and
+    k = nk stands for a factor 1.  The darts S, all but ``rest``, leave an
+    independent vertex set, so A_SS = 0 and the complement is
+    I - A_RR - A_RS A_SR, r x r for r = len(rest).  Its terms are the
+    entries R -> R and the two-step paths R -> S -> R, term t being
+    A[first[t]] A[second[t]] (second = nk for an entry).  They are sorted
+    by their flat row-major slot in the r x r matrix; ``starts`` are the
+    first terms of each run of equal slots and ``slots`` the slots of the
+    runs.  ``into_s`` and ``from_s`` are the entries R -> S and S -> R,
+    which carry a right-hand side into R and the solution back out to S.
+    """
+
+    rest: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    starts: np.ndarray
+    slots: np.ndarray
+    into_s: np.ndarray
+    from_s: np.ndarray
+
+
 @dataclass
 class EmbeddedGraph:
     """A weighted graph embedded in the plane (genus 0) or a flat torus (genus 1).
@@ -140,18 +166,72 @@ class EmbeddedGraph:
         per non-backtracking continuation e -> e' (o(e') = t(e), e' != rev e),
         in row-major order.
 
+        The continuations of e are the darts at t(e) but rev e (a loop's dart
+        continues into itself); ``darts_at`` lists them in ascending order.
         They depend only on the embedding; graphs are not mutated after
         construction, so they are found once per graph.
         """
-        nd = self.nd
-        e, e2 = np.nonzero(self.origin[np.arange(nd) ^ 1][:, None]
-                           == self.origin[None, :])
-        keep = e2 != (e ^ 1)
-        e, e2 = e[keep], e2[keep]
+        # darts_at as a table, its short rows padded with -1
+        width = max(map(len, self.darts_at))
+        table = np.array([d + (-1,) * (width - len(d)) for d in self.darts_at])
+        rev = np.arange(self.nd) ^ 1
+        cand = table[self.origin[rev]]
+        e, j = np.nonzero((cand >= 0) & (cand != rev[:, None]))
+        e2 = cand[e, j]
         # principal_angle, elementwise
         alpha = (self.dirang[e2] - self.dirang[e] + math.pi) % TWO_PI - math.pi
         alpha[alpha <= -math.pi] += TWO_PI
         return e, e2, np.exp(0.5j * alpha)
+
+    @cached_property
+    def schur_pattern(self):
+        """The ``SchurPattern`` of the Kac-Ward operators of this graph.
+
+        S is the set of darts leaving an independent vertex set, chosen
+        greedily by vertex id; a vertex with a loop never joins.  A dart of
+        S ends at a vertex outside the set, so it continues into no dart of
+        S, and det KW is the determinant of the complement on the other
+        darts R.  On the square tori of even side S is one colour class of
+        the checkerboard, so r = nd / 2; where every vertex carries a loop
+        (the one-vertex tori) S is empty and the complement is I - A
+        itself.  Found once per graph, like ``transition_entries``.
+        """
+        origin = self.origin.tolist()
+        free = [True] * self.nv
+        inside = [False] * self.nv
+        for v, darts in enumerate(self.darts_at):
+            ends = [origin[d ^ 1] for d in darts]
+            if free[v] and v not in ends:
+                inside[v] = True
+                for w in ends:
+                    free[w] = False
+        e, e2, _ = self.transition_entries
+        # numpy's method forms: the function wrappers cost more than the
+        # work on a small graph
+        in_s = np.array(inside)[self.origin]
+        keep = ~in_s
+        rest = keep.nonzero()[0]
+        r = len(rest)
+        pos = keep.cumsum() - 1         # the index in rest of each dart of R
+        leaves, enters = in_s[e], in_s[e2]
+        into_s = enters.nonzero()[0]
+        # each row's entries are contiguous: the path through s = e2[k]
+        # meets the n entries of row s from lo on
+        s_rows = e2[into_s]
+        lo = e.searchsorted(s_rows)
+        n = e.searchsorted(s_rows, "right") - lo
+        path = np.arange(n.sum()) + (lo - n.cumsum() + n).repeat(n)
+        direct = (keep[e] & ~enters).nonzero()[0]
+        first = np.concatenate([direct, into_s.repeat(n)])
+        second = np.concatenate([np.full(len(direct), len(e)), path])
+        slot = pos[e[first]] * r + pos[np.concatenate([e2[direct], e2[path]])]
+        order = slot.argsort(kind="stable")
+        slot = slot[order]
+        new = np.ones(len(slot), dtype=bool)
+        new[1:] = slot[1:] != slot[:-1]
+        starts = new.nonzero()[0]
+        return SchurPattern(rest, first[order], second[order], starts,
+                            slot[starts], into_s, leaves.nonzero()[0])
 
     @cached_property
     def transition_signs(self):

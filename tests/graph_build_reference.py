@@ -4,7 +4,10 @@ Kept as the test oracle: ``build_planar_reference``, ``build_torus_reference``
 and ``close_graph_reference`` take the arguments of ``build_planar``,
 ``build_torus`` and ``surface_graph._close_graph`` and walk the edges, the
 vertices and the faces one at a time.  The array build must give bitwise the
-same arrays and the same GraphError messages.
+same arrays and the same GraphError messages.  ``transition_entries_reference``
+finds the dart transitions by comparing every terminus with every origin,
+where the graph reads them off ``darts_at``; the arrays must be bitwise the
+same.
 """
 
 import math
@@ -182,3 +185,17 @@ def build_torus_reference(lattice, vertex_coords, edge_list, weights,
     if g.genus != 1:
         raise GraphError(f"torus data has genus {g.genus}, expected 1")
     return validate_reference(g)
+
+
+def transition_entries_reference(g):
+    """``EmbeddedGraph.transition_entries`` from the nd x nd comparison of
+    every dart's terminus with every dart's origin."""
+    nd = g.nd
+    e, e2 = np.nonzero(g.origin[np.arange(nd) ^ 1][:, None]
+                       == g.origin[None, :])
+    keep = e2 != (e ^ 1)
+    e, e2 = e[keep], e2[keep]
+    # principal_angle, elementwise
+    alpha = (g.dirang[e2] - g.dirang[e] + math.pi) % TWO_PI - math.pi
+    alpha[alpha <= -math.pi] += TWO_PI
+    return e, e2, np.exp(0.5j * alpha)

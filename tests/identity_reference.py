@@ -12,8 +12,9 @@ by key.
 ``suite_corr_reference`` and ``suite_det_reference`` are the ``corr`` and
 ``det`` suites as loops of single draws: each draw's cochain is gauged one
 Cochain at a time (``random_unitary_cochain_reference``), checked by one
-``verify_corr`` call, or factored by three ``lu_det`` calls.  The suites
-evaluate chunks of draws as stacks; the tests compare the reports bitwise.
+``verify_corr`` call, or factored by one single-row ``kw_dets`` call and two
+``lu_det`` calls.  The suites evaluate chunks of draws as stacks; the tests
+compare the reports bitwise.
 """
 
 import cmath
@@ -26,7 +27,7 @@ from kwlab.derived import (build_C, build_D, build_M, half_angle_phases,
                            split_phi_D, validate_kasteleyn)
 from kwlab.linalg import lu_det, max_norm
 from kwlab.operators import (_phi_values, dirac_C, dirac_D, kac_ward,
-                             kasteleyn, laplacian, laplacian_M,
+                             kasteleyn, kw_dets, laplacian, laplacian_M,
                              laplacian_dual, phi_omega, skew_adjacency,
                              verify_corr)
 from kwlab.report import check, make_report
@@ -289,7 +290,7 @@ def suite_det_reference(g, fixture, draws=20, seed=0):
     for t in range(draws):
         xs = rng.uniform(0.02, 0.98, g.ne)
         phi = random_unitary_cochain_reference(g, rng)
-        dkw = lu_det(kac_ward(g, phi, xs))
+        dkw = complex(kw_dets(g, phi, xs))
         pref = 2.0 ** (-g.nv) * complex(np.prod(1 + xs.astype(complex) ** 2))
         ratio_t = dkw / (pref * lu_det(kasteleyn(c, phi, "omega_tilde", xs)))
         ratio_o = dkw / (pref * lu_det(kasteleyn(c, phi, "omega", xs)))

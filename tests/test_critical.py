@@ -12,7 +12,7 @@ from kwlab.surface_graph import (GraphError, SizeGuardError, Weights,
 from kwlab.critical import (critical_beta, duality_check, free_energy,
                             hessian_tau, spectral_coefficients, spectral_curve,
                             spectral_grid)
-from kwlab.operators import (kac_ward_kernel, kac_ward_real, kw_dets,
+from kwlab.operators import (kac_ward_kernel, kw_dets, kw_real_det,
                              sqrt_det_pfaffian)
 from kwlab.oracle import signed_cycle_sum
 from kwlab.sholo import kernel_observables
@@ -165,7 +165,7 @@ def test_hessian_tau_matches_the_stencil():
         hessian_tau(fx.triangle(0.3))
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 12])
 def test_tau_is_exactly_i_on_square_tori(n):
     assert abs(hessian_tau(fx.square_torus(n))["tau"] - 1j) <= 1e-14
 
@@ -444,16 +444,17 @@ def _count_kw_dets(monkeypatch):
 def test_grid_determinant_counts(monkeypatch):
     rows = _count_kw_dets(monkeypatch)
     real = []
-    monkeypatch.setattr(critical, "kac_ward_real",
-                        lambda g, x: real.append(1) or kac_ward_real(g, x))
+    monkeypatch.setattr(critical, "kw_real_det",
+                        lambda g, x: real.append(1) or kw_real_det(g, x))
     # 5 x 5 coefficients fix the 16 x 16 grid on the 2 x 2 torus: the roots
-    # j = 0, 1, 2 of z are factored, j = 3, 4 are their conjugates
+    # j = 1, 2 of z and k = 0, 1, 2 of w at j = 0 are factored, the others
+    # are their conjugates
     spectral_grid(fx.square_torus(2), 16)
-    assert sum(rows) == 15
+    assert sum(rows) == 13
     rows.clear()
     # 3 x 3 coefficients, once for both the 32 x 32 and 16 x 16 grids
     free_energy(fx.rect_torus(), n=16)
-    assert rows == [6]
+    assert rows == [5]
     rows.clear()
     assert real == []
     # 17 x 17 coefficients against one node: the direct route, whose one

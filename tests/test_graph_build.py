@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from graph_build_reference import (build_planar_reference,
                                    build_torus_reference,
-                                   close_graph_reference, validate_reference)
+                                   close_graph_reference,
+                                   transition_entries_reference,
+                                   validate_reference)
 from kwlab import fixtures as fx
 from kwlab import surface_graph as sg
 from kwlab.surface_graph import GraphError, Weights, build_planar, build_torus
@@ -40,6 +42,9 @@ def assert_same_graph(g, h):
         assert a == b, name
         assert all(type(d) is int for t in a for d in t), name
     assert g.genus == h.genus
+    for a, b in zip(g.transition_entries, transition_entries_reference(h)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def built_both_ways(monkeypatch, make):

@@ -10,7 +10,8 @@ from kwlab import operators, sholo
 from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
-from kwlab.operators import dirac_C, kac_ward, kac_ward_kernel, phi_omega
+from kwlab.operators import (KERNEL_PROBES, dirac_C, kac_ward, kac_ward_kernel,
+                             phi_omega)
 from kwlab.sholo import (STAR_TOL, _homology_walks, _line_minus, _line_plus,
                          _proj, _tree_solve, integrate_square,
                          kernel_observables, map_S, map_S_inverse, observable,
@@ -147,13 +148,26 @@ def test_observable_auto_falls_back_on_singular_solve(monkeypatch):
     g = fx.triangle(0.3)
     want = observable(g, 0, "combinatorial")
 
-    def singular_solve(a, b):
-        return lu_solve(np.ones_like(a), b)
+    def singular_solve(g, rhs, x=None):
+        raise GraphError("singular system")
 
-    monkeypatch.setattr(sholo, "lu_solve", singular_solve)
+    monkeypatch.setattr(sholo, "kac_ward_kernel_solve", singular_solve)
     with pytest.raises(GraphError):
         observable(g, 0, "inverse")
     assert max_norm(observable(g, 0, "auto") - want) == 0.0
+
+
+def test_singular_reduced_pivot_falls_back_to_the_svd(monkeypatch):
+    # an exactly singular pivot of the Schur complement leaves the kernel
+    # and the column to the SVD, which agree with the probe route
+    g = fx.square_torus(4, 0.27)
+    want = observable(g, 3, "inverse")
+
+    def singular_solve(a, b):
+        return lu_solve(np.zeros_like(a), b)
+
+    monkeypatch.setattr(operators, "lu_solve", singular_solve)
+    assert max_norm(observable(g, 3, "inverse") - want) <= 1e-12 * max_norm(want)
 
 
 def test_observable_inverse_takes_no_lu_determinant(monkeypatch):
@@ -202,29 +216,54 @@ def test_observable_inverse_asks_the_kernel_and_solves_the_real_m(
         monkeypatch):
     import kwlab.sholo as sholo
 
-    g = fx.square_torus(2, 0.27)
-    want = observable(g, 3, "combinatorial")
-    seen = []
+    solves, svds = [], []
+    svd = np.linalg.svd
 
     def recording_solve(a, b):
-        seen.append((a.dtype, a.shape, b.shape))
+        solves.append((a.dtype, a.shape, b.shape))
         return lu_solve(a, b)
+
+    def recording_svd(a, *args, **kwargs):
+        svds.append((a.dtype, a.shape))
+        return svd(a, *args, **kwargs)
 
     def no_dense_kw(*args, **kwargs):
         raise AssertionError("the inverse backend built a dense complex KW")
 
-    monkeypatch.setattr(sholo, "lu_solve", recording_solve)
+    monkeypatch.setattr(operators, "lu_solve", recording_solve)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(sholo, "kac_ward", no_dense_kw)
-    # KW(1, 1) = H^-1 M H: one real nd x nd solve with one right-hand side
+    # below KERNEL_SVD_DARTS the column comes from the SVD that decides the
+    # kernel: one real nd x nd factorization and no solve
+    g = fx.square_torus(2, 0.27)
+    want = observable(g, 3, "combinatorial")
     assert max_norm(observable(g, 3, "inverse") - want) < 1e-10
-    assert seen == [(np.dtype(float), (g.nd, g.nd), (g.nd, 1))]
-    # "singular" is what kac_ward_kernel says, whatever the solve could do
-    monkeypatch.setattr(sholo, "kac_ward_kernel",
-                        lambda g, x=None: (None, None, 1))
+    assert svds == [(np.dtype(float), (g.nd, g.nd))] and solves == []
+    # from KERNEL_SVD_DARTS, one real solve of the r x r Schur complement
+    # takes the probe columns and e_r together, and the Ritz step factors
+    # only the nd x k matrix M Q
+    svds.clear()
+    g = fx.square_torus(4, 0.27)
+    got = observable(g, 3, "inverse")
+    r = len(g.schur_pattern.rest)
+    assert r == g.nd // 2
+    assert solves == [(np.dtype(float), (r, r), (r, KERNEL_PROBES + 1))]
+    assert svds == [(np.dtype(float), (g.nd, KERNEL_PROBES))]
+    away = np.setdiff1d(np.arange(g.nv), g.origin[[3, 2]])
+    assert vertex_residuals(g, got)[away].max() < 1e-9
+    monkeypatch.setattr(operators, "KERNEL_SVD_DARTS", g.nd + 1)
+    want = observable(g, 3, "inverse")
+    assert max_norm(got - want) <= 1e-12 * max_norm(want)
+    # "singular" is what the kernel helper says, whatever the solve could do
+    solves.clear()
+    monkeypatch.setattr(sholo, "kac_ward_kernel_solve",
+                        lambda g, rhs, x=None: (None, None, 1, None))
     with pytest.raises(GraphError, match="singular"):
         observable(g, 3, "inverse")
-    assert max_norm(observable(g, 3, "auto") - want) == 0.0
-    assert len(seen) == 1
+    g = fx.square_torus(2, 0.27)
+    assert max_norm(observable(g, 3, "auto")
+                    - observable(g, 3, "combinatorial")) == 0.0
+    assert solves == []
 
 
 def test_kernel_observables_critical_window():
