@@ -15,9 +15,11 @@ Conventions (mirrored throughout the package):
   and its conjugate-phase partner, on the isoradial C and D graphs.
 
 Every builder assembles its operator's entry list, a ``(rows, cols, vals)``
-tuple, and its dense matrix is a scatter of that list.  The Kac-Ward family
-(``kac_ward``, ``kac_ward_kernel``, the skew matrix of ``sqrt_det_pfaffian``)
-scatters its values onto the continuations of ``transition_entries``; the
+tuple, and its dense matrix is the ``to_dense`` scatter of that list.  The
+values of T (KW = I - T) are formed only by ``kw_values`` and those of X T'
+(M = I - X T') only by ``_real_entries``, both on the continuations of
+``transition_entries``; dense KW is the scatter of I minus the first
+(``_eye_minus``) and dense M the real part of that of the second.  The
 other builders return their list with ``sparse=True``.  The identity suites
 ``verify_corr`` and ``verify_dirac_identities`` multiply and compare entry
 lists (see ``linalg``), so no check forms a dense product or an LU
@@ -59,9 +61,9 @@ from .derived import (build_C, build_D, build_M, c_edge_directions,
                       isoradial_data, phi_D_character, q_phases, split_phi_D)
 
 __all__ = [
-    "kac_ward", "kac_ward_kernel", "kasteleyn", "laplacian", "laplacian_dual",
-    "dirac_C", "dirac_D", "skew_adjacency", "laplacian_M", "kw_dets",
-    "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
+    "kw_values", "kac_ward", "kac_ward_kernel", "kasteleyn", "laplacian",
+    "laplacian_dual", "dirac_C", "dirac_D", "skew_adjacency", "laplacian_M",
+    "kw_dets", "sqrt_det_pfaffian", "verify_corr", "verify_dirac_identities",
 ]
 
 
@@ -73,40 +75,47 @@ def _phi_values(g, phi):
     return np.asarray(phi, dtype=complex)
 
 
-def kac_ward(g, phi=None, x=None):
-    """Dart-indexed Kac-Ward operator; identity at x = 0.
+def kw_values(g, phi=None, x=None):
+    """The values phi(e) x_e exp(i alpha(e,e')/2) of T, KW = I - T, on the
+    continuations (e, e') of ``g.transition_entries``.
 
-    Rows and columns are darts in ascending id order.  ``x`` overrides the
-    graph's edge weights.  Leading axes broadcast: ``phi`` of shape (..., nd)
-    and ``x`` of shape (..., ne) give a stack of shape (..., nd, nd).
+    ``x`` overrides the graph's edge weights.  Leading axes broadcast:
+    ``phi`` of shape (..., nd) and ``x`` of shape (..., ne) give values of
+    shape (..., nk).
     """
     pv = _phi_values(g, phi)
     if np.any(np.abs(pv) == 0):
         raise GraphError("cochain values must be nonzero")
     xs = g.x if x is None else np.asarray(x)
-    return _eye_minus_pattern(g, pv * np.repeat(xs, 2, axis=-1),
-                              g.transition_entries[2])
+    e, _, phase = g.transition_entries
+    return (pv * np.repeat(xs, 2, axis=-1))[..., e] * phase
 
 
-def _eye_minus_pattern(g, rows, vals):
-    """Dense I - A with A[..., e, e'] = rows[..., e] vals[k] on each
-    continuation (e, e') = ``g.transition_entries[:2]``[k]; leading axes of
-    ``rows`` stack."""
+def kac_ward(g, phi=None, x=None):
+    """Dart-indexed Kac-Ward operator; identity at x = 0.
+
+    Rows and columns are darts in ascending id order: the dense scatter of
+    I minus ``kw_values`` on the continuations, whose leading axes give a
+    stack of shape (..., nd, nd).
+    """
     e, e2, _ = g.transition_entries
-    nd = g.nd
-    a = rows[..., e] * vals
-    # flat row-major layout: (e, e') at e * nd + e', the diagonal every nd + 1
-    m = np.zeros(a.shape[:-1] + (nd * nd,), dtype=a.dtype)
-    m[..., e * nd + e2] = -a
-    m[..., ::nd + 1] += 1
-    return m.reshape(a.shape[:-1] + (nd, nd))
+    a = kw_values(g, phi, x)
+    return to_dense((g.nd, g.nd), _eye_minus(g.nd, (e, e2, a)))
 
 
-#: bytes of complex matrix entries that ``kw_dets`` builds and factors at once
-#: (a single matrix per chunk from 129 darts up); every chunk is built in one
-#: reused work array, so a grid at a size seen before takes no new pages for
-#: its matrices, whatever the heap did in between
-KW_CHUNK_BYTES = 512 * 1024
+#: bytes of per-row arrays that a stack holds at once: ``kw_dets`` and the
+#: seeded suites (``suites.suite_corr``, ``suites.suite_det``,
+#: ``sholo.verify_sholo``) evaluate their rows in chunks of at most this
+#: many bytes (one row at least), so memory does not grow with the rows
+_DRAW_CHUNK_BYTES = 1 << 20
+
+
+def _draw_chunks(draws, row_bytes):
+    """The (start, stop) ranges that cover range(draws) in chunks of at most
+    ``_DRAW_CHUNK_BYTES`` at ``row_bytes`` per draw, and one draw at least."""
+    step = max(1, _DRAW_CHUNK_BYTES // row_bytes)
+    return [(i, min(i + step, draws)) for i in range(0, draws, step)]
+
 
 # the work array of ``kw_dets``, one per thread
 _work = threading.local()
@@ -148,41 +157,36 @@ def _schur_matrices(g, a, out=None):
 def kw_dets(g, phi_rows, x_rows):
     """det KW for each row of ``phi_rows`` (..., nd) and ``x_rows`` (..., ne).
 
-    The leading axes broadcast as in ``kac_ward``.  Each determinant is that
-    of the r x r Schur complement ``_schur_matrices``, not of the nd x nd
-    KW.  The stack is built and factored in chunks of at most
-    ``KW_CHUNK_BYTES`` of matrix entries (one matrix at a time once a single
-    one exceeds it), each chunk in the same reused work array; each
-    determinant is bitwise the one its row gets alone.
+    The leading axes broadcast as in ``kw_values``.  Each determinant is
+    that of the r x r Schur complement ``_schur_matrices``, not of the
+    nd x nd KW.  The rows go through ``_draw_chunks``, each chunk's values
+    formed and its matrices built and factored in the same reused work
+    array; each determinant is bitwise the one its row gets alone.
     """
-    pv = _phi_values(g, phi_rows)
-    if np.any(np.abs(pv) == 0):
-        raise GraphError("cochain values must be nonzero")
-    rows = pv * np.repeat(x_rows, 2, axis=-1)
-    lead = rows.shape[:-1]
-    rows = rows.reshape(-1, g.nd)
-    e, _, phase = g.transition_entries
+    pv, xs = _phi_values(g, phi_rows), np.asarray(x_rows)
+    lead = np.broadcast_shapes(pv.shape[:-1], xs.shape[:-1])
+    pv, xs = (np.broadcast_to(v, lead + v.shape[-1:]).reshape(-1, v.shape[-1])
+              for v in (pv, xs))
     size = len(g.schur_pattern.rest) ** 2
-    step = max(1, KW_CHUNK_BYTES // (16 * size))
-    buf = _kw_buffer(min(step, len(rows)) * size)
-    out = np.empty(len(rows), dtype=complex)
-    for i in range(0, len(rows), step):
-        a = rows[i:i + step, e] * phase
-        out[i:i + step] = np.linalg.det(_schur_matrices(g, a,
-                                                        buf[:len(a) * size]))
+    out = np.empty(len(pv), dtype=complex)
+    for lo, hi in _draw_chunks(len(pv), 16 * size):
+        a = kw_values(g, pv[lo:hi], xs[lo:hi])
+        out[lo:hi] = np.linalg.det(_schur_matrices(
+            g, a, _kw_buffer((hi - lo) * size)))
     return out.reshape(lead)
 
 
-def _real_entries(g, xs):
-    """The entries of X T', the A of M = I - X T', on the continuations."""
+def _real_entries(g, x=None):
+    """The values of X T', the A of M = I - X T', on the continuations;
+    ``x`` overrides the graph's edge weights."""
+    xs = g.x if x is None else np.asarray(x, dtype=float)
     return np.repeat(xs, 2)[g.transition_entries[0]] * g.transition_signs
 
 
 def kw_real_det(g, x=None):
     """det M for the real M = I - X T' (``kac_ward_real``), from its Schur
     complement."""
-    xs = g.x if x is None else np.asarray(x, dtype=float)
-    return float(np.linalg.det(_schur_matrices(g, _real_entries(g, xs))))
+    return float(np.linalg.det(_schur_matrices(g, _real_entries(g, x))))
 
 
 def _schur_solve(g, a, b):
@@ -208,20 +212,6 @@ def _minus_apply(g, a, v, transpose=False):
     out = np.array(v, dtype=np.result_type(a, v))
     np.add.at(out, dst, -a[:, None] * v[src])
     return out
-
-
-#: bytes of per-draw arrays that a seeded suite (``suites.suite_corr``,
-#: ``suites.suite_det``, ``sholo.verify_sholo``) holds at once: each
-#: evaluates its draws in chunks of at most this many bytes (one draw at
-#: least), so its memory does not grow with the number of draws
-_DRAW_CHUNK_BYTES = 1 << 20
-
-
-def _draw_chunks(draws, row_bytes):
-    """The (start, stop) ranges that cover range(draws) in chunks of at most
-    ``_DRAW_CHUNK_BYTES`` at ``row_bytes`` per draw, and one draw at least."""
-    step = max(1, _DRAW_CHUNK_BYTES // row_bytes)
-    return [(i, min(i + step, draws)) for i in range(0, draws, step)]
 
 
 #: relative size of the singular values that span the kernel of KW(1, 1)
@@ -263,13 +253,12 @@ def sigma_hi(g, x=None):
     """sqrt(|M|_1 |M|_inf) >= sigma_1 for M = I - X T', and so for KW(1, 1),
     whose entries have the same moduli; from the entry list.  It is at most
     sqrt(nd) sigma_1."""
-    xd = np.repeat(g.x if x is None else np.asarray(x, dtype=float), 2)
+    a = _real_entries(g, x)
     e, e2, _ = g.transition_entries
     # a loop edge continues into its own dart: that entry sits on the diagonal
     loop = e == e2
-    diag = np.abs(1.0 - np.bincount(e[loop], (xd[e] * g.transition_signs)[loop],
-                                    minlength=g.nd))
-    off = np.where(loop, 0.0, np.abs(xd[e]))
+    diag = np.abs(1.0 - np.bincount(e[loop], a[loop], minlength=g.nd))
+    off = np.where(loop, 0.0, np.abs(a))
     return math.sqrt((diag + np.bincount(e2, off, minlength=g.nd)).max()
                      * (diag + np.bincount(e, off, minlength=g.nd)).max())
 
@@ -282,9 +271,11 @@ def _rounding_level(n, hi):
 
 
 def kac_ward_real(g, x=None):
-    """M = I - X T', KW(1, 1) in the half-angle gauge: a real matrix."""
-    xs = g.x if x is None else np.asarray(x, dtype=float)
-    return _eye_minus_pattern(g, np.repeat(xs, 2), g.transition_signs)
+    """M = I - X T', KW(1, 1) in the half-angle gauge: a real matrix, the
+    real part of the dense scatter of I minus ``_real_entries``."""
+    e, e2, _ = g.transition_entries
+    return to_dense((g.nd, g.nd),
+                    _eye_minus(g.nd, (e, e2, _real_entries(g, x)))).real
 
 
 def kac_ward_kernel(g, x=None):
@@ -314,19 +305,18 @@ def kac_ward_kernel_solve(g, rhs, x=None):
     route's solve takes ``rhs`` along with the probe columns, and the SVD
     route reads Y = V diag(1 / sigma) U^T rhs off its factors.
     """
-    xs = g.x if x is None else np.asarray(x, dtype=float)
     if g.nd >= KERNEL_SVD_DARTS:
-        found = _probed_kernel(g, xs, rhs)
+        found = _probed_kernel(g, x, rhs)
         if found is not None:
             return found
     # the null columns of U and V
-    u, s, vt = np.linalg.svd(kac_ward_real(g, xs))
+    u, s, vt = np.linalg.svd(kac_ward_real(g, x))
     n, dim = len(s), int(np.count_nonzero(s < KERNEL_TOL * s[0]))
     y = None if rhs is None or dim else vt.T @ ((u.T @ rhs) / s[:, None])
     return u[:, n - dim:], vt[n - dim:].T, dim, y
 
 
-def _probed_kernel(g, xs, rhs):
+def _probed_kernel(g, x, rhs):
     """``kac_ward_kernel_solve`` from one solve and a Ritz step, or None in
     doubt.
 
@@ -343,8 +333,8 @@ def _probed_kernel(g, xs, rhs):
     along with R, and M Q is formed from the entry list.  The left basis
     is ``_left_basis``.
     """
-    hi = sigma_hi(g, xs)
-    a = _real_entries(g, xs)
+    hi = sigma_hi(g, x)
+    a = _real_entries(g, x)
     probes = kernel_probes(g.nd)
     k = probes.shape[1]
     try:
@@ -364,11 +354,11 @@ def _probed_kernel(g, xs, rhs):
     v0 = q @ vh[k - dim:].T
     if not dim:
         return v0, v0, 0, None if rhs is None else y[:, k:]
-    w0 = _left_basis(g, xs, a, v0, hi)
+    w0 = _left_basis(g, x, a, v0, hi)
     return None if w0 is None else (w0, v0, dim, None)
 
 
-def _left_basis(g, xs, a, v0, hi):
+def _left_basis(g, x, a, v0, hi):
     """The left kernel basis of M that the right basis V0 gives, or None.
 
     With D = |X|^1/2 and the signs s of ``sqrt_det_pfaffian``,
@@ -377,7 +367,7 @@ def _left_basis(g, xs, a, v0, hi):
     orthonormalized and must leave |M^T W0| at rounding level, as the right
     basis does; None at a zero weight or where there are no skew signs.
     """
-    xd = np.repeat(xs, 2)
+    xd = np.repeat(g.x if x is None else np.asarray(x, dtype=float), 2)
     if np.any(xd == 0):
         return None
     try:
@@ -657,9 +647,9 @@ def verify_corr(g, phi=None, x=None, c=None):
     xs = np.broadcast_to(xs, lead + xs.shape[-1:])
     d = np.arange(g.nd)
     pxd = pv * np.repeat(xs, 2, axis=-1)
-    e, e2, phase = g.transition_entries
+    e, e2, _ = g.transition_entries
     q = q_phases(g)
-    kw = _eye_minus(g.nd, (e, e2, pxd[..., e] * phase))
+    kw = _eye_minus(g.nd, (e, e2, kw_values(g, pv, xs)))
     iqr = _eye_minus(g.nd, (d, g.rot, q))
     ixj = _eye_minus(g.nd, (d, d ^ 1, 1j * pxd))
     lhs = sparse_product(kw, iqr)

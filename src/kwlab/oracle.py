@@ -188,20 +188,6 @@ def _resolve_batch(g, turns, order, masks, e1, e2):
     return 1.0 - 2.0 * (flips % 2), rot
 
 
-def signed_cycle_sum(g, phi=None, x=None):
-    """Sum over even subgraphs of (-1)^q phi(xi) x(xi); the square root of det KW."""
-    if g.ne > SUM_GUARD:
-        raise SizeGuardError(f"signed cycle sum capped at {SUM_GUARD} edges")
-    xs = g.x if x is None else np.asarray(x, dtype=float)
-    if phi is not None:
-        pv = np.asarray(getattr(phi, "values", phi), dtype=complex)[0::2]
-        if np.any(abs(pv.imag) > 1e-12) or np.any(abs(abs(pv.real) - 1) > 1e-12):
-            raise GraphError("signed cycle sum needs a +-1 cochain")
-        xs = xs * pv.real
-    masks = np.array(enumerate_even(g), dtype=np.int64)
-    return float(_sum_terms(g, [(masks, _resolve(g, masks))], xs)[..., 0].real)
-
-
 # -- partition functions -------------------------------------------------------
 
 
@@ -285,7 +271,7 @@ def _permanent(a):
     return partial.get((1 << a.shape[1]) - 1, 0.0)
 
 
-def dimer_partition(c, phis=None):
+def dimer_partition(c):
     """Weighted perfect matchings of the rectangle graph vs the Kasteleyn combo.
 
     Matchings are counted exactly as the permanent of the white-by-black

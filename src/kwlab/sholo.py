@@ -360,7 +360,13 @@ def verify_sholo(g, draws=50, seed=0):
     must be small.  Isoradial data adds the dbar criterion.  The draws are
     evaluated as stacks of at most ``operators._DRAW_CHUNK_BYTES``: each
     criterion norm is one matrix product against a chunk's mapped draws.
+    S drops an edge with sin(theta/2) = 0, so, as in ``map_S_inverse``,
+    such an edge is a GraphError.
     """
+    bad = np.flatnonzero(np.sin(0.5 * g.theta) < 1e-14)
+    if bad.size:
+        raise GraphError("the s-holomorphicity criteria need positive "
+                         f"weights; edge {bad[0]} has sin(theta/2) < 1e-14")
     rng = np.random.default_rng(seed)
     c = build_C(g)
     kw = kac_ward(g)

@@ -15,11 +15,17 @@ of excluded edges and lists the subsets with the given odd vertices, one
 exclusion set at a time; ``oracle._entry_terms`` replaces it with one
 spanning forest of the whole graph, and its configurations must be the
 same sets.
+
+``signed_cycle_sum`` is the sum over even subgraphs that squares to
+det KW, evaluated with the oracle's own enumeration and resolution.
 """
 
 import cmath
 
-from kwlab.surface_graph import GraphError, principal_angle
+import numpy as np
+
+from kwlab.oracle import SUM_GUARD, _resolve, _sum_terms, enumerate_even
+from kwlab.surface_graph import GraphError, SizeGuardError, principal_angle
 
 
 class LoopResolution:
@@ -273,3 +279,17 @@ def enumerate_parity(g, odd_vertices, excluded=(), bases=None):
     for b in basis:
         subs += [s ^ b for s in subs]
     return subs
+
+
+def signed_cycle_sum(g, phi=None, x=None):
+    """Sum over even subgraphs of (-1)^q phi(xi) x(xi); the square root of det KW."""
+    if g.ne > SUM_GUARD:
+        raise SizeGuardError(f"signed cycle sum capped at {SUM_GUARD} edges")
+    xs = g.x if x is None else np.asarray(x, dtype=float)
+    if phi is not None:
+        pv = np.asarray(getattr(phi, "values", phi), dtype=complex)[0::2]
+        if np.any(abs(pv.imag) > 1e-12) or np.any(abs(abs(pv.real) - 1) > 1e-12):
+            raise GraphError("signed cycle sum needs a +-1 cochain")
+        xs = xs * pv.real
+    masks = np.array(enumerate_even(g), dtype=np.int64)
+    return float(_sum_terms(g, [(masks, _resolve(g, masks))], xs)[..., 0].real)

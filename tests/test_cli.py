@@ -254,6 +254,23 @@ def test_verify_all_at_critical_weight(tmp_path, capsys, seed):
     assert "inv" in {r["suite"] for r in rep["reports"]}
 
 
+@pytest.mark.parametrize("fixture", [["triangle", "--x", "0"],
+                                     ["honeycomb-torus", "--x", "0", "0", "0"]])
+def test_verify_sholo_rejects_zero_weights(tmp_path, capsys, fixture):
+    # S drops a zero-weight edge, so the criteria cannot be compared there
+    code, out = run(capsys, "gen", *fixture)
+    path = tmp_path / "z.json"
+    path.write_text(out)
+    code, out = run(capsys, "verify", "sholo", "-g", str(path))
+    assert code == 2 and "edge 0" in json.loads(out)["message"]
+    code, out = run(capsys, "verify", "all", "-g", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pass"]
+    skipped = {s["suite"]: s["reason"] for s in rep["skipped"]}
+    assert "edge 0" in skipped["sholo"]
+
+
 def test_nan_weight_is_invalid_input(tmp_path, capsys):
     code, out = run(capsys, "gen", "triangle", "--x", "0.5")
     obj = json.loads(out)

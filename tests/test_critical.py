@@ -14,9 +14,9 @@ from kwlab.critical import (critical_beta, duality_check, free_energy,
                             spectral_grid)
 from kwlab.operators import (kac_ward_kernel, kw_dets, kw_real_det,
                              sqrt_det_pfaffian)
-from kwlab.oracle import signed_cycle_sum
 from kwlab.sholo import kernel_observables
 
+from oracle_reference import signed_cycle_sum
 from tracked_root import sqrt_det_tracked
 
 

@@ -17,15 +17,17 @@ from kwlab.operators import (KERNEL_PROBES, _dirac_cd_residual, dirac_C,
                              kernel_probes, kw_dets, laplacian, laplacian_M,
                              laplacian_dual, skew_adjacency, sqrt_det_pfaffian,
                              verify_corr, verify_dirac_identities)
-from kwlab.oracle import INV_GUARD, signed_cycle_sum
+from kwlab.oracle import INV_GUARD
 from kwlab.sholo import kernel_observables, observable
 
+from dense_reference import kac_ward_pattern, kac_ward_real_pattern
 from pfaffian_reference import pfaffian_reference
 from identity_reference import (suite_corr_reference, suite_det_reference,
                                 verify_corr_reference,
                                 verify_dirac_identities_reference)
 from kernel_reference import (hessian_tau_svd_reference,
                               kac_ward_kernel_reference, null_space)
+from oracle_reference import signed_cycle_sum
 from tracked_root import sqrt_det_tracked
 
 
@@ -166,6 +168,31 @@ def test_kac_ward_matches_loop_reference(g):
         assert max_norm(kac_ward(g, phi, xs)
                         - kac_ward_reference(g, phi, xs)) <= 1e-15
     assert np.array_equal(kac_ward(g), kac_ward_reference(g, signs[0], g.x))
+
+
+def _same_bits(got, want):
+    """Bitwise equal once -0.0 reads +0.0: the reference assigned -A into
+    zeros, where the scatter adds -A to +0.0."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and (got + 0.0).tobytes() == (want + 0.0).tobytes())
+
+
+@pytest.mark.parametrize("g", REFERENCE_FIXTURES + [
+    fx.square_torus(1, 0.4),  # loop entries on the diagonal
+    fx.single_edge()])        # no continuation
+def test_dense_kw_and_m_match_the_pattern_reference(g):
+    rng = np.random.default_rng(15)
+    phis = np.stack([_random_unitary_cochain(g, rng) for _ in range(3)])
+    xs = rng.uniform(0.02, 0.98, (3, g.ne))
+    for x in (g.x, *xs):
+        assert _same_bits(operators.kac_ward_real(g, x),
+                          kac_ward_real_pattern(g, x))
+        assert _same_bits(kac_ward(g, phis[0], x),
+                          kac_ward_pattern(g, phis[0], x))
+    assert _same_bits(kac_ward(g), kac_ward_pattern(g, np.ones(g.nd), g.x))
+    assert _same_bits(kac_ward(g, phis, xs), kac_ward_pattern(g, phis, xs))
+    assert _same_bits(kac_ward(g, phis[0], xs),
+                      kac_ward_pattern(g, phis[0], xs))
 
 
 @pytest.mark.parametrize("g", REFERENCE_FIXTURES)

@@ -13,11 +13,11 @@ from kwlab.operators import kac_ward, sqrt_det_pfaffian
 from kwlab import oracle
 from kwlab.oracle import (_entry_terms, _permanent, _resolve, dimer_partition,
                           enumerate_even, inverse_coefficient, inverse_matrix,
-                          ising_partition, signed_cycle_sum)
+                          ising_partition)
 
 from oracle_reference import (LoopResolution, _ikey, _noncrossing_pairing,
                               config_factor, enumerate_parity, q_sign, resolve,
-                              rot_of_loop, rot_of_path)
+                              rot_of_loop, rot_of_path, signed_cycle_sum)
 from tracked_root import sqrt_det_tracked
 
 

@@ -96,7 +96,7 @@ def test_reduced_determinants_match_on_the_576_dart_torus(g):
 @pytest.mark.parametrize("chunk_bytes", [1, 16 * 8 * 8 * 3, 1 << 19])
 def test_reduced_stacks_cross_chunk_boundaries(monkeypatch, chunk_bytes):
     # chunks of one matrix, of three with a shorter last one, and one chunk
-    monkeypatch.setattr(operators, "KW_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(operators, "_DRAW_CHUNK_BYTES", chunk_bytes)
     g = fx.square_torus(2, 0.4)
     assert len(g.schur_pattern.rest) == 8
     rng = np.random.default_rng(chunk_bytes)
@@ -179,7 +179,8 @@ def test_no_dense_operator_on_the_reduced_paths(monkeypatch):
     g = fx.square_torus(4, 0.37)
     want = (critical.spectral_grid(g, 3)[2], critical.spectral_curve(g, 1j, 2),
             sholo.observable(g, 5, "inverse"), kac_ward_kernel(g))
-    monkeypatch.setattr(operators, "_eye_minus_pattern", no_dense)
+    monkeypatch.setattr(operators, "kac_ward", no_dense)
+    monkeypatch.setattr(operators, "kac_ward_real", no_dense)
     got = (critical.spectral_grid(g, 3)[2], critical.spectral_curve(g, 1j, 2),
            sholo.observable(g, 5, "inverse"), kac_ward_kernel(g))
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
