@@ -1,5 +1,5 @@
 """Toric criticality: spectral curve, critical temperature, modular parameter,
-free energy, and the generalized Kramers-Wannier duality checks."""
+free energy, and the two generalized Kramers-Wannier duality identities."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from .surface_graph import (GraphError, SizeGuardError, character_cochain,
                             dual, shift_character)
 from .operators import (KERNEL_TOL, kac_ward_kernel, kac_ward_real, kw_dets,
                         kw_real_det, refined_kernel, sqrt_det_pfaffian)
-from .oracle import ARF_SIGNS_GENUS1
+from .oracle import ARF_SIGNS_GENUS1, arf_characters
 
 #: the initial root bracket of ``critical_beta``, widened if it has no sign change
 ROOT_BRACKET_LO = 1e-6
@@ -359,57 +359,61 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
     }
 
 
-def duality_check(g, draws=10, seed=0):
-    """Kramers-Wannier duality of the Kac-Ward determinants against the dual graph.
-
-    Checks 2^V prod(1+x)^-1 det KW^phi(G, x) = 2^V* prod(1+x*)^-1
-    det KW^phi(G*, x*) over random unitary characters, and the square-root
-    version with Arf signs at the four +-1 characters (minus exactly at the
-    trivial one), from the Pfaffian signed roots.  A root on G* at most
-    ``KERNEL_TOL`` times the largest one at the other characters is rounding
-    noise (the kernel of KW(1, 1) at criticality): its sign is reported as 0.
-    The rule is relative, not ``kac_ward_kernel``'s, because next to
-    criticality (x_c + 1e-9 on the 12x12 square torus) the kernel rule
-    already finds dim 2 where the root still carries its sign to 1e-7.
-    Torus graphs only: the planar dual has no valid angle data for the
-    constant reference field.
-    """
+def _torus_dual(g):
+    """The dual of a torus graph; GraphError on the plane, whose dual has no
+    valid angle data for the constant reference field."""
     if g.genus != 1:
         raise GraphError("duality check supports genus-1 graphs (the planar "
                          "dual needs user-supplied angle data)")
-    gd = dual(g)
+    return dual(g)
+
+
+def duality_residuals(g, draws=10, seed=0):
+    """Kramers-Wannier duality of the Kac-Ward determinants against the dual
+    graph, at seeded random unitary characters.
+
+    The relative residuals of 2^V prod(1+x)^-1 det KW^phi(G, x) =
+    2^V* prod(1+x*)^-1 det KW^phi(G*, x*), one per draw: one ``kw_dets``
+    stack per graph, at the same characters.  Torus graphs only.
+    """
+    gd = _torus_dual(g)
     rng = np.random.default_rng(seed)
     pref = 2.0 ** g.nv / np.prod(1.0 + g.x)
     pref_d = 2.0 ** gd.nv / np.prod(1.0 + gd.x)
     zw = [(cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
            cmath.exp(1j * rng.uniform(0, 2 * math.pi))) for _ in range(draws)]
-    # one determinant stack per graph, at the same characters
     zs, ws = np.array(zw, dtype=complex).reshape(-1, 2).T
     lhs = pref * kw_dets(g, shift_character(g.shift, zs, ws), g.x)
     rhs = pref_d * kw_dets(gd, shift_character(gd.shift, zs, ws), gd.x)
-    checks = [{"z": z, "w": w,
-               "rel_residual": abs(l - r) / max(abs(l), abs(r), 1e-30)}
-              for (z, w), l, r in zip(zw, lhs.tolist(), rhs.tolist())]
-    worst = max((c["rel_residual"] for c in checks), default=0.0)
+    return [abs(l - r) / max(abs(l), abs(r), 1e-30)
+            for l, r in zip(lhs.tolist(), rhs.tolist())]
 
-    def root(h, zw):
+
+def duality_sign_pattern(g):
+    """The square-root version of ``duality_residuals``: the ratio of the
+    Pfaffian signed roots on G and G* at each +-1 character, by
+    ``ARF_SIGNS_GENUS1`` key, which duality makes -1 at the trivial one and
+    +1 at the others.
+
+    Each graph's four roots are one ``sqrt_det_pfaffian`` stack over
+    ``arf_characters``.  A root on G* at most ``KERNEL_TOL`` times the
+    largest one at the other characters is rounding noise (the kernel of
+    KW(1, 1) at criticality): its ratio is reported as 0.  The rule is
+    relative, not ``kac_ward_kernel``'s, because next to criticality
+    (x_c + 1e-9 on the 12x12 square torus) the kernel rule already finds
+    dim 2 where the root still carries its sign to 1e-7.  Torus graphs only.
+    """
+    gd = _torus_dual(g)
+
+    def roots(h):
         pref = 2.0 ** (h.nv / 2.0) / math.sqrt(float(np.prod(1.0 + h.x)))
-        return pref * sqrt_det_pfaffian(h, character_cochain(h, *zw).values)
+        return dict(zip(ARF_SIGNS_GENUS1, (pref * sqrt_det_pfaffian(
+            h, arf_characters(h))).tolist()))
 
-    s = {zw: root(g, zw) for zw in ARF_SIGNS_GENUS1}
-    sd = {zw: root(gd, zw) for zw in ARF_SIGNS_GENUS1}
+    s, sd = roots(g), roots(gd)
     sign_pattern = {}
     for zw in ARF_SIGNS_GENUS1:
         scale = max(abs(v) for k, v in sd.items() if k != zw)
         degenerate = abs(sd[zw]) <= KERNEL_TOL * scale
         sign_pattern[zw] = 0.0 if degenerate else s[zw] / sd[zw]
-    return {
-        "unitary_residual_max": worst,
-        "unitary_checks": checks,
-        "sqrt_sign_pattern": sign_pattern,
-        # a degenerate point (0) carries no sign information
-        "pass": worst < 1e-9 and all(
-            v == 0.0 or abs(v - (-1.0 if zw == (1, 1) else 1.0)) <= 1e-6
-            for zw, v in sign_pattern.items()),
-    }
-
+    return sign_pattern

@@ -126,7 +126,8 @@ def _rows(vals, n):
 
 
 def to_dense(shape, entries):
-    """Dense complex matrix of an entry list; repeated entries add up.
+    """Dense matrix of an entry list, of its values' dtype; repeated entries
+    add up.
 
     Leading axes of the values give a stack of shape (..., *shape).
     """
@@ -134,13 +135,13 @@ def to_dense(shape, entries):
     vals = np.asarray(vals)
     lead = vals.shape[:-1]
     if not lead:
-        m = np.zeros(shape, dtype=complex)
+        m = np.zeros(shape, dtype=vals.dtype)
         np.add.at(m, (rows, cols), vals)
         return m
     # one scatter for the stack: matrix k fills the k-th block of ``size``
     size = shape[0] * shape[1]
     flat = rows * shape[1] + cols + size * np.arange(math.prod(lead))[:, None]
-    m = np.zeros(math.prod(lead) * size, dtype=complex)
+    m = np.zeros(math.prod(lead) * size, dtype=vals.dtype)
     np.add.at(m, flat.ravel(), vals.ravel())
     return m.reshape(lead + tuple(shape))
 

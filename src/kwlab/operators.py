@@ -19,7 +19,7 @@ tuple, and its dense matrix is the ``to_dense`` scatter of that list.  The
 values of T (KW = I - T) are formed only by ``kw_values`` and those of X T'
 (M = I - X T') only by ``_real_entries``, both on the continuations of
 ``transition_entries``; dense KW is the scatter of I minus the first
-(``_eye_minus``) and dense M the real part of that of the second.  The
+(``_eye_minus``) and dense M, a float matrix, that of the second.  The
 other builders return their list with ``sparse=True``.  The identity suites
 ``verify_corr`` and ``verify_dirac_identities`` multiply and compare entry
 lists (see ``linalg``), so no check forms a dense product or an LU
@@ -32,7 +32,9 @@ other darts R, so KW_SS = I and det KW = det(KW_RR - KW_RS KW_SR):
 ``kw_dets``, ``kw_real_det`` and ``_schur_solve`` build and factor that
 complement from ``EmbeddedGraph.schur_pattern`` (``_schur_matrices``),
 and a solve recovers y_S = b_S + A_SR y_R.  The dense builders stay for
-the callers that need a matrix.
+the callers that need a matrix.  The signed root ``sqrt_det_pfaffian``
+scatters its real skew matrix on ``EmbeddedGraph.pfaffian_pattern``, for
+a stack of rows as ``kw_dets`` does.
 
 One decision says whether KW(1, 1) is singular: ``kac_ward_kernel``, from
 one solve against the fixed ``kernel_probes`` columns and a Rayleigh-Ritz
@@ -271,11 +273,11 @@ def _rounding_level(n, hi):
 
 
 def kac_ward_real(g, x=None):
-    """M = I - X T', KW(1, 1) in the half-angle gauge: a real matrix, the
-    real part of the dense scatter of I minus ``_real_entries``."""
+    """M = I - X T', KW(1, 1) in the half-angle gauge: the real dense
+    scatter of I minus ``_real_entries``."""
     e, e2, _ = g.transition_entries
     return to_dense((g.nd, g.nd),
-                    _eye_minus(g.nd, (e, e2, _real_entries(g, x)))).real
+                    _eye_minus(g.nd, (e, e2, _real_entries(g, x))))
 
 
 def kac_ward_kernel(g, x=None):
@@ -597,26 +599,37 @@ def sqrt_det_pfaffian(g, phi=None, x=None):
     real skew, and Pf(S) / Pf(diag(s) J) is the root: its square is det KW
     and it is 1 at x = 0 (Cimasoni, "A generalized Kac-Ward formula").
     Requires a +-1-valued cochain (real determinant).
+
+    S is scattered on ``g.pfaffian_pattern``, found once per graph.  Leading
+    axes of ``phi`` (..., nd) and ``x`` (..., ne) broadcast, as in
+    ``kw_dets``, to an array of roots, one ``pfaffian`` per matrix of the
+    stack; each root is bitwise the one its row gets alone.
     """
-    pv = _phi_values(g, phi)
-    if np.max(np.abs(np.abs(pv.real) - 1.0)) > 1e-12 or np.max(np.abs(pv.imag)) > 1e-12:
-        raise GraphError("the Pfaffian square root needs a +-1-valued cochain")
-    rev = np.arange(g.nd) ^ 1
-    sign = np.sign(pv.real)
-    if np.any(sign[rev] != sign):
-        raise GraphError("the Pfaffian square root needs a cochain with "
-                         "phi(rev e) = phi(e)")
-    xd = np.repeat(g.x if x is None else np.asarray(x, dtype=float), 2)
-    sign = np.where(xd < 0, -sign, sign)
-    s = g.skew_signs * sign
-    r = np.sqrt(np.abs(xd))
-    # S[e, f] = s(e) (delta(f, rev e) - B[rev e, f]), where B[rev e, f]
-    # carries Phi(rev e) = Phi(e), so s(e) Phi(e) is g.skew_signs(e)
-    e, f, _ = g.transition_entries
-    skew = np.zeros((g.nd, g.nd))
-    skew[e ^ 1, f] = (-(g.skew_signs * r)[e ^ 1] * g.transition_signs) * r[f]
-    skew[np.arange(g.nd), rev] += s
-    return pfaffian(skew) / float(np.prod(s[0::2]))
+    xs = g.x if x is None else np.asarray(x, dtype=float)
+    sign = 1.0
+    if phi is not None:
+        pv = _phi_values(g, phi)
+        if (np.max(np.abs(np.abs(pv.real) - 1.0)) > 1e-12
+                or np.max(np.abs(pv.imag)) > 1e-12):
+            raise GraphError("the Pfaffian square root needs a +-1-valued "
+                             "cochain")
+        sign = np.sign(pv.real)
+        if np.any(sign[..., np.arange(g.nd) ^ 1] != sign):
+            raise GraphError("the Pfaffian square root needs a cochain with "
+                             "phi(rev e) = phi(e)")
+    p = g.pfaffian_pattern
+    s = g.skew_signs * np.where(np.repeat(xs < 0, 2, axis=-1), -sign, sign)
+    r = np.sqrt(np.abs(xs))
+    lead, n = s.shape[:-1], g.nd
+    skew = np.zeros(lead + (n * n,))
+    skew[..., p.slots] = p.coef * r[..., p.first] * r[..., p.second]
+    # a loop's dart continues into itself: that entry sits on a J slot
+    skew[..., p.diag] += s
+    den = np.prod(s[..., 0::2], axis=-1)
+    if not lead:
+        return pfaffian(skew.reshape(n, n)) / float(den)
+    return np.array([pfaffian(m) / d for m, d in zip(
+        skew.reshape(-1, n, n), den.ravel().tolist())]).reshape(lead)
 
 
 # -- verification suites -----------------------------------------------------------

@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .surface_graph import TWO_PI, GraphError, SizeGuardError
+from .surface_graph import (TWO_PI, GraphError, SizeGuardError,
+                            character_values)
 
 EVEN_GUARD = 24
 SUM_GUARD = 20
@@ -196,12 +197,11 @@ def ising_partition(g, j=None, beta=1.0):
 
     The Kac-Ward value is the Pfaffian signed root of det KW on the plane and
     the Arf-signed half sum of the roots at the four +-1 characters on the
-    torus.  ``j`` defaults to couplings with tanh(beta j) equal to the graph
-    weights.  Returns a dict with the three values; they agree to ~1e-9
-    relative.
+    torus, one ``sqrt_det_pfaffian`` stack over ``arf_characters``.  ``j``
+    defaults to couplings with tanh(beta j) equal to the graph weights.
+    Returns a dict with the three values; they agree to ~1e-9 relative.
     """
     from .operators import sqrt_det_pfaffian
-    from .surface_graph import character_cochain
 
     if g.nv > SPIN_GUARD or g.ne > SUM_GUARD:
         raise SizeGuardError("partition-function oracle size guard exceeded")
@@ -239,16 +239,23 @@ def ising_partition(g, j=None, beta=1.0):
     if g.genus == 0:
         z_kw = prefac * sqrt_det_pfaffian(g, None, xs)
     else:
+        roots = sqrt_det_pfaffian(g, arf_characters(g), xs).tolist()
         combo = 0.0
-        for (z, w), sgn in ARF_SIGNS_GENUS1.items():
-            phi = character_cochain(g, z, w)
-            combo += sgn * sqrt_det_pfaffian(g, phi.values, xs)
+        for sgn, root in zip(ARF_SIGNS_GENUS1.values(), roots):
+            combo += sgn * root
         z_kw = prefac * 0.5 * combo
     return {"spins": z_spin, "high_temperature": z_high, "kac_ward": z_kw}
 
 
 #: Arf-invariant signs of the four +-1 characters for the constant torus field.
 ARF_SIGNS_GENUS1 = {(1, 1): -1.0, (-1, 1): 1.0, (1, -1): 1.0, (-1, -1): 1.0}
+
+
+def arf_characters(g):
+    """The cochain values of the four +-1 characters of ``ARF_SIGNS_GENUS1``,
+    in its order, as one (4, nd) stack (``character_values``)."""
+    z, w = np.array(list(ARF_SIGNS_GENUS1)).T
+    return character_values(g, z, w)
 
 
 def _permanent(a):
@@ -276,12 +283,13 @@ def dimer_partition(c):
 
     Matchings are counted exactly as the permanent of the white-by-black
     weight matrix.  The determinant combination is det K on the plane and the
-    Arf-signed half sum over the four +-1 characters on the torus; the match
-    is up to a fixture-wide sign, which is returned.
+    Arf-signed half sum over the four +-1 characters on the torus, one
+    Kasteleyn stack over ``arf_characters`` factored by one
+    ``np.linalg.det``; the match is up to a fixture-wide sign, which is
+    returned.
     """
     from .linalg import lu_det
     from .operators import kasteleyn
-    from .surface_graph import character_cochain
 
     g = c.g
     if 2 * g.nd > MATCH_GUARD:
@@ -293,10 +301,10 @@ def dimer_partition(c):
     if g.genus == 0:
         combo = lu_det(kasteleyn(c, None, "omega"))
     else:
+        dets = np.linalg.det(kasteleyn(c, arf_characters(g), "omega"))
         combo = 0.0 + 0j
-        for (z, w), sgn in ARF_SIGNS_GENUS1.items():
-            phi = character_cochain(g, z, w)
-            combo += sgn * lu_det(kasteleyn(c, phi.values, "omega"))
+        for sgn, det in zip(ARF_SIGNS_GENUS1.values(), dets.tolist()):
+            combo += sgn * det
         combo *= 0.5
     if abs(combo.imag) > 1e-9 * max(1.0, abs(combo)):
         raise GraphError("Kasteleyn combination is not real")

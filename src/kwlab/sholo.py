@@ -318,11 +318,16 @@ def integrate_square(g, F):
     vertex_res = vertex_residuals(g, F)
     defect = float(np.max(vertex_res, initial=0.0))
     trusted_v = vertex_res < STAR_TOL * fscale
-    if defect > WARN_TOL * fscale and not trusted_v.all():
+    bad = np.flatnonzero(~trusted_v)
+    if defect > WARN_TOL * fscale and bad.size:
+        # the first few ids, and the worst vertex
+        more = ", ..." if bad.size > 5 else ""
+        ids = ", ".join(map(str, bad[:5].tolist())) + more
         warnings.warn(
-            f"F is not s-holomorphic at {np.count_nonzero(~trusted_v)} "
-            f"vertices (worst residual {defect:.2e}); their corner relations "
-            "are excluded from the loop defect", stacklevel=2)
+            f"F is not s-holomorphic at {bad.size} vertices ({ids}); the "
+            f"worst is vertex {int(np.argmax(vertex_res))}, residual "
+            f"{defect:.2e}; their corner relations are excluded from the "
+            "loop defect", stacklevel=2)
 
     d = np.arange(g.nd)
     head = np.repeat(g.origin, 2)

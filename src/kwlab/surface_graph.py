@@ -94,6 +94,27 @@ class SchurPattern:
     from_s: np.ndarray
 
 
+@dataclass(frozen=True)
+class PfaffianPattern:
+    """Where the real skew S of ``operators.sqrt_det_pfaffian`` takes its
+    entries, and their graph-only factors (``pfaffian_pattern``).
+
+    S = diag(s) J (I - B), B = |X|^1/2 Phi T' |X|^1/2, holds s(d) at
+    (d, rev d), the flat row-major ``diag`` slots, and -s(rev e) B[e, f] at
+    (rev e, f) for each continuation (e, f) of ``transition_entries``, the
+    ``slots``.  With s = ``skew_signs`` Phi the latter is
+    coef r(first) r(second): coef = -skew_signs(rev e) T'(e, f) is exactly
+    +-1, and r = |x|^1/2 is read at the edges ``first`` and ``second`` of e
+    and f.
+    """
+
+    slots: np.ndarray
+    coef: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    diag: np.ndarray
+
+
 @dataclass
 class EmbeddedGraph:
     """A weighted graph embedded in the plane (genus 0) or a flat torus (genus 1).
@@ -292,6 +313,17 @@ class EmbeddedGraph:
             raise GraphError("no signs make the Kac-Ward Pfaffian matrix "
                              f"skew: darts {e} and {f} conflict")
         return s
+
+    @cached_property
+    def pfaffian_pattern(self):
+        """The ``PfaffianPattern`` of this graph, found once like
+        ``schur_pattern``; GraphError where there are no ``skew_signs``."""
+        nd = self.nd
+        e, f, _ = self.transition_entries
+        d = np.arange(nd)
+        return PfaffianPattern((e ^ 1) * nd + f,
+                               -self.skew_signs[e ^ 1] * self.transition_signs,
+                               e >> 1, f >> 1, d * nd + (d ^ 1))
 
     def theta_dual(self):
         return math.pi / 2 - self.theta
@@ -515,11 +547,7 @@ class Cochain:
         values = np.asarray(values, dtype=complex)
         if values.shape != (g.nd,):
             raise GraphError("one value per dart required")
-        if np.any(np.abs(values) < 1e-300):
-            raise GraphError("cochain values must be nonzero")
-        prod = values * values[np.arange(g.nd) ^ 1]
-        if np.max(np.abs(prod - 1.0)) > 1e-12:
-            raise GraphError("cochain must invert under dart reversal")
+        check_cochains(g, values)
         self.g = g
         self.values = values
 
@@ -536,13 +564,32 @@ class Cochain:
         return Cochain(self.g, vals)
 
 
-def character_cochain(g, z, w):
-    """Cocycle z^s1 w^s2 read off the homology winding of each dart (torus only)."""
+def check_cochains(g, values):
+    """GraphError unless every row of ``values`` (..., nd) keeps the
+    ``Cochain`` rules: nonzero, and phi(rev e) = phi(e)^-1."""
+    if np.any(np.abs(values) < 1e-300):
+        raise GraphError("cochain values must be nonzero")
+    prod = values * values[..., np.arange(g.nd) ^ 1]
+    if np.max(np.abs(prod - 1.0)) > 1e-12:
+        raise GraphError("cochain must invert under dart reversal")
+
+
+def character_values(g, z, w):
+    """The values of ``character_cochain`` at (z, w), each row checked by
+    the ``Cochain`` rules; array ``z`` and ``w`` broadcast as leading axes."""
     if g.genus != 1:
         raise GraphError("characters require a genus-1 graph")
-    if complex(z) == 0 or complex(w) == 0:
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    if np.any(z == 0) or np.any(w == 0):
         raise GraphError("character components must be nonzero")
-    return Cochain(g, shift_character(g.shift, z, w))
+    values = shift_character(g.shift, z, w)
+    check_cochains(g, values)
+    return values
+
+
+def character_cochain(g, z, w):
+    """Cocycle z^s1 w^s2 read off the homology winding of each dart (torus only)."""
+    return Cochain(g, character_values(g, z, w))
 
 
 def shift_character(shift, z, w):

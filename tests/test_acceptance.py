@@ -18,10 +18,11 @@ from kwlab.linalg import lu_det, lu_solve, max_norm
 from kwlab.operators import (kac_ward, kasteleyn, sqrt_det_pfaffian,
                              verify_corr, verify_dirac_identities)
 from kwlab.oracle import dimer_partition, inverse_matrix, ising_partition
-from kwlab.critical import critical_beta, duality_check, hessian_tau, spectral_curve
+from kwlab.critical import critical_beta, hessian_tau, spectral_curve
 from kwlab.sholo import (integrate_square, kernel_observables, observable,
                          sholo_residual, verify_sholo)
 
+from duality import duality_check
 from sholo_reference import edge_increments, laplacian_of_H
 
 XC = fx.X_CRITICAL_SQUARE

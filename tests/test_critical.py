@@ -9,13 +9,16 @@ from kwlab import fixtures as fx
 from kwlab import critical
 from kwlab.surface_graph import (GraphError, SizeGuardError, Weights,
                                  build_torus, dual)
-from kwlab.critical import (critical_beta, duality_check, free_energy,
-                            hessian_tau, spectral_coefficients, spectral_curve,
+from kwlab.critical import (critical_beta, duality_residuals,
+                            duality_sign_pattern, free_energy, hessian_tau,
+                            spectral_coefficients, spectral_curve,
                             spectral_grid)
 from kwlab.operators import (kac_ward_kernel, kw_dets, kw_real_det,
                              sqrt_det_pfaffian)
 from kwlab.sholo import kernel_observables
 
+from character_reference import sign_pattern_reference
+from duality import duality_check
 from oracle_reference import signed_cycle_sum
 from tracked_root import sqrt_det_tracked
 
@@ -593,4 +596,25 @@ def test_duality_keeps_the_sign_where_the_kernel_rule_says_singular():
 def test_duality_rejects_planar():
     with pytest.raises(GraphError):
         duality_check(fx.triangle(0.5))
+    for half in (duality_residuals, duality_sign_pattern):
+        with pytest.raises(GraphError, match="genus-1"):
+            half(fx.triangle(0.5))
+
+
+@pytest.mark.parametrize("g", [
+    fx.rect_torus(0.3, 0.45), fx.honeycomb_torus((0.3, 0.4, 0.5)),
+    fx.square_torus(1, 0.4), fx.square_torus(2, 0.4),
+    # zero weights on G, and on G* (x* = 0 where x = 1)
+    fx.rect_torus(0.0, 0.4), fx.rect_torus(1.0, 0.4),
+    # critical: the dual root at (1, 1) is rounding noise, reported 0
+    fx.square_torus(2), dual(fx.honeycomb_torus((0.3, 0.4, 0.5)))],
+    ids=("rect", "honeycomb", "square1", "square2", "rect_zero", "rect_one",
+         "square2_critical", "triangular"))
+def test_duality_sign_pattern_is_bitwise_the_loop(g):
+    got = duality_sign_pattern(g)
+    want = sign_pattern_reference(g)
+    assert list(got) == list(want)
+    assert all(type(v) is float for v in got.values())
+    assert np.array(list(got.values())).tobytes() == np.array(
+        list(want.values())).tobytes()
 

@@ -9,7 +9,7 @@ from kwlab import fixtures as fx
 from kwlab import operators
 from kwlab.critical import hessian_tau
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
-                                 principal_angle)
+                                 dual, principal_angle)
 from kwlab.derived import build_C, build_D, build_M, isoradial_data
 from kwlab.linalg import lu_det, max_norm, to_dense
 from kwlab.operators import (KERNEL_PROBES, _dirac_cd_residual, dirac_C,
@@ -20,6 +20,7 @@ from kwlab.operators import (KERNEL_PROBES, _dirac_cd_residual, dirac_C,
 from kwlab.oracle import INV_GUARD
 from kwlab.sholo import kernel_observables, observable
 
+from character_reference import sqrt_det_pfaffian_reference
 from dense_reference import kac_ward_pattern, kac_ward_real_pattern
 from pfaffian_reference import pfaffian_reference
 from identity_reference import (suite_corr_reference, suite_det_reference,
@@ -725,6 +726,72 @@ def test_sqrt_det_pfaffian_values():
     assert abs(sqrt_det_pfaffian(fx.rect_torus(1.0, 1.0))) == pytest.approx(2.0)
     g = fx.square_torus(2, 0.4)
     assert sqrt_det_pfaffian(g, Cochain.trivial(g)) == sqrt_det_pfaffian(g)
+
+
+#: planar graphs, tori (``square_torus(1)``'s loops continue into
+#: themselves) and the duals of the tori
+PFAFFIAN_GATE = PFAFFIAN_FIXTURES + [dual(g) for g in PFAFFIAN_FIXTURES
+                                     if g.genus == 1]
+
+
+def _bits(a):
+    """The bytes of a float array: equal bytes are equal bits, signed zeros
+    told apart."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("g", PFAFFIAN_GATE)
+def test_sqrt_det_pfaffian_is_bitwise_the_one_matrix_reference(g):
+    rng = np.random.default_rng(31)
+    weights = _pfaffian_weights(g) + [None, np.zeros(g.ne), -g.x,
+                                      rng.uniform(-0.99, 0.99, g.ne)]
+    chars = [np.ones(g.nd)] + (_pm_characters(g) if g.genus else [])
+    for xs in weights:
+        want = [sqrt_det_pfaffian_reference(g, phi, xs)
+                for phi in [None] + chars]
+        got = [sqrt_det_pfaffian(g, phi, xs) for phi in [None] + chars]
+        assert all(type(v) is float for v in got)
+        assert _bits(got) == _bits(want)
+        # the characters as one stack
+        assert _bits(sqrt_det_pfaffian(g, np.array(chars), xs)) == _bits(
+            want[1:])
+    # the weights as one stack
+    xs = np.array([g.x if w is None else w for w in weights])
+    assert _bits(sqrt_det_pfaffian(g, None, xs)) == _bits(
+        [sqrt_det_pfaffian_reference(g, None, w) for w in xs])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sqrt_det_pfaffian_stack_property(data):
+    # 1-4 rows of +-1 characters, with one weight row broadcast over them or
+    # one row each: every root is bitwise the reference's for its row
+    g = data.draw(st.sampled_from(PFAFFIAN_GATE))
+    rows = data.draw(st.integers(1, 4))
+    chars = _pm_characters(g) if g.genus else [np.ones(g.nd)]
+    phis = np.array([data.draw(st.sampled_from(chars)) for _ in range(rows)])
+    weight = st.lists(st.floats(-1.0, 1.0), min_size=g.ne, max_size=g.ne)
+    if data.draw(st.booleans()):
+        xs = np.array(data.draw(weight))
+        x_rows = [xs] * rows
+    else:
+        xs = x_rows = np.array([data.draw(weight) for _ in range(rows)])
+    got = sqrt_det_pfaffian(g, phis, xs)
+    assert got.shape == (rows,)
+    assert _bits(got) == _bits([sqrt_det_pfaffian_reference(g, p, x)
+                                for p, x in zip(phis, x_rows)])
+
+
+def test_sqrt_det_pfaffian_stack_checks_every_row():
+    g = fx.rect_torus(0.3, 0.4)
+    rows = np.array(_pm_characters(g))
+    rows[2, 0] = rows[2, 1] = 1j
+    with pytest.raises(GraphError, match="-1-valued"):
+        sqrt_det_pfaffian(g, rows)
+    rows = np.array(_pm_characters(g))
+    rows[3, 0] = -rows[3, 0]
+    with pytest.raises(GraphError, match="rev"):
+        sqrt_det_pfaffian(g, rows)
 
 
 def gauged_transition_reference(g):

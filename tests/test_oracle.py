@@ -6,7 +6,7 @@ import pytest
 
 from kwlab import fixtures as fx
 from kwlab.surface_graph import (GraphError, SizeGuardError, build_torus,
-                                 character_cochain)
+                                 character_cochain, dual)
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
 from kwlab.operators import kac_ward, sqrt_det_pfaffian
@@ -15,6 +15,8 @@ from kwlab.oracle import (_entry_terms, _permanent, _resolve, dimer_partition,
                           enumerate_even, inverse_coefficient, inverse_matrix,
                           ising_partition)
 
+from character_reference import (ising_combo_reference,
+                                 kasteleyn_combo_reference)
 from oracle_reference import (LoopResolution, _ikey, _noncrossing_pairing,
                               config_factor, enumerate_parity, q_sign, resolve,
                               rot_of_loop, rot_of_path, signed_cycle_sum)
@@ -330,6 +332,38 @@ def test_dimer_planar_is_single_det():
     from kwlab.operators import kasteleyn
     d = lu_det(kasteleyn(build_C(g), None, "omega"))
     assert abs(d) == pytest.approx(rep["matchings"], rel=1e-12)
+
+
+#: tori for the character stacks (``square_torus(1)``'s loops continue into
+#: themselves, ``two_component_torus`` has two), and their duals
+CHARACTER_TORI = [fx.rect_torus(0.3, 0.45),
+                  fx.honeycomb_torus((0.3, 0.4, 0.5)),
+                  fx.square_torus(1, 0.4), fx.square_torus(2, 0.35),
+                  two_component_torus()]
+CHARACTER_TORI += [dual(g) for g in CHARACTER_TORI[:4]]
+
+
+@pytest.mark.parametrize("g", CHARACTER_TORI)
+def test_ising_character_stack_is_bitwise_the_loop(g):
+    # the stored couplings, zero and negative ones: one root stack against
+    # one Cochain and one root per character
+    rng = np.random.default_rng(41)
+    beta = 0.6
+    for j in (None, np.zeros(g.ne), rng.uniform(-1.5, 1.5, g.ne)):
+        got = ising_partition(g, j=j, beta=beta)["kac_ward"]
+        js = np.arctanh(g.x) / beta if j is None else j
+        prefac = 2.0 ** g.nv * float(np.prod(np.cosh(beta * js)))
+        want = prefac * 0.5 * ising_combo_reference(g, np.tanh(beta * js))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("g", CHARACTER_TORI + [
+    fx.rect_torus(0.0, 0.4), fx.square_torus(2, 0.0)])
+def test_dimer_kasteleyn_stack_is_bitwise_the_loop(g):
+    # zero weights included: one Kasteleyn stack and one det
+    got = dimer_partition(build_C(g))["kasteleyn_combo"]
+    want = kasteleyn_combo_reference(build_C(g))
+    assert np.float64(got).tobytes() == np.float64(want.real).tobytes()
 
 
 def test_dimer_guard():

@@ -306,7 +306,9 @@ def test_integrate_square_warns_on_bad_input():
     g = fx.square_patch(2, 2)
     rng = np.random.default_rng(5)
     F = rng.standard_normal(g.ne) + 1j * rng.standard_normal(g.ne)
-    with pytest.warns(UserWarning):
+    # all nine vertices fail: the first five are named, and the worst
+    with pytest.warns(UserWarning, match=r"at 9 vertices \(0, 1, 2, 3, 4, "
+                      r"\.\.\.\); the worst is vertex 8, residual 3\.09e\+00;"):
         integrate_square(g, F)
 
 
