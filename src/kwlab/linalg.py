@@ -113,6 +113,21 @@ def pfaffian(a):
     return float(pf)
 
 
+#: bytes of per-row arrays that a stack holds at once: ``kw_dets``, the
+#: seeded suites (``suites.suite_corr``, ``suites.suite_det``,
+#: ``sholo.verify_sholo``) and ``oracle._resolve`` evaluate their rows in
+#: chunks of at most this many bytes (one row at least), so memory does not
+#: grow with the rows
+_DRAW_CHUNK_BYTES = 1 << 20
+
+
+def _draw_chunks(draws, row_bytes):
+    """The (start, stop) ranges that cover range(draws) in chunks of at most
+    ``_DRAW_CHUNK_BYTES`` at ``row_bytes`` per draw, and one draw at least."""
+    step = max(1, _DRAW_CHUNK_BYTES // row_bytes)
+    return [(i, min(i + step, draws)) for i in range(0, draws, step)]
+
+
 def max_norm(a):
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0

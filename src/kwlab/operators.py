@@ -54,8 +54,9 @@ import numpy as np
 
 # lu_det stays bound here: the benchmark's tracer wraps it in every module
 # that binds it, and its tests expect this one
-from .linalg import (cycle_det, lu_det, lu_solve, pfaffian,  # noqa: F401
-                     prod_rows, sparse_max_norm, sparse_product, to_dense)
+from .linalg import (_draw_chunks, cycle_det, lu_det, lu_solve,  # noqa: F401
+                     pfaffian, prod_rows, sparse_max_norm, sparse_product,
+                     to_dense)
 from .surface_graph import (Cochain, GraphError, character_cochain,
                             shift_character)
 from .derived import (build_C, build_D, build_M, c_edge_directions,
@@ -103,20 +104,6 @@ def kac_ward(g, phi=None, x=None):
     e, e2, _ = g.transition_entries
     a = kw_values(g, phi, x)
     return to_dense((g.nd, g.nd), _eye_minus(g.nd, (e, e2, a)))
-
-
-#: bytes of per-row arrays that a stack holds at once: ``kw_dets`` and the
-#: seeded suites (``suites.suite_corr``, ``suites.suite_det``,
-#: ``sholo.verify_sholo``) evaluate their rows in chunks of at most this
-#: many bytes (one row at least), so memory does not grow with the rows
-_DRAW_CHUNK_BYTES = 1 << 20
-
-
-def _draw_chunks(draws, row_bytes):
-    """The (start, stop) ranges that cover range(draws) in chunks of at most
-    ``_DRAW_CHUNK_BYTES`` at ``row_bytes`` per draw, and one draw at least."""
-    step = max(1, _DRAW_CHUNK_BYTES // row_bytes)
-    return [(i, min(i + step, draws)) for i in range(0, draws, step)]
 
 
 # the work array of ``kw_dets``, one per thread

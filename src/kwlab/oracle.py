@@ -20,8 +20,9 @@ import math
 
 import numpy as np
 
+from .linalg import _draw_chunks
 from .surface_graph import (TWO_PI, GraphError, SizeGuardError,
-                            character_values)
+                            character_values, principal_angle)
 
 EVEN_GUARD = 24
 SUM_GUARD = 20
@@ -82,16 +83,10 @@ def enumerate_even(g):
 
 # -- loop resolution and the quadratic form -----------------------------------
 
-#: configurations times darts resolved per array pass; bounds every temporary
-RESOLVE_BATCH = 1 << 14
-
-
 def _turns(g):
     """``principal_angle(dirang[d2] - dirang[d1])`` at [d1, d2], for every pair
-    of darts, by the same float operations."""
-    a = (g.dirang[None, :] - g.dirang[:, None] + math.pi) % TWO_PI - math.pi
-    a[a <= -math.pi] += TWO_PI
-    return a
+    of darts."""
+    return principal_angle(g.dirang[None, :] - g.dirang[:, None])
 
 
 def _resolve(g, masks, e1=None, e2=None):
@@ -112,9 +107,9 @@ def _resolve(g, masks, e1=None, e2=None):
         e1, e2 = (np.broadcast_to(e, masks.shape) for e in (e1, e2))
     turns, order = _turns(g), np.lexsort((g.dirang, g.origin))
     out = np.empty(len(masks), dtype=complex)
-    step = max(1, RESOLVE_BATCH // g.nd)
-    for i in range(0, len(masks), step):
-        part = slice(i, i + step)
+    # 64 bytes per configuration and dart bound every temporary of a batch
+    for lo, hi in _draw_chunks(len(masks), 64 * g.nd):
+        part = slice(lo, hi)
         ends = (None, None) if e1 is None else (e1[part], e2[part])
         sign, rot = _resolve_batch(g, turns, order, masks[part], *ends)
         out[part] = sign * np.exp(0.5j * rot)

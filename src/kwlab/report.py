@@ -1,42 +1,32 @@
 """Deterministic JSON serialization for verification reports.
 
-Floats are printed with 17 significant digits, complex numbers as [re, im]
-pairs, numpy scalars and arrays unwrapped; key order is preserved, so equal
-inputs serialize to identical bytes.
+Floats print as Python's shortest round-trip repr (numpy float64 is a float
+and prints the same way), complex numbers as [re, im] pairs, numpy scalars
+and arrays as their Python values; key order is preserved, so equal inputs
+serialize to identical bytes.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
-def _fmt_float(x):
-    return float(format(float(x), ".17g"))
-
-
-def jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+def _plain(obj):
+    """The ``json.dumps`` default hook: what json cannot encode, as what it
+    can; ``json`` calls it again on the parts of the result."""
     if isinstance(obj, (complex, np.complexfloating)):
-        return [_fmt_float(obj.real), _fmt_float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if obj is None or isinstance(obj, str):
-        return obj
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, (np.bool_, np.integer, np.ndarray)):
+        return obj.tolist()
     return str(obj)
 
 
 def render(obj):
-    import json
-    return json.dumps(jsonable(obj), indent=2, sort_keys=False)
+    return json.dumps(obj, indent=2, default=_plain)
 
 
 def make_report(suite, fixture, seed, checks):

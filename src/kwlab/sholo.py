@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import max_norm
+from .linalg import _draw_chunks, max_norm
 from .surface_graph import GraphError, SizeGuardError, cycle_with_winding
 from .derived import build_C, half_angle_phases, isoradial_data
-from .operators import (_draw_chunks, dirac_C, kac_ward, kac_ward_kernel,
+from .operators import (dirac_C, kac_ward, kac_ward_kernel,
                         kac_ward_kernel_solve, kasteleyn, phi_omega,
                         sqrt_det_pfaffian)
 from .oracle import INV_GUARD, _entry_terms, _sum_terms
@@ -363,7 +363,7 @@ def verify_sholo(g, draws=50, seed=0):
     For random midpoint functions all the normalized kernel norms must be
     large; for kernel-derived functions (when the operator is singular) all
     must be small.  Isoradial data adds the dbar criterion.  The draws are
-    evaluated as stacks of at most ``operators._DRAW_CHUNK_BYTES``: each
+    evaluated as stacks of at most ``linalg._DRAW_CHUNK_BYTES``: each
     criterion norm is one matrix product against a chunk's mapped draws.
     S drops an edge with sin(theta/2) = 0, so, as in ``map_S_inverse``,
     such an edge is a GraphError.

@@ -7,7 +7,7 @@ non-isoradial data, oracle suites beyond the size guards) raise GraphError,
 except under ``verify_all`` which simply skips them.
 
 The ``corr``, ``det`` and ``sholo`` suites evaluate their draws as stacks,
-in chunks bounded by ``operators._DRAW_CHUNK_BYTES``.  Every residual the
+in chunks bounded by ``linalg._DRAW_CHUNK_BYTES``.  Every residual the
 ``corr`` and ``det`` suites report is bitwise the one a single draw gives;
 ``sholo``'s norms agree with single draws to rounding.
 """
@@ -19,11 +19,11 @@ import math
 
 import numpy as np
 
-from .linalg import prod_rows
+from .linalg import _draw_chunks, prod_rows
 from .surface_graph import GraphError, SizeGuardError, shift_character
 from .derived import build_C, validate_kasteleyn
-from .operators import (_draw_chunks, kac_ward, kasteleyn, kw_dets,
-                        sqrt_det_pfaffian, verify_corr, verify_dirac_identities)
+from .operators import (kac_ward, kasteleyn, kw_dets, sqrt_det_pfaffian,
+                        verify_corr, verify_dirac_identities)
 from .oracle import INV_GUARD, dimer_partition, inverse_matrix
 from .critical import duality_residuals, duality_sign_pattern
 from .sholo import verify_sholo

@@ -19,7 +19,11 @@ from kwlab.surface_graph import (ANGLE_SUM_TOL, ANGLE_TIE_TOL, TWO_PI,
 
 
 def validate_reference(g, check_angle_sums=True):
-    """``EmbeddedGraph.validate`` with per-vertex and per-face loops."""
+    """``EmbeddedGraph.validate`` with per-vertex and per-face loops, plus
+    the five invariants that construction guarantees and ``validate`` no
+    longer checks: the rotation's size, its being a permutation and its
+    keeping each dart's origin, x in [0, 1] with theta = 2 arctan x, and
+    chi = 2 - 2g."""
     nd = g.nd
     if g.rot.shape != (nd,):
         raise GraphError("rotation permutation has wrong size")

@@ -424,6 +424,21 @@ def test_empty_graph_is_invalid_input(tmp_path, capsys, argv, message):
     assert json.loads(out) == {"error": "invalid_input", "message": message}
 
 
+@pytest.mark.parametrize("shift, message", [
+    ([1, 0], "planar graphs cannot wind around a lattice"),
+    ("garbage", "malformed graph data")], ids=["winding", "garbage"])
+def test_planar_edge_shift_is_invalid_input(tmp_path, capsys, shift, message):
+    obj = _triangle_json(capsys)
+    obj["edges"][0]["shift"] = shift
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(obj))
+    code = main(["verify", "all", "-g", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == "invalid_input"
+    assert message in json.loads(out)["message"]
+
+
 def _no_constants(text):
     """The JSON in ``text``; NaN and Infinity are not JSON and fail."""
     def reject(name):

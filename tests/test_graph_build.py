@@ -62,6 +62,8 @@ def built_both_ways(monkeypatch, make):
 def test_fixtures_build_bitwise_as_the_loops(monkeypatch, name, args):
     g, ref = built_both_ways(monkeypatch, lambda: getattr(fx, name)(*args))
     assert_same_graph(g, ref)
+    # the array build keeps what validate leaves to construction
+    validate_reference(g)
     # the JSON load goes through the same builders
     obj = g.to_json()
     assert_same_graph(*built_both_ways(monkeypatch,
@@ -69,6 +71,7 @@ def test_fixtures_build_bitwise_as_the_loops(monkeypatch, name, args):
     # the dual closes a given rotation
     if g.surface == "torus":
         gd = sg.dual(g)
+        validate_reference(gd)
         monkeypatch.setattr(sg, "_close_graph", close_graph_reference)
         assert_same_graph(gd, sg.dual(g))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kwlab import fixtures as fx
-from kwlab import operators
+from kwlab import linalg, operators
 from kwlab.critical import hessian_tau
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
                                  dual, principal_angle)
@@ -473,11 +473,11 @@ SUITE_GRAPHS = {
 def _chunks_seen(monkeypatch, chunk_bytes):
     """Set the draw chunk bound and record the chunks the suites take."""
     from kwlab import suites
-    monkeypatch.setattr(operators, "_DRAW_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "_DRAW_CHUNK_BYTES", chunk_bytes)
     seen = []
 
     def spy(draws, row_bytes):
-        seen.append(operators._draw_chunks(draws, row_bytes))
+        seen.append(linalg._draw_chunks(draws, row_bytes))
         return seen[-1]
 
     monkeypatch.setattr(suites, "_draw_chunks", spy)

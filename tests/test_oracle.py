@@ -10,7 +10,7 @@ from kwlab.surface_graph import (GraphError, SizeGuardError, build_torus,
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
 from kwlab.operators import kac_ward, sqrt_det_pfaffian
-from kwlab import oracle
+from kwlab import linalg, oracle
 from kwlab.oracle import (_entry_terms, _permanent, _resolve, dimer_partition,
                           enumerate_even, inverse_coefficient, inverse_matrix,
                           ising_partition)
@@ -227,7 +227,7 @@ def test_array_resolver_batches(monkeypatch):
     cases = sorted(_resolutions(g), key=lambda case: case[1] is not None)
     whole = _array_factors(g, cases)
     # seven configurations per pass: batches split every group of cases
-    monkeypatch.setattr(oracle, "RESOLVE_BATCH", 7 * g.nd)
+    monkeypatch.setattr(linalg, "_DRAW_CHUNK_BYTES", 7 * 64 * g.nd)
     assert _array_factors(g, cases) == whole
     assert len(_resolve(g, [])) == 0
     assert len(_resolve(g, [], 0, 2)) == 0

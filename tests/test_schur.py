@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kwlab import fixtures as fx
-from kwlab import operators
+from kwlab import linalg, operators
 from kwlab.linalg import lu_det, max_norm
 from kwlab.operators import (_real_entries, _schur_solve, kac_ward,
                              kac_ward_kernel, kac_ward_real, kw_dets,
@@ -96,7 +96,7 @@ def test_reduced_determinants_match_on_the_576_dart_torus(g):
 @pytest.mark.parametrize("chunk_bytes", [1, 16 * 8 * 8 * 3, 1 << 19])
 def test_reduced_stacks_cross_chunk_boundaries(monkeypatch, chunk_bytes):
     # chunks of one matrix, of three with a shorter last one, and one chunk
-    monkeypatch.setattr(operators, "_DRAW_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "_DRAW_CHUNK_BYTES", chunk_bytes)
     g = fx.square_torus(2, 0.4)
     assert len(g.schur_pattern.rest) == 8
     rng = np.random.default_rng(chunk_bytes)

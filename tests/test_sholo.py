@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kwlab import fixtures as fx
-from kwlab import operators, sholo
+from kwlab import linalg, operators, sholo
 from kwlab.surface_graph import GraphError
 from kwlab.derived import build_C
 from kwlab.linalg import lu_solve, max_norm
@@ -391,11 +391,11 @@ def test_batched_sholo_matches_the_draw_loop(g):
 
 @pytest.mark.parametrize("chunk_bytes", (1, 10_000))
 def test_batched_sholo_crosses_chunk_boundaries(monkeypatch, chunk_bytes):
-    monkeypatch.setattr(operators, "_DRAW_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "_DRAW_CHUNK_BYTES", chunk_bytes)
     seen = []
 
     def spy(draws, row_bytes):
-        seen.append(operators._draw_chunks(draws, row_bytes))
+        seen.append(linalg._draw_chunks(draws, row_bytes))
         return seen[-1]
 
     monkeypatch.setattr(sholo, "_draw_chunks", spy)

@@ -120,6 +120,13 @@ def test_builders_reject_bad_dart_angles(angles, what):
                      dart_angles=angles)
 
 
+def test_planar_rejects_a_winding_edge():
+    with pytest.raises(GraphError,
+                       match="planar graphs cannot wind around a lattice"):
+        build_planar([(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 2), (2, 0, (1, 0))],
+                     Weights([0.5] * 3))
+
+
 def test_torus_rejects_non_finite_lattice():
     for bad in (math.nan, math.inf):
         with pytest.raises(GraphError, match="lattice entries must be finite"):
