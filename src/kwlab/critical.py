@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .surface_graph import (GraphError, SizeGuardError, character_cochain,
-                            dual, shift_character)
+                            shift_character)
 from .operators import (KERNEL_TOL, kac_ward_kernel, kac_ward_real, kw_dets,
                         kw_real_det, refined_kernel, sqrt_det_pfaffian)
 from .oracle import ARF_SIGNS_GENUS1, arf_characters
@@ -39,15 +39,15 @@ def spectral_curve(g, z, w, x=None):
 
 
 def _exponents(g):
-    """z- and w-exponents det KW^(z, w) can carry, as two integer ranges.
+    """z- and w-exponents det KW^(z, w) can carry, as two ``range``s.
 
     Row d of KW carries z^s1_d w^s2_d off its diagonal, so every term of the
     determinant has z-exponent in [-sum max(-s1, 0), sum max(s1, 0)] (and
-    likewise in w).
+    likewise in w).  A range allocates nothing before the size guards.
     """
-    return tuple(np.arange(-int(np.sum(np.maximum(-s, 0))),
-                           int(np.sum(np.maximum(s, 0))) + 1)
-                 for s in g.shift.T)
+    return tuple(range(-sum(max(-v, 0) for v in s),
+                       sum(max(v, 0) for v in s) + 1)
+                 for s in g.shift.T.tolist())
 
 
 def _unit_powers(k, m, exps):
@@ -76,10 +76,11 @@ def spectral_coefficients(g, x=None):
     if g.genus != 1:
         raise GraphError("the spectral curve needs a genus-1 graph")
     a, b = _exponents(g)
-    l1, l2 = len(a), len(b)
+    l1, l2 = a.stop - a.start, b.stop - b.start     # len stops at 2^63
     if l1 * l2 * g.nd > GRID_GUARD:
         raise SizeGuardError(f"the {l1} x {l2} coefficients on {g.nd} darts "
                              f"exceed GRID_GUARD ({GRID_GUARD} entries)")
+    a, b = np.array(a), np.array(b)
     # the roots (j, k) of row 0 up to k = L2 // 2, then the rows j > 0
     j = np.repeat(np.arange(l1 // 2 + 1), [l2 // 2 + 1] + [l2] * (l1 // 2))
     k = np.concatenate([np.arange(l2 // 2 + 1), np.tile(np.arange(l2), l1 // 2)])
@@ -111,8 +112,8 @@ def _grid_guard(g, n):
 def _from_coefficients(g, n):
     """Whether ``spectral_grid`` evaluates an n x n grid from the Laurent
     coefficients: when the curve has fewer of them than the grid has nodes."""
-    l1, l2 = map(len, _exponents(g))
-    return l1 * l2 < n * n
+    a, b = _exponents(g)
+    return (a.stop - a.start) * (b.stop - b.start) < n * n
 
 
 def spectral_grid(g, n, x=None):
@@ -360,12 +361,12 @@ def free_energy(g, j=None, beta=None, n=64, x=None):
 
 
 def _torus_dual(g):
-    """The dual of a torus graph; GraphError on the plane, whose dual has no
-    valid angle data for the constant reference field."""
+    """The dual of a torus graph (``dual_graph``); GraphError on the plane,
+    whose dual has no valid angle data for the constant reference field."""
     if g.genus != 1:
         raise GraphError("duality check supports genus-1 graphs (the planar "
                          "dual needs user-supplied angle data)")
-    return dual(g)
+    return g.dual_graph
 
 
 def duality_residuals(g, draws=10, seed=0):

@@ -39,8 +39,6 @@ from .surface_graph import GraphError, EmbeddedGraph, TWO_PI, \
     cycle_with_winding, edge_vectors, face_centroids, face_offsets, \
     lattice_shifts, reduce_to_domain, shift_character
 
-SNAP_TOL = 1e-9
-
 
 def half_angle_phases(g):
     """exp(i a_e / 2) per dart, with a_e the direction reduced to (-pi, pi]."""
@@ -51,21 +49,6 @@ def half_angle_phases(g):
 def q_phases(g):
     """exp(i beta_e / 2) per dart."""
     return np.exp(0.5j * g.beta())
-
-
-def _snap_sign(vals, message):
-    """Round values within SNAP_TOL of +-1 to signs; GraphError otherwise."""
-    if (np.any(np.abs(np.abs(vals.real) - 1.0) > SNAP_TOL)
-            or np.any(np.abs(vals.imag) > SNAP_TOL)):
-        raise GraphError(message)
-    return np.where(vals.real > 0, 1, -1)
-
-
-def epsilon_signs(g):
-    """Per-dart sign q_e D_e^{1/2} D_{R(e)}^{-1/2}, snapped to +-1."""
-    dh = half_angle_phases(g)
-    return _snap_sign(q_phases(g) * dh / dh[g.rot],
-                      "square-root branch mismatch at a corner")
 
 
 def dimer_weights(theta):
@@ -104,20 +87,27 @@ def build_C(g):
     sides, -exp(i beta/2) on corners) is gauge-reduced to a +-1 Kasteleyn
     orientation ``omega`` by the diagonal square roots exp(-i a_e / 2) on both
     vertex classes; the per-dart corner signs ``epsilon`` record the branch
-    mismatches q_e D_e^{1/2} D_{R(e)}^{-1/2}.
+    mismatches q_e D_e^{1/2} D_{R(e)}^{-1/2}.  Both are read off integer
+    phase counts: epsilon is (-1)^k with k = rint((beta_e + a_e - a_R(e)) /
+    2pi), and omega is +1 on perp, (-1)^k with k = rint((pi + a_e -
+    a_rev e) / 2pi) on par and -epsilon on corners.
     """
     nd = g.nd
     d = np.arange(nd)
-    dh = half_angle_phases(g)
+    a, beta = g.a_angles(), g.beta()
+    # the phase counts k of epsilon and of omega's par block, signs (-1)^k
+    k = np.rint(np.concatenate([beta + a - a[g.rot], math.pi + a - a[d ^ 1]])
+                / TWO_PI).astype(int)
+    eps, par = np.split(1 - 2 * (k & 1), 2)
     w = np.tile(d, 3)
     b = np.concatenate([d, d ^ 1, g.rot])
-    omega_tilde = np.concatenate([np.ones(nd), np.full(nd, 1j), -q_phases(g)])
+    omega_tilde = np.concatenate([np.ones(nd), np.full(nd, 1j),
+                                  -np.exp(0.5j * beta)])
     no_shift = np.zeros_like(g.shift)
     shift = np.concatenate([no_shift, g.shift, no_shift])
-    omega = _snap_sign(dh[w] * omega_tilde / dh[b],
-                       "Kasteleyn gauge reduction failed to reach +-1")
+    omega = np.concatenate([np.ones(nd, dtype=int), par, -eps])
     return CGraph(g, w, b, dimer_weights(g.theta), omega_tilde, shift, omega,
-                  epsilon_signs(g))
+                  eps)
 
 
 def c_face_products(c, vals):

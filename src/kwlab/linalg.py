@@ -64,39 +64,50 @@ def pfaffian(a):
     The last ``_NB`` rows, and so every matrix of at most ``_NB`` rows, go
     through the unblocked loop.  Returns 0 at an exactly zero pivot column;
     the input is not modified.
+
+    Leading axes of ``a`` give an array of Pfaffians, each bitwise its own
+    matrix's: the panels run matrix by matrix, and the unblocked loop runs
+    each step once for the whole stack (``_unblocked``).
     """
     a = np.array(a, dtype=float)
-    n = a.shape[0]
+    lead, n = a.shape[:-2], a.shape[-1]
     if n % 2:
-        return 0.0
-    pf, k0 = 1.0, 0
-    u, v = np.empty((n, _NB)), np.empty((n, _NB))
-    while n - k0 > _NB:
-        m = min(_NB, (n - k0 - _NB) // 2)
-        for j in range(m):
-            k = k0 + 2 * j
-            # column k below the diagonal, with the panel's updates applied
-            c = a[k + 1:, k] + u[k + 1:, :j] @ v[k, :j] - v[k + 1:, :j] @ u[k, :j]
-            p = int(np.argmax(np.abs(c)))
-            if p:
-                q = k + 1 + p
-                a[[k + 1, q], k + 1:] = a[[q, k + 1], k + 1:]
-                a[k + 1:, [k + 1, q]] = a[k + 1:, [q, k + 1]]
-                u[[k + 1, q], :j] = u[[q, k + 1], :j]
-                v[[k + 1, q], :j] = v[[q, k + 1], :j]
-                c[[0, p]] = c[[p, 0]]
-                pf = -pf
-            pivot = -c[0]           # a[k, k+1]; row k is minus column k
-            if pivot == 0.0:
-                return 0.0
-            pf *= pivot
-            u[k + 2:, j] = -c[1:] / pivot
-            v[k + 2:, j] = (a[k + 2:, k + 1] + u[k + 2:, :j] @ v[k + 1, :j]
-                            - v[k + 2:, :j] @ u[k + 1, :j])
-        k0 += 2 * m
-        w = u[k0:, :m] @ v[k0:, :m].T
-        a[k0:, k0:] += w - w.T
-    a, n = a[k0:, k0:], n - k0
+        return np.zeros(lead) if lead else 0.0
+    stack = a.reshape(math.prod(lead), n, n)
+    pf, k0 = np.ones(len(stack)), 0
+    for i, a in enumerate(stack if n > _NB else ()):
+        k0, u, v = 0, np.empty((n, _NB)), np.empty((n, _NB))
+        while n - k0 > _NB:
+            m = min(_NB, (n - k0 - _NB) // 2)
+            for j in range(m):
+                k = k0 + 2 * j
+                # column k below the diagonal, with the panel's updates
+                c = (a[k + 1:, k] + u[k + 1:, :j] @ v[k, :j]
+                     - v[k + 1:, :j] @ u[k, :j])
+                p = int(np.argmax(np.abs(c)))
+                if p:
+                    q = k + 1 + p
+                    a[[k + 1, q], k + 1:] = a[[q, k + 1], k + 1:]
+                    a[k + 1:, [k + 1, q]] = a[k + 1:, [q, k + 1]]
+                    u[[k + 1, q], :j] = u[[q, k + 1], :j]
+                    v[[k + 1, q], :j] = v[[q, k + 1], :j]
+                    c[[0, p]] = c[[p, 0]]
+                    pf[i] = -pf[i]
+                pivot = -c[0]       # a[k, k+1]; row k is minus column k
+                if pivot == 0.0:    # Pf = 0: the unblocked loop sees zeros
+                    a[:], u[:], v[:], pf[i] = 0.0, 0.0, 0.0, 0.0
+                    continue
+                pf[i] *= pivot
+                u[k + 2:, j] = -c[1:] / pivot
+                v[k + 2:, j] = (a[k + 2:, k + 1] + u[k + 2:, :j] @ v[k + 1, :j]
+                                - v[k + 2:, :j] @ u[k + 1, :j])
+            k0 += 2 * m
+            w = u[k0:, :m] @ v[k0:, :m].T
+            a[k0:, k0:] += w - w.T
+    if lead:
+        return _unblocked(stack[:, k0:, k0:], pf).reshape(lead)
+    # one matrix: the same steps on scalars, which cost less than arrays
+    a, n, pf = stack[0, k0:, k0:], n - k0, pf[0]
     for k in range(0, n - 1, 2):
         p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
         if p != k + 1:
@@ -111,6 +122,30 @@ def pfaffian(a):
             upd = np.outer(a[k, k + 2:] / pivot, a[k + 2:, k + 1])
             a[k + 2:, k + 2:] += upd - upd.T
     return float(pf)
+
+
+def _unblocked(a, pf):
+    """``pfaffian``'s unblocked loop on a stack ``a``, in place, from the
+    products ``pf``; a zero pivot column zeroes its matrix and product."""
+    n = a.shape[1]
+    for k in range(0, n - 1, 2):
+        p = np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+        for i in np.flatnonzero(p).tolist() if np.count_nonzero(p) else ():
+            q, m = k + 1 + int(p[i]), a[i]
+            m[[k + 1, q], k:] = m[[q, k + 1], k:]
+            m[k:, [k + 1, q]] = m[k:, [q, k + 1]]
+            pf[i] = -pf[i]
+        pivot = a[:, k, k + 1]
+        if np.count_nonzero(pivot) < len(pivot):
+            zero = pivot == 0.0
+            a[zero], pf[zero] = 0.0, 0.0
+            pivot = np.where(zero, 1.0, pivot)
+        pf *= pivot
+        if k + 2 < n:
+            upd = ((a[:, k, k + 2:] / pivot[:, None])[:, :, None]
+                   * a[:, None, k + 2:, k + 1])
+            a[:, k + 2:, k + 2:] += upd - upd.transpose(0, 2, 1)
+    return pf
 
 
 #: bytes of per-row arrays that a stack holds at once: ``kw_dets``, the

@@ -467,7 +467,7 @@ def laplacian_dual(g, phi_star=None, sparse=False):
     left face); the dual dart leaving face f across its boundary dart d is
     (rev d)*.
     """
-    theta_star = g.theta_dual()
+    theta_star = math.pi / 2 - g.theta
     if np.any(theta_star >= math.pi / 2 - 1e-12):
         raise GraphError("theta* = pi/2 edge: dual Laplacian diverges")
     pv = _phi_values(g, phi_star)[np.arange(g.nd) ^ 1]
@@ -589,7 +589,7 @@ def sqrt_det_pfaffian(g, phi=None, x=None):
 
     S is scattered on ``g.pfaffian_pattern``, found once per graph.  Leading
     axes of ``phi`` (..., nd) and ``x`` (..., ne) broadcast, as in
-    ``kw_dets``, to an array of roots, one ``pfaffian`` per matrix of the
+    ``kw_dets``, to an array of roots, one ``pfaffian`` call for the whole
     stack; each root is bitwise the one its row gets alone.
     """
     xs = g.x if x is None else np.asarray(x, dtype=float)
@@ -615,8 +615,7 @@ def sqrt_det_pfaffian(g, phi=None, x=None):
     den = np.prod(s[..., 0::2], axis=-1)
     if not lead:
         return pfaffian(skew.reshape(n, n)) / float(den)
-    return np.array([pfaffian(m) / d for m, d in zip(
-        skew.reshape(-1, n, n), den.ravel().tolist())]).reshape(lead)
+    return pfaffian(skew.reshape(lead + (n, n))) / den
 
 
 # -- verification suites -----------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import _draw_chunks
 from .surface_graph import (TWO_PI, GraphError, SizeGuardError,
-                            character_values, principal_angle)
+                            principal_angle)
 
 EVEN_GUARD = 24
 SUM_GUARD = 20
@@ -248,9 +248,10 @@ ARF_SIGNS_GENUS1 = {(1, 1): -1.0, (-1, 1): 1.0, (1, -1): 1.0, (-1, -1): 1.0}
 
 def arf_characters(g):
     """The cochain values of the four +-1 characters of ``ARF_SIGNS_GENUS1``,
-    in its order, as one (4, nd) stack (``character_values``)."""
-    z, w = np.array(list(ARF_SIGNS_GENUS1)).T
-    return character_values(g, z, w)
+    in its order, as one (4, nd) stack: z^s1 w^s2 is -1 exactly where the
+    shift components taken at a -1 component sum to an odd number."""
+    flips = (np.array(list(ARF_SIGNS_GENUS1)) < 0).astype(int)
+    return (1 - 2 * (flips @ (g.shift & 1).T & 1)).astype(complex)
 
 
 def _permanent(a):
@@ -262,8 +263,8 @@ def _permanent(a):
     """
     a = np.asarray(a, dtype=float)
     partial = {0: 1.0}
-    for row in a:
-        cols = [(1 << int(j), float(row[j])) for j in np.flatnonzero(row)]
+    for row in a.tolist():
+        cols = [(1 << j, y) for j, y in enumerate(row) if y]
         grown = {}
         for used, val in partial.items():
             for bit, y in cols:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,21 +50,20 @@ class Weights:
     """
 
     def __init__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.array(x, dtype=float)
         if x.ndim != 1:
             raise GraphError("weights must be a flat array")
-        if not np.isfinite(x).all():
+        vals = x.tolist()
+        if not all(map(math.isfinite, vals)):
             raise GraphError("edge weights must be finite")
-        if (x < -1e-15).any() or (x > 1.0 + 1e-15).any():
+        lo, hi = min(vals, default=0.0), max(vals, default=0.0)
+        if lo < -1e-15 or hi > 1.0 + 1e-15:
             raise GraphError("edge weights must lie in [0, 1]")
-        self.x = np.clip(x, 0.0, 1.0)
+        self.x = np.clip(x, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else x
         self.theta = 2.0 * np.arctan(self.x)
 
     def dual(self):
         return Weights((1.0 - self.x) / (1.0 + self.x))
-
-    def __len__(self):
-        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -173,12 +173,6 @@ class EmbeddedGraph:
         b[b < 1e-13] = TWO_PI
         return b
 
-    def face_rotation(self, f, beta=None):
-        """Total turning of the velocity along a face boundary (odd multiple of 2pi)."""
-        darts = self.faces[f]
-        b = self.beta() if beta is None else beta
-        return math.pi * len(darts) - float(sum(b[d] for d in darts))
-
     @cached_property
     def transition_entries(self):
         """Dart transitions as (e, e', exp(i alpha(e, e') / 2)) triples, one
@@ -268,13 +262,13 @@ class EmbeddedGraph:
 
         Skewness asks s(rev e) = -s(e) and s(e) T'[rev e, f] = -s(f)
         T'[rev f, e], where the reversal rev f -> e of a continuation
-        rev e -> f is a continuation too, found by its row-major key.  The
-        system is solved by a search over the darts and checked.  A +-1
-        cochain phi multiplies both sides of the second condition by
-        phi(e) phi(f), so s * phi solves it for phi.
+        rev e -> f is a continuation too, found by its row-major key.  In the
+        half-angle gauge s = c c(0) solves it, c(e) = +1 where rev e points
+        pi above e and -1 where below (e below pi or not, on a built graph);
+        it is checked.  A +-1 cochain phi multiplies both sides of the second
+        condition by phi(e) phi(f), so s * phi solves it for phi.
         """
         nd = self.nd
-        rev = np.arange(nd) ^ 1
         e, e2, _ = self.transition_entries
         # the entries (r, c) of J T', (J T')[r, c] = T'[rev r, c], and their
         # transposes (J T')[c, r] = T'[rev c, r], the continuation rev e2 ->
@@ -282,21 +276,9 @@ class EmbeddedGraph:
         r, c = e ^ 1, e2
         jt = self.transition_signs
         jt_t = jt[np.searchsorted(e * nd + e2, (c ^ 1) * nd + r)]
-        links = [[(e ^ 1, -1.0)] for e in range(nd)]
-        for e, f, p in zip(r.tolist(), c.tolist(), (-jt * jt_t).tolist()):
-            links[e].append((f, p))
-        s = np.zeros(nd)
-        for root in range(nd):
-            if s[root]:
-                continue
-            s[root] = 1.0
-            stack = [root]
-            while stack:
-                e = stack.pop()
-                for f, p in links[e]:
-                    if not s[f] and p:
-                        s[f] = p * s[e]
-                        stack.append(f)
+        rev = np.arange(nd) ^ 1
+        s = np.where(self.dirang[rev] > self.dirang, 1.0, -1.0)
+        s *= s[0]
         # the first pair (e, f), row-major, where diag(s) J or diag(s) J T'
         # is not skew; (f, e) fails with it
         bad = np.flatnonzero(s[rev] != -s)
@@ -321,175 +303,180 @@ class EmbeddedGraph:
                                -self.skew_signs[e ^ 1] * self.transition_signs,
                                e >> 1, f >> 1, d * nd + (d ^ 1))
 
-    def theta_dual(self):
-        return math.pi / 2 - self.theta
+    @cached_property
+    def lattice_inv(self):
+        """The inverse of ``lattice``, found once per graph."""
+        return np.linalg.inv(self.lattice)
 
-    # -- validation --------------------------------------------------------
-
-    def validate(self, check_angle_sums=True):
-        """GraphError where input can break the graph: a dart not reversed by
-        pi (``dart_angles``), a planar winding, angle gaps not summing to 2pi
-        at a vertex (only the dual's given rotation can) or a face turning by
-        an even multiple of 2pi.  Construction guarantees the rest: the
-        rotation (``_close_graph``), the genus and the weights (``Weights``)."""
-        turn = (self.dirang[np.arange(self.nd) ^ 1] - self.dirang) % TWO_PI
-        if (np.abs(turn - math.pi) > ANGLE_TIE_TOL).any():
-            raise GraphError("reversed dart is not rotated by pi")
-        if self.surface == "planar" and self.shift.any():
-            raise GraphError("planar graphs cannot wind around a lattice")
-        if check_angle_sums:
-            b = self.beta()
-            sums = np.bincount(self.origin, weights=b, minlength=self.nv)
-            bad = np.flatnonzero(np.abs(sums - TWO_PI) > ANGLE_SUM_TOL)
-            if bad.size:
-                raise GraphError(f"angle gaps at vertex {bad[0]} sum to "
-                                 f"{float(sums[bad[0]])}, expected 2pi")
-            # face_rotation of every face: each face's gaps summed in walk order
-            size = np.fromiter(map(len, self.faces), dtype=int)
-            darts = np.fromiter(itertools.chain(*self.faces), dtype=int)
-            gaps = np.bincount(np.repeat(np.arange(len(size)), size),
-                               weights=b[darts], minlength=len(size))
-            r = (math.pi * size - gaps) / TWO_PI
-            k = np.round(r)
-            bad = np.flatnonzero((np.abs(r - k) > ANGLE_SUM_TOL) | (k % 2 == 0))
-            if bad.size:
-                raise GraphError(f"face {bad[0]} boundary rotation "
-                                 f"{float(r[bad[0]])} (x 2pi) is not an odd "
-                                 "integer")
-        return self
+    @cached_property
+    def dual_graph(self):
+        """The ``dual`` of this graph, built once per graph."""
+        return dual(self)
 
     # -- io ------------------------------------------------------------------
 
     def to_json(self):
-        edges = []
-        for k in range(self.ne):
-            e = {
-                "id": k,
-                "u": int(self.origin[2 * k]),
-                "v": int(self.origin[2 * k + 1]),
-                "x": float(self.x[k]),
-            }
-            if self.surface == "torus":
-                e["shift"] = [int(self.shift[2 * k, 0]), int(self.shift[2 * k, 1])]
-            edges.append(e)
-        obj = {
-            "surface": self.surface,
-            "vertices": [
-                {"id": i, "x": float(p[0]), "y": float(p[1])}
-                for i, p in enumerate(self.vcoords)
-            ],
-            "edges": edges,
-        }
+        """The interchange dictionary that ``graph_from_json`` reads."""
+        edges = [{"id": k, "u": u, "v": v, "x": x} for k, ((u, v), x) in
+                 enumerate(zip(self.origin.reshape(-1, 2).tolist(),
+                               self.x.tolist()))]
+        for e, s in zip(edges if self.surface == "torus" else (),
+                        self.shift[::2].tolist()):
+            e["shift"] = s
+        obj = {"surface": self.surface,
+               "vertices": [{"id": i, "x": x, "y": y}
+                            for i, (x, y) in enumerate(self.vcoords.tolist())],
+               "edges": edges}
         if self.lattice is not None:
-            obj["lattice"] = [[float(a) for a in row] for row in self.lattice]
+            obj["lattice"] = self.lattice.tolist()
         return obj
 
 
-def _close_graph(surface, lattice, vcoords, origin, dirang, shift, weights,
-                 rot=None):
-    """Fill in rotation (by angle sorting unless given), faces and genus."""
-    nd = len(origin)
-    nv = len(vcoords)
-    by_origin = np.argsort(origin, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(origin, minlength=nv)).tolist()
-    darts_at = tuple(tuple(by_origin[i:j]) for i, j in zip([0] + ends, ends))
-    if rot is None:
-        # each vertex's darts by angle; rot is the next one, cyclically
-        order = np.lexsort((dirang, origin))
-        o, a = origin[order], dirang[order]
-        new = o[1:] != o[:-1]
-        first = np.concatenate(([True], new))
-        last = np.concatenate((new, [True]))
-        nxt = np.arange(1, nd + 1)
-        nxt[last] = np.flatnonzero(first)
-        # the last dart's gap wraps across 2pi; a lone dart's gap is 2pi
-        tie = a[nxt] + TWO_PI * last - a < ANGLE_TIE_TOL
-        if tie.any():
-            raise GraphError(
-                f"coincident dart directions at vertex {o[tie].min()}")
+def _close(surface, lattice, vcoords, origin, dirang, shift, weights, genus,
+           rot=None, angle_sums=True, reversal=False):
+    """The graph of genus ``genus`` on the darts ``origin``, ``dirang``
+    (lists): the rotation by angle unless ``rot`` is given, ``darts_at``,
+    and the faces along d -> rot^-1(rev d).  GraphError, in this order, on
+    coincident directions, an Euler characteristic or genus that does not
+    fit, a dart not reversed by pi (only if ``reversal``: the builders
+    reverse exactly), a planar winding, and if ``angle_sums`` vertex gaps
+    off 2pi (only a given ``rot`` can) or a face turning by 2pi k, k even."""
+    nd, nv = len(origin), len(vcoords)
+    darts_at = [[] for _ in range(nv)]
+    for d, o in enumerate(origin):
+        darts_at[o].append(d)
+    given = rot is not None
+    angles = np.array(dirang)
+    if not given:
+        # the darts by origin, then by angle (both sorts are stable); rot
+        # is the next dart at the same origin, cyclically
+        at = sorted(range(nd), key=dirang.__getitem__)
+        at.sort(key=origin.__getitem__)
+        nxt = at[1:] + at[:1]
+        end = 0
+        for ds in darts_at:
+            if ds:
+                end += len(ds)
+                nxt[end - 1] = at[end - len(ds)]
         rot = np.empty(nd, dtype=int)
-        rot[order] = order[nxt]
+        rot[at] = nxt
+    darts = np.arange(nd)
     rot_inv = np.empty(nd, dtype=int)
-    rot_inv[rot] = np.arange(nd)
+    rot_inv[rot] = darts
+    # the gap to the next dart, in (0, 2pi] (``EmbeddedGraph.beta``): a
+    # lone dart's is 2pi, and others below ANGLE_TIE_TOL are coincident
+    gap = (angles[rot] - angles) % TWO_PI
+    tie = (gap < ANGLE_TIE_TOL) & (rot != darts)
+    if not given and tie.any():
+        raise GraphError("coincident dart directions at vertex "
+                         f"{np.array(origin)[tie].min()}")
+    gap[gap < 1e-13] = TWO_PI
+    gap = gap.tolist()
 
-    step = rot_inv[np.arange(nd) ^ 1].tolist()
+    # the faces by least dart, each walked from it, and their gaps' sums
+    step = rot_inv[darts ^ 1].tolist()
     face_of = [-1] * nd
-    faces = []
-    for d0 in range(nd):
-        if face_of[d0] >= 0:
-            continue
-        cyc = []
-        d = d0
-        while face_of[d] < 0:
-            face_of[d] = len(faces)
-            cyc.append(d)
-            d = step[d]
-        faces.append(tuple(cyc))
+    faces, turned = [], []
+    for d in range(nd):
+        if face_of[d] < 0:
+            f, walk, gaps = len(faces), [], 0.0
+            while face_of[d] < 0:
+                face_of[d] = f
+                walk.append(d)
+                gaps += gap[d]
+                d = step[d]
+            faces.append(tuple(walk))
+            turned.append((math.pi * len(walk) - gaps) / TWO_PI)
 
     chi = nv - nd // 2 + len(faces)
     if chi % 2 != 0 or chi > 2:
         raise GraphError(f"Euler characteristic {chi} is not realizable")
-    genus = (2 - chi) // 2
-
-    return EmbeddedGraph(
-        surface=surface,
-        lattice=lattice,
-        vcoords=vcoords,
-        origin=origin,
-        dirang=dirang,
-        shift=shift,
-        rot=rot,
-        x=weights.x,
-        theta=weights.theta,
-        faces=tuple(faces),
-        face_of=np.array(face_of),
-        rot_inv=rot_inv,
-        genus=genus,
-        darts_at=darts_at,
-    )
+    if (2 - chi) // 2 != genus:
+        raise GraphError("planar constructor produced nonzero genus"
+                         if surface == "planar" else
+                         f"torus data has genus {(2 - chi) // 2}, expected 1")
+    if reversal and any(abs((dirang[d ^ 1] - a) % TWO_PI - math.pi)
+                        > ANGLE_TIE_TOL for d, a in enumerate(dirang)):
+        raise GraphError("reversed dart is not rotated by pi")
+    if surface == "planar" and shift.any():
+        raise GraphError("planar graphs cannot wind around a lattice")
+    if angle_sums and given:
+        sums = np.bincount(origin, gap, nv)
+        bad = np.flatnonzero(np.abs(sums - TWO_PI) > ANGLE_SUM_TOL)
+        if bad.size:
+            raise GraphError(f"angle gaps at vertex {bad[0]} sum to "
+                             f"{float(sums[bad[0]])}, expected 2pi")
+    for f, r in enumerate(turned if angle_sums else ()):
+        k = round(r)
+        if abs(r - k) > ANGLE_SUM_TOL or k % 2 == 0:
+            raise GraphError(f"face {f} boundary rotation {r} (x 2pi) is not "
+                             "an odd integer")
+    return EmbeddedGraph(surface=surface, lattice=lattice, vcoords=vcoords,
+                         origin=np.array(origin), dirang=angles, shift=shift,
+                         rot=rot, x=weights.x, theta=weights.theta,
+                         faces=tuple(faces), face_of=np.array(face_of),
+                         rot_inv=rot_inv, genus=genus,
+                         darts_at=tuple(map(tuple, darts_at)))
 
 
 def _build(surface, lattice, vertex_coords, edge_list, weights, dart_angles):
     """Darts, shifts and straight-line direction angles of ``edge_list``
-    ((u, v) or (u, v, (s1, s2)) entries), with exact pi reversal and the
-    ``dart_angles`` overrides {dart: angle}, closed into a graph."""
+    ((u, v) or (u, v, (s1, s2)) entries) edge by edge, exactly pi reversed,
+    with the ``dart_angles`` overrides {dart: angle}, closed by ``_close``."""
     if len(edge_list) == 0:
         raise GraphError("a graph needs at least one edge")
     vcoords = np.asarray(vertex_coords, dtype=float)
     if not isinstance(weights, Weights):
         weights = Weights(weights)
-    if len(weights) != len(edge_list):
+    if len(weights.x) != len(edge_list):
         raise GraphError("one weight per edge required")
-    nd = 2 * len(edge_list)
-    # one row (u, v, s1, s2) per edge
-    uvs = np.array([(*e[:2], *(e[2] if len(e) == 3 else (0, 0)))
-                    for e in edge_list], dtype=int)
-    origin, s = uvs[:, :2].ravel(), uvs[:, 2:]
-    if origin.min() < 0 or origin.max() >= len(vcoords):
-        raise GraphError("edge endpoints must be vertex ids 0..V-1")
-    if lattice is None and (uvs[:, 0] == uvs[:, 1]).any():
+    pts, nv = vcoords.tolist(), len(vcoords)
+    (l1x, l1y), (l2x, l2y) = ((0.0, 0.0), (0.0, 0.0)) if lattice is None \
+        else lattice.tolist()
+    origin, dirang, shift = [], [], []
+    loop, short, reach = False, False, 0.0
+    # math.atan2, not np.arctan2: they differ in the last bit
+    atan2, hypot, pi = math.atan2, math.hypot, math.pi
+    for e in edge_list:
+        u, v = e[0], e[1]
+        s1, s2 = e[2] if len(e) == 3 else (0, 0)
+        if not (0 <= u < nv and 0 <= v < nv):
+            raise GraphError("edge endpoints must be vertex ids 0..V-1")
+        (xu, yu), (xv, yv) = pts[u], pts[v]
+        dx, dy = xv - xu, yv - yu
+        if lattice is None:
+            loop = loop or u == v
+        else:
+            dx, dy = dx + (s1 * l1x + s2 * l2x), dy + (s1 * l1y + s2 * l2y)
+        length = hypot(dx, dy)
+        reach += length
+        short = short or length < 1e-14
+        a = atan2(dy, dx) % TWO_PI
+        origin += (u, v)
+        dirang += (a, a + pi if a < pi else a - pi)
+        shift += (s1, s2, -s1, -s2)
+    # so that the faces' corners and centroids, and the dual's, stay finite
+    if not (max(map(abs, itertools.chain(*pts)), default=0.0)
+            + 4 * len(dirang) * reach) < math.inf:
+        raise GraphError("edge displacements exceed the float range")
+    # a winding is a float in the displacements and the dual's shifts
+    if max(map(abs, shift)) > 2 ** 53:
+        raise GraphError("edge shifts must not exceed 2^53 in size")
+    if loop:
         raise GraphError("planar loops are not embeddable with straight edges")
-    shift = np.concatenate([s, -s], axis=1).reshape(nd, 2)
-    uv = vcoords[origin].reshape(-1, 2, 2)
-    d = uv[:, 1] - uv[:, 0]
-    if lattice is not None:
-        d = d + s @ lattice
-    if (np.hypot(d[:, 0], d[:, 1]) < 1e-14).any():
+    if short:
         raise GraphError("zero-length edge" if lattice is None else
                          "zero-length displacement on the torus")
-    # math.atan2, not np.arctan2: they differ in the last bit
-    a = np.array([math.atan2(y, x) for x, y in d.tolist()]) % TWO_PI
-    dirang = np.array([a, np.where(a < math.pi, a + math.pi, a - math.pi)]
-                      ).T.ravel()
     for dart, ang in (dart_angles or {}).items():
-        if not 0 <= int(dart) < nd:
+        if not 0 <= int(dart) < len(dirang):
             raise GraphError(f"dart_angles: {dart} is not a dart id 0..2E-1")
         if not math.isfinite(float(ang)):
             raise GraphError(f"dart_angles: the angle of dart {dart} is not "
                              "finite")
         dirang[int(dart)] = float(ang) % TWO_PI
-    return _close_graph(surface, lattice, vcoords, origin, dirang, shift,
-                        weights)
+    return _close(surface, lattice, vcoords, origin, dirang,
+                  np.array(shift, dtype=int).reshape(-1, 2), weights,
+                  0 if lattice is None else 1, reversal=bool(dart_angles))
 
 
 def build_planar(vertex_coords, edge_list, weights, dart_angles=None):
@@ -499,10 +486,8 @@ def build_planar(vertex_coords, edge_list, weights, dart_angles=None):
     the counterclockwise order of the edge direction angles, which must be
     pairwise distinct (parallel edges and loops are rejected).
     """
-    g = _build("planar", None, vertex_coords, edge_list, weights, dart_angles)
-    if g.genus != 0:
-        raise GraphError("planar constructor produced nonzero genus")
-    return g.validate()
+    return _build("planar", None, vertex_coords, edge_list, weights,
+                  dart_angles)
 
 
 def build_torus(lattice, vertex_coords, edge_list, weights, dart_angles=None):
@@ -513,15 +498,14 @@ def build_torus(lattice, vertex_coords, edge_list, weights, dart_angles=None):
     loops are fine as long as their direction angles differ.
     """
     lattice = np.asarray(lattice, dtype=float)
-    if not np.isfinite(lattice).all():
+    vals = lattice.ravel().tolist()
+    if not all(map(math.isfinite, vals)):
         raise GraphError("lattice entries must be finite")
-    if lattice.shape != (2, 2) or abs(np.linalg.det(lattice)) < 1e-12:
+    if lattice.shape != (2, 2) or abs(vals[0] * vals[3]
+                                      - vals[1] * vals[2]) < 1e-12:
         raise GraphError("lattice must be an invertible 2x2 matrix")
-    g = _build("torus", lattice, vertex_coords, edge_list, weights,
-               dart_angles)
-    if g.genus != 1:
-        raise GraphError(f"torus data has genus {g.genus}, expected 1")
-    return g.validate()
+    return _build("torus", lattice, vertex_coords, edge_list, weights,
+                  dart_angles)
 
 
 # -- cochains ----------------------------------------------------------------
@@ -660,14 +644,16 @@ def face_centroids(g):
 
 def reduce_to_domain(g, pts):
     """Representatives of torus points (rows) in the fundamental domain."""
-    r = pts @ np.linalg.inv(g.lattice)
+    r = pts @ g.lattice_inv
     return (r - np.floor(r)) @ g.lattice
 
 
 def lattice_shifts(g, disp, what):
     """Integer lattice coordinates of displacements (rows) that must be
-    lattice vectors; GraphError names ``what`` otherwise."""
-    s = disp @ np.linalg.inv(g.lattice)
+    lattice vectors; GraphError names ``what`` otherwise, or int64 overflow."""
+    s = disp @ g.lattice_inv
+    if not (np.abs(s) < 2.0 ** 63).all():
+        raise GraphError(f"{what} overflows int64")
     si = np.round(s).astype(int)
     if np.max(np.abs(s - si), initial=0.0) > 1e-6:
         raise GraphError(f"{what} did not land on the lattice")
@@ -688,34 +674,20 @@ def dual(g):
     nd = g.nd
     rev = np.arange(nd) ^ 1
     origin = g.face_of[rev]
-    dirang = (g.dirang + math.pi / 2) % TWO_PI
-    rot = g.rot_inv ^ 1
-
-    vstar = face_centroids(g)
+    off, first = face_offsets(g), [f[0] for f in g.faces]
+    vstar = g.vcoords[g.origin[first]] + off[first]     # face_centroids
     shift = np.zeros((nd, 2), dtype=int)
     if g.surface == "torus":
         vstar = reduce_to_domain(g, vstar)
         # left-face centroid minus right-face centroid, in the chart of d
-        off = face_offsets(g)
         chart = off - edge_vectors(g) - off[rev]
         shift = lattice_shifts(g, chart - (vstar[g.face_of] - vstar[origin]),
                                "dual shift")
-
-    weights = Weights(g.x).dual()
-    gd = _close_graph(
-        g.surface,
-        g.lattice,
-        vstar,
-        origin,
-        dirang,
-        shift,
-        weights,
-        rot=rot,
-    )
-    if gd.genus != g.genus:
-        raise GraphError("dual changed the genus")
-    gd.validate(check_angle_sums=(g.surface == "torus"))
-    return gd
+    return _close(g.surface, g.lattice, vstar, origin.tolist(),
+                  ((g.dirang + math.pi / 2) % TWO_PI).tolist(), shift,
+                  Weights((1.0 - g.x) / (1.0 + g.x)), g.genus,
+                  rot=g.rot_inv ^ 1,
+                  angle_sums=g.surface == "torus")
 
 
 # -- json interchange ---------------------------------------------------------
@@ -736,39 +708,40 @@ def graph_from_json(obj):
         raise GraphError("graph JSON must be an object")
     try:
         surface = obj["surface"]
-        verts = sorted(obj["vertices"], key=lambda r: r["id"])
-        if [r["id"] for r in verts] != list(range(len(verts))):
+        ident = operator.itemgetter("id")
+        verts = sorted(obj["vertices"], key=ident)
+        if list(map(ident, verts)) != list(range(len(verts))):
             raise GraphError("vertex ids must be 0..V-1")
-        coords = np.array([(float(r["x"]), float(r["y"])) for r in verts])
-        if not np.isfinite(coords).all():
+        coords = [(float(r["x"]), float(r["y"])) for r in verts]
+        if not all(map(math.isfinite, itertools.chain(*coords))):
             raise GraphError("vertex coordinates must be finite")
-        edges = sorted(obj["edges"], key=lambda r: r["id"])
-        if [r["id"] for r in edges] != list(range(len(edges))):
+        edges = sorted(obj["edges"], key=ident)
+        if list(map(ident, edges)) != list(range(len(edges))):
             raise GraphError("edge ids must be 0..E-1")
-        if any(type(r[k]) is not int for r in edges for k in ("u", "v")):
+        ends = operator.itemgetter("u", "v")
+        if not {int}.issuperset(map(type, itertools.chain(*map(ends,
+                                                                edges)))):
             raise GraphError("edge endpoints must be vertex ids 0..V-1")
 
-        xs = np.empty(len(edges))
+        xs, triples = [], []
         for r in edges:
-            given = [k for k in ("x", "theta", "J") if k in r]
-            if len(given) != 1:
+            if ("x" in r) + ("theta" in r) + ("J" in r) != 1:
                 raise GraphError("each edge needs exactly one of x, theta, J")
             if "x" in r:
-                xs[r["id"]] = float(r["x"])
+                xs.append(float(r["x"]))
             elif "theta" in r:
-                xs[r["id"]] = math.tan(float(r["theta"]) / 2.0)
+                xs.append(math.tan(float(r["theta"]) / 2.0))
+            elif "beta" not in obj:
+                raise GraphError("J weights require a top-level beta")
             else:
-                if "beta" not in obj:
-                    raise GraphError("J weights require a top-level beta")
-                xs[r["id"]] = math.tanh(float(obj["beta"]) * float(r["J"]))
+                xs.append(math.tanh(float(obj["beta"]) * float(r["J"])))
+            s1, s2 = map(int, r.get("shift", (0, 0)))
+            triples.append((r["u"], r["v"], (s1, s2)))
         weights = Weights(xs)
         angles = obj.get("dart_angles")
         if angles is not None:
             angles = {int(k): float(v) for k, v in angles.items()}
 
-        triples = [(r["u"], r["v"], tuple(int(s) for s in
-                                          r.get("shift", (0, 0))))
-                   for r in edges]
         if surface == "planar":
             return build_planar(coords, triples, weights, dart_angles=angles)
         if surface == "torus":
@@ -780,6 +753,7 @@ def graph_from_json(obj):
         raise
     except KeyError as exc:
         raise GraphError(f"missing graph field: {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError,
+            AttributeError) as exc:
         raise GraphError(f"malformed graph data: {exc}") from exc
     raise GraphError(f"unknown surface {surface!r}")

@@ -6,6 +6,14 @@ the transition entries on every call; the three loops build one
 ``Cochain``, one matrix and one root or determinant per +-1 character, as
 ``oracle.ising_partition``, ``oracle.dimer_partition`` and the duality sign
 pattern did.  The stacked forms must give bitwise the same values.
+
+``arf_characters_reference`` is the (4, nd) character stack as complex
+powers z^s1 w^s2 checked by the ``Cochain`` rules (``character_values``);
+``oracle.arf_characters`` reads it off the shift parities and must give the
+same values.  ``skew_signs_reference`` is the depth-first search that
+``EmbeddedGraph.skew_signs`` replaced by its closed form: it solves the
+skewness conditions dart by dart from dart 0 and must find the same signs,
+or fail with the same message.
 """
 
 import math
@@ -16,7 +24,8 @@ from kwlab.critical import KERNEL_TOL
 from kwlab.linalg import lu_det, pfaffian
 from kwlab.operators import _phi_values, kasteleyn
 from kwlab.oracle import ARF_SIGNS_GENUS1
-from kwlab.surface_graph import GraphError, character_cochain, dual
+from kwlab.surface_graph import (GraphError, character_cochain,
+                                 character_values, dual)
 
 
 def sqrt_det_pfaffian_reference(g, phi=None, x=None):
@@ -92,3 +101,46 @@ def sign_pattern_reference(g):
         degenerate = abs(sd[zw]) <= KERNEL_TOL * scale
         sign_pattern[zw] = 0.0 if degenerate else s[zw] / sd[zw]
     return sign_pattern
+
+
+def arf_characters_reference(g):
+    """The four +-1 characters of ``ARF_SIGNS_GENUS1`` as complex powers."""
+    z, w = np.array(list(ARF_SIGNS_GENUS1)).T
+    return character_values(g, z, w)
+
+
+def skew_signs_reference(g):
+    """Signs s with s(rev e) = -s(e) and s(e) T'[rev e, f] = -s(f)
+    T'[rev f, e], by a search over the darts from each unsigned root (dart
+    0 first), then checked; GraphError names the first pair that fails."""
+    nd = g.nd
+    rev = np.arange(nd) ^ 1
+    e, e2, _ = g.transition_entries
+    r, c = e ^ 1, e2
+    jt = g.transition_signs
+    jt_t = jt[np.searchsorted(e * nd + e2, (c ^ 1) * nd + r)]
+    links = [[(d ^ 1, -1.0)] for d in range(nd)]
+    for a, b, p in zip(r.tolist(), c.tolist(), (-jt * jt_t).tolist()):
+        links[a].append((b, p))
+    s = np.zeros(nd)
+    for root in range(nd):
+        if s[root]:
+            continue
+        s[root] = 1.0
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, p in links[a]:
+                if not s[b] and p:
+                    s[b] = p * s[a]
+                    stack.append(b)
+    bad = np.flatnonzero(s[rev] != -s)
+    bad_t = s[r] * jt != -s[c] * jt_t
+    pairs = np.concatenate([r[bad_t] * nd + c[bad_t],
+                            c[bad_t] * nd + r[bad_t]])
+    if bad.size or pairs.size:
+        a, b = ((bad[0], bad[0] ^ 1) if bad.size
+                else divmod(int(pairs.min()), nd))
+        raise GraphError("no signs make the Kac-Ward Pfaffian matrix "
+                         f"skew: darts {a} and {b} conflict")
+    return s

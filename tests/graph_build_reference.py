@@ -1,10 +1,14 @@
-"""The loop-based graph build that ``surface_graph``'s array build replaces.
+"""The reference graph build that ``surface_graph``'s one-pass build replaces.
 
-Kept as the test oracle: ``build_planar_reference``, ``build_torus_reference``
-and ``close_graph_reference`` take the arguments of ``build_planar``,
-``build_torus`` and ``surface_graph._close_graph`` and walk the edges, the
-vertices and the faces one at a time.  The array build must give bitwise the
-same arrays and the same GraphError messages.  ``transition_entries_reference``
+Kept as the test oracle: ``build_planar_reference`` and
+``build_torus_reference`` take the arguments of ``build_planar`` and
+``build_torus``, ``close_graph_reference`` closes darts into a graph given
+as arrays (by sorting each vertex's darts, unless a rotation is given), and
+``dual_reference`` is the dual built through it, face offsets, lattice
+inverse and weights computed as often as they used to be.  Each walks the
+edges, the vertices and the faces one at a time and then re-checks every
+invariant (``validate_reference``).  The one-pass build must give bitwise
+the same arrays and the same GraphError messages.  ``transition_entries_reference``
 finds the dart transitions by comparing every terminus with every origin,
 where the graph reads them off ``darts_at``; the arrays must be bitwise the
 same.
@@ -15,15 +19,34 @@ import math
 import numpy as np
 
 from kwlab.surface_graph import (ANGLE_SUM_TOL, ANGLE_TIE_TOL, TWO_PI,
-                                 EmbeddedGraph, GraphError, Weights)
+                                 EmbeddedGraph, GraphError, Weights,
+                                 edge_vectors, face_centroids, face_offsets,
+                                 lattice_shifts, reduce_to_domain)
+
+
+def running_sum(vals):
+    """The floats added one at a time from 0.0, in order, as ``np.bincount``
+    adds them (Python 3.12's ``sum`` compensates its rounding)."""
+    total = 0.0
+    for v in vals:
+        total += float(v)
+    return total
+
+
+def face_rotation_reference(g, f, beta=None):
+    """Total turning of the velocity along the boundary of face f, an odd
+    multiple of 2pi on a valid graph."""
+    darts = g.faces[f]
+    b = g.beta() if beta is None else beta
+    return math.pi * len(darts) - running_sum(b[d] for d in darts)
 
 
 def validate_reference(g, check_angle_sums=True):
-    """``EmbeddedGraph.validate`` with per-vertex and per-face loops, plus
-    the five invariants that construction guarantees and ``validate`` no
-    longer checks: the rotation's size, its being a permutation and its
-    keeping each dart's origin, x in [0, 1] with theta = 2 arctan x, and
-    chi = 2 - 2g."""
+    """Every invariant of a graph, with per-vertex and per-face loops: the
+    checks the build runs, and the ones its construction guarantees (the
+    rotation's size, its being a permutation and its keeping each dart's
+    origin, pi reversal without ``dart_angles``, x in [0, 1] with
+    theta = 2 arctan x, and chi = 2 - 2g)."""
     nd = g.nd
     if g.rot.shape != (nd,):
         raise GraphError("rotation permutation has wrong size")
@@ -46,14 +69,14 @@ def validate_reference(g, check_angle_sums=True):
     if check_angle_sums:
         b = g.beta()
         for v in range(g.nv):
-            s = float(sum(b[d] for d in g.darts_at[v]))
+            s = running_sum(b[d] for d in g.darts_at[v])
             if abs(s - TWO_PI) > ANGLE_SUM_TOL:
                 raise GraphError(
                     f"angle gaps at vertex {v} sum to {s}, expected 2pi"
                 )
         for f in range(len(g.faces)):
             darts = g.faces[f]
-            rot = math.pi * len(darts) - float(sum(b[d] for d in darts))
+            rot = math.pi * len(darts) - running_sum(b[d] for d in darts)
             r = rot / TWO_PI
             if abs(r - round(r)) > ANGLE_SUM_TOL or round(r) % 2 == 0:
                 raise GraphError(
@@ -132,7 +155,7 @@ def build_reference(surface, lattice, vertex_coords, edge_list, weights,
     vcoords = np.asarray(vertex_coords, dtype=float)
     if not isinstance(weights, Weights):
         weights = Weights(weights)
-    if len(weights) != len(edge_list):
+    if len(weights.x) != len(edge_list):
         raise GraphError("one weight per edge required")
     nd = 2 * len(edge_list)
     origin = np.empty(nd, dtype=int)
@@ -203,3 +226,26 @@ def transition_entries_reference(g):
     alpha = (g.dirang[e2] - g.dirang[e] + math.pi) % TWO_PI - math.pi
     alpha[alpha <= -math.pi] += TWO_PI
     return e, e2, np.exp(0.5j * alpha)
+
+
+def dual_reference(g):
+    """``surface_graph.dual`` as it was: Weights built twice, and the face
+    offsets and the lattice inverse found twice on the torus."""
+    nd = g.nd
+    rev = np.arange(nd) ^ 1
+    origin = g.face_of[rev]
+    dirang = (g.dirang + math.pi / 2) % TWO_PI
+    rot = g.rot_inv ^ 1
+    vstar = face_centroids(g)
+    shift = np.zeros((nd, 2), dtype=int)
+    if g.surface == "torus":
+        vstar = reduce_to_domain(g, vstar)
+        off = face_offsets(g)
+        chart = off - edge_vectors(g) - off[rev]
+        shift = lattice_shifts(g, chart - (vstar[g.face_of] - vstar[origin]),
+                               "dual shift")
+    gd = close_graph_reference(g.surface, g.lattice, vstar, origin, dirang,
+                               shift, Weights(g.x).dual(), rot=rot)
+    if gd.genus != g.genus:
+        raise GraphError("dual changed the genus")
+    return validate_reference(gd, check_angle_sums=(g.surface == "torus"))

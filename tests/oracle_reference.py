@@ -18,6 +18,9 @@ same sets.
 
 ``signed_cycle_sum`` is the sum over even subgraphs that squares to
 det KW, evaluated with the oracle's own enumeration and resolution.
+
+``permanent_reference`` is ``oracle._permanent`` reading its rows as numpy
+arrays; the list form must give the same float, DP step for DP step.
 """
 
 import cmath
@@ -293,3 +296,19 @@ def signed_cycle_sum(g, phi=None, x=None):
         xs = xs * pv.real
     masks = np.array(enumerate_even(g), dtype=np.int64)
     return float(_sum_terms(g, [(masks, _resolve(g, masks))], xs)[..., 0].real)
+
+
+def permanent_reference(a):
+    """Permanent by the subset DP over rows, each row's nonzero columns
+    found by ``np.flatnonzero``."""
+    a = np.asarray(a, dtype=float)
+    partial = {0: 1.0}
+    for row in a:
+        cols = [(1 << int(j), float(row[j])) for j in np.flatnonzero(row)]
+        grown = {}
+        for used, val in partial.items():
+            for bit, y in cols:
+                if not used & bit:
+                    grown[used | bit] = grown.get(used | bit, 0.0) + val * y
+        partial = grown
+    return partial.get((1 << a.shape[1]) - 1, 0.0)

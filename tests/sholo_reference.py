@@ -123,7 +123,8 @@ def edge_increments(g, F):
     = Im(2 cos(pi/2 - theta) i D F^2)."""
     d = np.arange(g.nd)
     k = d >> 1
-    dual = (2.0 * np.cos(g.theta_dual()[k]) * (1j * np.exp(1j * g.dirang))
+    theta_dual = math.pi / 2 - g.theta
+    dual = (2.0 * np.cos(theta_dual[k]) * (1j * np.exp(1j * g.dirang))
             * np.asarray(F, dtype=complex)[k] ** 2).imag
     return primal_increments(g, F, d), dual
 
@@ -325,7 +326,7 @@ def laplacian_of_H(g, h):
     nf = len(g.faces)
     walk = np.fromiter(itertools.chain.from_iterable(g.faces), int, g.nd)
     face = g.face_of[walk]
-    th = g.theta_dual()[walk >> 1]
+    th = (math.pi / 2 - g.theta)[walk >> 1]
     # the dual dart from a face crosses d toward the face right of d
     dual = (np.bincount(face, np.tan(th) * dual_inc[walk ^ 1], minlength=nf)
             / (0.5 * np.bincount(face, np.sin(2 * th), minlength=nf)))

@@ -583,3 +583,56 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
         run(capsys, "gen", "rect-torus")
     assert len(inits) == one_build
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("command", [["z-dimer"], ["verify", "all"],
+                                     ["spectral", "--grid", "4"]])
+@pytest.mark.parametrize("field, value, message", [
+    ("v", 10 ** 20, "edge endpoints must be vertex ids 0..V-1"),
+    ("shift", [0, 10 ** 20], "edge shifts must not exceed 2^53 in size")],
+    ids=["endpoint", "shift"])
+def test_integers_beyond_int64_are_invalid_input(tmp_path, capsys, command,
+                                                 field, value, message):
+    # both used to end in an OverflowError traceback with exit 1
+    obj = fx.rect_torus().to_json()
+    obj["edges"][1][field] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code = main([*command, "-g", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == "invalid_input"
+    assert message in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("suite", ["kw1", "kw2", "all"])
+@pytest.mark.parametrize("entry", [1e308, -1e308])
+def test_displacements_near_the_float_range_are_invalid_input(
+        tmp_path, capsys, suite, entry):
+    # the graph used to build with face centroids that overflow, and the
+    # dual took NaN shifts: exit 1 or 2 with RuntimeWarnings, or a pass of
+    # verify all without its duality suites
+    obj = fx.rect_torus().to_json()
+    obj["lattice"][0][0] = entry
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj))
+    code = main(["verify", suite, "-g", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": "invalid_input",
+        "message": "edge displacements exceed the float range"}
+
+
+def test_verify_all_builds_the_dual_once(tmp_path, capsys, monkeypatch):
+    from kwlab import surface_graph as sg
+
+    built = []
+    dual = sg.dual
+    monkeypatch.setattr(sg, "dual", lambda g: built.append(g) or dual(g))
+    code, out = run(capsys, "gen", "square-torus", "2", "--x", "0.3")
+    path = tmp_path / "s.json"
+    path.write_text(out)
+    code, out = run(capsys, "verify", "all", "-g", str(path), "--draws", "2")
+    assert code == 0
+    assert len(built) == 1

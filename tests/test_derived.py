@@ -12,7 +12,7 @@ from kwlab.surface_graph import (Cochain, GraphError, character_cochain, dual,
                                  edge_vectors, face_centroids, face_offsets,
                                  lattice_shifts, reduce_to_domain)
 from kwlab.derived import (build_C, build_D, build_M, c_face_products,
-                           epsilon_signs, half_angle_phases, isoradial_data,
+                           half_angle_phases, isoradial_data,
                            phi_D_character, split_phi_D, validate_kasteleyn)
 
 
@@ -59,7 +59,7 @@ def test_kasteleyn_validation_and_flip():
 
 def test_epsilon_signs_pm_one():
     for g in (fx.triangle(0.5), fx.square_torus(2, 0.4)):
-        eps = epsilon_signs(g)
+        eps = build_C(g).epsilon
         assert set(np.unique(eps)) <= {-1, 1}
         # the corner signs multiply to -1 around every vertex
         for v in range(g.nv):

@@ -1,24 +1,34 @@
-"""The array graph build against the loop build it replaced
+"""The one-pass graph build against the reference build it replaced
 (``tests/graph_build_reference.py``): bitwise the same arrays on every
-fixture and on random tori, and the same GraphError on each broken input."""
+fixture, on their duals and on random tori, and the same GraphError on each
+broken input.  Likewise the steps after the load: the rectangle graph C
+against ``tests/derived_reference.py``, and the closed-form skew signs and
+the +-1 characters against ``tests/character_reference.py``, on the
+fixtures, their duals and random tori with turned edges."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from character_reference import (arf_characters_reference,
+                                 skew_signs_reference)
+from derived_reference import build_C_reference
 from graph_build_reference import (build_planar_reference,
                                    build_torus_reference,
-                                   close_graph_reference,
+                                   dual_reference,
                                    transition_entries_reference,
                                    validate_reference)
 from kwlab import fixtures as fx
 from kwlab import surface_graph as sg
+from kwlab.derived import build_C
+from kwlab.oracle import arf_characters
 from kwlab.surface_graph import GraphError, Weights, build_planar, build_torus
 
 ARRAYS = ("origin", "dirang", "shift", "rot", "rot_inv", "face_of")
+C_ARRAYS = ("w", "b", "y", "omega_tilde", "shift", "omega", "epsilon")
 
 FIXTURES = [
     ("triangle", ()), ("triangle", ([0.2, 0.5, 0.9],)), ("single_edge", ()),
@@ -62,7 +72,7 @@ def built_both_ways(monkeypatch, make):
 def test_fixtures_build_bitwise_as_the_loops(monkeypatch, name, args):
     g, ref = built_both_ways(monkeypatch, lambda: getattr(fx, name)(*args))
     assert_same_graph(g, ref)
-    # the array build keeps what validate leaves to construction
+    # the one-pass build keeps what its checks leave to construction
     validate_reference(g)
     # the JSON load goes through the same builders
     obj = g.to_json()
@@ -71,9 +81,10 @@ def test_fixtures_build_bitwise_as_the_loops(monkeypatch, name, args):
     # the dual closes a given rotation
     if g.surface == "torus":
         gd = sg.dual(g)
-        validate_reference(gd)
-        monkeypatch.setattr(sg, "_close_graph", close_graph_reference)
-        assert_same_graph(gd, sg.dual(g))
+        assert_same_graph(gd, dual_reference(g))
+        for name in ("vcoords", "x", "theta"):
+            assert getattr(gd, name).tobytes() == getattr(
+                dual_reference(g), name).tobytes(), name
 
 
 @st.composite
@@ -175,24 +186,103 @@ def test_coincident_directions_name_the_first_vertex():
         "coincident dart directions at vertex 2")
 
 
-def _reversed_rotation(g, vertices):
-    rot = g.rot.copy()
-    for v in vertices:
-        ds = list(g.darts_at[v])
-        rot[ds] = g.rot_inv[ds]
-    return dataclasses.replace(g, rot=rot)
+# darts 6, 7, 10 and 11 of square_torus(2) turned: the torus graph is valid,
+# but a face of it turns by -2pi, so its dual's given rotation runs twice
+# around that vertex
+TURNED_SQUARE = {6: 4.097111316473687, 7: 0.9555186628838941,
+                 10: 4.766112741011161, 11: 1.6245200874213674}
+# the triangle's second edge turned: its two faces turn by 0 and 4pi
+TURNED_TRIANGLE = {2: 0.7409050663476744, 3: 3.8824977199374677}
 
 
 @pytest.mark.parametrize("broken", ["angle gaps", "even face"])
 def test_validate_faults_raise_as_the_loops(broken):
-    g = fx.square_torus(3, 0.3)
     if broken == "angle gaps":
-        # clockwise at vertices 2 and 5: their gaps sum to 3 x 2pi
-        bad = _reversed_rotation(g, [5, 2])
-        assert "at vertex 2 " in _message(bad.validate)
+        g = sg.graph_from_json(dict(fx.square_torus(2).to_json(),
+                                    dart_angles=TURNED_SQUARE))
+        msg = _message(sg.dual, g)
+        assert msg.startswith("angle gaps at vertex ")
+        assert msg == _message(dual_reference, g)
     else:
-        # one face running two boundaries turns by an even multiple of 2pi
-        bad = dataclasses.replace(
-            g, faces=g.faces[:3] + (g.faces[3] + g.faces[4], ()) + g.faces[5:])
-        assert _message(bad.validate).startswith("face 3 ")
-    assert _message(bad.validate) == _message(validate_reference, bad)
+        g = fx.triangle()
+        args = (g.vcoords, [(0, 1), (1, 2), (2, 0)], Weights(g.x),
+                TURNED_TRIANGLE)
+        msg = _message(build_planar, *args)
+        assert msg.startswith("face 0 ")
+        assert msg == _message(build_planar_reference, *args)
+
+
+def _outcome(fn, g):
+    """``fn(g)``, or the message of the GraphError it raises."""
+    try:
+        return fn(g)
+    except GraphError as exc:
+        return str(exc)
+
+
+def assert_steps_match_the_references(g):
+    """C, the corner signs, the skew signs and the characters of ``g``
+    against the forms they replaced."""
+    c, ref = build_C(g), build_C_reference(g)
+    for name in C_ARRAYS:
+        a, b = getattr(c, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    s, want = _outcome(lambda h: h.skew_signs, g), _outcome(
+        skew_signs_reference, g)
+    if isinstance(want, str):
+        assert s == want
+    else:
+        assert s.dtype == want.dtype and s.tobytes() == want.tobytes()
+    if g.genus == 1:
+        # equal in value; a zero imaginary part may carry either sign
+        assert np.array_equal(arf_characters(g), arf_characters_reference(g))
+
+
+@pytest.mark.parametrize("name, args", FIXTURES,
+                         ids=[f"{n}{a}" for n, a in FIXTURES])
+def test_steps_after_the_load_match_the_references(name, args):
+    g = getattr(fx, name)(*args)
+    assert_steps_match_the_references(g)
+    if g.surface == "torus":
+        assert_steps_match_the_references(sg.dual(g))
+
+
+@st.composite
+def turned_tori(draw):
+    """Random rectangular tori and honeycombs, up to three of their edges
+    turned through ``dart_angles`` (both darts, exactly pi apart), and
+    maybe their duals; a draw the build rejects is discarded."""
+    if draw(st.booleans()):
+        g = build_torus(*draw(random_rect_tori()))
+    else:
+        t0 = draw(st.floats(0.05, math.pi / 2 - 0.1))
+        t1 = draw(st.floats(0.0, 1.0)) * (math.pi / 2 - t0 - 0.05) + 0.025
+        g = fx.honeycomb_torus_iso((t0, t1, math.pi / 2 - t0 - t1),
+                                   draw(st.floats(0.2, 3.0)))
+    turns = draw(st.dictionaries(st.integers(0, g.ne - 1),
+                                 st.floats(0.0, 2 * math.pi,
+                                           exclude_max=True), max_size=3))
+    angles = {}
+    for k, a in turns.items():
+        angles[2 * k], angles[2 * k + 1] = a, (a + math.pi) % (2 * math.pi)
+    try:
+        g = sg.graph_from_json(dict(g.to_json(), dart_angles=angles))
+        if draw(st.booleans()):
+            g = sg.dual(g)
+    except GraphError:
+        assume(False)
+    return g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(turned_tori())
+def test_turned_tori_steps_match_the_references(g):
+    assert_steps_match_the_references(g)
+    if g.genus == 1:
+        gd = _outcome(sg.dual, g)
+        want = _outcome(dual_reference, g)
+        if isinstance(want, str):
+            assert gd == want
+        else:
+            assert_same_graph(gd, want)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,45 @@ def test_pfaffian_small_sizes_are_the_unblocked_loop_bitwise():
             for density in (0.2, 1.0):
                 a = _skew_pattern(rng, n, kind, density)
                 assert pfaffian(a).hex() == pfaffian_reference(a).hex()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(n=st.integers(0, _NB + 4), m=st.integers(1, 5),
+       kind=st.sampled_from(["normal", "pm1", "int"]),
+       density=st.floats(0.05, 1.0), zeros=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pfaffian_stack_is_each_matrix_alone(n, m, kind, density, zeros,
+                                             seed):
+    # each Pfaffian of a stack is bitwise its matrix's own: the unblocked
+    # loop's at most _NB rows, the panel form above
+    rng = np.random.default_rng(seed)
+    stack = np.array([_skew_pattern(rng, n, kind, density) for _ in range(m)])
+    for k in rng.integers(m, size=zeros) if n else ():
+        i = rng.integers(n)
+        stack[k, i] = stack[k, :, i] = 0.0    # a zero pivot column
+    before = stack.copy()
+    got = pfaffian(stack)
+    assert got.shape == (m,) and got.dtype == np.float64
+    assert np.array_equal(stack, before)
+    alone = pfaffian_reference if n <= _NB else pfaffian
+    assert [v.hex() for v in got.tolist()] == [
+        float(alone(a)).hex() for a in stack]
+
+
+def test_pfaffian_stack_shapes():
+    rng = np.random.default_rng(3)
+    stack = np.array([_skew_pattern(rng, 6, "normal", 1.0)
+                      for _ in range(6)]).reshape(2, 3, 6, 6)
+    got = pfaffian(stack)
+    assert got.shape == (2, 3)
+    assert got[1, 2] == pfaffian(stack[1, 2])
+    assert np.array_equal(pfaffian(np.zeros((4, 5, 5))), np.zeros(4))
+    assert np.array_equal(pfaffian(np.zeros((2, 0, 0))), np.ones(2))
+    # a zero pivot column leaves +0.0, whatever the sign carried so far
+    a = _skew_pattern(rng, 8, "normal", 1.0)
+    a[5] = a[:, 5] = 0.0
+    assert pfaffian(np.array([a, -a])).tolist() == [0.0, 0.0]
+    assert all(math.copysign(1.0, v) > 0 for v in pfaffian(np.array([a, -a])))
 
 
 def test_null_space_real_input_stays_real():

