@@ -39,15 +39,16 @@ def spectral_curve(g, z, w, x=None):
 
 
 def _exponents(g):
-    """z- and w-exponents det KW^(z, w) can carry, as two ``range``s.
+    """z- and w-exponents det KW^(z, w) can carry, as two ``range``s, which
+    allocate nothing before the size guards.
 
     Row d of KW carries z^s1_d w^s2_d off its diagonal, so every term of the
     determinant has z-exponent in [-sum max(-s1, 0), sum max(s1, 0)] (and
-    likewise in w).  A range allocates nothing before the size guards.
+    likewise in w); float sums are exact below 2^53, far past GRID_GUARD.
     """
-    return tuple(range(-sum(max(-v, 0) for v in s),
-                       sum(max(v, 0) for v in s) + 1)
-                 for s in g.shift.T.tolist())
+    return tuple(range(-int(np.maximum(-s, 0).sum(dtype=float)),
+                       int(np.maximum(s, 0).sum(dtype=float)) + 1)
+                 for s in g.shift.T)
 
 
 def _unit_powers(k, m, exps):

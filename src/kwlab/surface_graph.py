@@ -718,9 +718,8 @@ def graph_from_json(obj):
         edges = sorted(obj["edges"], key=ident)
         if list(map(ident, edges)) != list(range(len(edges))):
             raise GraphError("edge ids must be 0..E-1")
-        ends = operator.itemgetter("u", "v")
-        if not {int}.issuperset(map(type, itertools.chain(*map(ends,
-                                                                edges)))):
+        ends = itertools.chain(*map(operator.itemgetter("u", "v"), edges))
+        if not {int}.issuperset(map(type, ends)):
             raise GraphError("edge endpoints must be vertex ids 0..V-1")
 
         xs, triples = [], []

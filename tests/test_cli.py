@@ -625,11 +625,17 @@ def test_displacements_near_the_float_range_are_invalid_input(
 
 
 def test_verify_all_builds_the_dual_once(tmp_path, capsys, monkeypatch):
-    from kwlab import surface_graph as sg
+    from kwlab import critical, surface_graph as sg
 
-    built = []
-    dual = sg.dual
-    monkeypatch.setattr(sg, "dual", lambda g: built.append(g) or dual(g))
+    built, dual = [], sg.dual
+
+    def counted(g):
+        built.append(g)
+        return dual(g)
+
+    # every binding of the builder, where a module imports it by name
+    monkeypatch.setattr(sg, "dual", counted)
+    monkeypatch.setattr(critical, "dual", counted, raising=False)
     code, out = run(capsys, "gen", "square-torus", "2", "--x", "0.3")
     path = tmp_path / "s.json"
     path.write_text(out)
