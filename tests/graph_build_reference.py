@@ -8,10 +8,10 @@ as arrays (by sorting each vertex's darts, unless a rotation is given), and
 inverse and weights computed as often as they used to be.  Each walks the
 edges, the vertices and the faces one at a time and then re-checks every
 invariant (``validate_reference``).  The one-pass build must give bitwise
-the same arrays and the same GraphError messages.  ``transition_entries_reference``
-finds the dart transitions by comparing every terminus with every origin,
-where the graph reads them off ``darts_at``; the arrays must be bitwise the
-same.
+the same arrays and the same GraphError messages.
+``transition_entries_reference`` finds the dart transitions by comparing
+every terminus with every origin, where the graph reads them off
+``darts_at``; the arrays must be bitwise the same.
 """
 
 import math

@@ -20,8 +20,8 @@ import pytest
 from kwlab import fixtures as fx
 from kwlab.cli import main
 
-BASES = {"rect-torus": fx.rect_torus(), "honeycomb-torus": fx.honeycomb_torus(),
-         "triangle": fx.triangle()}
+BASES = {"rect-torus": fx.rect_torus(),
+         "honeycomb-torus": fx.honeycomb_torus(), "triangle": fx.triangle()}
 
 HOSTILE = [0, -1, 1, 2, 3, 10 ** 20, -10 ** 20, 2 ** 63, 2 ** 62, -2 ** 63,
            1e308, -1e308, 1.7e308, 5e307, 1e-320, 0.5, -0.5, 1e6,
@@ -30,12 +30,13 @@ HOSTILE = [0, -1, 1, 2, 3, 10 ** 20, -10 ** 20, 2 ** 63, 2 ** 62, -2 ** 63,
            [0, 10 ** 20], [1e308, 0], [[0]]]
 
 COMMANDS = [["verify", "kw1"], ["verify", "kw2"], ["verify", "pf"],
-            ["verify", "corr", "--draws", "2"], ["verify", "det", "--draws", "2"],
+            ["verify", "corr", "--draws", "2"],
+            ["verify", "det", "--draws", "2"],
             ["verify", "sholo", "--draws", "2"], ["verify", "dirac"],
             ["verify", "all", "--draws", "2"], ["z-ising"], ["z-dimer"],
             ["critical-beta"], ["spectral", "--grid", "4"],
-            ["free-energy", "--grid", "4"], ["tau"], ["observable", "--dart", "0"],
-            ["h-function", "--from", "kernel"],
+            ["free-energy", "--grid", "4"], ["tau"],
+            ["observable", "--dart", "0"], ["h-function", "--from", "kernel"],
             ["h-function", "--from", "observable", "--dart", "1"]]
 
 

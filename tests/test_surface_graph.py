@@ -283,7 +283,8 @@ def test_even_face_rotation_message():
     from graph_build_reference import build_reference
 
     # the second edge turned: the faces turn by 0 and 4pi, even multiples
-    coords, edges = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1), (1, 2), (2, 0)]
+    coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    edges = [(0, 1), (1, 2), (2, 0)]
     angles = {2: 0.7409050663476744, 3: 3.8824977199374677}
     bad = build_reference("planar", None, coords, edges, [0.5] * 3, angles)
     r = face_rotation_reference(bad, 0) / TWO_PI
