@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from .linalg import stream_key, uniforms
 from .surface_graph import (GraphError, SizeGuardError, character_cochain,
                             shift_character)
 from .operators import (KERNEL_TOL, kac_ward_kernel, kac_ward_real, kw_dets,
@@ -372,19 +373,17 @@ def _torus_dual(g):
 
 def duality_residuals(g, draws=10, seed=0):
     """Kramers-Wannier duality of the Kac-Ward determinants against the dual
-    graph, at seeded random unitary characters.
+    graph at random characters, draw t's from ``uniforms`` counters 2t, 2t+1.
 
     The relative residuals of 2^V prod(1+x)^-1 det KW^phi(G, x) =
     2^V* prod(1+x*)^-1 det KW^phi(G*, x*), one per draw: one ``kw_dets``
     stack per graph, at the same characters.  Torus graphs only.
     """
     gd = _torus_dual(g)
-    rng = np.random.default_rng(seed)
     pref = 2.0 ** g.nv / np.prod(1.0 + g.x)
     pref_d = 2.0 ** gd.nv / np.prod(1.0 + gd.x)
-    zw = [(cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
-           cmath.exp(1j * rng.uniform(0, 2 * math.pi))) for _ in range(draws)]
-    zs, ws = np.array(zw, dtype=complex).reshape(-1, 2).T
+    u = uniforms(stream_key(seed), 0, 2 * draws).reshape(-1, 2)
+    zs, ws = np.exp(2j * math.pi * u).T
     lhs = pref * kw_dets(g, shift_character(g.shift, zs, ws), g.x)
     rhs = pref_d * kw_dets(gd, shift_character(gd.shift, zs, ws), gd.x)
     return [abs(l - r) / max(abs(l), abs(r), 1e-30)

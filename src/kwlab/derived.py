@@ -217,17 +217,17 @@ def build_D(g):
 def _half_shifts(g):
     """Homology windings of the primal, then the dual half-edges of the double,
     against the midpoints and face centres reduced to the fundamental domain."""
-    nd = g.nd
     if g.surface != "torus":
-        return np.zeros((2 * nd, 2), dtype=int)
-    rev = np.arange(nd) ^ 1
+        return np.zeros((2 * g.nd, 2), dtype=int)
+    rev = np.arange(g.nd) ^ 1
     half = 0.5 * edge_vectors(g)
     mid = np.repeat(reduce_to_domain(g, g.vcoords[g.origin[::2]] + half[::2]),
                     2, axis=0)
-    centre = reduce_to_domain(g, face_centroids(g))[g.face_of[rev]]
+    off = face_offsets(g)
+    centre = reduce_to_domain(g, face_centroids(g, off))[g.face_of[rev]]
     primal = lattice_shifts(g, half - (mid - g.vcoords[g.origin]),
                             "midpoint shift")
-    dual = lattice_shifts(g, -half - face_offsets(g)[rev] - (mid - centre),
+    dual = lattice_shifts(g, -half - off[rev] - (mid - centre),
                           "dual half shift")
     return np.concatenate([primal, dual])
 

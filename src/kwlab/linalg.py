@@ -163,6 +163,42 @@ def _draw_chunks(draws, row_bytes):
     return [(i, min(i + step, draws)) for i in range(0, draws, step)]
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(z):
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    return z ^ (z >> np.uint64(31))
+
+
+def stream_key(seed):
+    """The key of a seed's stream: its 64-bit limbs, low first, each xored in
+    and mixed, so nearby seeds get unrelated keys.  GraphError if negative."""
+    if seed < 0:
+        raise GraphError(f"seed must be non-negative, got {seed}")
+    key = np.zeros(1, dtype=np.uint64)
+    for i in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix((key ^ np.uint64(seed >> i & 0xFFFFFFFFFFFFFFFF)) + _GOLDEN)
+    return key
+
+
+def uniforms(key, lo, hi):
+    """Counters lo..hi-1 of splitmix64 (Steele, Lea and Flood, OOPSLA 2014)
+    seeded with ``key``, as uniforms in (0, 1): the top 53 bits plus 1/2 in
+    units of 2^-53, the largest capped so that it stays below 1."""
+    z = _mix(key + np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GOLDEN)
+    top = np.minimum(z >> np.uint64(11), np.uint64(2 ** 53 - 2))
+    return (top.astype(float) + 0.5) * 2.0 ** -53
+
+
+def normals(key, lo, rows, k):
+    """Standard normals (rows, k) by Box-Muller: row i reads the 2k
+    ``uniforms`` from counter lo + 2ki, k radii and then k angles."""
+    u = uniforms(key, lo, lo + 2 * k * rows).reshape(rows, 2, k)
+    return np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
+
+
 def max_norm(a):
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0

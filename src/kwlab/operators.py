@@ -55,8 +55,8 @@ import numpy as np
 # lu_det stays bound here: the benchmark's tracer wraps it in every module
 # that binds it, and its tests expect this one
 from .linalg import (_draw_chunks, cycle_det, lu_det, lu_solve,  # noqa: F401
-                     pfaffian, prod_rows, sparse_max_norm, sparse_product,
-                     to_dense)
+                     normals, pfaffian, prod_rows, sparse_max_norm,
+                     sparse_product, to_dense)
 from .surface_graph import (Cochain, GraphError, character_cochain,
                             shift_character)
 from .derived import (build_C, build_D, build_M, c_edge_directions,
@@ -219,21 +219,8 @@ KERNEL_SVD_DARTS = 48
 
 @functools.cache
 def kernel_probes(n):
-    """The fixed n x ``KERNEL_PROBES`` probe columns, read-only.
-
-    Standard normal entries, as Box-Muller pairs of a splitmix64 stream:
-    importing ``numpy.random`` for them would cost a CLI process about
-    14 ms, as much as the whole kernel test at 576 darts.
-    """
-    k = n * KERNEL_PROBES
-    z = np.arange(1, 2 * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
-    z ^= z >> np.uint64(31)
-    # 53 random bits, shifted into (0, 1)
-    u = ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
-    r = np.sqrt(-2.0 * np.log(u[:k])) * np.cos(2.0 * math.pi * u[k:])
-    r = r.reshape(n, KERNEL_PROBES)
+    """The read-only n x ``KERNEL_PROBES`` probes: ``normals`` at key 0."""
+    r = normals(0, 0, 1, n * KERNEL_PROBES).reshape(n, KERNEL_PROBES)
     r.flags.writeable = False
     return r
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _draw_chunks, max_norm
+from .linalg import _draw_chunks, max_norm, normals, stream_key
 from .surface_graph import GraphError, SizeGuardError, cycle_with_winding
 from .derived import build_C, half_angle_phases, isoradial_data
 from .operators import (dirac_C, kac_ward, kac_ward_kernel,
@@ -362,9 +362,10 @@ def verify_sholo(g, draws=50, seed=0):
 
     For random midpoint functions all the normalized kernel norms must be
     large; for kernel-derived functions (when the operator is singular) all
-    must be small.  Isoradial data adds the dbar criterion.  The draws are
-    evaluated as stacks of at most ``linalg._DRAW_CHUNK_BYTES``: each
-    criterion norm is one matrix product against a chunk's mapped draws.
+    must be small.  Isoradial data adds the dbar criterion.  Draw t is the
+    ``linalg.normals`` rows 2t, 2t + 1 from counter 4 ne t (real, imaginary);
+    the draws run as stacks of at most ``linalg._DRAW_CHUNK_BYTES``, each
+    criterion norm one matrix product against a chunk's mapped draws.
     S drops an edge with sin(theta/2) = 0, so, as in ``map_S_inverse``,
     such an edge is a GraphError.
     """
@@ -372,7 +373,7 @@ def verify_sholo(g, draws=50, seed=0):
     if bad.size:
         raise GraphError("the s-holomorphicity criteria need positive "
                          f"weights; edge {bad[0]} has sin(theta/2) < 1e-14")
-    rng = np.random.default_rng(seed)
+    key = stream_key(seed)
     c = build_C(g)
     kw = kac_ward(g)
     kom_real = kasteleyn(c, None, "omega").real
@@ -400,8 +401,8 @@ def verify_sholo(g, draws=50, seed=0):
     agree = True
     # the draws, their S, T, T~ and T~' maps and three products
     for lo, hi in _draw_chunks(draws, 16 * 12 * g.nd):
-        z = rng.standard_normal((hi - lo, 2, g.ne))
-        ns = norms(z[:, 0] + 1j * z[:, 1])
+        z = normals(key, 4 * g.ne * lo, 2 * (hi - lo), g.ne)
+        ns = norms(z[0::2] + 1j * z[1::2])
         for t, vals in zip(range(lo, hi), zip(*ns.values())):
             big = all(v > 1e-3 for v in vals)
             small = all(v < 1e-8 for v in vals)

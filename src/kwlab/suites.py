@@ -14,12 +14,11 @@ in chunks bounded by ``linalg._DRAW_CHUNK_BYTES``.  Every residual the
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .linalg import _draw_chunks, prod_rows
+from .linalg import _draw_chunks, prod_rows, stream_key, uniforms
 from .surface_graph import GraphError, SizeGuardError, shift_character
 from .derived import build_C, validate_kasteleyn
 from .operators import (kac_ward, kasteleyn, kw_dets, sqrt_det_pfaffian,
@@ -32,28 +31,19 @@ from .report import check, make_report
 SUITE_NAMES = ("corr", "det", "kw1", "kw2", "inv", "sholo", "dirac", "pf")
 
 
-def _draw_inputs(g, rng, n):
-    """The weights (n, ne) and random unitary cochains (n, nd) of n draws.
-
-    The generator is read draw by draw: the weights, then on the torus the
-    angles of a character (z, w), then one gauge angle per vertex.  Each
-    cochain is its character times the gauge at every vertex, in one array
-    step for the stack.
-    """
-    xs = np.empty((n, g.ne))
-    zw = np.ones((n, 2), dtype=complex)
-    angles = np.empty((n, g.nv))
-    for t in range(n):
-        xs[t] = rng.uniform(0.02, 0.98, g.ne)
-        if g.genus == 1:
-            zw[t] = [cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-                     for _ in range(2)]
-        angles[t] = rng.uniform(0, 2 * math.pi, g.nv)
-    vals = np.ones((n, g.nd), dtype=complex)
-    if g.genus == 1:
-        vals = shift_character(g.shift, zw[:, 0], zw[:, 1])
-    p = np.exp(1j * angles)
-    return xs, vals * p[:, g.origin] / p[:, g.origin[np.arange(g.nd) ^ 1]]
+def _draw_inputs(g, key, lo, hi):
+    """The weights (n, ne) and random unitary cochains (n, nd) of draws
+    lo..hi-1: draw t reads the m ``uniforms`` at ``key`` from counter m t,
+    ne weights in (0.02, 0.98), then on the torus the angles of a character
+    (z, w), then one gauge angle per vertex.  Each cochain is its character
+    times the gauge at every vertex, in one array step for the stack."""
+    m = g.ne + 2 * (g.genus == 1) + g.nv
+    u = uniforms(key, m * lo, m * hi).reshape(hi - lo, m)
+    p = np.exp(2j * math.pi * u[:, g.ne:])
+    vals = shift_character(g.shift, p[:, 0], p[:, 1]) if g.genus == 1 else 1
+    p = p[:, -g.nv:]
+    return (0.02 + 0.96 * u[:, :g.ne],
+            vals * p[:, g.origin] / p[:, g.origin[np.arange(g.nd) ^ 1]])
 
 
 #: the named checks of the corr suite and the ``verify_corr`` keys they read
@@ -66,12 +56,12 @@ _CORR_CHECKS = (("intertwining_tilde", "residual_omega_tilde"),
 def suite_corr(g, fixture, draws=10, seed=0):
     """The Kac-Ward/Kasteleyn intertwining over seeded draws, each chunk of
     draws one ``verify_corr`` stack."""
-    rng = np.random.default_rng(seed)
+    key = stream_key(seed)
     c = build_C(g)
     checks = []
     # a draw's product and norm values: about 128 complex numbers per dart
     for lo, hi in _draw_chunks(draws, 128 * 16 * g.nd):
-        xs, phi = _draw_inputs(g, rng, hi - lo)
+        xs, phi = _draw_inputs(g, key, lo, hi)
         rep = verify_corr(g, phi, xs, c)
         cols = [(name, rep[key].tolist()) for name, key in _CORR_CHECKS]
         for i, t in enumerate(range(lo, hi)):
@@ -88,14 +78,14 @@ def suite_det(g, fixture, draws=20, seed=0):
     stack per orientation, each factored by one ``np.linalg.det``; the
     ratios are formed in Python complex arithmetic, draw by draw.
     """
-    rng = np.random.default_rng(seed)
+    key = stream_key(seed)
     c = build_C(g)
     checks = [check("kasteleyn_faces",
                     0.0 if validate_kasteleyn(c)["pass"] else 1.0, 0.5)]
     signs = set()
     # a Kasteleyn matrix, and np.linalg.det's copy of it
     for lo, hi in _draw_chunks(draws, 2 * 16 * g.nd * g.nd):
-        xs, phi = _draw_inputs(g, rng, hi - lo)
+        xs, phi = _draw_inputs(g, key, lo, hi)
         dkw = kw_dets(g, phi, xs).tolist()
         dk_t, dk_o = (np.linalg.det(kasteleyn(c, phi, o, xs)).tolist()
                       for o in ("omega_tilde", "omega"))
@@ -184,13 +174,14 @@ SUITES = {
 }
 
 
-def _check_draws(draws):
+def _check_inputs(draws, seed):
+    stream_key(seed)    # GraphError on a negative seed, before any suite
     if draws is not None and draws < 1:
         raise GraphError(f"draws must be at least 1, got {draws}")
 
 
 def run_suite(name, g, fixture="custom", draws=None, seed=0):
-    _check_draws(draws)
+    _check_inputs(draws, seed)
     if name == "all":
         return verify_all(g, fixture, draws, seed)
     if name not in SUITES:
@@ -203,7 +194,7 @@ def run_suite(name, g, fixture="custom", draws=None, seed=0):
 
 def verify_all(g, fixture="custom", draws=None, seed=0):
     """Run every suite that applies to the graph; inapplicable ones are skipped."""
-    _check_draws(draws)
+    _check_inputs(draws, seed)
     reports = []
     skipped = []
     for name in SUITE_NAMES:

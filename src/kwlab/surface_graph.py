@@ -636,10 +636,11 @@ def face_offsets(g):
     return off
 
 
-def face_centroids(g):
-    """Centroid of every face, lifted from the origin of its first dart."""
+def face_centroids(g, off=None):
+    """Each face's centroid: its first dart's origin plus ``face_offsets``."""
     first = np.array([f[0] for f in g.faces])
-    return g.vcoords[g.origin[first]] + face_offsets(g)[first]
+    off = face_offsets(g) if off is None else off
+    return g.vcoords[g.origin[first]] + off[first]
 
 
 def reduce_to_domain(g, pts):
@@ -674,8 +675,8 @@ def dual(g):
     nd = g.nd
     rev = np.arange(nd) ^ 1
     origin = g.face_of[rev]
-    off, first = face_offsets(g), [f[0] for f in g.faces]
-    vstar = g.vcoords[g.origin[first]] + off[first]     # face_centroids
+    off = face_offsets(g)
+    vstar = face_centroids(g, off)
     shift = np.zeros((nd, 2), dtype=int)
     if g.surface == "torus":
         vstar = reduce_to_domain(g, vstar)

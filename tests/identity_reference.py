@@ -13,8 +13,9 @@ by key.
 ``det`` suites as loops of single draws: each draw's cochain is gauged one
 Cochain at a time (``random_unitary_cochain_reference``), checked by one
 ``verify_corr`` call, or factored by one single-row ``kw_dets`` call and two
-``lu_det`` calls.  The suites evaluate chunks of draws as stacks; the tests
-compare the reports bitwise.
+``lu_det`` calls.  They read the seed's stream in order through
+``SeedStream``, one call per value or vector.  The suites evaluate chunks
+of draws as stacks; the tests compare the reports bitwise.
 """
 
 import cmath
@@ -25,7 +26,7 @@ import numpy as np
 from kwlab.derived import (build_C, build_D, build_M, half_angle_phases,
                            isoradial_data, phi_D_character, q_phases,
                            split_phi_D, validate_kasteleyn)
-from kwlab.linalg import lu_det, max_norm
+from kwlab.linalg import lu_det, max_norm, stream_key, uniforms
 from kwlab.operators import (_phi_values, dirac_C, dirac_D, kac_ward,
                              kasteleyn, kw_dets, laplacian, laplacian_M,
                              laplacian_dual, phi_omega, skew_adjacency,
@@ -252,6 +253,27 @@ def dirac_cd_blocks_reference(g, c, dg):
     return err / max(1.0, max_norm(want_dl), max_norm(want_ld))
 
 
+class SeedStream:
+    """``linalg.uniforms`` of a seed, read from counter 0 onwards with the
+    ``uniform`` and ``standard_normal`` calls of a numpy ``Generator``."""
+
+    def __init__(self, seed):
+        self.key, self.at = stream_key(seed), 0
+
+    def _take(self, n):
+        self.at += n
+        return uniforms(self.key, self.at - n, self.at)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        u = low + (high - low) * self._take(1 if size is None else size)
+        return float(u[0]) if size is None else u
+
+    def standard_normal(self, size):
+        """Box-Muller over the next 2 size uniforms: radii, then angles."""
+        r, a = self._take(size), self._take(size)
+        return np.sqrt(-2.0 * np.log(r)) * np.cos(2.0 * math.pi * a)
+
+
 def random_unitary_cochain_reference(g, rng):
     """A random character (on the torus) times a random gauge, one vertex
     angle per vertex; the generator is read as ``suites._draw_inputs`` reads
@@ -266,7 +288,7 @@ def random_unitary_cochain_reference(g, rng):
 
 
 def suite_corr_reference(g, fixture, draws=10, seed=0):
-    rng = np.random.default_rng(seed)
+    rng = SeedStream(seed)
     checks = []
     for t in range(draws):
         xs = rng.uniform(0.02, 0.98, g.ne)
@@ -282,7 +304,7 @@ def suite_corr_reference(g, fixture, draws=10, seed=0):
 
 
 def suite_det_reference(g, fixture, draws=20, seed=0):
-    rng = np.random.default_rng(seed)
+    rng = SeedStream(seed)
     c = build_C(g)
     checks = [check("kasteleyn_faces",
                     0.0 if validate_kasteleyn(c)["pass"] else 1.0, 0.5)]

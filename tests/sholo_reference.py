@@ -41,6 +41,7 @@ from kwlab.sholo import (_dart_residuals, map_S_inverse, primal_increments,
                          vertex_residuals)
 from kwlab.surface_graph import GraphError, cycle_with_winding
 
+from identity_reference import SeedStream
 from kernel_reference import null_space
 
 
@@ -336,7 +337,7 @@ def laplacian_of_H(g, h):
 def verify_sholo_reference(g, draws=50, seed=0):
     """``sholo.verify_sholo``, one draw at a time; the kernel functions are
     read through ``sholo.kernel_observables`` as the library reads them."""
-    rng = np.random.default_rng(seed)
+    rng = SeedStream(seed)
     c = build_C(g)
     kw = kac_ward(g)
     kom_real = kasteleyn(c, None, "omega").real

@@ -74,8 +74,10 @@ def test_critical_beta_square_torus_12(tmp_path, capsys):
 def test_cli_import_leaves_scipy_out(tmp_path, capsys):
     # the package depends on numpy only, and a scipy import would add about
     # half a second to every CLI start; numpy.random about 14 ms, so the
-    # kernel probes are built without it (64 darts: h-function and the
-    # inverse observable both take the probe route)
+    # kernel probes and the seeded suites draw from linalg's own stream
+    # (64 darts: h-function and the inverse observable both take the probe
+    # route).  numpy before 2.0 imports numpy.random itself, so the listing
+    # names what kwlab adds to the modules of ``import numpy``.
     src = os.path.dirname(os.path.dirname(kwlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     path = tmp_path / "sq4.json"
@@ -83,11 +85,11 @@ def test_cli_import_leaves_scipy_out(tmp_path, capsys):
     regular = tmp_path / "sq4r.json"
     regular.write_text(
         run(capsys, "gen", "square-torus", "4", "--x", "0.3")[1])
-    listing = ("print(sorted(m for m in sys.modules if m.split('.')[0] == "
-               "'scipy' or m.startswith('numpy.random')))")
-    for code in ("import sys, kwlab.cli; " + listing,
-                 "import sys, kwlab.cli; kwlab.cli.main(sys.argv[1:]); "
-                 + listing):
+    listing = ("print(sorted(m for m in set(sys.modules) - base if "
+               "m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
+    start = "import sys, numpy; base = set(sys.modules); import kwlab.cli; "
+    for code in (start + listing,
+                 start + "kwlab.cli.main(sys.argv[1:]); " + listing):
         out = subprocess.run(
             [sys.executable, "-c", code, "h-function", "--from", "kernel",
              "-g", str(path)],
@@ -101,6 +103,18 @@ def test_cli_import_leaves_scipy_out(tmp_path, capsys):
     assert out.stdout.strip().splitlines()[-1] == "[]"
     # 32 edges, past the combinatorial guard: the inverse backend answered
     assert '"values"' in out.stdout
+    # the seeded suites: every one on the 2x2 torus and on the plane, and
+    # the duality draws on the rectangular torus
+    for name, argv in (("s2", ("square-torus", "2")), ("t", ("triangle",)),
+                       ("r", ("rect-torus",))):
+        (tmp_path / f"{name}.json").write_text(run(capsys, "gen", *argv)[1])
+    for suite, name in (("all", "s2"), ("all", "t"), ("kw1", "r")):
+        out = subprocess.run(
+            [sys.executable, "-c", code, "verify", suite, "-g",
+             str(tmp_path / f"{name}.json")],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip().splitlines()[-1] == "[]", (suite, name)
+        assert '"pass": true' in out.stdout
 
 
 def test_z_commands(tmp_path, capsys):
@@ -405,6 +419,21 @@ def test_draws_must_be_positive(tmp_path, capsys, suite, draws):
     code, out = run(capsys, "verify", suite, "-g", str(path), "--draws", draws)
     assert code == 2
     assert json.loads(out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("suite",
+                         ["corr", "det", "kw1", "kw2", "sholo", "all"])
+def test_negative_seed_is_invalid_input(tmp_path, capsys, suite):
+    path = tmp_path / "r.json"
+    path.write_text(run(capsys, "gen", "rect-torus")[1])
+    code, out = run(capsys, "verify", suite, "-g", str(path), "--seed", "-1")
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid_input",
+                               "message": "seed must be non-negative, got -1"}
+    # a seed beyond 64 bits reads the stream at a key of its own
+    code, out = run(capsys, "verify", suite, "-g", str(path), "--draws", "2",
+                    "--seed", str(3 << 70))
+    assert code == 0 and json.loads(out)["seed"] == 3 << 70
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from identity_reference import c_faces_reference
+from identity_reference import SeedStream, c_faces_reference
 from kwlab import fixtures as fx
 from kwlab import suites
+from kwlab.linalg import stream_key
 from kwlab.operators import phi_omega
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain, dual,
                                  edge_vectors, face_centroids, face_offsets,
@@ -290,12 +291,14 @@ def chained_unitary_cochain(g, rng):
 @faces_param
 def test_one_step_gauge_matches_chained(name):
     g = FACE_FIXTURES[name]()
-    rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    xs, phi = suites._draw_inputs(g, rng, 2)
+    rng_ref = SeedStream(5)
+    xs, phi = suites._draw_inputs(g, stream_key(5), 0, 2)
     for t in range(2):
         # each draw takes its weights, then its cochain
         assert np.array_equal(xs[t], rng_ref.uniform(0.02, 0.98, g.ne))
         want = chained_unitary_cochain(g, rng_ref).values
         assert np.max(np.abs(phi[t] - want)) <= 1e-15
-    # both forms consume the same random stream
-    assert rng.uniform() == rng_ref.uniform()
+    # both forms consume the same random stream: draw 2 starts where the
+    # chained form stopped
+    xs, _ = suites._draw_inputs(g, stream_key(5), 2, 3)
+    assert np.array_equal(xs[0], rng_ref.uniform(0.02, 0.98, g.ne))

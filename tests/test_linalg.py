@@ -1,11 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kwlab.linalg import (_NB, cycle_det, lu_det, lu_solve, max_norm,
-                          pfaffian, sparse_max_norm, sparse_product, to_dense)
+from kwlab import linalg
+from kwlab.linalg import (_NB, cycle_det, lu_det, lu_solve, max_norm, normals,
+                          pfaffian, sparse_max_norm, sparse_product,
+                          stream_key, to_dense, uniforms)
+from kwlab.operators import KERNEL_PROBES, kernel_probes
 from kwlab.surface_graph import GraphError
 
 from kernel_reference import null_space
@@ -265,3 +269,80 @@ def test_cycle_det_matches_dense_determinants(perm):
         assert abs(cycle_det(perm, w) - want) <= 1e-12 * max(1.0, abs(want))
         assert abs(np.linalg.det(a) - want) <= 1e-12 * max(1.0, abs(want))
     assert cycle_det([], []) == 1.0
+
+
+M64 = (1 << 64) - 1
+
+
+def _unmix(z):
+    """The inverse of ``linalg._mix`` on one 64-bit value."""
+    def unshift(z, s):
+        y = z
+        for _ in range(64 // s + 1):
+            y = z ^ (y >> s)
+        return y
+    z = unshift(z, 31)
+    for shift, mult in ((27, 0x94D049BB133111EB), (30, 0xBF58476D1CE4E5B9)):
+        z = unshift(z * pow(mult, -1, 1 << 64) & M64, shift)
+    return z
+
+
+def test_kernel_probes_read_the_pinned_stream():
+    # the uniforms at key 0, as the probes were first built: integer
+    # arithmetic and exact conversions, so the same bytes on every machine
+    want = (
+        "99fcba48f633e885b6bdff672f7b9b06fec9ff0a0888932dc0fa01c73434b245",
+        "7a6c5713dde089476e942219f09bcd41a67a2bf27ffafc159614809992661590",
+        "594aac1a2fc16ff20db02e0aac01e2777b499ad976e36f1419a529d55f3a7b03")
+    for n, digest in zip((4, 64, 576), want):
+        k = n * KERNEL_PROBES
+        u = uniforms(0, 0, 2 * k)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+        # Box-Muller: the first k uniforms are the radii, the rest the angles
+        r = np.sqrt(-2.0 * np.log(u[:k])) * np.cos(2.0 * math.pi * u[k:])
+        assert np.array_equal(kernel_probes(n), r.reshape(n, KERNEL_PROBES))
+
+
+def test_uniforms_lie_strictly_inside_the_unit_interval():
+    # a key whose counter 0 mixes to a chosen output, at both ends of the
+    # 53 bits that a uniform keeps; mixing is a bijection of 64-bit words
+    # (from 2^52 on, the half rounds to even, and the cap keeps 2^53 - 1
+    # from rounding up to 1)
+    top = 1 - 2.0 ** -52
+    for out, want in ((0, 2.0 ** -54), ((1 << 11) - 1, 2.0 ** -54),
+                      (1 << 63, 0.5), (M64, top), (M64 - (1 << 11), top)):
+        key = np.array([(_unmix(out) - int(linalg._GOLDEN)) & M64],
+                       dtype=np.uint64)
+        assert int(linalg._mix(key + linalg._GOLDEN)[0]) == out
+        u = uniforms(key, 0, 1)
+        assert u[0] == want and 0.0 < u[0] < 1.0
+        assert np.isfinite(normals(key, 0, 1, 1)).all()
+    u = uniforms(stream_key(3), 0, 1 << 16)
+    assert 0.0 < u.min() and u.max() < 1.0 and abs(u.mean() - 0.5) < 0.01
+
+
+def test_a_draw_reads_the_same_counters_alone():
+    key = stream_key(7)
+    u = uniforms(key, 0, 60)
+    for lo, hi in ((0, 1), (13, 29), (59, 60)):
+        assert np.array_equal(uniforms(key, lo, hi), u[lo:hi])
+    z = normals(key, 40, 5, 6)
+    for i in range(5):
+        assert np.array_equal(normals(key, 40 + 12 * i, 1, 6), z[i:i + 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 1000, M64, 1 << 64, 5 << 90])
+def test_nearby_seeds_share_no_shifted_sequence(seed):
+    # stream s + 1 is not stream s read j counters on, for any j: their
+    # keys are not j golden apart for a j within 2^40 of 0
+    inv = pow(int(linalg._GOLDEN), -1, 1 << 64)
+    k0, k1 = (int(stream_key(s)[0]) for s in (seed, seed + 1))
+    for j in ((k1 - k0) * inv & M64, (k1 - 0) * inv & M64):
+        assert min(j, (1 << 64) - j) > 1 << 40
+    a, b = (uniforms(stream_key(s), 0, 4096) for s in (seed, seed + 1))
+    assert not np.intersect1d(a, b).size
+
+
+def test_a_negative_seed_is_invalid_input():
+    with pytest.raises(GraphError, match="seed must be non-negative, got -1"):
+        stream_key(-1)

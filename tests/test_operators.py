@@ -11,7 +11,7 @@ from kwlab.critical import hessian_tau
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain,
                                  dual, principal_angle)
 from kwlab.derived import build_C, build_D, build_M, isoradial_data
-from kwlab.linalg import lu_det, max_norm, to_dense
+from kwlab.linalg import lu_det, max_norm, stream_key, to_dense
 from kwlab.operators import (KERNEL_PROBES, _dirac_cd_residual, dirac_C,
                              dirac_D, kac_ward, kac_ward_kernel, kasteleyn,
                              kernel_probes, kw_dets, laplacian, laplacian_M,
@@ -519,7 +519,7 @@ def test_verify_corr_stack_is_bitwise_the_single_draws():
     from kwlab import suites
     for g in SUITE_GRAPHS.values():
         g = g()
-        xs, phi = suites._draw_inputs(g, np.random.default_rng(2), 6)
+        xs, phi = suites._draw_inputs(g, stream_key(2), 0, 6)
         got = verify_corr(g, phi.reshape(2, 3, -1), xs.reshape(2, 3, -1))
         for i in range(6):
             want = verify_corr(g, phi[i], xs[i])
