@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .surface_graph import GraphError, EmbeddedGraph, TWO_PI, \
-    cycle_with_winding, edge_vectors, face_centroids, face_offsets, \
-    lattice_shifts, reduce_to_domain, shift_character
+    edge_vectors, face_centroids, generator_cycles, lattice_shifts, \
+    reduce_to_domain, shift_character
 
 
 def half_angle_phases(g):
@@ -91,7 +91,12 @@ def build_C(g):
     phase counts: epsilon is (-1)^k with k = rint((beta_e + a_e - a_R(e)) /
     2pi), and omega is +1 on perp, (-1)^k with k = rint((pi + a_e -
     a_rev e) / 2pi) on par and -epsilon on corners.
+
+    Built once per graph and cached on it, like ``isoradial_data``'s
+    delta; its arrays are read-only, so a write into the shared C raises.
     """
+    if "c_graph" in vars(g):
+        return g.c_graph
     nd = g.nd
     d = np.arange(nd)
     a, beta = g.a_angles(), g.beta()
@@ -106,8 +111,11 @@ def build_C(g):
     no_shift = np.zeros_like(g.shift)
     shift = np.concatenate([no_shift, g.shift, no_shift])
     omega = np.concatenate([np.ones(nd, dtype=int), par, -eps])
-    return CGraph(g, w, b, dimer_weights(g.theta), omega_tilde, shift, omega,
-                  eps)
+    c = g.c_graph = CGraph(g, w, b, dimer_weights(g.theta), omega_tilde,
+                           shift, omega, eps)
+    for a in (w, b, c.y, omega_tilde, shift, omega, eps):
+        a.setflags(write=False)
+    return c
 
 
 def c_face_products(c, vals):
@@ -158,9 +166,9 @@ def validate_kasteleyn(c, orientation=None):
             adj[w].append((nd + b, (i, +1), (s[0], s[1])))
             adj[nd + b].append((w, (i, -1), (-s[0], -s[1])))
         gens = []
-        for target in ((1, 0), (0, 1)):
+        for target, walk in zip(((1, 0), (0, 1)), generator_cycles(adj)):
             val = 1.0 + 0j
-            for idx, sgn in cycle_with_winding(adj, target):
+            for idx, sgn in walk:
                 ot = c.omega_tilde[idx]
                 val *= ot if sgn > 0 else 1.0 / ot
             gens.append({"winding": list(target),
@@ -223,8 +231,8 @@ def _half_shifts(g):
     half = 0.5 * edge_vectors(g)
     mid = np.repeat(reduce_to_domain(g, g.vcoords[g.origin[::2]] + half[::2]),
                     2, axis=0)
-    off = face_offsets(g)
-    centre = reduce_to_domain(g, face_centroids(g, off))[g.face_of[rev]]
+    off = g.face_offsets
+    centre = reduce_to_domain(g, face_centroids(g))[g.face_of[rev]]
     primal = lattice_shifts(g, half - (mid - g.vcoords[g.origin]),
                             "midpoint shift")
     dual = lattice_shifts(g, -half - off[rev] - (mid - centre),
@@ -326,7 +334,7 @@ def isoradial_data(g, tol=ISORADIAL_TOL):
     # face circumcenter seen from each corner, relative to the face centroid
     ang = g.dirang + math.pi / 2 - np.repeat(g.theta, 2)
     centers = (delta * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-               - face_offsets(g))
+               - g.face_offsets)
     mean = np.zeros((len(g.faces), 2))
     np.add.at(mean, g.face_of, centers)
     mean /= np.bincount(g.face_of)[:, None]

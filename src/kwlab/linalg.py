@@ -12,8 +12,8 @@ finishes the last ``_NB`` rows.
 
 An entry list is a plain ``(rows, cols, vals)`` tuple of parallel arrays;
 repeated (row, col) pairs add up, as in ``to_dense``'s ``np.add.at``
-scatter.  ``sparse_product`` multiplies two lists, ``sparse_max_norm``
-measures a linear combination of lists over the union of their supports,
+scatter.  ``sparse_product`` multiplies two lists, ``sparse_max_norms``
+measures linear combinations of lists over the union of their supports,
 and ``cycle_det`` is det(I - A) for a weighted permutation matrix A.
 Leading axes of ``vals`` (of ``w`` for ``cycle_det``) are a stack of
 matrices on one pattern: the pattern's indices are computed once for the
@@ -251,34 +251,41 @@ def sparse_product(a, b):
     return ar[ia], bc[ib], np.asarray(av)[..., ia] * np.asarray(bv)[..., ib]
 
 
-def sparse_max_norm(*terms):
-    """Max-norm of sum_k c_k A_k over (c_k, A_k) pairs of coefficients and
-    entry lists.
+def sparse_max_norms(*norms):
+    """Max-norms of sums sum_k c_k A_k, one per argument, each a sequence of
+    (c_k, A_k) pairs of coefficients and entry lists.
 
     Repeated (row, col) pairs are summed first, so an entry that only one
-    term has still counts, and max_norm(to_dense(A) - to_dense(B)) is
-    ``sparse_max_norm((1, A), (-1, B))``.  Leading axes of the values
-    broadcast and give an array of norms; the sums are one ``np.bincount``
-    per part, each matrix's slots offset past the previous one's.
+    term has still counts: max_norm(to_dense(A) - to_dense(B)) is
+    ``sparse_max_norms([(1, A), (-1, B)])[0]``.  One ``np.unique`` labels
+    the union of the lists (told apart by identity), and each norm is one
+    ``np.bincount`` per part over its own terms in their order: bitwise the
+    norm of its terms alone, as a slot it misses stays exactly 0.  Leading
+    axes of a norm's values broadcast to an array of norms.
     """
-    rows = np.concatenate([a[0] for _, a in terms])
-    vals = [coef * np.asarray(a[2], dtype=complex) for coef, a in terms]
-    lead = np.broadcast_shapes(*(v.shape[:-1] for v in vals))
-    if not rows.size:
-        return np.zeros(lead) if lead else 0.0
-    cols = np.concatenate([a[1] for _, a in terms])
-    vals, _ = _rows(np.concatenate(
-        [np.broadcast_to(v, lead + v.shape[-1:]) for v in vals], axis=-1),
-        len(rows))
-    _, slot = np.unique(rows * (int(cols.max()) + 1) + cols,
-                        return_inverse=True)
-    n = int(slot.max()) + 1
-    slot = (slot + n * np.arange(len(vals))[:, None]).ravel()
-    total = (np.bincount(slot, vals.real.ravel(), minlength=n * len(vals))
-             + 1j * np.bincount(slot, vals.imag.ravel(),
-                                minlength=n * len(vals)))
-    norms = np.max(np.abs(total.reshape(lead + (n,))), axis=-1)
-    return norms if lead else float(norms)
+    lists = list({id(a): a for norm in norms for _, a in norm}.values())
+    rows = np.concatenate([a[0] for a in lists])
+    cols = np.concatenate([a[1] for a in lists])
+    key = rows * (int(cols.max()) + 1) + cols if rows.size else rows
+    _, slot = np.unique(key, return_inverse=True)
+    n = int(slot.max(initial=-1)) + 1
+    ends = np.cumsum([len(a[0]) for a in lists])[:-1]
+    slots = dict(zip(map(id, lists), np.split(slot, ends)))
+    out = []
+    for norm in norms:
+        vals = [coef * np.asarray(a[2], dtype=complex) for coef, a in norm]
+        lead = np.broadcast_shapes(*(v.shape[:-1] for v in vals))
+        s = np.concatenate([slots[id(a)] for _, a in norm])
+        vals, _ = _rows(np.concatenate(
+            [np.broadcast_to(v, lead + v.shape[-1:]) for v in vals], axis=-1),
+            len(s))
+        s = (s + n * np.arange(len(vals))[:, None]).ravel()
+        total = (np.bincount(s, vals.real.ravel(), minlength=n * len(vals))
+                 + 1j * np.bincount(s, vals.imag.ravel(),
+                                    minlength=n * len(vals)))
+        res = np.max(np.abs(total.reshape(lead + (n,))), axis=-1, initial=0.0)
+        out.append(res if lead else float(res))
+    return out
 
 
 def prod_rows(a):

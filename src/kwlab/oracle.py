@@ -259,17 +259,25 @@ def _permanent(a):
 
     ``partial`` maps each set of columns (a bitmask) used by the rows done so
     far to the total weight of the partial matchings using exactly those
-    columns; each row extends it through its nonzero entries only.
+    columns; each row extends it through its nonzero entries only.  A state
+    that leaves unused a column no later row reaches (``need``) only spawns
+    such states and is dropped, so every other state is bitwise the same.
     """
     a = np.asarray(a, dtype=float)
+    rows = [[(1 << j, y) for j, y in enumerate(r) if y] for r in a.tolist()]
+    need, must = [], (1 << a.shape[1]) - 1
+    for cols in reversed(rows):
+        need.append(must)
+        for bit, _ in cols:
+            must &= ~bit
     partial = {0: 1.0}
-    for row in a.tolist():
-        cols = [(1 << j, y) for j, y in enumerate(row) if y]
+    for cols, must in zip(rows, reversed(need)):
         grown = {}
         for used, val in partial.items():
             for bit, y in cols:
-                if not used & bit:
-                    grown[used | bit] = grown.get(used | bit, 0.0) + val * y
+                new = used | bit
+                if new != used and new & must == must:
+                    grown[new] = grown.get(new, 0.0) + val * y
         partial = grown
     return partial.get((1 << a.shape[1]) - 1, 0.0)
 

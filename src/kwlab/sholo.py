@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _draw_chunks, max_norm, normals, stream_key
-from .surface_graph import GraphError, SizeGuardError, cycle_with_winding
+from .surface_graph import GraphError, SizeGuardError, generator_cycles
 from .derived import build_C, half_angle_phases, isoradial_data
 from .operators import (dirac_C, kac_ward, kac_ward_kernel,
                         kac_ward_kernel_solve, kasteleyn, phi_omega,
@@ -294,7 +294,7 @@ def _homology_walks(g):
     term = g.origin[np.arange(g.nd) ^ 1].tolist()
     shift = [tuple(s) for s in g.shift.tolist()]
     adj = [[(term[d], d, shift[d]) for d in darts] for darts in g.darts_at]
-    return [cycle_with_winding(adj, t) for t in ((1, 0), (0, 1))]
+    return generator_cycles(adj)
 
 
 def integrate_square(g, F):

@@ -309,6 +309,25 @@ class EmbeddedGraph:
         return np.linalg.inv(self.lattice)
 
     @cached_property
+    def face_offsets(self):
+        """Per dart d, the vector from o(d) to the centroid of the face left
+        of d, both read along one walk of the face from its first dart; the
+        faces are padded to the longest one, and the corners of each are the
+        running sums of its dart displacements.  Found once per graph."""
+        size = np.array([len(f) for f in self.faces])
+        valid = np.arange(size.max()) < size[:, None]
+        idx = np.zeros(valid.shape, dtype=int)
+        darts = np.concatenate(self.faces)
+        idx[valid] = darts
+        # the padding sits after each face's darts, so no corner sums it
+        pts = np.zeros((*idx.shape, 2))
+        np.cumsum(edge_vectors(self)[idx[:, :-1]], axis=1, out=pts[:, 1:])
+        centroid = pts.sum(axis=1, where=valid[..., None]) / size[:, None]
+        off = np.empty((self.nd, 2))
+        off[darts] = (centroid[:, None] - pts)[valid]
+        return off
+
+    @cached_property
     def dual_graph(self):
         """The ``dual`` of this graph, built once per graph."""
         return dual(self)
@@ -571,39 +590,40 @@ def shift_character(shift, z, w):
     return z ** shift[:, 0] * w ** shift[:, 1]
 
 
-def cycle_with_winding(adj, target):
-    """A closed walk from node 0 whose windings sum to ``target``.
+def generator_cycles(adj):
+    """Closed walks from node 0 winding once around each torus generator,
+    (1, 0) and then (0, 1).
 
     ``adj[u]`` lists the (neighbour, label, shift) triples leaving node u.
-    Breadth-first search in the Z^2 lift, from (0, (0, 0)) to (0, target);
-    returns the labels along the walk.
+    One breadth-first search in the Z^2 lift from (0, (0, 0)), with the
+    windings bounded by 3, serves both goals (0, target): a predecessor
+    never changes once found, so each walk (its labels) is the one a search
+    stopped at its own goal returns.
     """
-    start = (0, 0, 0)
-    goal = (0, target[0], target[1])
-    prev = {start: None}
-    frontier = [start]
-    bound = abs(target[0]) + abs(target[1]) + 2
-    while frontier and goal not in prev:
+    goals = [(0, 1, 0), (0, 0, 1)]
+    prev, frontier = {(0, 0, 0): None}, [(0, 0, 0)]
+    while frontier and not all(goal in prev for goal in goals):
         nxt = []
         for state in frontier:
             u, s1, s2 = state
             for v, label, (t1, t2) in adj[u]:
                 t = (v, s1 + t1, s2 + t2)
-                if abs(t[1]) > bound or abs(t[2]) > bound:
+                if abs(t[1]) > 3 or abs(t[2]) > 3:
                     continue
                 if t not in prev:
                     prev[t] = (state, label)
                     nxt.append(t)
         frontier = nxt
-    if goal not in prev:
-        raise GraphError(f"no cycle with winding {target} found")
-    walk = []
-    state = goal
-    while prev[state] is not None:
-        state, label = prev[state]
-        walk.append(label)
-    walk.reverse()
-    return walk
+    walks = []
+    for goal in goals:
+        if goal not in prev:
+            raise GraphError(f"no cycle with winding {goal[1:]} found")
+        walk, state = [], goal
+        while prev[state] is not None:
+            state, label = prev[state]
+            walk.append(label)
+        walks.append(walk[::-1])
+    return walks
 
 
 # -- dual graph ---------------------------------------------------------------
@@ -615,32 +635,10 @@ def edge_vectors(g):
     return v if g.lattice is None else v + g.shift @ g.lattice
 
 
-def face_offsets(g):
-    """Per dart d, the vector from o(d) to the centroid of the face left of d,
-    both read along one walk of the face boundary from its first dart.
-
-    The faces are padded to the longest one; the corners of each face are the
-    running sums of its dart displacements, taken in walk order.
-    """
-    size = np.array([len(f) for f in g.faces])
-    valid = np.arange(size.max()) < size[:, None]
-    idx = np.zeros(valid.shape, dtype=int)
-    darts = np.concatenate(g.faces)
-    idx[valid] = darts
-    # the padding sits after each face's darts, so no corner sums it
-    pts = np.zeros((*idx.shape, 2))
-    np.cumsum(edge_vectors(g)[idx[:, :-1]], axis=1, out=pts[:, 1:])
-    centroid = pts.sum(axis=1, where=valid[..., None]) / size[:, None]
-    off = np.empty((g.nd, 2))
-    off[darts] = (centroid[:, None] - pts)[valid]
-    return off
-
-
-def face_centroids(g, off=None):
+def face_centroids(g):
     """Each face's centroid: its first dart's origin plus ``face_offsets``."""
     first = np.array([f[0] for f in g.faces])
-    off = face_offsets(g) if off is None else off
-    return g.vcoords[g.origin[first]] + off[first]
+    return g.vcoords[g.origin[first]] + g.face_offsets[first]
 
 
 def reduce_to_domain(g, pts):
@@ -675,8 +673,8 @@ def dual(g):
     nd = g.nd
     rev = np.arange(nd) ^ 1
     origin = g.face_of[rev]
-    off = face_offsets(g)
-    vstar = face_centroids(g, off)
+    off = g.face_offsets
+    vstar = face_centroids(g)
     shift = np.zeros((nd, 2), dtype=int)
     if g.surface == "torus":
         vstar = reduce_to_domain(g, vstar)

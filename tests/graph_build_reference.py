@@ -20,8 +20,8 @@ import numpy as np
 
 from kwlab.surface_graph import (ANGLE_SUM_TOL, ANGLE_TIE_TOL, TWO_PI,
                                  EmbeddedGraph, GraphError, Weights,
-                                 edge_vectors, face_centroids, face_offsets,
-                                 lattice_shifts, reduce_to_domain)
+                                 edge_vectors, face_centroids, lattice_shifts,
+                                 reduce_to_domain)
 
 
 def running_sum(vals):
@@ -230,7 +230,7 @@ def transition_entries_reference(g):
 
 def dual_reference(g):
     """``surface_graph.dual`` as it was: Weights built twice, and the face
-    offsets and the lattice inverse found twice on the torus."""
+    offsets read twice on the torus."""
     nd = g.nd
     rev = np.arange(nd) ^ 1
     origin = g.face_of[rev]
@@ -240,7 +240,7 @@ def dual_reference(g):
     shift = np.zeros((nd, 2), dtype=int)
     if g.surface == "torus":
         vstar = reduce_to_domain(g, vstar)
-        off = face_offsets(g)
+        off = g.face_offsets
         chart = off - edge_vectors(g) - off[rev]
         shift = lattice_shifts(g, chart - (vstar[g.face_of] - vstar[origin]),
                                "dual shift")

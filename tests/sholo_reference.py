@@ -11,6 +11,9 @@ and ``star_identity_residual`` (here, as no library flow reads it) is one
 pass over the darts.  ``sholo_residual_all`` (the largest dart residual)
 and ``edge_increments`` (the primal and dual increments of H per dart) are
 here for the same reason.
+``cycle_with_winding`` is the breadth-first search in the Z^2 lift for one
+winding; ``surface_graph.generator_cycles`` serves both generators from one
+search, and each of its walks must be this one's.
 ``kernel_observables_reference`` takes the complex SVD of KW itself and
 projects each kernel vector u, and i u, onto the dart lines; the library
 instead reads the real kernel basis of I - X T' in the half-angle gauge.
@@ -39,7 +42,7 @@ from kwlab.linalg import max_norm
 from kwlab.operators import dirac_C, kac_ward, kasteleyn, phi_omega
 from kwlab.sholo import (_dart_residuals, map_S_inverse, primal_increments,
                          vertex_residuals)
-from kwlab.surface_graph import GraphError, cycle_with_winding
+from kwlab.surface_graph import GraphError
 
 from identity_reference import SeedStream
 from kernel_reference import null_space
@@ -284,6 +287,41 @@ def integrate_square_reference(g, F, warn_tol=1e-6, star_tol=1e-8):
 
     values = {nid: float(h[index[nid]]) for nid in nodes}
     return HFunctionReference(g, F, values, loop_residual, periods, defect)
+
+
+def cycle_with_winding(adj, target):
+    """A closed walk from node 0 whose windings sum to ``target``.
+
+    ``adj[u]`` lists the (neighbour, label, shift) triples leaving node u.
+    Breadth-first search in the Z^2 lift, from (0, (0, 0)) to (0, target);
+    returns the labels along the walk.
+    """
+    start = (0, 0, 0)
+    goal = (0, target[0], target[1])
+    prev = {start: None}
+    frontier = [start]
+    bound = abs(target[0]) + abs(target[1]) + 2
+    while frontier and goal not in prev:
+        nxt = []
+        for state in frontier:
+            u, s1, s2 = state
+            for v, label, (t1, t2) in adj[u]:
+                t = (v, s1 + t1, s2 + t2)
+                if abs(t[1]) > bound or abs(t[2]) > bound:
+                    continue
+                if t not in prev:
+                    prev[t] = (state, label)
+                    nxt.append(t)
+        frontier = nxt
+    if goal not in prev:
+        raise GraphError(f"no cycle with winding {target} found")
+    walk = []
+    state = goal
+    while prev[state] is not None:
+        state, label = prev[state]
+        walk.append(label)
+    walk.reverse()
+    return walk
 
 
 def laplacian_of_H_reference(g, h):

@@ -10,8 +10,8 @@ from kwlab import suites
 from kwlab.linalg import stream_key
 from kwlab.operators import phi_omega
 from kwlab.surface_graph import (Cochain, GraphError, character_cochain, dual,
-                                 edge_vectors, face_centroids, face_offsets,
-                                 lattice_shifts, reduce_to_domain)
+                                 edge_vectors, face_centroids, lattice_shifts,
+                                 reduce_to_domain)
 from kwlab.derived import (build_C, build_D, build_M, c_face_products,
                            half_angle_phases, isoradial_data,
                            phi_D_character, split_phi_D, validate_kasteleyn)
@@ -265,7 +265,7 @@ def test_c_face_products_match_walk(name):
 @faces_param
 def test_face_offsets_match_walk(name):
     g = FACE_FIXTURES[name]()
-    assert np.array_equal(face_offsets(g), face_offsets_walk(g))
+    assert np.array_equal(g.face_offsets, face_offsets_walk(g))
 
 
 @faces_param

@@ -224,10 +224,13 @@ def assert_steps_match_the_references(g):
     """C, the corner signs, the skew signs and the characters of ``g``
     against the forms they replaced."""
     c, ref = build_C(g), build_C_reference(g)
+    assert build_C(g) is c  # one C per graph
     for name in C_ARRAYS:
         a, b = getattr(c, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]  # the shared C is read-only
     s, want = _outcome(lambda h: h.skew_signs, g), _outcome(
         skew_signs_reference, g)
     if isinstance(want, str):

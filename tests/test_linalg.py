@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from kwlab import linalg
 from kwlab.linalg import (_NB, cycle_det, lu_det, lu_solve, max_norm, normals,
-                          pfaffian, sparse_max_norm, sparse_product,
+                          pfaffian, sparse_max_norms, sparse_product,
                           stream_key, to_dense, uniforms)
 from kwlab.operators import KERNEL_PROBES, kernel_probes
 from kwlab.surface_graph import GraphError
 
 from kernel_reference import null_space
-from linalg_reference import det_cofactor
+from linalg_reference import det_cofactor, sparse_max_norm
 from pfaffian_reference import pfaffian_reference
 
 
@@ -237,19 +237,56 @@ def test_sparse_max_norm_over_the_union_of_supports():
     a = _random_entries(rng, (7, 5), 14)
     b = _random_entries(rng, (7, 5), 9)
     da, db = to_dense((7, 5), a), to_dense((7, 5), b)
-    assert sparse_max_norm((1, a)) == pytest.approx(max_norm(da), abs=1e-15)
-    assert sparse_max_norm((1, a), (-1, b)) == pytest.approx(
-        max_norm(da - db), abs=1e-15)
-    assert sparse_max_norm((2.0, a), (0.5j, b)) == pytest.approx(
-        max_norm(2.0 * da + 0.5j * db), abs=1e-15)
+    alone, diff, combo = sparse_max_norms(
+        [(1, a)], [(1, a), (-1, b)], [(2.0, a), (0.5j, b)])
+    assert alone == pytest.approx(max_norm(da), abs=1e-15)
+    assert diff == pytest.approx(max_norm(da - db), abs=1e-15)
+    assert combo == pytest.approx(max_norm(2.0 * da + 0.5j * db), abs=1e-15)
     # an entry only one side has counts; duplicates cancel before the norm
     one = (np.array([0, 3, 3]), np.array([1, 2, 2]), np.array([1.0, 2.0, -2.0]))
     other = (np.array([0]), np.array([1]), np.array([1.0]))
-    assert sparse_max_norm((1, one), (-1, other)) == 0.0
+    assert sparse_max_norms([(1, one), (-1, other)]) == [0.0]
     stray = (np.array([0, 4]), np.array([1, 0]), np.array([1.0, 1e-9]))
-    assert sparse_max_norm((1, stray), (-1, other)) == 1e-9
+    assert sparse_max_norms([(1, stray), (-1, other)]) == [1e-9]
     empty = (np.array([], dtype=int),) * 2 + (np.array([]),)
-    assert sparse_max_norm((1, empty)) == 0.0
+    assert sparse_max_norms([(1, empty)]) == [0.0]
+
+
+def test_sparse_max_norms_are_the_one_norm_form():
+    # each norm of a shared slot map is bitwise the one-norm reference
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        lists = [_random_entries(rng, (6, 5), int(rng.integers(1, 15)))
+                 for _ in range(3)]
+        norms = [[(1, lists[0]), (-1, lists[1])], [(0.5j, lists[1])],
+                 [(1, lists[2]), (-0.5, lists[0]), (2j, lists[1])]]
+        got = sparse_max_norms(*norms)
+        assert [v.hex() for v in got] == [
+            sparse_max_norm(*norm).hex() for norm in norms]
+    # stacked values broadcast within a norm, the other norm unstacked
+    a, b = (_random_entries(rng, (6, 5), 12) for _ in range(2))
+    stack = (a[0], a[1], rng.standard_normal((2, 3, 12)) * a[2])
+    norms = [[(1, stack), (-1, b)], [(1, b)], [(1j, stack)]]
+    got = sparse_max_norms(*norms)
+    for value, norm in zip(got, norms):
+        want = sparse_max_norm(*norm)
+        assert np.shape(value) == np.shape(want)
+        assert np.array_equal(value, want)
+        assert ([float(v).hex() for v in np.ravel(value)]
+                == [float(v).hex() for v in np.ravel(want)])
+    # an empty list, alone and next to others
+    empty = (np.array([], dtype=int),) * 2 + (np.array([]),)
+    assert sparse_max_norms([(1, empty)], [(1, empty), (-1, empty)]) == [
+        0.0, 0.0]
+    got = sparse_max_norms([(1, empty)], [(1, a), (1, empty)], [(1, b)])
+    assert got[0] == 0.0
+    assert got[1].hex() == sparse_max_norm((1, a), (1, empty)).hex()
+    assert got[2].hex() == sparse_max_norm((1, b)).hex()
+    # a term only one norm has: the other norm's slots for it stay 0
+    far = (np.array([40]), np.array([30]), np.array([1e3]))
+    got = sparse_max_norms([(1, a), (1, far)], [(1, a)])
+    assert got[0] == 1e3
+    assert got[1].hex() == sparse_max_norm((1, a)).hex()
 
 
 @pytest.mark.parametrize("perm", (

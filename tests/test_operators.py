@@ -23,6 +23,7 @@ from kwlab.sholo import kernel_observables, observable
 from character_reference import sqrt_det_pfaffian_reference
 from dense_reference import kac_ward_pattern, kac_ward_real_pattern
 from pfaffian_reference import pfaffian_reference
+from linalg_reference import sparse_max_norm
 from identity_reference import (suite_corr_reference, suite_det_reference,
                                 verify_corr_reference,
                                 verify_dirac_identities_reference)
@@ -544,6 +545,25 @@ def test_dirac_identities_match_dense_reference(g, phi_char):
     assert got["pass"] == want["pass"]
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-15, (key, got, want)
+
+
+@pytest.mark.parametrize("g, phi_char", DIRAC_CASES)
+def test_dirac_residual_norms_are_the_one_norm_form(monkeypatch, g, phi_char):
+    # the 12 residual norms share 5 slot maps, one per identity and two for
+    # (d); each must be bitwise the norm of its own lists alone
+    calls = []
+
+    def recorded(*norms):
+        got = linalg.sparse_max_norms(*norms)
+        calls.append((norms, got))
+        return got
+
+    monkeypatch.setattr(operators, "sparse_max_norms", recorded)
+    verify_dirac_identities(g, phi_char)
+    assert [len(norms) for norms, _ in calls] == [2, 2, 4, 2, 2]
+    for norms, got in calls:
+        for norm, value in zip(norms, got):
+            assert value.hex() == sparse_max_norm(*norm).hex()
 
 
 @pytest.mark.parametrize("tamper", ("scale", "stray"))

@@ -456,6 +456,10 @@ def test_permanent_is_the_array_form():
     for n in range(0, 11):
         mats.append(rng.uniform(-1.0, 1.0, (n, n))
                     * (rng.random((n, n)) < rng.uniform(0.2, 1.0)))
+    # the 24 x 24 patch and the 16 x 16 torus, where the dropped states are
+    # most of the full DP's
+    mats += [_weight_matrix(fx.square_patch(2, 2)),
+             _weight_matrix(fx.square_torus(2))]
     for a in mats:
         assert _permanent(a).hex() == float(permanent_reference(a)).hex()
 

@@ -17,10 +17,11 @@ from kwlab.sholo import (STAR_TOL, _homology_walks, _line_minus, _line_plus,
                          kernel_observables, map_S, map_S_inverse, observable,
                          primal_increments, sholo_residual, spinor_maps,
                          verify_sholo, vertex_residuals)
-from kwlab.surface_graph import SizeGuardError
+from kwlab.surface_graph import SizeGuardError, dual, generator_cycles
 
 from kernel_reference import null_space
-from sholo_reference import (edge_increments, integrate_square_reference,
+from sholo_reference import (cycle_with_winding, edge_increments,
+                             integrate_square_reference,
                              kernel_observables_reference, laplacian_of_H,
                              laplacian_of_H_reference,
                              map_S_inverse_reference, map_S_reference,
@@ -338,6 +339,40 @@ def test_torus_periods_need_trusted_walks():
     want = [sum(primal_increments(g, F, w).tolist())
             for w in _homology_walks(g)]
     assert integrate_square(g, F).periods == want
+
+
+def _c_adjacency(g):
+    """C as ``derived.validate_kasteleyn`` walks it: whites, then blacks."""
+    c, nd = build_C(g), g.nd
+    adj = [[] for _ in range(2 * nd)]
+    for i, (w, b, s) in enumerate(zip(c.w.tolist(), c.b.tolist(),
+                                      c.shift.tolist())):
+        adj[w].append((nd + b, (i, +1), (s[0], s[1])))
+        adj[nd + b].append((w, (i, -1), (-s[0], -s[1])))
+    return adj
+
+
+@pytest.mark.parametrize("make", (
+    lambda: fx.square_torus(1), lambda: fx.square_torus(2),
+    lambda: fx.square_torus(3), lambda: fx.square_torus(12),
+    fx.rect_torus, lambda: fx.rect_torus_mn(3, 2, 0.2, 0.7),
+    fx.honeycomb_torus, lambda: dual(fx.honeycomb_torus_iso())))
+def test_one_search_gives_each_generator_walk(make):
+    # the shared search's walks are those of one search per winding, on
+    # the graph (``_homology_walks``) and on C (``validate_kasteleyn``)
+    g = make()
+    term = g.origin[np.arange(g.nd) ^ 1].tolist()
+    adj = [[(term[d], d, tuple(g.shift[d].tolist())) for d in darts]
+           for darts in g.darts_at]
+    for a in (adj, _c_adjacency(g)):
+        assert generator_cycles(a) == [cycle_with_winding(a, t)
+                                       for t in ((1, 0), (0, 1))]
+    assert _homology_walks(g) == generator_cycles(adj)
+    # no winding anywhere: both name the first generator
+    flat = [[(v, label, (0, 0)) for v, label, _ in out] for out in adj]
+    for search in (generator_cycles, lambda a: cycle_with_winding(a, (1, 0))):
+        with pytest.raises(GraphError, match=r"winding \(1, 0\)"):
+            search(flat)
 
 
 def test_laplacian_of_H_signs():
